@@ -3,10 +3,9 @@ pluggable treatments of expensive constraints (full grounding, lazy
 instantiation, eager and post propagators), benchmark generators, a
 brute-force semantic oracle, and a decision-tree portfolio selector."""
 
-from .cdcl import Budget, SolveResult, SolveStats, Solver, compute_stable_model
+from .cdcl import Budget, SolveResult, SolveStats, Solver
 from .grounder import (
     AtomIndex,
-    AtomTable,
     GroundProgram,
     GroundingError,
     ground_deferred_violations,
@@ -29,14 +28,13 @@ from .model import (
 )
 from .oracle import enumerate_stable_models, is_stable_model, reduct
 from .parser import ParseError, SafetyError, parse_program, program_to_text
-from .strategies import StrategyKind, check_total_candidate, solve
+from .strategies import StrategyKind, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
     "AtomIndex",
-    "AtomTable",
     "Budget",
     "Comparison",
     "GroundProgram",
@@ -52,8 +50,6 @@ __all__ = [
     "Solver",
     "StrategyKind",
     "Term",
-    "check_total_candidate",
-    "compute_stable_model",
     "enumerate_stable_models",
     "ground_deferred_violations",
     "ground_program",

@@ -72,21 +72,6 @@ class SolveStats:
     propagator_nogoods: int = 0
     unfounded_vetoes: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "learned": self.learned,
-            "deleted": self.deleted,
-            "propagations": self.propagations,
-            "invalidations": self.invalidations,
-            "lazy_added": self.lazy_added,
-            "propagator_calls": self.propagator_calls,
-            "propagator_nogoods": self.propagator_nogoods,
-            "unfounded_vetoes": self.unfounded_vetoes,
-        }
-
 
 @dataclass
 class SolveResult:
@@ -880,23 +865,3 @@ class Solver:
         except _Stop:
             return SolveResult(TIMEOUT, None, self.stats)
 
-
-def compute_stable_model(
-    gp: GroundProgram,
-    callbacks: Optional[SolverCallbacks] = None,
-    *,
-    seed: int = 0,
-    support_mode: str = "auto",
-    budget: Optional[Budget] = None,
-    forced_decisions: Sequence[int] = (),
-) -> SolveResult:
-    """Search for one stable model of a ground program."""
-    solver = Solver(
-        gp,
-        seed=seed,
-        support_mode=support_mode,
-        callbacks=callbacks,
-        budget=budget,
-        forced_decisions=forced_decisions,
-    )
-    return solver.solve()

@@ -14,7 +14,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from . import benchgen, portfolio
@@ -118,7 +118,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "status": result.status,
             "exit_code": result.exit_code,
             "model": model,
-            "stats": result.stats.as_dict(),
+            "stats": asdict(result.stats),
         }
         if cfg.timing:
             report["elapsed_s"] = elapsed

@@ -1,15 +1,24 @@
-"""Bottom-up grounding over derivable atoms, plus the violation join used by
-the deferred-constraint strategies.
+"""Bottom-up grounding over derivable atoms, and the one body join that the
+grounder and all three deferred-constraint strategies run.
 
 Rules are instantiated by matching positive body literals left to right
 against the set of derivable atoms; comparisons are evaluated (or, for `=`,
 used to bind a variable) as soon as their inputs are bound.  Facts are
 simplified out of bodies and rules with a definitely false body are dropped.
+
+`iter_matches` reads each atom's truth from a list indexed by solver
+variable and lets at most `budget` body literals be undefined:
+
+* grounding: `AtomIndex.undefined` (all 0) with an unbounded budget, so
+  truth prunes nothing;
+* the lazy check: an index over the true atoms, all 1, with budget 0;
+* the eager propagator: the solver assignment with budget 1;
+* the post propagator: the solver assignment with budget 0.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     Atom,
@@ -30,22 +39,36 @@ class GroundingError(Exception):
     pass
 
 
-class AtomTable:
-    """Bijection between ground atoms and dense integer ids (0-based)."""
+class AtomIndex:
+    """Ground atoms with dense ids, grouped for joins.
+
+    An atom's id is its insertion rank (0-based) and its solver variable is
+    id + 1.  Rows `(var, args)` are kept per predicate and per (predicate,
+    argument position, value), in insertion order.  `undefined` maps every
+    variable to 0: the truth the grounder joins under.
+    """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: list[Atom] = []
         self._ids: dict[Atom, int] = {}
+        self._rows: dict[str, list[tuple[int, tuple[Term, ...]]]] = {}
+        self._buckets: dict[
+            tuple[str, int, Term], list[tuple[int, tuple[Term, ...]]]
+        ] = {}
+        self.undefined: list[int] = [0]
         for atom in atoms:
             self.add(atom)
 
-    def add(self, atom: Atom) -> int:
-        idx = self._ids.get(atom)
-        if idx is None:
-            idx = len(self._atoms)
-            self._ids[atom] = idx
-            self._atoms.append(atom)
-        return idx
+    def add(self, atom: Atom) -> None:
+        if atom in self._ids:
+            return
+        self._ids[atom] = len(self._atoms)
+        self._atoms.append(atom)
+        self.undefined.append(0)
+        row = (len(self._atoms), atom.args)
+        self._rows.setdefault(atom.predicate, []).append(row)
+        for i, term in enumerate(atom.args):
+            self._buckets.setdefault((atom.predicate, i, term), []).append(row)
 
     def id_of(self, atom: Atom) -> Optional[int]:
         return self._ids.get(atom)
@@ -62,39 +85,9 @@ class AtomTable:
     def __iter__(self) -> Iterator[Atom]:
         return iter(self._atoms)
 
-
-class AtomIndex:
-    """Ground atoms grouped by predicate with per-argument value buckets."""
-
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self._rows: dict[str, list[tuple[Term, ...]]] = {}
-        self._buckets: dict[tuple[str, int, Term], list[tuple[Term, ...]]] = {}
-        self._members: set[Atom] = set()
-        self._order: list[Atom] = []
-        for atom in atoms:
-            self.add(atom)
-
-    def add(self, atom: Atom) -> None:
-        if atom in self._members:
-            return
-        self._members.add(atom)
-        self._order.append(atom)
-        self._rows.setdefault(atom.predicate, []).append(atom.args)
-        for i, term in enumerate(atom.args):
-            self._buckets.setdefault((atom.predicate, i, term), []).append(atom.args)
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def atoms(self) -> list[Atom]:
-        return list(self._order)
-
     def candidates(
         self, predicate: str, args: tuple[Term, ...], subst: Substitution
-    ) -> list[tuple[Term, ...]]:
+    ) -> list[tuple[int, tuple[Term, ...]]]:
         """Rows possibly matching the pattern, via its most selective bound arg."""
         rows = self._rows.get(predicate)
         if not rows:
@@ -113,11 +106,11 @@ class AtomIndex:
 
 
 class GroundProgram:
-    """Ground rules and constraints over a dense atom table."""
+    """Ground rules and constraints over a dense atom index."""
 
     def __init__(
         self,
-        atoms: AtomTable,
+        atoms: AtomIndex,
         facts: tuple[Atom, ...],
         rules: tuple[GroundRule, ...],
     ):
@@ -263,53 +256,89 @@ class BodyPlan:
             )
 
 
-def _run_stage(
-    elems: list[BodyElement],
-    subst: Substitution,
-    rule: Rule,
-    neg_filter: Optional[Callable[[Atom], bool]],
-) -> Optional[Substitution]:
-    for elem in elems:
-        if isinstance(elem, Comparison):
-            subst = _apply_comparison(elem, subst, rule)
-            if subst is None:
-                return None
-        elif neg_filter is not None:
-            if not neg_filter(substitute_atom(elem.atom, subst)):
-                return None
-    return subst
-
-
 def iter_matches(
     plan: BodyPlan,
     index: AtomIndex,
-    neg_filter: Optional[Callable[[Atom], bool]] = None,
-) -> Iterator[Substitution]:
-    """All substitutions whose positive body literals match the index.
+    values: Sequence[int],
+    budget: int,
+    start: Optional[Substitution] = None,
+) -> Iterator[tuple[Substitution, list[int]]]:
+    """Matches of the body over the atoms of the index, extending `start`.
 
-    Comparisons prune (or bind) as soon as evaluable.  When `neg_filter` is
-    given, a negative literal prunes unless the filter accepts its atom;
-    otherwise negative literals do not restrict matching.
+    `values[var]` is the truth of the atom with that variable: 1 true, -1
+    false, 0 undefined.  A match holds no false body literal and at most
+    `budget` undefined ones.  An atom outside the index is false, so a
+    positive literal on one fails and a negative one holds.  Comparisons
+    prune (or bind) as soon as evaluable.  Each match comes with its
+    complete substitution and the body literals on index atoms as signed
+    variables.  The module docstring lists the truth and budget each
+    caller joins under.
     """
     rule = plan.rule
+    id_of = index.id_of
 
-    def rec(i: int, subst: Substitution) -> Iterator[Substitution]:
+    def stage(
+        elems: list[BodyElement], subst: Substitution, budget: int, lits: list[int]
+    ) -> Optional[tuple[Substitution, int]]:
+        for elem in elems:
+            if isinstance(elem, Comparison):
+                subst = _apply_comparison(elem, subst, rule)
+                if subst is None:
+                    return None
+                continue
+            idx = id_of(substitute_atom(elem.atom, subst))  # negative, bound
+            if idx is None:
+                continue
+            val = values[idx + 1]
+            if val == 1:
+                return None
+            if val == 0:
+                if budget == 0:
+                    return None
+                budget -= 1
+            lits.append(-(idx + 1))
+        return subst, budget
+
+    def rec(
+        i: int, subst: Substitution, budget: int, lits: list[int]
+    ) -> Iterator[tuple[Substitution, list[int]]]:
         if i == len(plan.positives):
-            yield subst
+            yield subst, lits
             return
         pattern = plan.positives[i].atom
-        for row in index.candidates(pattern.predicate, pattern.args, subst):
+        elems = plan.stages[i + 1]
+        for var, row in index.candidates(pattern.predicate, pattern.args, subst):
+            val = values[var]
+            if val == -1:
+                continue
+            nb = budget
+            if val == 0:
+                if nb == 0:
+                    continue
+                nb -= 1
             nxt = _unify(pattern.args, row, subst)
             if nxt is None:
                 continue
-            nxt = _run_stage(plan.stages[i + 1], nxt, rule, neg_filter)
-            if nxt is None:
-                continue
-            yield from rec(i + 1, nxt)
+            nlits = lits + [var]
+            if elems:
+                staged = stage(elems, nxt, nb, nlits)
+                if staged is None:
+                    continue
+                nxt, nb = staged
+            yield from rec(i + 1, nxt, nb, nlits)
 
-    start = _run_stage(plan.stages[0], {}, rule, neg_filter)
-    if start is not None:
-        yield from rec(0, start)
+    lits: list[int] = []
+    staged = stage(plan.stages[0], dict(start or {}), budget, lits)
+    if staged is not None:
+        yield from rec(0, staged[0], staged[1], lits)
+
+
+def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[Substitution]:
+    """Substitutions matching the positive body over the index's atoms; as
+    every atom is undefined and every body literal may be, truth and
+    negative literals prune nothing."""
+    for subst, _ in iter_matches(plan, index, index.undefined, len(plan.rule.body)):
+        yield subst
 
 
 def _instantiate(
@@ -339,24 +368,14 @@ def _instantiate(
     return GroundRule(head, tuple(body))
 
 
-def ground_rule(
-    rule: Rule,
-    domains: Union[AtomIndex, Mapping[str, Iterable[tuple[Term, ...]]]],
-) -> list[GroundRule]:
-    """Instances of one rule over per-predicate ground-atom extents.
+def ground_rule(rule: Rule, index: AtomIndex) -> list[GroundRule]:
+    """Instances of one rule over the atoms of an index.
 
-    Positive body literals match the extents, comparisons are evaluated away,
+    Positive body literals match the index, comparisons are evaluated away,
     and negative literals are kept verbatim.
     """
-    if isinstance(domains, AtomIndex):
-        index = domains
-    else:
-        index = AtomIndex(
-            Atom(pred, row) for pred, rows in domains.items() for row in rows
-        )
-    plan = BodyPlan(rule)
     out: dict[GroundRule, None] = {}
-    for subst in iter_matches(plan, index):
+    for subst in _derivable_matches(BodyPlan(rule), index):
         inst = _instantiate(rule, subst, keep_negative=lambda atom: True)
         if inst is not None:
             out[inst] = None
@@ -369,6 +388,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     Instantiation is bottom-up over derivable atoms: positive body literals
     only match atoms derivable by some rule, so the result is usually far
     smaller than the full instantiation while having the same stable models.
+    The index of the derivable atoms becomes the program's atom table.
     """
     kept = [
         rule
@@ -381,7 +401,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     while changed:
         changed = False
         for plan in head_plans:
-            for subst in iter_matches(plan, index):
+            for subst in _derivable_matches(plan, index):
                 head = substitute_atom(plan.rule.head, subst)
                 if head not in index:
                     index.add(head)
@@ -389,8 +409,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
 
     instances: dict[GroundRule, None] = {}
     for rule in kept:
-        plan = BodyPlan(rule)
-        for subst in iter_matches(plan, index):
+        for subst in _derivable_matches(BodyPlan(rule), index):
             inst = _instantiate(rule, subst, keep_negative=lambda atom: atom in index)
             if inst is not None:
                 instances[inst] = None
@@ -432,9 +451,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     unique: dict[GroundRule, None] = {}
     for inst in pending:
         unique[inst] = None
-    return GroundProgram(
-        AtomTable(index.atoms()), tuple(facts), tuple(unique)
-    )
+    return GroundProgram(index, tuple(facts), tuple(unique))
 
 
 def naive_ground_program(program: Program) -> GroundProgram:
@@ -454,15 +471,16 @@ def naive_ground_program(program: Program) -> GroundProgram:
         )
         for atom in atoms:
             arities[atom.predicate] = atom.arity
-    domains = {
-        pred: [tuple(c) for c in itertools.product(constants, repeat=arity)]
+    domain = AtomIndex(
+        Atom(pred, args)
         for pred, arity in arities.items()
-    }
-    table = AtomTable()
+        for args in itertools.product(constants, repeat=arity)
+    )
+    table = AtomIndex()
     facts: dict[Atom, None] = {}
     rules: dict[GroundRule, None] = {}
     for rule in program.rules:
-        for inst in ground_rule(rule, domains):
+        for inst in ground_rule(rule, domain):
             if inst.head is not None:
                 table.add(inst.head)
             for lit in inst.body:
@@ -479,18 +497,17 @@ def ground_deferred_violations(
 ) -> list[GroundRule]:
     """Ground instances of the constraints violated by a total interpretation.
 
-    The join runs against the true atoms only, so the full instantiation of
-    the constraints is never materialized.
+    The join runs against an index of the true atoms only, so the full
+    instantiation of the constraints is never materialized.  Instances come
+    in the order of `true_atoms`.
     """
     index = AtomIndex(true_atoms)
+    true = [1] * (len(index) + 1)
     out: dict[GroundRule, None] = {}
     for constraint in constraints:
         if constraint.head is not None:
             raise ValueError(f"not a constraint: '{constraint}.'")
-        plan = BodyPlan(constraint)
-        for subst in iter_matches(
-            plan, index, neg_filter=lambda atom: atom not in index
-        ):
+        for subst, _ in iter_matches(BodyPlan(constraint), index, true, 0):
             inst = _instantiate(constraint, subst, keep_negative=lambda atom: True)
             if inst is not None:
                 out[inst] = None

@@ -17,14 +17,13 @@ from .grounder import (
     BodyPlan,
     GroundProgram,
     Substitution,
-    _apply_comparison,
     _instantiate,
     _unify,
     ground_deferred_violations,
     ground_program,
-    substitute_atom,
+    iter_matches,
 )
-from .model import Atom, Comparison, GroundRule, Literal, Program, Rule, Term
+from .model import Atom, GroundRule, Literal, Program, Rule
 
 
 class StrategyKind(str, Enum):
@@ -32,15 +31,6 @@ class StrategyKind(str, Enum):
     LAZY = "lazy"
     EAGER = "eager"
     POST = "post"
-
-
-def check_total_candidate(
-    true_atoms: Iterable[Atom], constraints: Sequence[Rule]
-) -> list[GroundRule]:
-    """Violated ground instances of the deferred constraints; empty = accept."""
-    if not constraints:
-        return []
-    return ground_deferred_violations(constraints, true_atoms)
 
 
 def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[int, ...]]:
@@ -58,139 +48,33 @@ def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[i
                 return None
             continue
         lits.append(idx + 1 if lit.positive else -(idx + 1))
+    return _canonical(lits)
+
+
+def _canonical(lits: Iterable[int]) -> tuple[int, ...]:
+    """Nogood literals without repeats, ordered by variable."""
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
 
 
 class ConstraintIndex:
     """Joins deferred constraint bodies against the solver assignment.
 
-    Ground atoms of the table are bucketed per predicate and argument value;
-    truth is read off the assignment at query time, so no per-assignment
-    bookkeeping is needed.
+    The joins run over the program's atom index (`gp.atoms`) and read truth
+    off `solver._assign` at query time, so no per-assignment bookkeeping is
+    needed: the eager propagator allows one undefined body literal (the one
+    its nogood infers), the post propagator none.
     """
 
     def __init__(self, constraints: Sequence[Rule], gp: GroundProgram):
         self.constraints = list(constraints)
         self.gp = gp
         self.plans = [BodyPlan(c) for c in self.constraints]
-        self._rows: dict[str, list[tuple[int, tuple[Term, ...]]]] = {}
-        self._buckets: dict[
-            tuple[str, int, Term], list[tuple[int, tuple[Term, ...]]]
-        ] = {}
-        for i, atom in enumerate(gp.atoms):
-            entry = (i + 1, atom.args)
-            self._rows.setdefault(atom.predicate, []).append(entry)
-            for pos, term in enumerate(atom.args):
-                self._buckets.setdefault((atom.predicate, pos, term), []).append(entry)
         self._triggers: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         for ci, constraint in enumerate(self.constraints):
             for ei, elem in enumerate(constraint.body):
                 if isinstance(elem, Literal):
                     key = (elem.atom.predicate, elem.positive)
                     self._triggers.setdefault(key, []).append((ci, ei))
-
-    def _candidates(
-        self, predicate: str, args: tuple[Term, ...], subst: Substitution
-    ) -> list[tuple[int, tuple[Term, ...]]]:
-        rows = self._rows.get(predicate)
-        if not rows:
-            return []
-        best = rows
-        for i, arg in enumerate(args):
-            term = subst.get(arg.name) if arg.is_variable else arg
-            if term is None:
-                continue
-            bucket = self._buckets.get((predicate, i, term))
-            if bucket is None:
-                return []
-            if len(bucket) < len(best):
-                best = bucket
-        return best
-
-    def _matches(
-        self, solver: Solver, ci: int, seed_subst: Substitution, budget: int
-    ) -> list[tuple[Substitution, tuple[int, ...]]]:
-        """Instances whose body is fully true except for at most `budget`
-        undefined literals, under a starting substitution.
-
-        Results carry the complete substitution and the nogood literals of
-        the in-table body atoms.
-        """
-        plan = self.plans[ci]
-        constraint = self.constraints[ci]
-        assign = solver._assign
-        id_of = self.gp.atoms.id_of
-        out: list[tuple[Substitution, tuple[int, ...]]] = []
-
-        def run_stage(
-            stage: list, subst: Substitution, budget: int, lits: list[int]
-        ) -> Optional[tuple[Substitution, int]]:
-            for elem in stage:
-                if isinstance(elem, Comparison):
-                    subst = _apply_comparison(elem, subst, constraint)
-                    if subst is None:
-                        return None
-                else:  # negative literal, bound at this point
-                    atom = substitute_atom(elem.atom, subst)
-                    idx = id_of(atom)
-                    if idx is None:
-                        continue  # never derivable: permanently true
-                    val = assign[idx + 1]
-                    if val == 1:
-                        return None
-                    if val == 0:
-                        if budget == 0:
-                            return None
-                        budget -= 1
-                    lits.append(-(idx + 1))
-            return subst, budget
-
-        def rec(i: int, subst: Substitution, budget: int, lits: list[int]) -> None:
-            if i == len(plan.positives):
-                out.append((subst, tuple(lits)))
-                return
-            pattern = plan.positives[i].atom
-            if all(not t.is_variable or t.name in subst for t in pattern.args):
-                atom = substitute_atom(pattern, subst)
-                idx = id_of(atom)
-                if idx is None:
-                    return
-                val = assign[idx + 1]
-                if val == -1:
-                    return
-                nb = budget
-                if val == 0:
-                    if nb == 0:
-                        return
-                    nb -= 1
-                nlits = lits + [idx + 1]
-                staged = run_stage(plan.stages[i + 1], subst, nb, nlits)
-                if staged is not None:
-                    rec(i + 1, staged[0], staged[1], nlits)
-                return
-            for var, row in self._candidates(pattern.predicate, pattern.args, subst):
-                val = assign[var]
-                if val == -1:
-                    continue
-                nb = budget
-                if val == 0:
-                    if nb == 0:
-                        continue
-                    nb -= 1
-                nxt = _unify(pattern.args, row, subst)
-                if nxt is None:
-                    continue
-                nlits = lits + [var]
-                staged = run_stage(plan.stages[i + 1], nxt, nb, nlits)
-                if staged is None:
-                    continue
-                rec(i + 1, staged[0], staged[1], nlits)
-
-        seed_lits: list[int] = []
-        staged = run_stage(plan.stages[0], dict(seed_subst), budget, seed_lits)
-        if staged is not None:
-            rec(0, staged[0], staged[1], seed_lits)
-        return out
 
     def eager_nogoods(
         self, solver: Solver, lit: int
@@ -202,35 +86,43 @@ class ConstraintIndex:
         one undefined literal left (the one the emitted nogood will infer).
         """
         atom = solver.atom_of(abs(lit))
-        out: list[tuple[Substitution, int, tuple[int, ...]]] = []
-        emitted: set[tuple[int, ...]] = set()
+        matches: list[tuple[Substitution, int, list[int]]] = []
         for ci, ei in self._triggers.get((atom.predicate, lit > 0), ()):
-            elem = self.constraints[ci].body[ei]
-            subst = _unify(elem.atom.args, atom.args, {})
-            if subst is None:
-                continue
-            for full_subst, lits in self._matches(solver, ci, subst, budget=1):
-                nogood = tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
-                if nogood in emitted or solver.has_nogood(nogood):
-                    continue
-                emitted.add(nogood)
-                out.append((full_subst, ci, nogood))
-        return out
+            start = _unify(self.constraints[ci].body[ei].atom.args, atom.args, {})
+            if start is not None:
+                matches += (
+                    (subst, ci, lits)
+                    for subst, lits in iter_matches(
+                        self.plans[ci], self.gp.atoms, solver._assign, 1, start
+                    )
+                )
+        return _new_nogoods(solver, matches)
 
     def post_nogoods(
         self, solver: Solver
     ) -> list[tuple[Substitution, int, tuple[int, ...]]]:
         """Instances whose body is fully true under the current trail."""
-        out: list[tuple[Substitution, int, tuple[int, ...]]] = []
-        emitted: set[tuple[int, ...]] = set()
-        for ci in range(len(self.constraints)):
-            for full_subst, lits in self._matches(solver, ci, {}, budget=0):
-                nogood = tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
-                if nogood in emitted or solver.has_nogood(nogood):
-                    continue
-                emitted.add(nogood)
-                out.append((full_subst, ci, nogood))
-        return out
+        matches = [
+            (subst, ci, lits)
+            for ci, plan in enumerate(self.plans)
+            for subst, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
+        ]
+        return _new_nogoods(solver, matches)
+
+
+def _new_nogoods(
+    solver: Solver, matches: Iterable[tuple[Substitution, int, list[int]]]
+) -> list[tuple[Substitution, int, tuple[int, ...]]]:
+    """The matches whose nogood is neither in the store nor a repeat."""
+    out: list[tuple[Substitution, int, tuple[int, ...]]] = []
+    emitted: set[tuple[int, ...]] = set()
+    for subst, ci, lits in matches:
+        nogood = _canonical(lits)
+        if nogood in emitted or solver.has_nogood(nogood):
+            continue
+        emitted.add(nogood)
+        out.append((subst, ci, nogood))
+    return out
 
 
 def solve(
@@ -295,24 +187,25 @@ def solve(
     if deferred or on_model is not None:
 
         def on_total(solver: Solver, model: frozenset[Atom]) -> list[tuple[int, ...]]:
+            # The true atoms in table order: the violations, and so the
+            # search, must not depend on the hash order of `model`.
+            true_atoms = [
+                atom for var, atom in enumerate(gp.atoms, 1) if solver._assign[var] == 1
+            ]
+            violations = (
+                (rule, inst)
+                for rule in deferred
+                for inst in ground_deferred_violations([rule], true_atoms)
+            )
             nogoods: list[tuple[int, ...]] = []
-            for rule in deferred:
-                for inst in ground_deferred_violations([rule], model):
-                    lits = solver_nogood(gp, inst)
-                    if lits is None:
-                        continue
-                    nogoods.append(lits)
-                    if instance_sink is not None:
-                        instance_sink.append((rule, inst, "check"))
-                    if (
-                        max_lazy_per_check is not None
-                        and len(nogoods) >= max_lazy_per_check
-                    ):
-                        break
-                if (
-                    max_lazy_per_check is not None
-                    and len(nogoods) >= max_lazy_per_check
-                ):
+            for rule, inst in violations:
+                lits = solver_nogood(gp, inst)
+                if lits is None:
+                    continue
+                nogoods.append(lits)
+                if instance_sink is not None:
+                    instance_sink.append((rule, inst, "check"))
+                if max_lazy_per_check is not None and len(nogoods) >= max_lazy_per_check:
                     break
             if nogoods:
                 solver.stats.invalidations += 1

@@ -1,10 +1,11 @@
+import dataclasses
+
 import pytest
 
 from microasp.cdcl import (
     Budget,
     Solver,
     SolverCallbacks,
-    compute_stable_model,
     luby,
     RESTART_UNIT,
 )
@@ -103,7 +104,7 @@ class TestAnalyzeConflict:
 
 class TestComputeStableModel:
     def test_pi1_model(self, pi1_gp):
-        result = compute_stable_model(pi1_gp)
+        result = Solver(pi1_gp).solve()
         assert result.status == "SAT"
         assert is_stable_model(pi1_gp, result.model)
 
@@ -116,11 +117,11 @@ class TestComputeStableModel:
 
     def test_empty_program(self):
         gp = ground_program(parse_program(""))
-        result = compute_stable_model(gp)
+        result = Solver(gp).solve()
         assert result.status == "SAT" and result.model == frozenset()
 
     def test_exit_codes(self, pi1_gp):
-        assert compute_stable_model(pi1_gp).exit_code == 10
+        assert Solver(pi1_gp).solve().exit_code == 10
 
     def test_conflict_budget_timeout(self):
         text = "\n".join(
@@ -128,7 +129,7 @@ class TestComputeStableModel:
         )
         text += "\n:- p(0), p(1).\n:- q(0), q(1).\n:- p(0), q(1).\n:- q(0), p(1).\n"
         gp = ground_program(parse_program(text), include_deferred=True)
-        result = compute_stable_model(gp, budget=Budget(max_conflicts=0))
+        result = Solver(gp, budget=Budget(max_conflicts=0)).solve()
         assert result.status == "TIMEOUT"
         assert result.exit_code == 30
 
@@ -141,9 +142,9 @@ class TestComputeStableModel:
                 return [tuple(solver.lit_of(a) for a in model)]
             return []
 
-        result = compute_stable_model(
-            pi1_gp, SolverCallbacks(on_total_candidate=veto_first)
-        )
+        result = Solver(
+            pi1_gp, callbacks=SolverCallbacks(on_total_candidate=veto_first)
+        ).solve()
         assert result.status == "SAT"
         assert result.model != seen[0]
         assert is_stable_model(pi1_gp, result.model)
@@ -235,7 +236,7 @@ class TestRestartsAndDeletion:
 class TestNonTight:
     def test_positive_loop_has_empty_model(self):
         gp = ground_program(parse_program("a(1) :- a(1).\n"), include_deferred=True)
-        result = compute_stable_model(gp)
+        result = Solver(gp).solve()
         assert result.status == "SAT" and result.model == frozenset()
 
     def test_loop_with_external_support(self):
@@ -244,7 +245,7 @@ class TestNonTight:
         )
         gp = ground_program(parse_program(text), include_deferred=True)
         want = {frozenset(m) for m in enumerate_stable_models(gp)}
-        result = compute_stable_model(gp)
+        result = Solver(gp).solve()
         assert result.status == "SAT"
         assert frozenset(result.model) in want
 
@@ -276,7 +277,7 @@ class TestSupportModes:
             gp = ground_program(program, include_deferred=True)
             models = {frozenset(m) for m in enumerate_stable_models(gp)}
             for mode in ("completion", "propagator"):
-                result = compute_stable_model(gp, support_mode=mode, seed=seed % 5)
+                result = Solver(gp, support_mode=mode, seed=seed % 5).solve()
                 assert (result.status == "SAT") == bool(models), (seed, mode)
                 if result.status == "SAT":
                     assert frozenset(result.model) in models, (seed, mode)
@@ -303,10 +304,10 @@ class TestDeterminism:
             program = parse_program(PI1_TEXT)
             gp1 = ground_program(program, include_deferred=True)
             gp2 = ground_program(program, include_deferred=True)
-            r1 = compute_stable_model(gp1, seed=seed)
-            r2 = compute_stable_model(gp2, seed=seed)
+            r1 = Solver(gp1, seed=seed).solve()
+            r2 = Solver(gp2, seed=seed).solve()
             assert r1.model == r2.model
-            assert r1.stats.as_dict() == r2.stats.as_dict()
+            assert dataclasses.asdict(r1.stats) == dataclasses.asdict(r2.stats)
 
 
 def test_learned_nogoods_preserve_model_set():

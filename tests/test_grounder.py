@@ -1,6 +1,7 @@
 import pytest
 
 from microasp.grounder import (
+    AtomIndex,
     GroundingError,
     ground_deferred_violations,
     ground_program,
@@ -16,6 +17,11 @@ from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
 
 def ga(pred, *args):
     return Atom(pred, tuple(Term.num(a) for a in args))
+
+
+def index_of(domains):
+    """An index over per-predicate argument rows."""
+    return AtomIndex(Atom(pred, row) for pred, rows in domains.items() for row in rows)
 
 
 class TestHerbrandUniverse:
@@ -34,36 +40,36 @@ class TestGroundRule:
     def test_constraint_over_unit_domain(self):
         rule = parse_program(":- a(X), b(X).\n").rules[0]
         domains = {"a": [(Term.num(1),)], "b": [(Term.num(1),)]}
-        assert ground_rule(rule, domains) == [
+        assert ground_rule(rule, index_of(domains)) == [
             GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1))))
         ]
 
     def test_variable_free_rule_is_itself(self):
         rule = parse_program("a(1) :- not b(1).\n").rules[0]
-        out = ground_rule(rule, {})
+        out = ground_rule(rule, AtomIndex())
         assert out == [GroundRule(ga("a", 1), (Literal(ga("b", 1), False),))]
 
     def test_contradictory_comparison_yields_nothing(self):
         rule = parse_program(":- p(X), X != X.\n").rules[0]
         domains = {"p": [(Term.num(1),), (Term.num(2),)]}
-        assert ground_rule(rule, domains) == []
+        assert ground_rule(rule, index_of(domains)) == []
 
     def test_instance_count_bound(self):
         rule = parse_program(":- p(X), q(Y).\n").rules[0]
         domain = [(Term.num(i),) for i in range(3)]
-        out = ground_rule(rule, {"p": domain, "q": domain})
+        out = ground_rule(rule, index_of({"p": domain, "q": domain}))
         assert len(out) <= 3 ** 2
 
     def test_binding_equality(self):
         rule = parse_program(":- p(X), W = X+1, q(W).\n").rules[0]
         domains = {"p": [(Term.num(1),)], "q": [(Term.num(2),)]}
-        out = ground_rule(rule, domains)
+        out = ground_rule(rule, index_of(domains))
         assert out == [GroundRule(None, (Literal(ga("p", 1)), Literal(ga("q", 2))))]
 
     def test_arithmetic_on_symbol_errors(self):
         rule = parse_program("q(Y) :- p(X), Y = X+1.\n").rules[0]
         with pytest.raises(GroundingError, match="non-integer"):
-            ground_rule(rule, {"p": [(Term.sym("a"),)]})
+            ground_rule(rule, index_of({"p": [(Term.sym("a"),)]}))
 
 
 class TestGroundProgram:
@@ -164,7 +170,7 @@ class TestGroundDeferredViolations:
                 }
                 want = set()
                 for rule in deferred:
-                    for inst in ground_rule(rule, _full_domains(program)):
+                    for inst in ground_rule(rule, index_of(_full_domains(program))):
                         if is_violated(inst, interp):
                             want.add((inst.head, frozenset(inst.body)))
                 assert got == want

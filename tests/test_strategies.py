@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from microasp.cdcl import Solver, SolverCallbacks
 from microasp.grounder import (
+    ground_deferred_violations,
     ground_program,
     ground_rule,
     herbrand_universe,
@@ -13,7 +16,6 @@ from microasp.parser import ParseError, parse_program
 from microasp.strategies import (
     ConstraintIndex,
     StrategyKind,
-    check_total_candidate,
     solve,
     solver_nogood,
 )
@@ -123,15 +125,9 @@ class TestEagerPropagator:
     def test_emitted_nogoods_are_ground_instances(self, pi1):
         """Everything eager emits is the nogood of some instance of Grd(C)."""
         naive = naive_ground_program(parse_program(PI1_DEFERRED_TEXT))
-        domains = {
-            atom.predicate: [
-                a.args for a in naive.atoms if a.predicate == atom.predicate
-            ]
-            for atom in naive.atoms
-        }
         legal = set()
         for rule in pi1.deferred_rules():
-            for inst in ground_rule(rule, domains):
+            for inst in ground_rule(rule, naive.atoms):
                 legal.add(frozenset(nogood_of(inst)))
         sink = []
         solve(pi1, "eager", forced_decisions=[1], instance_sink=sink)
@@ -205,21 +201,21 @@ class TestPostPropagator:
             post = solve(program, "post", seed=seed)
             assert full.status == post.status
             assert full.model == post.model
-            assert full.stats.as_dict() == post.stats.as_dict()
+            assert dataclasses.asdict(full.stats) == dataclasses.asdict(post.stats)
 
 
 class TestCheckTotalCandidate:
     def test_accepts_clean_model(self, pi1):
         deferred = pi1.deferred_rules()
-        assert check_total_candidate([ga("b", 1), ga("c", 1)], deferred) == []
+        assert ground_deferred_violations(deferred, [ga("b", 1), ga("c", 1)]) == []
 
     def test_vetoes_with_violations(self, pi1):
         deferred = pi1.deferred_rules()
-        out = check_total_candidate([ga("a", 1), ga("c", 1)], deferred)
+        out = ground_deferred_violations(deferred, [ga("a", 1), ga("c", 1)])
         assert [str(c) for c in out] == [":- a(1), not b(1)"]
 
     def test_empty_deferred_always_accepts(self):
-        assert check_total_candidate([ga("a", 1)], []) == []
+        assert ground_deferred_violations([], [ga("a", 1)]) == []
 
 
 class TestSolverNogoodConversion:
