@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -90,8 +90,9 @@ class SolverCallbacks:
 
     on_literal_true(solver, lit) runs per assigned literal, interleaved with
     unit propagation.  on_propagation_fixpoint(solver) runs once unit and
-    support propagation rest.  on_total_candidate(solver, model) may veto a
-    total assignment by returning nogoods; an empty return accepts it.
+    support propagation rest.  on_total_candidate(solver) may veto a total
+    assignment, read off `solver._assign`, by returning nogoods; an empty
+    return accepts it.
     """
 
     on_literal_true: Optional[Callable] = None
@@ -283,9 +284,6 @@ class Solver:
         if v == 0:
             return 0
         return v if lit > 0 else -v
-
-    def level_of(self, lit: int) -> int:
-        return self._level_arr[abs(lit)]
 
     def reason_of(self, lit: int) -> Optional[StoredNogood]:
         return self._reason[abs(lit)]
@@ -819,12 +817,7 @@ class Solver:
                 self.stats.unfounded_vetoes += 1
                 return vetoes
         if self.callbacks.on_total_candidate is not None:
-            vetoes = [
-                tuple(ng)
-                for ng in self.callbacks.on_total_candidate(self, self.model_atoms())
-            ]
-            if vetoes:
-                return vetoes
+            return [tuple(ng) for ng in self.callbacks.on_total_candidate(self)]
         return []
 
     # ------------------------------------------------------------------ solve

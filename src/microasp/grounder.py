@@ -11,7 +11,7 @@ variable and lets at most `budget` body literals be undefined:
 
 * grounding: `AtomIndex.undefined` (all 0) with an unbounded budget, so
   truth prunes nothing;
-* the lazy check: an index over the true atoms, all 1, with budget 0;
+* the lazy check: the solver assignment with budget 0 on a total candidate;
 * the eager propagator: the solver assignment with budget 1;
 * the post propagator: the solver assignment with budget 0.
 """
@@ -493,22 +493,17 @@ def naive_ground_program(program: Program) -> GroundProgram:
 
 
 def ground_deferred_violations(
-    constraints: Iterable[Rule], true_atoms: Iterable[Atom]
-) -> list[GroundRule]:
-    """Ground instances of the constraints violated by a total interpretation.
+    plans: Sequence[BodyPlan], index: AtomIndex, values: Sequence[int]
+) -> list[tuple[int, Substitution, list[int]]]:
+    """Matches of the constraint bodies with every literal true under `values`.
 
-    The join runs against an index of the true atoms only, so the full
-    instantiation of the constraints is never materialized.  Instances come
-    in the order of `true_atoms`.
+    On a total assignment each match is a violated instance and its literals
+    are the nogood.  Matches come constraint by constraint in plan order,
+    each constraint's in index order, as (plan position, substitution,
+    signed variables).
     """
-    index = AtomIndex(true_atoms)
-    true = [1] * (len(index) + 1)
-    out: dict[GroundRule, None] = {}
-    for constraint in constraints:
-        if constraint.head is not None:
-            raise ValueError(f"not a constraint: '{constraint}.'")
-        for subst, _ in iter_matches(BodyPlan(constraint), index, true, 0):
-            inst = _instantiate(constraint, subst, keep_negative=lambda atom: True)
-            if inst is not None:
-                out[inst] = None
-    return list(out)
+    return [
+        (ci, subst, lits)
+        for ci, plan in enumerate(plans)
+        for subst, lits in iter_matches(plan, index, values, 0)
+    ]

@@ -1,6 +1,5 @@
 """AST types for the input language, their ground counterparts, and the
-semantic predicates (nogoods, violation, support) shared by the grounder,
-the solver, and the oracle.
+body evaluation order shared by the parser's safety check and the grounder.
 
 Variables start with an uppercase letter, constants do not.  Rules have at
 most one head atom; a rule without a head is a constraint and a rule with a
@@ -9,10 +8,7 @@ ground head and empty body is a fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Union
-
-if TYPE_CHECKING:
-    from .grounder import GroundProgram
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -125,15 +121,6 @@ class Rule:
     def is_fact(self) -> bool:
         return self.head is not None and self.head.is_ground and not self.body
 
-    def positive_literals(self) -> list[Literal]:
-        return [e for e in self.body if isinstance(e, Literal) and e.positive]
-
-    def negative_literals(self) -> list[Literal]:
-        return [e for e in self.body if isinstance(e, Literal) and not e.positive]
-
-    def comparisons(self) -> list[Comparison]:
-        return [e for e in self.body if isinstance(e, Comparison)]
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         if self.head is not None:
@@ -164,9 +151,6 @@ class Program:
     def deferred_rules(self) -> list[Rule]:
         return [self.rules[i] for i in sorted(self.deferred)]
 
-    def kept_rules(self) -> list[Rule]:
-        return [r for i, r in enumerate(self.rules) if i not in self.deferred]
-
 
 @dataclass(frozen=True)
 class GroundRule:
@@ -175,10 +159,6 @@ class GroundRule:
     head: Optional[Atom]
     body: tuple[Literal, ...] = ()
 
-    @property
-    def is_constraint(self) -> bool:
-        return self.head is None
-
     def __str__(self) -> str:
         body = ", ".join(str(lit) for lit in self.body)
         if self.head is None:
@@ -186,54 +166,6 @@ class GroundRule:
         if not self.body:
             return str(self.head)
         return f"{self.head} :- {body}"
-
-
-#: A nogood is a set of ground literals that must not be simultaneously true.
-Nogood = frozenset
-
-
-def nogood_of(rule: GroundRule) -> Nogood:
-    """Map a ground rule to the set of literals whose joint truth violates it.
-
-    The head contributes its complement, body literals are kept as written;
-    a constraint contributes its body alone.
-    """
-    lits = set(rule.body)
-    if rule.head is not None:
-        lits.add(Literal(rule.head, False))
-    return frozenset(lits)
-
-
-def nogood_falsified(nogood: Iterable[Literal], interp: set) -> bool:
-    """True iff every literal of the nogood is true w.r.t. the interpretation."""
-    return all(lit in interp for lit in nogood)
-
-
-def is_violated(constraint: GroundRule, interp: set) -> bool:
-    """A constraint is violated when every literal of its body is true."""
-    return all(lit in interp for lit in constraint.body)
-
-
-def is_supported(atom: Atom, model: set, program: "GroundProgram") -> bool:
-    """True iff some rule of the program derives `atom` with a fully true body.
-
-    Facts support their own atom unconditionally.
-    """
-    if atom in program.fact_set:
-        return True
-    for rule in program.rules:
-        if rule.head == atom and all(lit in model for lit in rule.body):
-            return True
-    return False
-
-
-def total_interpretation(true_atoms: Iterable[Atom], universe: Iterable[Atom]) -> set:
-    """Build the literal set assigning `true_atoms` true and the rest false."""
-    truths = set(true_atoms)
-    interp = set()
-    for atom in universe:
-        interp.add(Literal(atom, atom in truths))
-    return interp
 
 
 def binding_stages(rule: Rule) -> tuple[list[Literal], list[list[BodyElement]], set[str]]:

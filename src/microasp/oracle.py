@@ -2,7 +2,9 @@
 
 Stability is checked by the reduct construction: a total interpretation is
 stable iff it is a model of the program and its positive atoms equal the
-least model of the reduct's definite rules.
+least model of the reduct's definite rules.  The literal-set predicates at
+the end (nogoods, violation, support) state the same semantics one ground
+rule at a time.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import itertools
 from typing import Iterable
 
 from .grounder import GroundProgram
-from .model import Atom, GroundRule
+from .model import Atom, GroundRule, Literal
 
 #: Enumeration guard: assignments are enumerated over atoms that are neither
 #: facts nor underivable, capped at this many free atoms.
@@ -91,3 +93,47 @@ def enumerate_stable_models(
             models.append(candidate)
     models.sort(key=lambda m: sorted(str(a) for a in m))
     return models
+
+
+def nogood_of(rule: GroundRule) -> frozenset[Literal]:
+    """Map a ground rule to the set of literals whose joint truth violates it.
+
+    The head contributes its complement, body literals are kept as written;
+    a constraint contributes its body alone.
+    """
+    lits = set(rule.body)
+    if rule.head is not None:
+        lits.add(Literal(rule.head, False))
+    return frozenset(lits)
+
+
+def nogood_falsified(nogood: Iterable[Literal], interp: set) -> bool:
+    """True iff every literal of the nogood is true w.r.t. the interpretation."""
+    return all(lit in interp for lit in nogood)
+
+
+def is_violated(constraint: GroundRule, interp: set) -> bool:
+    """A constraint is violated when every literal of its body is true."""
+    return all(lit in interp for lit in constraint.body)
+
+
+def is_supported(atom: Atom, model: set, program: GroundProgram) -> bool:
+    """True iff some rule of the program derives `atom` with a fully true body.
+
+    Facts support their own atom unconditionally.
+    """
+    if atom in program.fact_set:
+        return True
+    for rule in program.rules:
+        if rule.head == atom and all(lit in model for lit in rule.body):
+            return True
+    return False
+
+
+def total_interpretation(true_atoms: Iterable[Atom], universe: Iterable[Atom]) -> set:
+    """Build the literal set assigning `true_atoms` true and the rest false."""
+    truths = set(true_atoms)
+    interp = set()
+    for atom in universe:
+        interp.add(Literal(atom, atom in truths))
+    return interp

@@ -23,7 +23,7 @@ from .grounder import (
     ground_program,
     iter_matches,
 )
-from .model import Atom, GroundRule, Literal, Program, Rule
+from .model import GroundRule, Literal, Program, Rule
 
 
 class StrategyKind(str, Enum):
@@ -62,10 +62,14 @@ class ConstraintIndex:
     The joins run over the program's atom index (`gp.atoms`) and read truth
     off `solver._assign` at query time, so no per-assignment bookkeeping is
     needed: the eager propagator allows one undefined body literal (the one
-    its nogood infers), the post propagator none.
+    its nogood infers), the post propagator none.  The lazy check is the
+    post join on a total candidate, over `plans`.
     """
 
     def __init__(self, constraints: Sequence[Rule], gp: GroundProgram):
+        for constraint in constraints:
+            if constraint.head is not None:
+                raise ValueError(f"not a constraint: '{constraint}.'")
         self.constraints = list(constraints)
         self.gp = gp
         self.plans = [BodyPlan(c) for c in self.constraints]
@@ -146,6 +150,8 @@ def solve(
     instance the strategy materializes.
     """
     kind = StrategyKind(kind)
+    if max_lazy_per_check is not None and max_lazy_per_check < 1:
+        raise ValueError(f"max_lazy_per_check must be at least 1: {max_lazy_per_check}")
     if kind is StrategyKind.FULL:
         gp = ground_program(program, include_deferred=True)
         deferred: list[Rule] = []
@@ -156,8 +162,8 @@ def solve(
     callbacks = SolverCallbacks()
     index = ConstraintIndex(deferred, gp) if deferred else None
 
-    def record(constraint: Optional[Rule], subst: Substitution, origin: str) -> None:
-        if instance_sink is None or constraint is None:
+    def record(constraint: Rule, subst: Substitution, origin: str) -> None:
+        if instance_sink is None:
             return
         inst = _instantiate(constraint, subst, keep_negative=lambda atom: True)
         instance_sink.append((constraint, inst, origin))
@@ -185,34 +191,20 @@ def solve(
         callbacks.on_propagation_fixpoint = on_fixpoint
 
     if deferred or on_model is not None:
+        plans = index.plans if index is not None else []
 
-        def on_total(solver: Solver, model: frozenset[Atom]) -> list[tuple[int, ...]]:
-            # The true atoms in table order: the violations, and so the
-            # search, must not depend on the hash order of `model`.
-            true_atoms = [
-                atom for var, atom in enumerate(gp.atoms, 1) if solver._assign[var] == 1
-            ]
-            violations = (
-                (rule, inst)
-                for rule in deferred
-                for inst in ground_deferred_violations([rule], true_atoms)
-            )
-            nogoods: list[tuple[int, ...]] = []
-            for rule, inst in violations:
-                lits = solver_nogood(gp, inst)
-                if lits is None:
-                    continue
-                nogoods.append(lits)
-                if instance_sink is not None:
-                    instance_sink.append((rule, inst, "check"))
-                if max_lazy_per_check is not None and len(nogoods) >= max_lazy_per_check:
-                    break
-            if nogoods:
+        def on_total(solver: Solver) -> list[tuple[int, ...]]:
+            violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
+            if violations:
+                nogoods = []
+                for ci, subst, lits in violations[:max_lazy_per_check]:
+                    record(index.constraints[ci], subst, "check")
+                    nogoods.append(_canonical(lits))
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)
                 return nogoods
             if on_model is not None:
-                extra = on_model(model)
+                extra = on_model(solver.model_atoms())
                 if extra is not None:
                     converted = []
                     for nogood in extra:

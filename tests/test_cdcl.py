@@ -136,7 +136,8 @@ class TestComputeStableModel:
     def test_vetoed_candidate_resumes(self, pi1_gp):
         seen = []
 
-        def veto_first(solver, model):
+        def veto_first(solver):
+            model = solver.model_atoms()
             if not seen:
                 seen.append(model)
                 return [tuple(solver.lit_of(a) for a in model)]

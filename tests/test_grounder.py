@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from microasp.grounder import (
     AtomIndex,
+    BodyPlan,
     GroundingError,
+    _instantiate,
     ground_deferred_violations,
     ground_program,
     ground_rule,
@@ -10,8 +14,9 @@ from microasp.grounder import (
     naive_ground_program,
 )
 from microasp.model import Atom, GroundRule, Literal, Term
-from microasp.oracle import enumerate_stable_models
+from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
+from microasp.strategies import ConstraintIndex
 from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
 
 
@@ -122,30 +127,49 @@ class TestGroundProgram:
         assert lines == sorted(lines)
 
 
+def violations(constraints, universe, truths):
+    """Ground instances of the constraints violated when exactly `truths`
+    hold among the atoms of `universe`, each with its nogood as literals."""
+    index = AtomIndex(universe)
+    values = [0] + [1 if atom in truths else -1 for atom in index]
+    plans = [BodyPlan(c) for c in constraints]
+    return [
+        (
+            _instantiate(constraints[ci], subst, keep_negative=lambda atom: True),
+            frozenset(Literal(index.atom(abs(l) - 1), l > 0) for l in lits),
+        )
+        for ci, subst, lits in ground_deferred_violations(plans, index, values)
+    ]
+
+
 class TestGroundDeferredViolations:
     @pytest.fixture
     def deferred(self):
         return parse_program(PI1_DEFERRED_TEXT).deferred_rules()
 
-    def test_violating_interpretation(self, deferred):
-        out = ground_deferred_violations(deferred, [ga("a", 1), ga("c", 1)])
-        assert [str(c) for c in out] == [":- a(1), not b(1)"]
+    @pytest.fixture
+    def universe(self):
+        return [ga("a", 1), ga("b", 1), ga("c", 1), ga("d", 1)]
 
-    def test_clean_interpretation(self, deferred):
-        assert ground_deferred_violations(deferred, [ga("b", 1), ga("c", 1)]) == []
+    def test_violating_interpretation(self, deferred, universe):
+        out = violations(deferred, universe, {ga("a", 1), ga("c", 1)})
+        assert [(str(inst), nogood) for inst, nogood in out] == [
+            (":- a(1), not b(1)", {Literal(ga("a", 1)), Literal(ga("b", 1), False)})
+        ]
 
-    def test_no_constraints(self):
-        assert ground_deferred_violations([], [ga("a", 1)]) == []
+    def test_clean_interpretation(self, deferred, universe):
+        assert violations(deferred, universe, {ga("b", 1), ga("c", 1)}) == []
+
+    def test_no_constraints(self, universe):
+        assert violations([], universe, {ga("a", 1)}) == []
 
     def test_rejects_non_constraint(self):
-        rule = parse_program("a(1) :- b(1).\n").rules[0]
-        with pytest.raises(ValueError):
-            ground_deferred_violations([rule], [])
+        program = parse_program("b(1).\na(1) :- b(1).\n")
+        with pytest.raises(ValueError, match="not a constraint"):
+            ConstraintIndex(program.rules[1:], ground_program(program))
 
     def test_matches_naive_instantiation(self):
         """Cross-check the join against filtering the naive instantiation."""
-        from microasp.model import is_violated, total_interpretation
-
         checked = 0
         for seed in range(160):
             try:
@@ -159,15 +183,13 @@ class TestGroundDeferredViolations:
             universe = list(naive.atoms)
             if len(universe) > 8:
                 continue
-            import itertools
-
             for bits in itertools.product([False, True], repeat=len(universe)):
                 truths = {a for a, b in zip(universe, bits) if b}
                 interp = total_interpretation(truths, universe)
-                got = {
-                    (c.head, frozenset(c.body))
-                    for c in ground_deferred_violations(deferred, truths)
-                }
+                got = set()
+                for inst, nogood in violations(deferred, universe, truths):
+                    assert nogood == frozenset(inst.body)
+                    got.add((inst.head, nogood))
                 want = set()
                 for rule in deferred:
                     for inst in ground_rule(rule, index_of(_full_domains(program))):
@@ -181,8 +203,6 @@ class TestGroundDeferredViolations:
 
 
 def _full_domains(program):
-    import itertools as it
-
     constants = sorted(herbrand_universe(program), key=str)
     out = {}
     for rule in program.rules:
@@ -191,7 +211,7 @@ def _full_domains(program):
         ]
         for atom in atoms:
             out[atom.predicate] = [
-                tuple(c) for c in it.product(constants, repeat=atom.arity)
+                tuple(c) for c in itertools.product(constants, repeat=atom.arity)
             ]
     return out
 

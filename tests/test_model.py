@@ -3,18 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from microasp.model import (
-    Atom,
-    GroundRule,
-    Literal,
-    Term,
+from microasp.model import Atom, GroundRule, Literal, Term
+from microasp.grounder import ground_program
+from microasp.oracle import (
     is_supported,
     is_violated,
     nogood_of,
     nogood_falsified,
     total_interpretation,
 )
-from microasp.grounder import ground_program
 from microasp.parser import parse_program
 from support import PI1_TEXT
 

@@ -7,11 +7,10 @@ from microasp.grounder import (
     ground_deferred_violations,
     ground_program,
     ground_rule,
-    herbrand_universe,
     naive_ground_program,
 )
-from microasp.model import Atom, GroundRule, Literal, Term, nogood_of
-from microasp.oracle import enumerate_stable_models, is_stable_model
+from microasp.model import Atom, GroundRule, Literal, Program, Term
+from microasp.oracle import enumerate_stable_models, nogood_of
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import (
     ConstraintIndex,
@@ -85,6 +84,19 @@ class TestSolve:
         assert not any(a.predicate == "q" for a in result.model)
         assert result.stats.lazy_added == len(sink)
         assert result.stats.lazy_added == result.stats.invalidations  # capped at 1 per veto
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_lazy_per_check_below_one_rejected(self, pi1, cap):
+        with pytest.raises(ValueError, match="max_lazy_per_check"):
+            solve(pi1, "lazy", max_lazy_per_check=cap)
+
+    @pytest.mark.parametrize("kind", ["lazy", "eager", "post"])
+    def test_deferred_rule_with_head_rejected_before_search(self, kind):
+        # UNSAT at level 0, so no total candidate is ever checked.
+        base = parse_program("p(1).\n:- p(1).\nq(X) :- p(X).\n")
+        program = Program(base.rules, frozenset({2}))
+        with pytest.raises(ValueError, match="not a constraint"):
+            solve(program, kind)
 
 
 class TestEagerPropagator:
@@ -205,17 +217,32 @@ class TestPostPropagator:
 
 
 class TestCheckTotalCandidate:
+    """The lazy check: post's join over a total assignment of the table."""
+
+    @staticmethod
+    def check(program, true_atoms):
+        gp = ground_program(program)
+        index = ConstraintIndex(program.deferred_rules(), gp)
+        values = [0] + [1 if atom in true_atoms else -1 for atom in gp.atoms]
+        return gp, [
+            (str(index.constraints[ci]), lits)
+            for ci, _, lits in ground_deferred_violations(index.plans, gp.atoms, values)
+        ]
+
     def test_accepts_clean_model(self, pi1):
-        deferred = pi1.deferred_rules()
-        assert ground_deferred_violations(deferred, [ga("b", 1), ga("c", 1)]) == []
+        assert self.check(pi1, {ga("b", 1), ga("c", 1)})[1] == []
 
     def test_vetoes_with_violations(self, pi1):
-        deferred = pi1.deferred_rules()
-        out = ground_deferred_violations(deferred, [ga("a", 1), ga("c", 1)])
-        assert [str(c) for c in out] == [":- a(1), not b(1)"]
+        gp, out = self.check(pi1, {ga("a", 1), ga("c", 1)})
+        nogood = solver_nogood(
+            gp, GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1), False)))
+        )
+        assert [(c, tuple(lits)) for c, lits in out] == [(":- a(X), not b(X)", nogood)]
 
-    def test_empty_deferred_always_accepts(self):
-        assert ground_deferred_violations([], [ga("a", 1)]) == []
+    def test_empty_deferred_always_accepts(self, pi1):
+        gp = ground_program(pi1)
+        values = [0] + [1] * len(gp.atoms)
+        assert ground_deferred_violations([], gp.atoms, values) == []
 
 
 class TestSolverNogoodConversion:
