@@ -107,9 +107,9 @@ def sat_model_assignment(true_atoms: Iterable[Atom]) -> dict[int, bool]:
     out: dict[int, bool] = {}
     for atom in true_atoms:
         if atom.predicate == "t":
-            out[atom.args[0].value] = True
+            out[atom.args[0]] = True
         elif atom.predicate == "f":
-            out[atom.args[0].value] = False
+            out[atom.args[0]] = False
     return out
 
 
@@ -182,7 +182,7 @@ def gen_marriage(n: int, k: int, seed: int) -> Program:
 
 def matching_of_model(true_atoms: Iterable[Atom]) -> frozenset[tuple[int, int]]:
     return frozenset(
-        (atom.args[0].value, atom.args[1].value)
+        (atom.args[0], atom.args[1])
         for atom in true_atoms
         if atom.predicate == "match"
     )
@@ -287,7 +287,7 @@ def verify_packing(
     }
     for atom in true_atoms:
         if atom.predicate == "pos":
-            square, x, y = (t.value for t in atom.args)
+            square, x, y = atom.args
             positions[square].append((x, y))
     for square, spots in positions.items():
         size = instance.sizes[square - 1]

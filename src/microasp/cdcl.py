@@ -13,7 +13,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
 from .grounder import GroundProgram
@@ -313,6 +313,8 @@ class Solver:
             self._num_assigned -= 1
             act = self._activity[var]
             heappush(self._heap, (-act, self._rank[var], var, act))
+        if len(self._heap) > 2 * self._nvars:
+            self._compact_heap()
         del self._trail_lim[target:]
         if self._prop_head > len(trail):
             self._prop_head = len(trail)
@@ -693,6 +695,17 @@ class Solver:
         if self._assign[var] == 0:
             heappush(self._heap, (-act, self._rank[var], var, act))
 
+    def _compact_heap(self) -> None:
+        """Keep one entry per undefined variable, at its current activity.
+        `choose_literal` skips every entry dropped here, or returns the
+        same variable through a kept duplicate, so no decision changes."""
+        activity = self._activity
+        assign = self._assign
+        self._heap = list(
+            {e for e in self._heap if assign[e[2]] == 0 and e[3] == activity[e[2]]}
+        )
+        heapify(self._heap)
+
     def _bump_cla(self, ng: Optional[StoredNogood]) -> None:
         if ng is None or not ng.learned:
             return
@@ -715,10 +728,11 @@ class Solver:
                 return lit
         heap = self._heap
         while heap:
-            negact, _, var, snap = heappop(heap)
+            _, _, var, snap = heappop(heap)
             if self._assign[var] != 0 or snap != self._activity[var]:
                 continue
-            heappush(heap, (negact, self._rank[var], var, snap))  # keep for later
+            # The caller decides the variable at once; `_backjump` pushes it
+            # again when it becomes undefined.
             return var if self._phase[var] else -var
         raise RuntimeError("choose_literal called with no undefined atoms")
 

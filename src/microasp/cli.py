@@ -73,8 +73,6 @@ class RunConfig:
     timeout_s: Optional[float] = None
     json_output: bool = False
     dump_ground: bool = False
-    max_lazy_per_check: Optional[int] = None
-    support: str = "auto"
     timing: bool = False
 
     def budget(self) -> Budget:
@@ -100,8 +98,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         cfg.strategy,
         seed=cfg.seed,
         budget=cfg.budget(),
-        max_lazy_per_check=cfg.max_lazy_per_check,
-        support_mode=cfg.support,
     )
     elapsed = time.perf_counter() - started
     model = (
@@ -369,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the ground program (sorted) and exit",
     )
-    p_solve.add_argument("--max-lazy-per-check", type=int, default=None)
-    p_solve.add_argument(
-        "--support", default="auto", choices=["auto", "completion", "propagator"]
-    )
     p_solve.add_argument("--timing", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
@@ -449,8 +441,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 timeout_s=args.timeout_s,
                 json_output=args.json,
                 dump_ground=args.dump_ground,
-                max_lazy_per_check=args.max_lazy_per_check,
-                support=args.support,
                 timing=args.timing,
             )
             return cmd_solve(cfg)

@@ -29,10 +29,11 @@ from .model import (
     Program,
     Rule,
     Term,
+    Var,
     binding_stages,
 )
 
-Substitution = dict  # variable name -> ground Term
+Substitution = dict  # variable name -> ground term (an int or a str)
 
 
 class GroundingError(Exception):
@@ -94,7 +95,7 @@ class AtomIndex:
             return []
         best = rows
         for i, arg in enumerate(args):
-            term = subst.get(arg.name) if arg.is_variable else arg
+            term = subst.get(arg.name) if isinstance(arg, Var) else arg
             if term is None:
                 continue
             bucket = self._buckets.get((predicate, i, term))
@@ -138,7 +139,7 @@ def herbrand_universe(program: Program) -> set[Term]:
 
     def scan_terms(terms: Iterable[Term]) -> None:
         for term in terms:
-            if not term.is_variable:
+            if not isinstance(term, Var):
                 constants.add(term)
 
     for rule in program.rules:
@@ -158,7 +159,7 @@ def substitute_atom(atom: Atom, subst: Substitution) -> Atom:
         return atom
     return Atom(
         atom.predicate,
-        tuple(subst[t.name] if t.is_variable else t for t in atom.args),
+        tuple(subst[t.name] if isinstance(t, Var) else t for t in atom.args),
     )
 
 
@@ -167,7 +168,7 @@ def _unify(
 ) -> Optional[Substitution]:
     out = subst
     for pat, val in zip(args, row):
-        if pat.is_variable:
+        if isinstance(pat, Var):
             bound = out.get(pat.name)
             if bound is None:
                 if out is subst:
@@ -177,7 +178,7 @@ def _unify(
                 return None
         elif pat != val:
             return None
-    return out if out is not subst else dict(subst)
+    return out
 
 
 def _eval_side(
@@ -186,7 +187,7 @@ def _eval_side(
     """Ground value of a term sum, or None while a variable is unbound."""
     values: list[Term] = []
     for term in terms:
-        if term.is_variable:
+        if isinstance(term, Var):
             bound = subst.get(term.name)
             if bound is None:
                 return None
@@ -195,14 +196,12 @@ def _eval_side(
             values.append(term)
     if len(values) == 1:
         return values[0]
-    total = 0
     for value in values:
-        if not value.is_integer:
+        if not isinstance(value, int):
             raise GroundingError(
                 f"arithmetic on non-integer constant '{value}' in rule '{rule}.'"
             )
-        total += value.value
-    return Term.num(total)
+    return sum(values)
 
 
 def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
@@ -210,18 +209,18 @@ def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
         return left == right
     if op == "!=":
         return left != right
-    if not (left.is_integer and right.is_integer):
-        bad = left if not left.is_integer else right
+    if not (isinstance(left, int) and isinstance(right, int)):
+        bad = right if isinstance(left, int) else left
         raise GroundingError(
             f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'"
         )
     if op == "<":
-        return left.value < right.value
+        return left < right
     if op == "<=":
-        return left.value <= right.value
+        return left <= right
     if op == ">":
-        return left.value > right.value
-    return left.value >= right.value
+        return left > right
+    return left >= right
 
 
 def _apply_comparison(
@@ -461,7 +460,7 @@ def naive_ground_program(program: Program) -> GroundProgram:
     """
     constants = sorted(
         herbrand_universe(program),
-        key=lambda t: (0, t.value, "") if t.is_integer else (1, 0, t.name),
+        key=lambda t: (0, t, "") if isinstance(t, int) else (1, 0, t),
     )
     arities: dict[str, int] = {}
     for rule in program.rules:

@@ -1,9 +1,12 @@
 """AST types for the input language, their ground counterparts, and the
 body evaluation order shared by the parser's safety check and the grounder.
 
-Variables start with an uppercase letter, constants do not.  Rules have at
-most one head atom; a rule without a head is a constraint and a rule with a
-ground head and empty body is a fact.
+Variables start with an uppercase letter, constants do not.  A ground term
+is the Python value it denotes: an `int` for an integer constant, a `str`
+for a symbolic one.  A variable is a `Var`, so `isinstance(t, Var)` is the
+one test that tells them apart, and ground atoms hash and compare as tuples
+of plain values.  Rules have at most one head atom; a rule without a head
+is a constraint and a rule with a ground head and empty body is a fact.
 """
 from __future__ import annotations
 
@@ -12,38 +15,17 @@ from typing import Optional, Union
 
 
 @dataclass(frozen=True)
-class Term:
-    """A variable, a symbolic constant, or an integer constant."""
+class Var:
+    """A variable; the only term that is not the value it denotes."""
 
     name: str
-    value: Optional[int] = None  # set iff the term is an integer constant
-
-    @staticmethod
-    def var(name: str) -> "Term":
-        if not name[:1].isupper():
-            raise ValueError(f"variable names start uppercase: {name!r}")
-        return Term(name)
-
-    @staticmethod
-    def sym(name: str) -> "Term":
-        if name[:1].isupper():
-            raise ValueError(f"constant names start lowercase: {name!r}")
-        return Term(name)
-
-    @staticmethod
-    def num(value: int) -> "Term":
-        return Term(str(value), value)
-
-    @property
-    def is_variable(self) -> bool:
-        return self.name[:1].isupper()
-
-    @property
-    def is_integer(self) -> bool:
-        return self.value is not None
 
     def __str__(self) -> str:
         return self.name
+
+
+#: A ground term is the value it denotes, an `int` or a `str` symbol.
+Term = Union[int, str, Var]
 
 
 @dataclass(frozen=True)
@@ -53,14 +35,14 @@ class Atom:
 
     @property
     def is_ground(self) -> bool:
-        return not any(t.is_variable for t in self.args)
+        return not any(isinstance(t, Var) for t in self.args)
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
     def variables(self) -> set[str]:
-        return {t.name for t in self.args if t.is_variable}
+        return {t.name for t in self.args if isinstance(t, Var)}
 
     def __str__(self) -> str:
         if not self.args:
@@ -96,7 +78,7 @@ class Comparison:
     rhs: tuple[Term, ...]
 
     def variables(self) -> set[str]:
-        return {t.name for t in self.lhs + self.rhs if t.is_variable}
+        return {t.name for t in self.lhs + self.rhs if isinstance(t, Var)}
 
     def __str__(self) -> str:
         left = "+".join(str(t) for t in self.lhs)
@@ -198,8 +180,8 @@ def binding_stages(rule: Rule) -> tuple[list[Literal], list[list[BodyElement]], 
                         rest.remove(elem)
                         changed = True
                 else:
-                    lhs_vars = {t.name for t in elem.lhs if t.is_variable}
-                    rhs_vars = {t.name for t in elem.rhs if t.is_variable}
+                    lhs_vars = {t.name for t in elem.lhs if isinstance(t, Var)}
+                    rhs_vars = {t.name for t in elem.rhs if isinstance(t, Var)}
                     if lhs_vars | rhs_vars <= bound:
                         stages[stage].append(elem)
                         rest.remove(elem)
@@ -209,7 +191,7 @@ def binding_stages(rule: Rule) -> tuple[list[Literal], list[list[BodyElement]], 
                         # bound: the comparison acts as an assignment.
                         if (
                             len(elem.lhs) == 1
-                            and elem.lhs[0].is_variable
+                            and isinstance(elem.lhs[0], Var)
                             and elem.lhs[0].name not in bound
                             and rhs_vars <= bound
                         ):
@@ -219,7 +201,7 @@ def binding_stages(rule: Rule) -> tuple[list[Literal], list[list[BodyElement]], 
                             changed = True
                         elif (
                             len(elem.rhs) == 1
-                            and elem.rhs[0].is_variable
+                            and isinstance(elem.rhs[0], Var)
                             and elem.rhs[0].name not in bound
                             and lhs_vars <= bound
                         ):

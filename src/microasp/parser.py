@@ -16,6 +16,7 @@ from .model import (
     Program,
     Rule,
     Term,
+    Var,
     binding_stages,
 )
 
@@ -175,8 +176,8 @@ class _Parser:
             self._next()
             rhs = self._term_sum()
             return Comparison(op_tok.text, lhs, rhs)
-        if len(lhs) == 1 and not lhs[0].is_variable and not lhs[0].is_integer:
-            return Literal(self._nullary(lhs[0].name))
+        if len(lhs) == 1 and isinstance(lhs[0], str):
+            return Literal(self._nullary(lhs[0]))
         raise ParseError(
             "expected a comparison operator", op_tok.line, op_tok.column
         )
@@ -222,13 +223,13 @@ class _Parser:
     def _term(self) -> Term:
         tok = self._next()
         if tok.kind == "int":
-            return Term.num(int(tok.text))
+            return int(tok.text)
         if tok.kind == "var":
-            return Term.var(tok.text)
+            return Var(tok.text)
         if tok.kind == "ident":
             if tok.text == "not":
                 raise ParseError("'not' is reserved", tok.line, tok.column)
-            return Term.sym(tok.text)
+            return tok.text
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
 
     def _check_safety(self, rule: Rule) -> None:

@@ -33,7 +33,7 @@ def extract_features(program: Program, family: str) -> dict[str, float]:
             1 for r in program.rules if r.is_fact and r.head.predicate == "man"
         )
         scores = [
-            r.head.args[-1].value
+            r.head.args[-1]
             for r in program.rules
             if r.is_fact
             and r.head.predicate in ("manAssignsScore", "womanAssignsScore")

@@ -135,8 +135,6 @@ def solve(
     *,
     seed: int = 0,
     budget: Optional[Budget] = None,
-    support_mode: str = "auto",
-    max_lazy_per_check: Optional[int] = None,
     forced_decisions: Sequence[int] = (),
     on_model: Optional[Callable] = None,
     instance_sink: Optional[list] = None,
@@ -150,8 +148,6 @@ def solve(
     instance the strategy materializes.
     """
     kind = StrategyKind(kind)
-    if max_lazy_per_check is not None and max_lazy_per_check < 1:
-        raise ValueError(f"max_lazy_per_check must be at least 1: {max_lazy_per_check}")
     if kind is StrategyKind.FULL:
         gp = ground_program(program, include_deferred=True)
         deferred: list[Rule] = []
@@ -197,7 +193,7 @@ def solve(
             violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
             if violations:
                 nogoods = []
-                for ci, subst, lits in violations[:max_lazy_per_check]:
+                for ci, subst, lits in violations:
                     record(index.constraints[ci], subst, "check")
                     nogoods.append(_canonical(lits))
                 solver.stats.invalidations += 1
@@ -219,7 +215,6 @@ def solve(
     solver = Solver(
         gp,
         seed=seed,
-        support_mode=support_mode,
         callbacks=callbacks,
         budget=budget,
         forced_decisions=forced_decisions,

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from microasp import benchgen as bg
-from microasp.model import Atom, Literal, Term
+from microasp.model import Atom, Literal
 from microasp.parser import parse_program
 from microasp.strategies import solve
 
 
 def ga(pred, *args):
-    return Atom(pred, tuple(Term.num(a) for a in args))
+    return Atom(pred, args)
 
 
 class TestSatGenerator:

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from microasp import benchgen, cdcl
 from microasp.cdcl import (
     Budget,
     Solver,
@@ -10,14 +11,14 @@ from microasp.cdcl import (
     RESTART_UNIT,
 )
 from microasp.grounder import ground_program
-from microasp.model import Atom, Term
+from microasp.model import Atom
 from microasp.oracle import enumerate_stable_models, is_stable_model
 from microasp.parser import ParseError, parse_program
 from support import PI1_TEXT, random_program_text
 
 
 def ga(pred, *args):
-    return Atom(pred, tuple(Term.num(a) for a in args))
+    return Atom(pred, args)
 
 
 @pytest.fixture
@@ -182,6 +183,22 @@ class TestChooseLiteral:
             solver.propagate()
             chosen.add(abs(solver.choose_literal()))
         assert len(chosen) > 1
+
+
+def test_vsids_heap_stays_bounded(monkeypatch):
+    gp = ground_program(benchgen.gen_3sat(60, 4.26, 1), include_deferred=True)
+    solver = Solver(gp, seed=1)
+    peak = [len(solver._heap)]
+    push = cdcl.heappush
+
+    def counting_push(heap, entry):
+        push(heap, entry)
+        peak[0] = max(peak[0], len(heap))
+
+    monkeypatch.setattr(cdcl, "heappush", counting_push)
+    solver.solve()
+    assert solver.stats.conflicts > 0
+    assert peak[0] <= 3 * solver._nvars
 
 
 class TestRestartsAndDeletion:

@@ -75,11 +75,6 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_max_lazy_per_check_zero_exit_one(self, pi1_file, capsys):
-        code = main(["solve", pi1_file, "--strategy", "lazy", "--max-lazy-per-check", "0"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestGenCommand:
     def test_marriage_roundtrip(self, tmp_path, capsys):

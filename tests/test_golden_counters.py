@@ -1,10 +1,12 @@
-"""Golden search counters: every strategy on four small benchmark instances.
+"""Golden search counters: every strategy on four small benchmark instances,
+and the digests of their ground programs.
 
 The counters are deterministic for a fixed solver seed and must not depend
 on the interpreter's hash seed, so a change that moves any of them changed
 the search, not only its speed.
 """
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from microasp import benchgen
+from microasp.grounder import ground_program
 from microasp.strategies import solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,9 +71,25 @@ def test_counters_match_golden(instance, kind):
     assert dataclasses.asdict(result.stats) == dict(zip(FIELDS, counters))
 
 
+# instance -> SHA-256 of its ground program's text, deferred constraints kept.
+GROUND_SHA256 = {
+    "3sat-v20": "9927d2dfb7b7a1493f7429f9ee8838749439c36c19ba629c51715418b0e7be27",
+    "marriage-n5": "96fec53c3682bc16732c6af18c5a4060d2834e17f43e7f1a87bbf41167656b37",
+    "packing-4x3": "9bbe488799e49b67df855ef4b7a4262fab2e62088083e0e3fa63d8d59c9bf515",
+    "packing-3x3": "ba8a418006e0e86bf139c84e60139b2087e4a2e5628f89424d52aaee2507230c",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GROUND_SHA256))
+def test_ground_program_matches_golden(instance):
+    text = ground_program(INSTANCES[instance](), include_deferred=True).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUND_SHA256[instance]
+
+
 LAZY_STATS_SCRIPT = """
 import dataclasses, json
 from microasp import benchgen
+from microasp.grounder import ground_program
 from microasp.strategies import solve
 result = solve(benchgen.gen_packing(4, 3, (2, 2)), "lazy", seed=1)
 print(json.dumps([result.status, dataclasses.asdict(result.stats)]))

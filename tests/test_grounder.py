@@ -13,7 +13,7 @@ from microasp.grounder import (
     herbrand_universe,
     naive_ground_program,
 )
-from microasp.model import Atom, GroundRule, Literal, Term
+from microasp.model import Atom, GroundRule, Literal
 from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex
@@ -21,7 +21,7 @@ from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
 
 
 def ga(pred, *args):
-    return Atom(pred, tuple(Term.num(a) for a in args))
+    return Atom(pred, args)
 
 
 def index_of(domains):
@@ -31,20 +31,20 @@ def index_of(domains):
 
 class TestHerbrandUniverse:
     def test_pi1(self):
-        assert herbrand_universe(parse_program(PI1_TEXT)) == {Term.num(1)}
+        assert herbrand_universe(parse_program(PI1_TEXT)) == {1}
 
     def test_empty(self):
         assert herbrand_universe(parse_program("")) == set()
 
     def test_mixed_constants(self):
         program = parse_program("p(1). p(2). q(a).\n")
-        assert herbrand_universe(program) == {Term.num(1), Term.num(2), Term.sym("a")}
+        assert herbrand_universe(program) == {1, 2, "a"}
 
 
 class TestGroundRule:
     def test_constraint_over_unit_domain(self):
         rule = parse_program(":- a(X), b(X).\n").rules[0]
-        domains = {"a": [(Term.num(1),)], "b": [(Term.num(1),)]}
+        domains = {"a": [(1,)], "b": [(1,)]}
         assert ground_rule(rule, index_of(domains)) == [
             GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1))))
         ]
@@ -56,25 +56,32 @@ class TestGroundRule:
 
     def test_contradictory_comparison_yields_nothing(self):
         rule = parse_program(":- p(X), X != X.\n").rules[0]
-        domains = {"p": [(Term.num(1),), (Term.num(2),)]}
+        domains = {"p": [(1,), (2,)]}
         assert ground_rule(rule, index_of(domains)) == []
 
     def test_instance_count_bound(self):
         rule = parse_program(":- p(X), q(Y).\n").rules[0]
-        domain = [(Term.num(i),) for i in range(3)]
+        domain = [(i,) for i in range(3)]
         out = ground_rule(rule, index_of({"p": domain, "q": domain}))
         assert len(out) <= 3 ** 2
 
     def test_binding_equality(self):
         rule = parse_program(":- p(X), W = X+1, q(W).\n").rules[0]
-        domains = {"p": [(Term.num(1),)], "q": [(Term.num(2),)]}
+        domains = {"p": [(1,)], "q": [(2,)]}
         out = ground_rule(rule, index_of(domains))
         assert out == [GroundRule(None, (Literal(ga("p", 1)), Literal(ga("q", 2))))]
 
     def test_arithmetic_on_symbol_errors(self):
         rule = parse_program("q(Y) :- p(X), Y = X+1.\n").rules[0]
         with pytest.raises(GroundingError, match="non-integer"):
-            ground_rule(rule, index_of({"p": [(Term.sym("a"),)]}))
+            ground_rule(rule, index_of({"p": [("a",)]}))
+
+    def test_ordered_comparison_on_symbol_errors(self):
+        rule = parse_program(":- p(X), X < a.\n").rules[0]
+        with pytest.raises(
+            GroundingError, match="ordered comparison on non-integer constant 'a'"
+        ):
+            ground_rule(rule, index_of({"p": [(1,)]}))
 
 
 class TestGroundProgram:

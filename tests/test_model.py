@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from microasp.model import Atom, GroundRule, Literal, Term
+from microasp.model import Atom, GroundRule, Literal
 from microasp.grounder import ground_program
 from microasp.oracle import (
     is_supported,
@@ -17,7 +17,7 @@ from support import PI1_TEXT
 
 
 def ga(pred, *args):
-    return Atom(pred, tuple(Term.num(a) if isinstance(a, int) else Term.sym(a) for a in args))
+    return Atom(pred, args)
 
 
 A1, B1, C1, D1 = ga("a", 1), ga("b", 1), ga("c", 1), ga("d", 1)

@@ -1,14 +1,14 @@
 import pytest
 
 from microasp.grounder import ground_program, naive_ground_program
-from microasp.model import Atom, GroundRule, Literal, Term
+from microasp.model import Atom, GroundRule, Literal
 from microasp.oracle import enumerate_stable_models, is_stable_model, least_model, reduct
 from microasp.parser import ParseError, parse_program
 from support import PI1_TEXT, random_program_text
 
 
 def ga(pred, *args):
-    return Atom(pred, tuple(Term.num(a) for a in args))
+    return Atom(pred, args)
 
 
 A1, B1, C1, D1 = ga("a", 1), ga("b", 1), ga("c", 1), ga("d", 1)

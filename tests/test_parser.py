@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microasp.model import Atom, Comparison, Literal, Rule, Term
+from microasp.model import Atom, Comparison, Literal, Rule, Var
 from microasp.parser import ParseError, SafetyError, parse_program, program_to_text
 from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
 
@@ -10,8 +10,8 @@ def test_single_rule():
     program = parse_program("a(1) :- not b(1).\n")
     assert len(program.rules) == 1
     rule = program.rules[0]
-    assert rule.head == Atom("a", (Term.num(1),))
-    assert rule.body == (Literal(Atom("b", (Term.num(1),)), False),)
+    assert rule.head == Atom("a", (1,))
+    assert rule.body == (Literal(Atom("b", (1,)), False),)
 
 
 def test_empty_input():
@@ -81,12 +81,18 @@ def test_comparison_parse():
     cmp = program.rules[0].body[2]
     assert isinstance(cmp, Comparison)
     assert cmp.op == "<="
-    assert cmp.lhs == (Term.var("X"), Term.num(1))
+    assert cmp.lhs == (Var("X"), 1)
+
+
+def test_term_values():
+    program = parse_program(":- p(1,a,X).\n")
+    assert program.rules[0].body[0].atom.args == (1, "a", Var("X"))
 
 
 def test_nullary_atoms():
     program = parse_program("p :- q, not r.\n")
     assert program.rules[0].head == Atom("p")
+    assert program.rules[0].body == (Literal(Atom("q")), Literal(Atom("r"), False))
 
 
 def test_fact_forms():
