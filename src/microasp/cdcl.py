@@ -152,6 +152,9 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._prop_head = 0
+        # Trail length at the start of the last fixpoint callback: the post
+        # propagator joins only the literals assigned since.
+        self._fixpoint_mark = 0
         self._num_assigned = 0
 
         self._watches: dict[int, list[StoredNogood]] = {}
@@ -318,6 +321,8 @@ class Solver:
         del self._trail_lim[target:]
         if self._prop_head > len(trail):
             self._prop_head = len(trail)
+        if self._fixpoint_mark > len(trail):
+            self._fixpoint_mark = len(trail)
         if self._fragile:
             self._recheck_fragile()
 

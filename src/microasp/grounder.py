@@ -12,8 +12,15 @@ variable and lets at most `budget` body literals be undefined:
 * grounding: `AtomIndex.undefined` (all 0) with an unbounded budget, so
   truth prunes nothing;
 * the lazy check: the solver assignment with budget 0 on a total candidate;
-* the eager propagator: the solver assignment with budget 1;
-* the post propagator: the solver assignment with budget 0.
+* the eager propagator: the solver assignment with budget 1, through the
+  plan seeded at each body literal the assigned literal matches;
+* the post propagator: the solver assignment with budget 0, in full at its
+  first call, then through the seeded plans of each literal assigned since
+  its last call.
+
+Each match of a plan in written order comes in lexicographic order of the
+variables of its positive literals; a seeded plan's `written` permutation
+recovers that key from a match's literals.
 """
 from __future__ import annotations
 
@@ -244,11 +251,40 @@ def _apply_comparison(
 
 
 class BodyPlan:
-    """Precomputed join order for one rule body."""
+    """Precomputed join order for one rule body.
 
-    def __init__(self, rule: Rule):
+    Positive literals are matched in written order.  A plan seeded at body
+    element `seed` joins outward from a start substitution that binds the
+    seed's variables: a positive seed is matched first, then each next
+    positive literal is the first left in written order that shares a bound
+    variable, or failing that the first left.  `written[k]` is the plan
+    position of the k-th positive literal in written order.
+    """
+
+    def __init__(self, rule: Rule, seed: Optional[int] = None):
         self.rule = rule
-        self.positives, self.stages, unsafe = binding_stages(rule)
+        at = [
+            i for i, e in enumerate(rule.body) if isinstance(e, Literal) and e.positive
+        ]
+        order = list(range(len(at)))
+        bound: set[str] = set()
+        if seed is not None:
+            bound = rule.body[seed].atom.variables()
+            order = [at.index(seed)] if seed in at else []
+            left = [k for k in range(len(at)) if k not in order]
+            reached = set(bound)
+            while left:
+                k = next(
+                    (k for k in left if rule.body[at[k]].atom.variables() & reached),
+                    left[0],
+                )
+                order.append(k)
+                left.remove(k)
+                reached |= rule.body[at[k]].atom.variables()
+        self.written = tuple(order.index(k) for k in range(len(at)))
+        self.positives, self.stages, unsafe = binding_stages(
+            rule, [rule.body[at[k]] for k in order], bound
+        )
         if unsafe:
             raise GroundingError(
                 f"unsafe variable {sorted(unsafe)[0]} in rule '{rule}.'"

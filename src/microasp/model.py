@@ -11,7 +11,7 @@ is a constraint and a rule with a ground head and empty body is a fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -150,24 +150,30 @@ class GroundRule:
         return f"{self.head} :- {body}"
 
 
-def binding_stages(rule: Rule) -> tuple[list[Literal], list[list[BodyElement]], set[str]]:
+def binding_stages(
+    rule: Rule,
+    positives: Optional[list[Literal]] = None,
+    bound: Iterable[str] = (),
+) -> tuple[list[Literal], list[list[BodyElement]], set[str]]:
     """Order body evaluation for safety checking and for join planning.
 
-    Positive literals are matched left to right in written order; each
-    comparison or negative literal is slotted in at the earliest point where
-    its variables are bound.  An `=` comparison with a lone unbound variable
-    on one side binds it once the other side is bound.
+    Positive literals are matched in the order given, by default left to
+    right in written order, with the variables in `bound` bound before the
+    first; each comparison or negative literal is slotted in at the earliest
+    point where its variables are bound.  An `=` comparison with a lone
+    unbound variable on one side binds it once the other side is bound.
 
     Returns (positives, stages, unsafe) where stages[i] holds the elements
     evaluable once positives[:i] are matched (stages has len(positives)+1
     entries) and unsafe names the variables never bound.
     """
-    positives = [e for e in rule.body if isinstance(e, Literal) and e.positive]
+    if positives is None:
+        positives = [e for e in rule.body if isinstance(e, Literal) and e.positive]
     rest: list[BodyElement] = [
         e for e in rule.body if not (isinstance(e, Literal) and e.positive)
     ]
     stages: list[list[BodyElement]] = [[] for _ in range(len(positives) + 1)]
-    bound: set[str] = set()
+    bound = set(bound)
 
     def place(stage: int) -> None:
         changed = True

@@ -10,7 +10,7 @@ on the returned models.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cdcl import Budget, Solver, SolverCallbacks, SolveResult
 from .grounder import (
@@ -51,6 +51,12 @@ def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[i
     return _canonical(lits)
 
 
+#: Matches of a seeded join by key: (constraint position, the variables of
+#: its positive literals in written order) -> (substitution, constraint
+#: position, signed variables).
+Matches = dict[tuple[int, tuple[int, ...]], tuple[Substitution, int, list[int]]]
+
+
 def _canonical(lits: Iterable[int]) -> tuple[int, ...]:
     """Nogood literals without repeats, ordered by variable."""
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
@@ -61,56 +67,94 @@ class ConstraintIndex:
 
     The joins run over the program's atom index (`gp.atoms`) and read truth
     off `solver._assign` at query time, so no per-assignment bookkeeping is
-    needed: the eager propagator allows one undefined body literal (the one
-    its nogood infers), the post propagator none.  The lazy check is the
-    post join on a total candidate, over `plans`.
+    needed.  The lazy check is the full join of each constraint on a total
+    candidate, over `plans`.  The propagators join outward from a trail
+    literal, through the plan seeded at each body literal it matches (built
+    only when `seeded` is set, see `BodyPlan`): eager from each assigned
+    literal, allowing one undefined body literal (the one its nogood
+    infers), and post from each literal assigned since its last call,
+    allowing none.
+
+    A constraint's full join yields its matches in lexicographic order of
+    the variables of its positive literals in written order.  A seeded
+    match is keyed by (constraint position, those variables), so sorting by
+    the key restores that order: eager emits each trigger's matches in it,
+    and post emits the new matches in the full join's order.
     """
 
-    def __init__(self, constraints: Sequence[Rule], gp: GroundProgram):
+    def __init__(
+        self, constraints: Sequence[Rule], gp: GroundProgram, seeded: bool = True
+    ):
         for constraint in constraints:
             if constraint.head is not None:
                 raise ValueError(f"not a constraint: '{constraint}.'")
         self.constraints = list(constraints)
         self.gp = gp
         self.plans = [BodyPlan(c) for c in self.constraints]
-        self._triggers: dict[tuple[str, bool], list[tuple[int, int]]] = {}
-        for ci, constraint in enumerate(self.constraints):
+        self._triggers: dict[tuple[str, bool], list[tuple[int, int, BodyPlan]]] = {}
+        for ci, constraint in enumerate(self.constraints if seeded else ()):
             for ei, elem in enumerate(constraint.body):
                 if isinstance(elem, Literal):
                     key = (elem.atom.predicate, elem.positive)
-                    self._triggers.setdefault(key, []).append((ci, ei))
+                    self._triggers.setdefault(key, []).append(
+                        (ci, ei, BodyPlan(constraint, ei))
+                    )
+
+    def _seeded(
+        self, lit: int, values: Sequence[int], budget: int
+    ) -> Iterator[Matches]:
+        """For each body literal that the true literal `lit` matches, in
+        trigger order, the matches of the join seeded there, by key."""
+        atom = self.gp.atoms.atom(abs(lit) - 1)
+        for ci, ei, plan in self._triggers.get((atom.predicate, lit > 0), ()):
+            start = _unify(self.constraints[ci].body[ei].atom.args, atom.args, {})
+            if start is None:
+                continue
+            found: Matches = {}
+            for subst, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
+                pos = [l for l in lits if l > 0]
+                found[ci, tuple(pos[k] for k in plan.written)] = (subst, ci, lits)
+            yield found
 
     def eager_nogoods(
         self, solver: Solver, lit: int
     ) -> list[tuple[Substitution, int, tuple[int, ...]]]:
         """Instances made unit or falsified by `lit` having turned true.
 
-        The assigned literal seeds a substitution through every body element
-        it can match; the rest of the body joins over true atoms with at most
-        one undefined literal left (the one the emitted nogood will infer).
+        The join is seeded at every body literal `lit` matches, and the rest
+        of the body joins over true atoms with at most one undefined literal
+        left (the one the emitted nogood will infer).
         """
-        atom = solver.atom_of(abs(lit))
         matches: list[tuple[Substitution, int, list[int]]] = []
-        for ci, ei in self._triggers.get((atom.predicate, lit > 0), ()):
-            start = _unify(self.constraints[ci].body[ei].atom.args, atom.args, {})
-            if start is not None:
-                matches += (
-                    (subst, ci, lits)
-                    for subst, lits in iter_matches(
-                        self.plans[ci], self.gp.atoms, solver._assign, 1, start
-                    )
-                )
+        for found in self._seeded(lit, solver._assign, 1):
+            matches += (found[key] for key in sorted(found))
         return _new_nogoods(solver, matches)
 
     def post_nogoods(
         self, solver: Solver
     ) -> list[tuple[Substitution, int, tuple[int, ...]]]:
-        """Instances whose body is fully true under the current trail."""
-        matches = [
-            (subst, ci, lits)
-            for ci, plan in enumerate(self.plans)
-            for subst, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
-        ]
+        """Instances whose body is fully true under the current trail.
+
+        An instance true at the previous call was emitted then or is stored,
+        so only those holding a literal assigned since can be new: the join
+        is seeded from each of them.  With no earlier trail (the first call,
+        or after a backjump to an empty trail) the body is joined in full,
+        which also finds instances with no literal on the trail.
+        """
+        trail = solver._trail
+        mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
+        if mark == 0:
+            matches = [
+                (subst, ci, lits)
+                for ci, plan in enumerate(self.plans)
+                for subst, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
+            ]
+        else:
+            found: Matches = {}
+            for lit in trail[mark:]:
+                for more in self._seeded(lit, solver._assign, 0):
+                    found.update(more)
+            matches = [found[key] for key in sorted(found)]
         return _new_nogoods(solver, matches)
 
 
@@ -156,7 +200,11 @@ def solve(
         deferred = program.deferred_rules()
 
     callbacks = SolverCallbacks()
-    index = ConstraintIndex(deferred, gp) if deferred else None
+    index = (
+        ConstraintIndex(deferred, gp, seeded=kind is not StrategyKind.LAZY)
+        if deferred
+        else None
+    )
 
     def record(constraint: Rule, subst: Substitution, origin: str) -> None:
         if instance_sink is None:
@@ -193,9 +241,11 @@ def solve(
             violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
             if violations:
                 nogoods = []
-                for ci, subst, lits in violations:
+                for subst, ci, nogood in _new_nogoods(
+                    solver, ((subst, ci, lits) for ci, subst, lits in violations)
+                ):
                     record(index.constraints[ci], subst, "check")
-                    nogoods.append(_canonical(lits))
+                    nogoods.append(nogood)
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)
                 return nogoods

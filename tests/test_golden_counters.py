@@ -53,11 +53,11 @@ GOLDEN = {
     ("marriage-n5", "eager"): ("SAT", (4, 0, 0, 0, 0, 116, 0, 0, 120, 2, 0)),
     ("marriage-n5", "post"): ("SAT", (7, 1, 0, 1, 0, 145, 0, 0, 9, 4, 0)),
     ("packing-4x3", "full"): ("SAT", (2, 0, 0, 0, 0, 36, 0, 0, 0, 0, 0)),
-    ("packing-4x3", "lazy"): ("SAT", (16, 2, 0, 2, 0, 43, 1, 60, 0, 0, 0)),
+    ("packing-4x3", "lazy"): ("SAT", (16, 2, 0, 2, 0, 43, 1, 26, 0, 0, 0)),
     ("packing-4x3", "eager"): ("SAT", (2, 0, 0, 0, 0, 36, 0, 0, 38, 9, 0)),
     ("packing-4x3", "post"): ("SAT", (20, 6, 0, 6, 0, 46, 0, 0, 27, 8, 0)),
     ("packing-3x3", "full"): ("UNSAT", (7, 6, 0, 5, 0, 71, 0, 0, 0, 0, 0)),
-    ("packing-3x3", "lazy"): ("UNSAT", (32, 15, 0, 14, 0, 120, 13, 28, 0, 0, 0)),
+    ("packing-3x3", "lazy"): ("UNSAT", (32, 15, 0, 14, 0, 120, 13, 18, 0, 0, 0)),
     ("packing-3x3", "eager"): ("UNSAT", (7, 6, 0, 5, 0, 71, 0, 0, 50, 22, 0)),
     ("packing-3x3", "post"): ("UNSAT", (30, 18, 0, 17, 0, 137, 0, 0, 47, 17, 0)),
 }
