@@ -693,11 +693,19 @@ class Solver:
         act = self._activity[var] + self._var_inc
         self._activity[var] = act
         if act > 1e100:
+            # Every entry's snapshot is stale now: one fresh entry per
+            # undefined variable, at its rescaled activity.
+            activity = self._activity
             for v in range(1, self._nvars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self._var_inc *= 1e-100
-            act = self._activity[var]
-        if self._assign[var] == 0:
+            self._heap = [
+                (-activity[v], self._rank[v], v, activity[v])
+                for v in range(1, self._nvars + 1)
+                if self._assign[v] == 0
+            ]
+            heapify(self._heap)
+        elif self._assign[var] == 0:
             heappush(self._heap, (-act, self._rank[var], var, act))
 
     def _compact_heap(self) -> None:

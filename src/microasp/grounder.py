@@ -1,9 +1,14 @@
 """Bottom-up grounding over derivable atoms, and the one body join that the
 grounder and all three deferred-constraint strategies run.
 
-Rules are instantiated by matching positive body literals left to right
-against the set of derivable atoms; comparisons are evaluated (or, for `=`,
-used to bind a variable) as soon as their inputs are bound.  Facts are
+The join is compiled.  `BodyPlan` turns a rule body, once, into steps over
+a list of slots: the rule's constants and then its variables, in the order
+the plan binds them.  Each positive literal probes the `AtomIndex` table of
+its predicate keyed by the positions bound when it is reached, and binds its
+free positions; comparisons and negative literals run as soon as their
+variables are bound, a negative literal as a probe of its all-positions
+table.  Facts skip the join: a fact's head enters the index at its turn in
+the first round of the fixpoint and is its own instance.  Facts are then
 simplified out of bodies and rules with a definitely false body are dropped.
 
 `iter_matches` reads each atom's truth from a list indexed by solver
@@ -25,12 +30,12 @@ recovers that key from a match's literals.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     Atom,
     BodyElement,
-    Comparison,
     GroundRule,
     Literal,
     Program,
@@ -42,27 +47,38 @@ from .model import (
 
 Substitution = dict  # variable name -> ground term (an int or a str)
 
+#: A row of an atom table: (solver variable, arguments).
+Row = tuple[int, tuple]
+
 
 class GroundingError(Exception):
     pass
 
 
+def _key_of(positions: Sequence[int]) -> Callable:
+    """The key of a sequence at `positions`: () for none, the value itself
+    for one, a tuple for more.  Tables and plans build keys alike."""
+    if not positions:
+        return lambda seq: ()
+    return itemgetter(*positions)
+
+
 class AtomIndex:
-    """Ground atoms with dense ids, grouped for joins.
+    """Ground atoms with dense ids, and keyed tables for joins.
 
     An atom's id is its insertion rank (0-based) and its solver variable is
-    id + 1.  Rows `(var, args)` are kept per predicate and per (predicate,
-    argument position, value), in insertion order.  `undefined` maps every
-    variable to 0: the truth the grounder joins under.
+    id + 1.  `table(predicate, positions)` maps the values at the given
+    argument positions (a key as built by `_key_of`) to the rows `(var,
+    args)` holding them, in insertion order.  A table is built on first use
+    and kept current by `add`.  `undefined` maps every variable to 0: the
+    truth the grounder joins under.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: list[Atom] = []
         self._ids: dict[Atom, int] = {}
-        self._rows: dict[str, list[tuple[int, tuple[Term, ...]]]] = {}
-        self._buckets: dict[
-            tuple[str, int, Term], list[tuple[int, tuple[Term, ...]]]
-        ] = {}
+        self._rows: dict[str, list[Row]] = {}
+        self._tables: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
         self.undefined: list[int] = [0]
         for atom in atoms:
             self.add(atom)
@@ -75,8 +91,22 @@ class AtomIndex:
         self.undefined.append(0)
         row = (len(self._atoms), atom.args)
         self._rows.setdefault(atom.predicate, []).append(row)
-        for i, term in enumerate(atom.args):
-            self._buckets.setdefault((atom.predicate, i, term), []).append(row)
+        tables = self._tables.get(atom.predicate)
+        if tables:
+            for key, table in tables.values():
+                table.setdefault(key(atom.args), []).append(row)
+
+    def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
+        if not positions:
+            return {(): self._rows.setdefault(predicate, [])}
+        tables = self._tables.setdefault(predicate, {})
+        if positions not in tables:
+            key = _key_of(positions)
+            table: dict = {}
+            for row in self._rows.get(predicate, ()):
+                table.setdefault(key(row[1]), []).append(row)
+            tables[positions] = (key, table)
+        return tables[positions][1]
 
     def id_of(self, atom: Atom) -> Optional[int]:
         return self._ids.get(atom)
@@ -92,25 +122,6 @@ class AtomIndex:
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self._atoms)
-
-    def candidates(
-        self, predicate: str, args: tuple[Term, ...], subst: Substitution
-    ) -> list[tuple[int, tuple[Term, ...]]]:
-        """Rows possibly matching the pattern, via its most selective bound arg."""
-        rows = self._rows.get(predicate)
-        if not rows:
-            return []
-        best = rows
-        for i, arg in enumerate(args):
-            term = subst.get(arg.name) if isinstance(arg, Var) else arg
-            if term is None:
-                continue
-            bucket = self._buckets.get((predicate, i, term))
-            if bucket is None:
-                return []
-            if len(bucket) < len(best):
-                best = bucket
-        return best
 
 
 class GroundProgram:
@@ -140,25 +151,25 @@ class GroundProgram:
         )
 
 
+def _rule_terms(rule: Rule) -> Iterator[Term]:
+    if rule.head is not None:
+        yield from rule.head.args
+    for elem in rule.body:
+        if isinstance(elem, Literal):
+            yield from elem.atom.args
+        else:
+            yield from elem.lhs
+            yield from elem.rhs
+
+
 def herbrand_universe(program: Program) -> set[Term]:
     """All constants syntactically present in the program."""
-    constants: set[Term] = set()
-
-    def scan_terms(terms: Iterable[Term]) -> None:
-        for term in terms:
-            if not isinstance(term, Var):
-                constants.add(term)
-
-    for rule in program.rules:
-        if rule.head is not None:
-            scan_terms(rule.head.args)
-        for elem in rule.body:
-            if isinstance(elem, Literal):
-                scan_terms(elem.atom.args)
-            else:
-                scan_terms(elem.lhs)
-                scan_terms(elem.rhs)
-    return constants
+    return {
+        term
+        for rule in program.rules
+        for term in _rule_terms(rule)
+        if not isinstance(term, Var)
+    }
 
 
 def substitute_atom(atom: Atom, subst: Substitution) -> Atom:
@@ -168,47 +179,6 @@ def substitute_atom(atom: Atom, subst: Substitution) -> Atom:
         atom.predicate,
         tuple(subst[t.name] if isinstance(t, Var) else t for t in atom.args),
     )
-
-
-def _unify(
-    args: tuple[Term, ...], row: tuple[Term, ...], subst: Substitution
-) -> Optional[Substitution]:
-    out = subst
-    for pat, val in zip(args, row):
-        if isinstance(pat, Var):
-            bound = out.get(pat.name)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[pat.name] = val
-            elif bound != val:
-                return None
-        elif pat != val:
-            return None
-    return out
-
-
-def _eval_side(
-    terms: tuple[Term, ...], subst: Substitution, rule: Rule
-) -> Optional[Term]:
-    """Ground value of a term sum, or None while a variable is unbound."""
-    values: list[Term] = []
-    for term in terms:
-        if isinstance(term, Var):
-            bound = subst.get(term.name)
-            if bound is None:
-                return None
-            values.append(bound)
-        else:
-            values.append(term)
-    if len(values) == 1:
-        return values[0]
-    for value in values:
-        if not isinstance(value, int):
-            raise GroundingError(
-                f"arithmetic on non-integer constant '{value}' in rule '{rule}.'"
-            )
-    return sum(values)
 
 
 def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
@@ -230,39 +200,56 @@ def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
     return left >= right
 
 
-def _apply_comparison(
-    cmp: Comparison, subst: Substitution, rule: Rule
-) -> Optional[Substitution]:
-    """Evaluate a comparison; a binding `=` extends the substitution instead."""
-    left = _eval_side(cmp.lhs, subst, rule)
-    right = _eval_side(cmp.rhs, subst, rule)
-    if left is not None and right is not None:
-        return subst if _compare(cmp.op, left, right, rule) else None
-    if cmp.op == "=":
-        if left is None and len(cmp.lhs) == 1 and right is not None:
-            out = dict(subst)
-            out[cmp.lhs[0].name] = right
-            return out
-        if right is None and len(cmp.rhs) == 1 and left is not None:
-            out = dict(subst)
-            out[cmp.rhs[0].name] = left
-            return out
-    raise GroundingError(f"comparison '{cmp}' not evaluable in rule '{rule}.'")
+def _sum_of(slots: Sequence[int], rule: Rule) -> Callable:
+    """The value of a term sum read from the slots at `slots`."""
+    if len(slots) == 1:
+        return itemgetter(slots[0])
+
+    def total(values: list) -> int:
+        terms = [values[s] for s in slots]
+        for term in terms:
+            if not isinstance(term, int):
+                raise GroundingError(
+                    f"arithmetic on non-integer constant '{term}' in rule '{rule}.'"
+                )
+        return sum(terms)
+
+    return total
+
+
+def _test(op: str, left: Callable, right: Callable, rule: Rule) -> Callable:
+    return lambda slots: _compare(op, left(slots), right(slots), rule)
+
+
+# Stage operations: (kind, a, b).
+_TEST = 0  # a(slots) is the comparison's truth
+_BIND = 1  # slots[a] = b(slots), a binding `=`
+_NEG = 2  # a negative literal: probe table a at key b(slots)
 
 
 class BodyPlan:
-    """Precomputed join order for one rule body.
+    """One rule body compiled to a join over slot lists.
 
     Positive literals are matched in written order.  A plan seeded at body
-    element `seed` joins outward from a start substitution that binds the
-    seed's variables: a positive seed is matched first, then each next
+    element `seed` joins outward from a start that binds the seed's
+    variables (`start`): a positive seed is matched first, then each next
     positive literal is the first left in written order that shares a bound
     variable, or failing that the first left.  `written[k]` is the plan
     position of the k-th positive literal in written order.
+
+    `positives` and `stages` are the evaluation order of `binding_stages`.
+    Compiling it, each constant and variable gets a slot, the variables in
+    the order the plan binds them.  Each positive literal becomes a step:
+    the table keyed by its positions bound on arrival, the slots that make
+    the key, the free positions it binds (a run of consecutive slots) and
+    the checks of variables repeated within it.  Each stage element becomes
+    an operation: a comparison a test, a binding `=` an assignment, and a
+    negative literal a probe of its predicate's all-positions table.
     """
 
     def __init__(self, rule: Rule, seed: Optional[int] = None):
         self.rule = rule
+        self.seed = seed
         at = [
             i for i, e in enumerate(rule.body) if isinstance(e, Literal) and e.positive
         ]
@@ -290,90 +277,211 @@ class BodyPlan:
                 f"unsafe variable {sorted(unsafe)[0]} in rule '{rule}.'"
             )
 
+        slot: dict[Term, int] = {}
+        for term in _rule_terms(rule):
+            if not isinstance(term, Var):
+                slot.setdefault(term, len(slot))
+        initial: list = list(slot)
+        accesses: dict[tuple[str, tuple[int, ...]], int] = {}
+
+        def access(predicate: str, positions: tuple[int, ...]) -> int:
+            return accesses.setdefault((predicate, positions), len(accesses))
+
+        def bind(var: Var) -> int:
+            slot[var] = len(initial)
+            initial.append(None)
+            return slot[var]
+
+        def match(args: tuple[Term, ...]):
+            """Positions known before `args` is matched, the (position,
+            slot) pairs it binds and those of variables it repeats."""
+            known = tuple(pos for pos, t in enumerate(args) if t in slot)
+            binds, repeats = [], []
+            for pos, term in enumerate(args):
+                if pos in known:
+                    continue
+                if term in slot:
+                    repeats.append((pos, slot[term]))
+                else:
+                    binds.append((pos, bind(term)))
+            return known, binds, repeats
+
+        def stage(elems: list[BodyElement]) -> tuple:
+            ops = []
+            for elem in elems:
+                if isinstance(elem, Literal):
+                    args = elem.atom.args
+                    table = access(elem.atom.predicate, tuple(range(len(args))))
+                    ops.append((_NEG, table, _key_of([slot[t] for t in args])))
+                    continue
+                lhs, rhs = elem.lhs, elem.rhs
+                if elem.op == "=" and not all(t in slot for t in lhs + rhs):
+                    # An assignment: one side is a lone unbound variable.
+                    var, terms = (lhs[0], rhs) if lhs[0] not in slot else (rhs[0], lhs)
+                    value = _sum_of([slot[t] for t in terms], rule)
+                    ops.append((_BIND, bind(var), value))
+                    continue
+                left = _sum_of([slot[t] for t in lhs], rule)
+                right = _sum_of([slot[t] for t in rhs], rule)
+                ops.append((_TEST, _test(elem.op, left, right, rule), None))
+            return tuple(ops)
+
+        if seed is not None:
+            args = rule.body[seed].atom.args
+            known, self._seed_binds, repeats = match(args)
+            self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
+        self._stage0 = stage(self.stages[0])
+        self._steps = []
+        for lit, elems in zip(self.positives, self.stages[1:]):
+            args = lit.atom.args
+            known, binds, repeats = match(args)
+            free = [pos for pos, _ in binds]
+            lo = binds[0][1] if binds else 0
+            self._steps.append((
+                access(lit.atom.predicate, known),
+                _key_of([slot[args[pos]] for pos in known]),
+                len(free),
+                lo,
+                lo + len(free),
+                free[0] if free else 0,
+                itemgetter(*free) if len(free) > 1 else None,
+                tuple(repeats),
+                stage(elems),
+            ))
+        self._accesses = list(accesses)
+        self._initial = initial
+        self._names = [(t.name, s) for t, s in slot.items() if isinstance(t, Var)]
+        if rule.head is not None:
+            self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
+        # The tables of the index last joined over, which `add` keeps current.
+        self._index: Optional[AtomIndex] = None
+        self._tables: list[dict] = []
+
+    def start(self, args: tuple[Term, ...]) -> Optional[list]:
+        """Slots binding the seed literal's variables to the arguments of a
+        ground atom, or None when the atom does not match the seed."""
+        slots = self._initial[:]
+        for pos, s in self._seed_binds:
+            slots[s] = args[pos]
+        for pos, s in self._seed_checks:
+            if args[pos] != slots[s]:
+                return None
+        return slots
+
+    def substitution(self, slots: list) -> Substitution:
+        return {name: slots[s] for name, s in self._names}
+
+    def head(self, slots: list) -> Atom:
+        predicate, head = self._head
+        return Atom(predicate, tuple([slots[s] for s in head]))
+
+
+def _run(ops: tuple, slots: list, tables: list, values, budget: int, lits: list) -> int:
+    """Run a stage's operations; the budget left, or -1 when one fails."""
+    for kind, a, b in ops:
+        if kind == _TEST:
+            if not a(slots):
+                return -1
+        elif kind == _BIND:
+            slots[a] = b(slots)
+        else:
+            rows = tables[a].get(b(slots))
+            if rows:  # an atom outside the index is false: the literal holds
+                var = rows[0][0]
+                val = values[var]
+                if val == 1:
+                    return -1
+                if val == 0:
+                    if budget == 0:
+                        return -1
+                    budget -= 1
+                lits.append(-var)
+    return budget
+
 
 def iter_matches(
     plan: BodyPlan,
     index: AtomIndex,
     values: Sequence[int],
     budget: int,
-    start: Optional[Substitution] = None,
-) -> Iterator[tuple[Substitution, list[int]]]:
-    """Matches of the body over the atoms of the index, extending `start`.
+    start: Optional[list] = None,
+) -> Iterator[tuple[list, list[int]]]:
+    """Matches of the body over the atoms of the index, from the slots
+    `start` made by `plan.start` or else from none bound.
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
     `budget` undefined ones.  An atom outside the index is false, so a
-    positive literal on one fails and a negative one holds.  Comparisons
-    prune (or bind) as soon as evaluable.  Each match comes with its
-    complete substitution and the body literals on index atoms as signed
-    variables.  The module docstring lists the truth and budget each
-    caller joins under.
+    positive literal on one fails and a negative one holds.  Each match
+    comes as its slots (`plan.substitution` names them) and the body
+    literals on index atoms as signed variables, both lists the caller
+    owns.  The module docstring lists the truth and budget each caller
+    joins under.
     """
-    rule = plan.rule
-    id_of = index.id_of
-
-    def stage(
-        elems: list[BodyElement], subst: Substitution, budget: int, lits: list[int]
-    ) -> Optional[tuple[Substitution, int]]:
-        for elem in elems:
-            if isinstance(elem, Comparison):
-                subst = _apply_comparison(elem, subst, rule)
-                if subst is None:
-                    return None
-                continue
-            idx = id_of(substitute_atom(elem.atom, subst))  # negative, bound
-            if idx is None:
-                continue
-            val = values[idx + 1]
-            if val == 1:
-                return None
-            if val == 0:
-                if budget == 0:
-                    return None
-                budget -= 1
-            lits.append(-(idx + 1))
-        return subst, budget
-
-    def rec(
-        i: int, subst: Substitution, budget: int, lits: list[int]
-    ) -> Iterator[tuple[Substitution, list[int]]]:
-        if i == len(plan.positives):
-            yield subst, lits
+    if plan._index is not index:
+        plan._tables = [index.table(p, positions) for p, positions in plan._accesses]
+        plan._index = index
+    tables = plan._tables
+    slots = plan._initial[:] if start is None else start
+    lits: list[int] = []
+    if plan._stage0:
+        budget = _run(plan._stage0, slots, tables, values, budget, lits)
+        if budget < 0:
             return
-        pattern = plan.positives[i].atom
-        elems = plan.stages[i + 1]
-        for var, row in index.candidates(pattern.predicate, pattern.args, subst):
+    steps = plan._steps
+    last = len(steps) - 1
+    if last < 0:
+        yield slots, lits
+        return
+    # Depth-first over the steps: at step i, rows[i] iterates the probed
+    # table bucket, with budgets[i] left and lits[:marks[i]] matched before.
+    rows: list = [()] * len(steps)
+    budgets = [budget] * len(steps)
+    marks = [len(lits)] * len(steps)
+    rows[0] = iter(tables[steps[0][0]].get(steps[0][1](slots), ()))
+    i = 0
+    while i >= 0:
+        _, _, nbind, lo, hi, first, free, repeats, ops = steps[i]
+        have, mark = budgets[i], marks[i]
+        for var, args in rows[i]:
             val = values[var]
             if val == -1:
                 continue
-            nb = budget
+            left = have
             if val == 0:
-                if nb == 0:
+                if left == 0:
                     continue
-                nb -= 1
-            nxt = _unify(pattern.args, row, subst)
-            if nxt is None:
+                left -= 1
+            if nbind == 1:
+                slots[lo] = args[first]
+            elif nbind:
+                slots[lo:hi] = free(args)
+            if repeats and any(args[pos] != slots[s] for pos, s in repeats):
                 continue
-            nlits = lits + [var]
-            if elems:
-                staged = stage(elems, nxt, nb, nlits)
-                if staged is None:
+            del lits[mark:]
+            lits.append(var)
+            if ops:
+                left = _run(ops, slots, tables, values, left, lits)
+                if left < 0:
                     continue
-                nxt, nb = staged
-            yield from rec(i + 1, nxt, nb, nlits)
+            if i == last:
+                yield slots[:], lits[:]
+                continue
+            i += 1
+            rows[i] = iter(tables[steps[i][0]].get(steps[i][1](slots), ()))
+            budgets[i] = left
+            marks[i] = len(lits)
+            break
+        else:
+            i -= 1
 
-    lits: list[int] = []
-    staged = stage(plan.stages[0], dict(start or {}), budget, lits)
-    if staged is not None:
-        yield from rec(0, staged[0], staged[1], lits)
 
-
-def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[Substitution]:
-    """Substitutions matching the positive body over the index's atoms; as
-    every atom is undefined and every body literal may be, truth and
-    negative literals prune nothing."""
-    for subst, _ in iter_matches(plan, index, index.undefined, len(plan.rule.body)):
-        yield subst
+def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[list]:
+    """Slots matching the positive body over the index's atoms; as every
+    atom is undefined and every body literal may be, truth and negative
+    literals prune nothing."""
+    for slots, _ in iter_matches(plan, index, index.undefined, len(plan.rule.body)):
+        yield slots
 
 
 def _instantiate(
@@ -409,8 +517,10 @@ def ground_rule(rule: Rule, index: AtomIndex) -> list[GroundRule]:
     Positive body literals match the index, comparisons are evaluated away,
     and negative literals are kept verbatim.
     """
+    plan = BodyPlan(rule)
     out: dict[GroundRule, None] = {}
-    for subst in _derivable_matches(BodyPlan(rule), index):
+    for slots in _derivable_matches(plan, index):
+        subst = plan.substitution(slots)
         inst = _instantiate(rule, subst, keep_negative=lambda atom: True)
         if inst is not None:
             out[inst] = None
@@ -424,28 +534,40 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     only match atoms derivable by some rule, so the result is usually far
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
+    Each rule other than a fact is compiled once, for the fixpoint and the
+    instantiation; a fact is added and emitted without a join.
     """
     kept = [
         rule
         for i, rule in enumerate(program.rules)
         if include_deferred or i not in program.deferred
     ]
-    head_plans = [BodyPlan(r) for r in kept if r.head is not None]
+    plans = [None if rule.is_fact else BodyPlan(rule) for rule in kept]
     index = AtomIndex()
     changed = True
     while changed:
         changed = False
-        for plan in head_plans:
-            for subst in _derivable_matches(plan, index):
-                head = substitute_atom(plan.rule.head, subst)
+        for rule, plan in zip(kept, plans):
+            if rule.head is None:
+                continue
+            if plan is None:
+                heads: Iterable[Atom] = (rule.head,)
+            else:
+                heads = (plan.head(slots) for slots in _derivable_matches(plan, index))
+            for head in heads:
                 if head not in index:
                     index.add(head)
                     changed = True
 
     instances: dict[GroundRule, None] = {}
-    for rule in kept:
-        for subst in _derivable_matches(BodyPlan(rule), index):
-            inst = _instantiate(rule, subst, keep_negative=lambda atom: atom in index)
+    for rule, plan in zip(kept, plans):
+        if plan is None:
+            instances[GroundRule(rule.head, ())] = None
+            continue
+        for slots in _derivable_matches(plan, index):
+            inst = _instantiate(
+                rule, plan.substitution(slots), keep_negative=lambda atom: atom in index
+            )
             if inst is not None:
                 instances[inst] = None
 
@@ -538,7 +660,7 @@ def ground_deferred_violations(
     signed variables).
     """
     return [
-        (ci, subst, lits)
+        (ci, plan.substitution(slots), lits)
         for ci, plan in enumerate(plans)
-        for subst, lits in iter_matches(plan, index, values, 0)
+        for slots, lits in iter_matches(plan, index, values, 0)
     ]

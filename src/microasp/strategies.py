@@ -18,7 +18,6 @@ from .grounder import (
     GroundProgram,
     Substitution,
     _instantiate,
-    _unify,
     ground_deferred_violations,
     ground_program,
     iter_matches,
@@ -51,10 +50,13 @@ def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[i
     return _canonical(lits)
 
 
+#: A join's match before it is named: the plan and the slots it matched.
+Slots = tuple[BodyPlan, list]
+
 #: Matches of a seeded join by key: (constraint position, the variables of
-#: its positive literals in written order) -> (substitution, constraint
-#: position, signed variables).
-Matches = dict[tuple[int, tuple[int, ...]], tuple[Substitution, int, list[int]]]
+#: its positive literals in written order) -> (slots, constraint position,
+#: signed variables).
+Matches = dict[tuple[int, tuple[int, ...]], tuple[Slots, int, list[int]]]
 
 
 def _canonical(lits: Iterable[int]) -> tuple[int, ...]:
@@ -91,13 +93,13 @@ class ConstraintIndex:
         self.constraints = list(constraints)
         self.gp = gp
         self.plans = [BodyPlan(c) for c in self.constraints]
-        self._triggers: dict[tuple[str, bool], list[tuple[int, int, BodyPlan]]] = {}
+        self._triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
         for ci, constraint in enumerate(self.constraints if seeded else ()):
             for ei, elem in enumerate(constraint.body):
                 if isinstance(elem, Literal):
                     key = (elem.atom.predicate, elem.positive)
                     self._triggers.setdefault(key, []).append(
-                        (ci, ei, BodyPlan(constraint, ei))
+                        (ci, BodyPlan(constraint, ei))
                     )
 
     def _seeded(
@@ -106,14 +108,15 @@ class ConstraintIndex:
         """For each body literal that the true literal `lit` matches, in
         trigger order, the matches of the join seeded there, by key."""
         atom = self.gp.atoms.atom(abs(lit) - 1)
-        for ci, ei, plan in self._triggers.get((atom.predicate, lit > 0), ()):
-            start = _unify(self.constraints[ci].body[ei].atom.args, atom.args, {})
+        for ci, plan in self._triggers.get((atom.predicate, lit > 0), ()):
+            start = plan.start(atom.args)
             if start is None:
                 continue
             found: Matches = {}
-            for subst, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
+            for slots, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
                 pos = [l for l in lits if l > 0]
-                found[ci, tuple(pos[k] for k in plan.written)] = (subst, ci, lits)
+                key = (ci, tuple(pos[k] for k in plan.written))
+                found[key] = ((plan, slots), ci, lits)
             yield found
 
     def eager_nogoods(
@@ -125,10 +128,10 @@ class ConstraintIndex:
         of the body joins over true atoms with at most one undefined literal
         left (the one the emitted nogood will infer).
         """
-        matches: list[tuple[Substitution, int, list[int]]] = []
+        matches: list[tuple[Slots, int, list[int]]] = []
         for found in self._seeded(lit, solver._assign, 1):
             matches += (found[key] for key in sorted(found))
-        return _new_nogoods(solver, matches)
+        return _named(_new_nogoods(solver, matches))
 
     def post_nogoods(
         self, solver: Solver
@@ -145,9 +148,9 @@ class ConstraintIndex:
         mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
         if mark == 0:
             matches = [
-                (subst, ci, lits)
+                ((plan, slots), ci, lits)
                 for ci, plan in enumerate(self.plans)
-                for subst, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
+                for slots, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
             ]
         else:
             found: Matches = {}
@@ -155,22 +158,31 @@ class ConstraintIndex:
                 for more in self._seeded(lit, solver._assign, 0):
                     found.update(more)
             matches = [found[key] for key in sorted(found)]
-        return _new_nogoods(solver, matches)
+        return _named(_new_nogoods(solver, matches))
 
 
-def _new_nogoods(
-    solver: Solver, matches: Iterable[tuple[Substitution, int, list[int]]]
-) -> list[tuple[Substitution, int, tuple[int, ...]]]:
-    """The matches whose nogood is neither in the store nor a repeat."""
-    out: list[tuple[Substitution, int, tuple[int, ...]]] = []
+def _new_nogoods(solver: Solver, matches: Iterable[tuple]) -> list[tuple]:
+    """The (match, constraint position, nogood) of each match whose nogood is
+    neither in the store nor a repeat."""
+    out: list[tuple] = []
     emitted: set[tuple[int, ...]] = set()
-    for subst, ci, lits in matches:
+    for match, ci, lits in matches:
         nogood = _canonical(lits)
         if nogood in emitted or solver.has_nogood(nogood):
             continue
         emitted.add(nogood)
-        out.append((subst, ci, nogood))
+        out.append((match, ci, nogood))
     return out
+
+
+def _named(
+    emitted: list[tuple[Slots, int, tuple[int, ...]]]
+) -> list[tuple[Substitution, int, tuple[int, ...]]]:
+    """Emitted matches with their slots named as substitutions."""
+    return [
+        (plan.substitution(slots), ci, nogood)
+        for (plan, slots), ci, nogood in emitted
+    ]
 
 
 def solve(

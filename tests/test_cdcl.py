@@ -201,6 +201,36 @@ def test_vsids_heap_stays_bounded(monkeypatch):
     assert peak[0] <= 3 * solver._nvars
 
 
+def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
+    """Once an activity passes 1e100 every activity is scaled by 1e-100, which
+    makes every heap entry's snapshot stale.  The increment starts near the
+    threshold, so the rescale comes within a few conflicts rather than after
+    about 4.5k; from then on, at every decision, each undefined variable
+    must still have an entry at its current activity."""
+    gp = ground_program(benchgen.gen_3sat(180, 4.26, 0), include_deferred=True)
+    solver = Solver(gp, seed=1, budget=Budget(max_conflicts=200))
+    solver._var_inc = 1e99
+    choose = solver.choose_literal
+    missing = []
+
+    def checked_choose():
+        valid = {v for _, _, v, snap in solver._heap if snap == solver._activity[v]}
+        missing.append(
+            sum(
+                1
+                for v in range(1, solver._nvars + 1)
+                if solver._assign[v] == 0 and v not in valid
+            )
+        )
+        return choose()
+
+    solver.choose_literal = checked_choose
+    solver.solve()
+    assert solver._var_inc < 1e99  # rescaled
+    assert len(missing) > 100
+    assert max(missing) == 0
+
+
 class TestRestartsAndDeletion:
     def test_luby_prefix(self):
         assert [luby(i) for i in range(1, 16)] == [

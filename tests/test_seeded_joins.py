@@ -13,10 +13,10 @@ from microasp import benchgen
 from microasp.cdcl import Solver
 from microasp.grounder import (
     BodyPlan,
-    _unify,
     ground_deferred_violations,
     ground_program,
     iter_matches,
+    substitute_atom,
 )
 from microasp.model import Atom, Literal
 from microasp.parser import ParseError, parse_program
@@ -34,16 +34,32 @@ def fuzz_programs(n):
             yield program
 
 
-def trigger_starts(index, lit):
-    """(constraint position, start substitution) of each trigger of `lit`
-    whose body literal unifies with its atom, in trigger order."""
-    atom = index.gp.atoms.atom(abs(lit) - 1)
+def written_from(index, ci, seed, atom, values, budget):
+    """The written-order join from a seed: the matches of the full join that
+    put `atom` at body element `seed`, as (substitution, signed variables)."""
+    plan = index.plans[ci]
+    pattern = index.constraints[ci].body[seed].atom
     out = []
-    for ci, ei, _ in index._triggers.get((atom.predicate, lit > 0), ()):
-        start = _unify(index.constraints[ci].body[ei].atom.args, atom.args, {})
-        if start is not None:
-            out.append((ci, start))
+    for slots, lits in iter_matches(plan, index.gp.atoms, values, budget):
+        subst = plan.substitution(slots)
+        if substitute_atom(pattern, subst) == atom:
+            out.append((subst, lits))
     return out
+
+
+def trigger_joins(index, lit, values, budget):
+    """For each trigger of `lit`, in trigger order: its constraint position,
+    whether its seeded plan's start binds the atom of `lit`, and the
+    written-order join from that seed."""
+    atom = index.gp.atoms.atom(abs(lit) - 1)
+    return [
+        (
+            ci,
+            plan.start(atom.args) is not None,
+            written_from(index, ci, plan.seed, atom, values, budget),
+        )
+        for ci, plan in index._triggers.get((atom.predicate, lit > 0), ())
+    ]
 
 
 class TestSeededPlan:
@@ -74,6 +90,13 @@ class TestSeededPlan:
         assert [str(lit) for lit in plan.positives] == ["p(X)", "q(Y)"]
         assert plan.written == (0, 1)
 
+    def test_start_checks_constants_and_repeated_variables(self):
+        rule = parse_program(":- p(X,1,X,Y), q(Y).").rules[0]
+        plan = BodyPlan(rule, seed=0)
+        assert plan.substitution(plan.start((2, 1, 2, 3))) == {"X": 2, "Y": 3}
+        assert plan.start((2, 0, 2, 3)) is None
+        assert plan.start((2, 1, 3, 3)) is None
+
 
 def assert_seeded_matches_written(index, values, budget):
     """With each literal made true in turn, every trigger's seeded matches,
@@ -84,20 +107,23 @@ def assert_seeded_matches_written(index, values, budget):
         for lit in (var, -var):
             vals = list(values)
             vals[var] = 1 if lit > 0 else -1
-            starts = trigger_starts(index, lit)
-            seeded = list(index._seeded(lit, vals, budget))
-            assert len(seeded) == len(starts)
-            for (ci, start), found in zip(starts, seeded):
-                want = [
-                    (subst, _canonical(lits))
-                    for subst, lits in iter_matches(
-                        index.plans[ci], index.gp.atoms, vals, budget, start
-                    )
+            joins = trigger_joins(index, lit, vals, budget)
+            seeded = iter(index._seeded(lit, vals, budget))
+            for ci, started, want in joins:
+                if not started:
+                    assert want == []
+                    continue
+                found = next(seeded)
+                got = [
+                    (plan.substitution(slots), lits)
+                    for (plan, slots), _, lits in (found[k] for k in sorted(found))
                 ]
-                got = [(found[k][0], _canonical(found[k][2])) for k in sorted(found)]
-                assert got == want
+                assert [(s, _canonical(l)) for s, l in got] == [
+                    (s, _canonical(l)) for s, l in want
+                ]
                 assert all(k[0] == ci for k in found)
                 checked += len(want)
+            assert next(seeded, None) is None
     return checked
 
 
@@ -180,11 +206,15 @@ def x_values(found):
     return [subst["X"] for subst, _, _ in found]
 
 
+def found_x_values(found):
+    return [plan.substitution(slots)["X"] for (plan, slots), _, _ in found]
+
+
 class TestEagerOrder:
     def test_matches_come_in_written_join_order(self):
         index, solver, s5 = reordered_at_s()
         (found,) = list(index._seeded(s5, solver._assign, 1))
-        assert x_values(found.values()) == [2, 1]
+        assert found_x_values(found.values()) == [2, 1]
         assert x_values(index.eager_nogoods(solver, s5)) == [1, 2]
 
     @pytest.mark.parametrize("name", ["3sat-v20", "marriage-n5", "packing-3x3"])
@@ -199,10 +229,8 @@ class TestEagerOrder:
                 solver,
                 [
                     (subst, ci, lits)
-                    for ci, start in trigger_starts(index, lit)
-                    for subst, lits in iter_matches(
-                        index.plans[ci], index.gp.atoms, solver._assign, 1, start
-                    )
+                    for ci, _, matches in trigger_joins(index, lit, solver._assign, 1)
+                    for subst, lits in matches
                 ],
             )
             got = original(index, solver, lit)
