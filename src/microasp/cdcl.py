@@ -5,7 +5,9 @@ asserts it false.  A nogood is falsified when all its literals are true;
 unit propagation infers the complement of the last non-true literal of an
 otherwise-true nogood.  Support is enforced through completion nogoods for
 atoms with few defining rules and through a support propagator above that;
-non-tight programs get an unfounded-set check on total candidates.
+non-tight programs get an unfounded-set check on total candidates.  The
+ground program's rules are already in these literals, (head variable or 0,
+body), and are installed as given.
 """
 from __future__ import annotations
 
@@ -184,9 +186,8 @@ class Solver:
         self._conf_since_restart = 0
         self._n_reductions = 0
         self._start_time = time.monotonic()
-        self.last_learned: Optional[tuple[int, ...]] = None
 
-        self._fact_vars = {gp.atoms.id_of(a) + 1 for a in gp.facts}
+        self._fact_vars = set(gp.facts)
         self._defs: dict[int, list[tuple[int, ...]]] = {}
         self._sup_heads: list[int] = []
         self._sup_watch: dict[int, list[int]] = {}
@@ -201,25 +202,15 @@ class Solver:
             return None
         return idx + 1 if positive else -(idx + 1)
 
-    def atom_of(self, var: int) -> Atom:
-        return self.gp.atoms.atom(var - 1)
-
     def _build_static(self, support_mode: str) -> None:
-        for atom in self.gp.facts:
-            self._install((-(self.gp.atoms.id_of(atom) + 1),))
-        for rule in self.gp.rules:
-            body = []
-            for lit in rule.body:
-                var = self.gp.atoms.id_of(lit.atom)
-                if var is None:
-                    raise ValueError(f"atom {lit.atom} missing from the table")
-                body.append(var + 1 if lit.positive else -(var + 1))
-            if rule.head is None:
-                self._install(tuple(body))
+        for var in self.gp.facts:
+            self._install((-var,))
+        for head, body in self.gp.rules:
+            if head:
+                self._install((-head, *body))
+                self._defs.setdefault(head, []).append(body)
             else:
-                head_var = self.gp.atoms.id_of(rule.head) + 1
-                self._install((-head_var, *body))
-                self._defs.setdefault(head_var, []).append(tuple(body))
+                self._install(body)
 
         for var in range(1, self._nvars + 1):
             if var in self._fact_vars:
@@ -287,12 +278,6 @@ class Solver:
         if v == 0:
             return 0
         return v if lit > 0 else -v
-
-    def reason_of(self, lit: int) -> Optional[StoredNogood]:
-        return self._reason[abs(lit)]
-
-    def trail_literals(self) -> list[int]:
-        return list(self._trail)
 
     def _assign_lit(self, lit: int, reason: Optional[StoredNogood]) -> None:
         var = abs(lit)
@@ -580,31 +565,18 @@ class Solver:
 
     # -------------------------------------------------------------- conflicts
 
-    def analyze_conflict(
-        self, conflict: StoredNogood
-    ) -> Optional[tuple[tuple[int, ...], int]]:
-        """First-UIP learned nogood and backjump level; None means UNSAT.
-
-        Read-only: the caller backjumps and installs the result.
-        """
-        if not conflict.lits:
-            return None
-        level = max(self._level_arr[abs(l)] for l in conflict.lits)
-        if level == 0:
-            return None
-        return self._analyze(conflict, level, bump=False)
-
     def _analyze(
-        self, conflict: StoredNogood, level: int, bump: bool = True
+        self, conflict: StoredNogood, level: int
     ) -> tuple[tuple[int, ...], int]:
+        """First-UIP learned nogood and backjump level, bumping the
+        activity of the variables and learned nogoods it resolves on."""
         seen: set[int] = set()
         tail: list[int] = []
         counter = 0
         reason_lits: Sequence[int] = conflict.lits
         skip = 0
         idx = len(self._trail) - 1
-        if bump:
-            self._bump_cla(conflict)
+        self._bump_cla(conflict)
         while True:
             for l in reason_lits:
                 if l == skip:
@@ -616,8 +588,7 @@ class Solver:
                 if lvl == 0:
                     continue
                 seen.add(var)
-                if bump:
-                    self._bump_var(var)
+                self._bump_var(var)
                 if lvl == level:
                     counter += 1
                 else:
@@ -630,8 +601,7 @@ class Solver:
             if counter <= 0:
                 break
             reason = self._reason[abs(uip)]
-            if bump:
-                self._bump_cla(reason)
+            self._bump_cla(reason)
             reason_lits = reason.lits
             skip = -uip
         learned = (uip, *tail)
@@ -655,7 +625,6 @@ class Solver:
             if maxlvl < self.level:
                 self._backjump(maxlvl)
             learned, bj = self._analyze(conflict, maxlvl)
-            self.last_learned = learned
             self._backjump(bj)
             self._var_inc /= VSIDS_DECAY
             self._cla_inc /= 0.999

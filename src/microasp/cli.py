@@ -13,7 +13,6 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -164,8 +163,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(task: tuple) -> dict[str, tuple[str, int, float]]:
-    vars_, ratio, seed, strategies, conflicts = task
+def _sweep_cell(
+    vars_: int,
+    ratio: float,
+    seed: int,
+    strategies: Sequence[str],
+    conflicts: Optional[int],
+) -> dict[str, tuple[str, int, float]]:
     program = parse_program(
         benchgen.sat_program_text(benchgen.make_3sat(vars_, ratio, seed))
     )
@@ -192,7 +196,6 @@ def sweep_3sat(
     seeds: int,
     strategies: Sequence[str],
     conflicts: Optional[int] = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """Solve `seeds` random instances per ratio with every strategy.
 
@@ -200,16 +203,11 @@ def sweep_3sat(
     timeout counts per strategy, plus the UNSAT frequency over the decided
     runs of the first strategy.
     """
-    tasks = [
-        (vars_, ratio, seed, tuple(strategies), conflicts)
+    cells = [
+        _sweep_cell(vars_, ratio, seed, strategies, conflicts)
         for ratio in r_values
         for seed in range(seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
-    else:
-        cells = [_sweep_cell(task) for task in tasks]
     rows = []
     for i, ratio in enumerate(r_values):
         chunk = cells[i * seeds : (i + 1) * seeds]
@@ -246,7 +244,7 @@ def cmd_sweep_3sat(args: argparse.Namespace) -> int:
         ratio += args.r_step
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     rows = sweep_3sat(
-        args.vars, r_values, args.seeds, strategies, args.conflicts, args.jobs
+        args.vars, r_values, args.seeds, strategies, args.conflicts
     )
     header = list(rows[0]) if rows else []
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -397,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=50)
     p_sweep.add_argument("--strategies", default="lazy,eager")
     p_sweep.add_argument("--conflicts", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out")
 
     p_bench = sub.add_parser("bench", help="portfolio dataset from a directory")

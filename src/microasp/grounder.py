@@ -8,8 +8,14 @@ its predicate keyed by the positions bound when it is reached, and binds its
 free positions; comparisons and negative literals run as soon as their
 variables are bound, a negative literal as a probe of its all-positions
 table.  Facts skip the join: a fact's head enters the index at its turn in
-the first round of the fixpoint and is its own instance.  Facts are then
-simplified out of bodies and rules with a definitely false body are dropped.
+the first round of the fixpoint and is its own instance.
+
+A ground program is solver literals: each instance is (head variable or 0,
+body literals in written order), a literal being a signed atom variable,
+read off the match's slots by probing each atom's all-positions table
+(`BodyPlan.instance`).  Facts are then simplified out of bodies and rules
+with a definitely false body are dropped.  `AtomIndex.render` turns an
+instance back into atoms for text.
 
 `iter_matches` reads each atom's truth from a list indexed by solver
 variable and lets at most `budget` body literals be undefined:
@@ -45,10 +51,11 @@ from .model import (
     binding_stages,
 )
 
-Substitution = dict  # variable name -> ground term (an int or a str)
-
 #: A row of an atom table: (solver variable, arguments).
 Row = tuple[int, tuple]
+
+#: A ground rule as solver literals: (head variable or 0, body literals).
+Instance = tuple[int, tuple[int, ...]]
 
 
 class GroundingError(Exception):
@@ -114,6 +121,14 @@ class AtomIndex:
     def atom(self, idx: int) -> Atom:
         return self._atoms[idx]
 
+    def render(self, rule: Instance) -> GroundRule:
+        """An instance over this index as atoms and literals."""
+        head, body = rule
+        return GroundRule(
+            self._atoms[head - 1] if head else None,
+            tuple(Literal(self._atoms[abs(l) - 1], l > 0) for l in body),
+        )
+
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._ids
 
@@ -125,23 +140,24 @@ class AtomIndex:
 
 
 class GroundProgram:
-    """Ground rules and constraints over a dense atom index."""
+    """Ground rules and constraints over a dense atom index, as solver
+    literals: `facts` holds the variables of the fact atoms and `rules` the
+    instances (head variable or 0, body literals in written order)."""
 
     def __init__(
         self,
         atoms: AtomIndex,
-        facts: tuple[Atom, ...],
-        rules: tuple[GroundRule, ...],
+        facts: tuple[int, ...],
+        rules: tuple[Instance, ...],
     ):
         self.atoms = atoms
         self.facts = facts
         self.rules = rules
-        self.fact_set = frozenset(facts)
 
     def to_text(self) -> str:
         """Textual form with lexicographically sorted statements."""
-        lines = [f"{atom}." for atom in self.facts]
-        lines.extend(f"{rule}." for rule in self.rules)
+        lines = [f"{self.atoms.atom(var - 1)}." for var in self.facts]
+        lines.extend(f"{self.atoms.render(rule)}." for rule in self.rules)
         return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
     def __repr__(self) -> str:
@@ -172,13 +188,9 @@ def herbrand_universe(program: Program) -> set[Term]:
     }
 
 
-def substitute_atom(atom: Atom, subst: Substitution) -> Atom:
-    if not atom.args:
-        return atom
-    return Atom(
-        atom.predicate,
-        tuple(subst[t.name] if isinstance(t, Var) else t for t in atom.args),
-    )
+def _at(rule: Rule) -> str:
+    """The rule's source location in the parser's style, if it has one."""
+    return f" at {rule.line}:{rule.column}" if rule.line else ""
 
 
 def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
@@ -190,6 +202,7 @@ def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
         bad = right if isinstance(left, int) else left
         raise GroundingError(
             f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'"
+            + _at(rule)
         )
     if op == "<":
         return left < right
@@ -211,6 +224,7 @@ def _sum_of(slots: Sequence[int], rule: Rule) -> Callable:
             if not isinstance(term, int):
                 raise GroundingError(
                     f"arithmetic on non-integer constant '{term}' in rule '{rule}.'"
+                    + _at(rule)
                 )
         return sum(terms)
 
@@ -244,7 +258,9 @@ class BodyPlan:
     the key, the free positions it binds (a run of consecutive slots) and
     the checks of variables repeated within it.  Each stage element becomes
     an operation: a comparison a test, a binding `=` an assignment, and a
-    negative literal a probe of its predicate's all-positions table.
+    negative literal a probe of its predicate's all-positions table.  The
+    head and each body literal in written order are compiled to the same
+    probe, from which `instance` reads a match's ground rule.
     """
 
     def __init__(self, rule: Rule, seed: Optional[int] = None):
@@ -274,7 +290,7 @@ class BodyPlan:
         )
         if unsafe:
             raise GroundingError(
-                f"unsafe variable {sorted(unsafe)[0]} in rule '{rule}.'"
+                f"unsafe variable {sorted(unsafe)[0]} in rule '{rule}.'" + _at(rule)
             )
 
         slot: dict[Term, int] = {}
@@ -286,6 +302,11 @@ class BodyPlan:
 
         def access(predicate: str, positions: tuple[int, ...]) -> int:
             return accesses.setdefault((predicate, positions), len(accesses))
+
+        def probe(atom: Atom) -> tuple[int, Callable]:
+            """The table holding the atom's variable, and its key."""
+            table = access(atom.predicate, tuple(range(len(atom.args))))
+            return table, _key_of([slot[t] for t in atom.args])
 
         def bind(var: Var) -> int:
             slot[var] = len(initial)
@@ -310,9 +331,7 @@ class BodyPlan:
             ops = []
             for elem in elems:
                 if isinstance(elem, Literal):
-                    args = elem.atom.args
-                    table = access(elem.atom.predicate, tuple(range(len(args))))
-                    ops.append((_NEG, table, _key_of([slot[t] for t in args])))
+                    ops.append((_NEG, *probe(elem.atom)))
                     continue
                 lhs, rhs = elem.lhs, elem.rhs
                 if elem.op == "=" and not all(t in slot for t in lhs + rhs):
@@ -348,11 +367,17 @@ class BodyPlan:
                 tuple(repeats),
                 stage(elems),
             ))
+        literals = [e for e in rule.body if isinstance(e, Literal)]
+        self._probes = [(*probe(e.atom), 1 if e.positive else -1) for e in literals]
+        self._literals = [
+            (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
+            for e in literals
+        ]
+        if rule.head is not None:
+            self._head_probe = probe(rule.head)
+            self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
         self._accesses = list(accesses)
         self._initial = initial
-        self._names = [(t.name, s) for t, s in slot.items() if isinstance(t, Var)]
-        if rule.head is not None:
-            self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
         # The tables of the index last joined over, which `add` keeps current.
         self._index: Optional[AtomIndex] = None
         self._tables: list[dict] = []
@@ -368,12 +393,43 @@ class BodyPlan:
                 return None
         return slots
 
-    def substitution(self, slots: list) -> Substitution:
-        return {name: slots[s] for name, s in self._names}
-
     def head(self, slots: list) -> Atom:
         predicate, head = self._head
         return Atom(predicate, tuple([slots[s] for s in head]))
+
+    def render(self, slots: list) -> GroundRule:
+        """The rule under a match's slots as atoms: every body literal in
+        written order, those on atoms outside the index included."""
+        return GroundRule(
+            self.head(slots) if self.rule.head is not None else None,
+            tuple(
+                Literal(Atom(predicate, tuple([slots[s] for s in at])), positive)
+                for predicate, at, positive in self._literals
+            ),
+        )
+
+    def instance(self, slots: list) -> Optional[Instance]:
+        """A match's ground rule over the index last joined: (head variable
+        or 0, body literals in written order).  A negative literal on an
+        atom outside the index holds and is dropped, as is a repeated
+        literal; a body holding a literal and its complement never fires,
+        and gives None.  The head must be in the index."""
+        tables = self._tables
+        body: list[int] = []
+        for table, key, sign in self._probes:
+            rows = tables[table].get(key(slots))
+            if not rows:
+                continue
+            lit = sign * rows[0][0]
+            if lit in body:
+                continue
+            if -lit in body:
+                return None
+            body.append(lit)
+        if self.rule.head is None:
+            return 0, tuple(body)
+        table, key = self._head_probe
+        return tables[table][key(slots)][0][0], tuple(body)
 
 
 def _run(ops: tuple, slots: list, tables: list, values, budget: int, lits: list) -> int:
@@ -413,10 +469,10 @@ def iter_matches(
     false, 0 undefined.  A match holds no false body literal and at most
     `budget` undefined ones.  An atom outside the index is false, so a
     positive literal on one fails and a negative one holds.  Each match
-    comes as its slots (`plan.substitution` names them) and the body
-    literals on index atoms as signed variables, both lists the caller
-    owns.  The module docstring lists the truth and budget each caller
-    joins under.
+    comes as its slots and the body literals on index atoms as signed
+    variables, both lists the caller owns; `plan.instance` and
+    `plan.render` read a match's ground rule.  The module docstring lists
+    the truth and budget each caller joins under.
     """
     if plan._index is not index:
         plan._tables = [index.table(p, positions) for p, positions in plan._accesses]
@@ -484,44 +540,17 @@ def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[list]:
         yield slots
 
 
-def _instantiate(
-    rule: Rule, subst: Substitution, keep_negative: Callable[[Atom], bool]
-) -> Optional[GroundRule]:
-    """Ground rule instance for a complete substitution, or None if inert.
+def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
+    """Instances of one rule over the atoms of an index, which must hold
+    their heads and the atoms of their negative literals.
 
-    Negative literals failing `keep_negative` are dropped as definitely true;
-    a body holding an atom both positively and negatively never fires.
-    """
-    head = substitute_atom(rule.head, subst) if rule.head is not None else None
-    body: list[Literal] = []
-    seen: set[Literal] = set()
-    for elem in rule.body:
-        if not isinstance(elem, Literal):
-            continue
-        atom = substitute_atom(elem.atom, subst)
-        if not elem.positive and not keep_negative(atom):
-            continue
-        lit = Literal(atom, elem.positive)
-        if lit in seen:
-            continue
-        if lit.negated() in seen:
-            return None
-        seen.add(lit)
-        body.append(lit)
-    return GroundRule(head, tuple(body))
-
-
-def ground_rule(rule: Rule, index: AtomIndex) -> list[GroundRule]:
-    """Instances of one rule over the atoms of an index.
-
-    Positive body literals match the index, comparisons are evaluated away,
-    and negative literals are kept verbatim.
+    Positive body literals match the index and comparisons are evaluated
+    away.
     """
     plan = BodyPlan(rule)
-    out: dict[GroundRule, None] = {}
+    out: dict[Instance, None] = {}
     for slots in _derivable_matches(plan, index):
-        subst = plan.substitution(slots)
-        inst = _instantiate(rule, subst, keep_negative=lambda atom: True)
+        inst = plan.instance(slots)
         if inst is not None:
             out[inst] = None
     return list(out)
@@ -559,56 +588,39 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
                     index.add(head)
                     changed = True
 
-    instances: dict[GroundRule, None] = {}
+    instances: dict[Instance, None] = {}
     for rule, plan in zip(kept, plans):
         if plan is None:
-            instances[GroundRule(rule.head, ())] = None
+            instances[index.id_of(rule.head) + 1, ()] = None
             continue
         for slots in _derivable_matches(plan, index):
-            inst = _instantiate(
-                rule, plan.substitution(slots), keep_negative=lambda atom: atom in index
-            )
+            inst = plan.instance(slots)
             if inst is not None:
                 instances[inst] = None
 
     # Fact propagation: definitely true atoms vanish from bodies, rules with a
     # definitely false literal vanish entirely.
-    facts: dict[Atom, None] = {}
+    facts: dict[int, None] = {}
     pending = list(instances)
     changed = True
     while changed:
         changed = False
-        out: list[GroundRule] = []
-        for inst in pending:
-            if inst.head is not None and inst.head in facts:
+        out: list[Instance] = []
+        for head, body in pending:
+            if head in facts or any(-lit in facts for lit in body):
                 changed = True
                 continue
-            body: list[Literal] = []
-            dropped = False
-            for lit in inst.body:
-                if lit.atom in facts:
-                    if lit.positive:
-                        continue
-                    dropped = True
-                    break
-                body.append(lit)
-            if dropped:
+            kept_body = tuple(lit for lit in body if lit not in facts)
+            if len(kept_body) != len(body):
+                changed = True
+                body = kept_body
+            if not body and head:
+                facts[head] = None
                 changed = True
                 continue
-            if len(body) != len(inst.body):
-                changed = True
-                inst = GroundRule(inst.head, tuple(body))
-            if not inst.body and inst.head is not None:
-                facts[inst.head] = None
-                changed = True
-                continue
-            out.append(inst)
+            out.append((head, body))
         pending = out
-
-    unique: dict[GroundRule, None] = {}
-    for inst in pending:
-        unique[inst] = None
-    return GroundProgram(index, tuple(facts), tuple(unique))
+    return GroundProgram(index, tuple(facts), tuple(dict.fromkeys(pending)))
 
 
 def naive_ground_program(program: Program) -> GroundProgram:
@@ -634,33 +646,38 @@ def naive_ground_program(program: Program) -> GroundProgram:
         for args in itertools.product(constants, repeat=arity)
     )
     table = AtomIndex()
-    facts: dict[Atom, None] = {}
-    rules: dict[GroundRule, None] = {}
+
+    def var(lit: int) -> int:
+        """The table's literal for a literal over the domain."""
+        atom = domain.atom(abs(lit) - 1)
+        table.add(atom)
+        return (table.id_of(atom) + 1) * (1 if lit > 0 else -1)
+
+    facts: dict[int, None] = {}
+    rules: dict[Instance, None] = {}
     for rule in program.rules:
-        for inst in ground_rule(rule, domain):
-            if inst.head is not None:
-                table.add(inst.head)
-            for lit in inst.body:
-                table.add(lit.atom)
-            if inst.head is not None and not inst.body:
-                facts[inst.head] = None
+        for head, body in ground_rule(rule, domain):
+            head = var(head) if head else 0
+            body = tuple(map(var, body))
+            if head and not body:
+                facts[head] = None
             else:
-                rules[inst] = None
+                rules[head, body] = None
     return GroundProgram(table, tuple(facts), tuple(rules))
 
 
 def ground_deferred_violations(
     plans: Sequence[BodyPlan], index: AtomIndex, values: Sequence[int]
-) -> list[tuple[int, Substitution, list[int]]]:
+) -> list[tuple[int, list, list[int]]]:
     """Matches of the constraint bodies with every literal true under `values`.
 
     On a total assignment each match is a violated instance and its literals
     are the nogood.  Matches come constraint by constraint in plan order,
-    each constraint's in index order, as (plan position, substitution,
-    signed variables).
+    each constraint's in index order, as (plan position, slots, signed
+    variables).
     """
     return [
-        (ci, plan.substitution(slots), lits)
+        (ci, slots, lits)
         for ci, plan in enumerate(plans)
         for slots, lits in iter_matches(plan, index, values, 0)
     ]

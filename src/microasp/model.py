@@ -57,9 +57,6 @@ class Literal:
     atom: Atom
     positive: bool = True
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
@@ -94,6 +91,7 @@ class Rule:
     head: Optional[Atom]
     body: tuple[BodyElement, ...] = ()
     line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
     @property
     def is_constraint(self) -> bool:
@@ -136,7 +134,9 @@ class Program:
 
 @dataclass(frozen=True)
 class GroundRule:
-    """A variable-free rule; comparisons have been evaluated away."""
+    """A variable-free rule as atoms, comparisons evaluated away: how a
+    ground program's (head variable, body literals) instance reads as text
+    or as a set of literals."""
 
     head: Optional[Atom]
     body: tuple[Literal, ...] = ()

@@ -2,9 +2,10 @@
 
 Stability is checked by the reduct construction: a total interpretation is
 stable iff it is a model of the program and its positive atoms equal the
-least model of the reduct's definite rules.  The literal-set predicates at
-the end (nogoods, violation, support) state the same semantics one ground
-rule at a time.
+least model of the reduct's definite rules.  The program is read in its
+tuple form (head variable or 0, body literals); interpretations and models
+are sets of atoms.  The literal-set predicates at the end (nogoods,
+violation, support) state the same semantics one `GroundRule` at a time.
 """
 from __future__ import annotations
 
@@ -19,46 +20,49 @@ from .model import Atom, GroundRule, Literal
 MAX_FREE_ATOMS = 24
 
 
+def _vars(gp: GroundProgram, atoms: Iterable[Atom]) -> set[int]:
+    """The variables of the atoms that are in the program's index."""
+    return {gp.atoms.id_of(a) + 1 for a in atoms if a in gp.atoms}
+
+
 def reduct(gp: GroundProgram, true_atoms: Iterable[Atom]) -> GroundProgram:
     """Delete rules whose negative body is false w.r.t. the interpretation,
     then strip the negative body from the survivors."""
-    truths = frozenset(true_atoms)
-    facts: dict[Atom, None] = {a: None for a in gp.facts}
-    rules: dict[GroundRule, None] = {}
-    for rule in gp.rules:
-        if any(not lit.positive and lit.atom in truths for lit in rule.body):
+    truths = _vars(gp, true_atoms)
+    facts = dict.fromkeys(gp.facts)
+    rules: dict[tuple, None] = {}
+    for head, body in gp.rules:
+        if any(l < 0 and -l in truths for l in body):
             continue
-        body = tuple(lit for lit in rule.body if lit.positive)
-        if rule.head is not None and not body:
-            facts[rule.head] = None
+        body = tuple(l for l in body if l > 0)
+        if head and not body:
+            facts[head] = None
         else:
-            rules[GroundRule(rule.head, body)] = None
+            rules[head, body] = None
     return GroundProgram(gp.atoms, tuple(facts), tuple(rules))
 
 
 def least_model(gp: GroundProgram) -> frozenset[Atom]:
     """Least fixpoint of the definite rules of a positive program."""
-    derived: set[Atom] = set(gp.facts)
+    derived = set(gp.facts)
     changed = True
     while changed:
         changed = False
-        for rule in gp.rules:
-            if rule.head is None or rule.head in derived:
+        for head, body in gp.rules:
+            if not head or head in derived:
                 continue
-            if all(lit.atom in derived for lit in rule.body):
-                derived.add(rule.head)
+            if all(l in derived for l in body):
+                derived.add(head)
                 changed = True
-    return frozenset(derived)
+    return frozenset(gp.atoms.atom(v - 1) for v in derived)
 
 
 def is_model(gp: GroundProgram, true_atoms: frozenset[Atom]) -> bool:
-    for rule in gp.rules:
-        body_true = all(
-            (lit.atom in true_atoms) == lit.positive for lit in rule.body
-        )
-        if body_true and (rule.head is None or rule.head not in true_atoms):
+    truths = _vars(gp, true_atoms)
+    for head, body in gp.rules:
+        if all((abs(l) in truths) == (l > 0) for l in body) and head not in truths:
             return False
-    return gp.fact_set <= true_atoms
+    return truths.issuperset(gp.facts)
 
 
 def is_stable_model(gp: GroundProgram, true_atoms: Iterable[Atom]) -> bool:
@@ -77,16 +81,14 @@ def enumerate_stable_models(
     Facts are pinned true and atoms with no deriving rule are pinned false;
     the remaining atoms are enumerated, guarded at `max_free`.
     """
-    heads = {rule.head for rule in gp.rules if rule.head is not None}
-    free = [
-        atom for atom in gp.atoms if atom not in gp.fact_set and atom in heads
-    ]
+    heads = {head for head, _ in gp.rules} - set(gp.facts)
+    free = [gp.atoms.atom(v - 1) for v in range(1, len(gp.atoms) + 1) if v in heads]
     if len(free) > max_free:
         raise ValueError(
             f"{len(free)} free atoms exceed the enumeration guard of {max_free}"
         )
     models: list[frozenset[Atom]] = []
-    base = frozenset(gp.fact_set)
+    base = frozenset(gp.atoms.atom(v - 1) for v in gp.facts)
     for bits in itertools.product((False, True), repeat=len(free)):
         candidate = base | {atom for atom, bit in zip(free, bits) if bit}
         if is_stable_model(gp, candidate):
@@ -122,12 +124,16 @@ def is_supported(atom: Atom, model: set, program: GroundProgram) -> bool:
 
     Facts support their own atom unconditionally.
     """
-    if atom in program.fact_set:
+    var = program.atoms.id_of(atom)
+    if var is None:
+        return False
+    if var + 1 in program.facts:
         return True
-    for rule in program.rules:
-        if rule.head == atom and all(lit in model for lit in rule.body):
-            return True
-    return False
+    return any(
+        all(lit in model for lit in program.atoms.render(rule).body)
+        for rule in program.rules
+        if rule[0] == var + 1
+    )
 
 
 def total_interpretation(true_atoms: Iterable[Atom], universe: Iterable[Atom]) -> set:

@@ -153,7 +153,7 @@ class _Parser:
                 self._next()
                 body = self._body()
         self._expect(".")
-        return Rule(head, body, line=start.line)
+        return Rule(head, body, line=start.line, column=start.column)
 
     def _body(self) -> tuple:
         elems = [self._body_element()]
@@ -237,7 +237,7 @@ class _Parser:
         if unsafe:
             var = sorted(unsafe)[0]
             raise SafetyError(
-                f"unsafe variable {var} in rule '{rule}.'", rule.line, 0
+                f"unsafe variable {var} in rule '{rule}.'", rule.line, rule.column
             )
 
 

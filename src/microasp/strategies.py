@@ -16,8 +16,6 @@ from .cdcl import Budget, Solver, SolverCallbacks, SolveResult
 from .grounder import (
     BodyPlan,
     GroundProgram,
-    Substitution,
-    _instantiate,
     ground_deferred_violations,
     ground_program,
     iter_matches,
@@ -50,7 +48,7 @@ def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[i
     return _canonical(lits)
 
 
-#: A join's match before it is named: the plan and the slots it matched.
+#: A join's match: the plan and the slots it matched.
 Slots = tuple[BodyPlan, list]
 
 #: Matches of a seeded join by key: (constraint position, the variables of
@@ -121,7 +119,7 @@ class ConstraintIndex:
 
     def eager_nogoods(
         self, solver: Solver, lit: int
-    ) -> list[tuple[Substitution, int, tuple[int, ...]]]:
+    ) -> list[tuple[Slots, int, tuple[int, ...]]]:
         """Instances made unit or falsified by `lit` having turned true.
 
         The join is seeded at every body literal `lit` matches, and the rest
@@ -131,11 +129,11 @@ class ConstraintIndex:
         matches: list[tuple[Slots, int, list[int]]] = []
         for found in self._seeded(lit, solver._assign, 1):
             matches += (found[key] for key in sorted(found))
-        return _named(_new_nogoods(solver, matches))
+        return _new_nogoods(solver, matches)
 
     def post_nogoods(
         self, solver: Solver
-    ) -> list[tuple[Substitution, int, tuple[int, ...]]]:
+    ) -> list[tuple[Slots, int, tuple[int, ...]]]:
         """Instances whose body is fully true under the current trail.
 
         An instance true at the previous call was emitted then or is stored,
@@ -158,7 +156,7 @@ class ConstraintIndex:
                 for more in self._seeded(lit, solver._assign, 0):
                     found.update(more)
             matches = [found[key] for key in sorted(found)]
-        return _named(_new_nogoods(solver, matches))
+        return _new_nogoods(solver, matches)
 
 
 def _new_nogoods(solver: Solver, matches: Iterable[tuple]) -> list[tuple]:
@@ -173,16 +171,6 @@ def _new_nogoods(solver: Solver, matches: Iterable[tuple]) -> list[tuple]:
         emitted.add(nogood)
         out.append((match, ci, nogood))
     return out
-
-
-def _named(
-    emitted: list[tuple[Slots, int, tuple[int, ...]]]
-) -> list[tuple[Substitution, int, tuple[int, ...]]]:
-    """Emitted matches with their slots named as substitutions."""
-    return [
-        (plan.substitution(slots), ci, nogood)
-        for (plan, slots), ci, nogood in emitted
-    ]
 
 
 def solve(
@@ -218,18 +206,19 @@ def solve(
         else None
     )
 
-    def record(constraint: Rule, subst: Substitution, origin: str) -> None:
-        if instance_sink is None:
-            return
-        inst = _instantiate(constraint, subst, keep_negative=lambda atom: True)
-        instance_sink.append((constraint, inst, origin))
+    def record(match: Slots, ci: int, origin: str) -> None:
+        """Add the match's instance, without repeated literals, to the sink."""
+        if instance_sink is not None:
+            plan, slots = match
+            inst = GroundRule(None, tuple(dict.fromkeys(plan.render(slots).body)))
+            instance_sink.append((index.constraints[ci], inst, origin))
 
     if index is not None and kind is StrategyKind.EAGER:
 
         def on_literal(solver: Solver, lit: int) -> list[tuple[int, ...]]:
             results = []
-            for subst, ci, nogood in index.eager_nogoods(solver, lit):
-                record(index.constraints[ci], subst, "eager")
+            for match, ci, nogood in index.eager_nogoods(solver, lit):
+                record(match, ci, "eager")
                 results.append(nogood)
             return results
 
@@ -239,8 +228,8 @@ def solve(
 
         def on_fixpoint(solver: Solver) -> list[tuple[int, ...]]:
             results = []
-            for subst, ci, nogood in index.post_nogoods(solver):
-                record(index.constraints[ci], subst, "post")
+            for match, ci, nogood in index.post_nogoods(solver):
+                record(match, ci, "post")
                 results.append(nogood)
             return results
 
@@ -253,10 +242,9 @@ def solve(
             violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
             if violations:
                 nogoods = []
-                for subst, ci, nogood in _new_nogoods(
-                    solver, ((subst, ci, lits) for ci, subst, lits in violations)
-                ):
-                    record(index.constraints[ci], subst, "check")
+                matches = (((plans[ci], slots), ci, lits) for ci, slots, lits in violations)
+                for match, ci, nogood in _new_nogoods(solver, matches):
+                    record(match, ci, "check")
                     nogoods.append(nogood)
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)

@@ -190,3 +190,13 @@ def random_join_program_text(seed: int, max_deferred: int = 3) -> str:
             out.append("%@deferred")
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+def rule_texts(gp) -> list[str]:
+    """The rules of a ground program as text, in order."""
+    return [str(gp.atoms.render(rule)) for rule in gp.rules]
+
+
+def fact_texts(gp) -> list[str]:
+    """The facts of a ground program as text, sorted."""
+    return sorted(str(gp.atoms.atom(var - 1)) for var in gp.facts)

@@ -21,6 +21,17 @@ def ga(pred, *args):
     return Atom(pred, args)
 
 
+def learn(solver, conflict):
+    """Resolve a conflict: the nogood learned from it and the level
+    backjumped to, or None when the conflict is at level 0."""
+    before = len(solver._learned)
+    if not solver.resolve_conflict(conflict):
+        return None
+    if len(solver._learned) > before:
+        return solver._learned[-1].lits, solver.level
+    return solver._root_units[-1].lits, solver.level
+
+
 @pytest.fixture
 def pi1_gp():
     return ground_program(parse_program(PI1_TEXT), include_deferred=True)
@@ -30,7 +41,7 @@ class TestPropagate:
     def test_empty_trail_no_inference(self, pi1_gp):
         solver = Solver(pi1_gp)
         assert solver.propagate() is None
-        assert solver.trail_literals() == []
+        assert solver._trail == []
 
     def test_deciding_a_conflicts(self, pi1_gp):
         solver = Solver(pi1_gp)
@@ -61,12 +72,7 @@ class TestAnalyzeConflict:
         a = solver.lit_of(ga("a", 1))
         solver.decide(a)
         conflict = solver.propagate()
-        learned, backjump = solver.analyze_conflict(conflict)
-        assert learned == (a,)
-        assert backjump == 0
-        assert solver.resolve_conflict(conflict)
-        assert solver.last_learned == (a,)
-        assert solver.level == 0
+        assert learn(solver, conflict) == ((a,), 0)
         result = solver.solve()
         assert result.status == "SAT"
         assert frozenset(str(x) for x in result.model) in (
@@ -96,7 +102,7 @@ class TestAnalyzeConflict:
             conflict = solver.propagate()
             if conflict is None:
                 continue
-            outcome = solver.analyze_conflict(conflict)
+            outcome = learn(solver, conflict)
             if outcome is None:
                 continue
             learned, backjump = outcome
@@ -255,7 +261,7 @@ class TestRestartsAndDeletion:
         solver.propagate()
         solver.decide(-1)
         solver.propagate()
-        locked = solver.reason_of(2)
+        locked = solver._reason[2]
         assert locked is not None
         # forge a learned store well past the trigger
         from microasp.cdcl import StoredNogood
@@ -362,7 +368,6 @@ def test_learned_nogoods_preserve_model_set():
     """Adding the nogood learned from a conflict never changes the set of
     stable models (checked by oracle enumeration before and after)."""
     from microasp.grounder import GroundProgram
-    from microasp.model import GroundRule, Literal
 
     import random
 
@@ -377,15 +382,11 @@ def test_learned_nogoods_preserve_model_set():
             conflict = solver.propagate()
         if conflict is None:
             return False
-        outcome = solver.analyze_conflict(conflict)
+        outcome = learn(solver, conflict)
         if outcome is None:
             return False
         learned, _ = outcome
-        atoms = [solver.atom_of(abs(l)) for l in learned]
-        extra = GroundRule(
-            None, tuple(Literal(a, l > 0) for a, l in zip(atoms, learned))
-        )
-        gp2 = GroundProgram(gp.atoms, gp.facts, gp.rules + (extra,))
+        gp2 = GroundProgram(gp.atoms, gp.facts, gp.rules + ((0, learned),))
         after = {frozenset(m) for m in enumerate_stable_models(gp2)}
         assert before == after
         return True

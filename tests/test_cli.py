@@ -75,6 +75,14 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_grounding_error_names_the_rule_location(self, tmp_path, capsys):
+        path = tmp_path / "order.lp"
+        path.write_text("p(1).\nq(X) :- p(X), X < a.\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ordered comparison on non-integer constant 'a'" in err
+        assert "at 2:1" in err
+
 
 class TestGenCommand:
     def test_marriage_roundtrip(self, tmp_path, capsys):

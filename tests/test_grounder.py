@@ -6,7 +6,6 @@ from microasp.grounder import (
     AtomIndex,
     BodyPlan,
     GroundingError,
-    _instantiate,
     ground_deferred_violations,
     ground_program,
     ground_rule,
@@ -17,7 +16,7 @@ from microasp.model import Atom, GroundRule, Literal
 from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex
-from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
+from support import PI1_DEFERRED_TEXT, PI1_TEXT, fact_texts, random_program_text, rule_texts
 
 
 def ga(pred, *args):
@@ -27,6 +26,11 @@ def ga(pred, *args):
 def index_of(domains):
     """An index over per-predicate argument rows."""
     return AtomIndex(Atom(pred, row) for pred, rows in domains.items() for row in rows)
+
+
+def grounded(rule, index):
+    """`ground_rule`'s instances over the index, as ground rules."""
+    return [index.render(inst) for inst in ground_rule(rule, index)]
 
 
 class TestHerbrandUniverse:
@@ -45,13 +49,13 @@ class TestGroundRule:
     def test_constraint_over_unit_domain(self):
         rule = parse_program(":- a(X), b(X).\n").rules[0]
         domains = {"a": [(1,)], "b": [(1,)]}
-        assert ground_rule(rule, index_of(domains)) == [
+        assert grounded(rule, index_of(domains)) == [
             GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1))))
         ]
 
     def test_variable_free_rule_is_itself(self):
         rule = parse_program("a(1) :- not b(1).\n").rules[0]
-        out = ground_rule(rule, AtomIndex())
+        out = grounded(rule, AtomIndex([ga("a", 1), ga("b", 1)]))
         assert out == [GroundRule(ga("a", 1), (Literal(ga("b", 1), False),))]
 
     def test_contradictory_comparison_yields_nothing(self):
@@ -68,7 +72,7 @@ class TestGroundRule:
     def test_binding_equality(self):
         rule = parse_program(":- p(X), W = X+1, q(W).\n").rules[0]
         domains = {"p": [(1,)], "q": [(2,)]}
-        out = ground_rule(rule, index_of(domains))
+        out = grounded(rule, index_of(domains))
         assert out == [GroundRule(None, (Literal(ga("p", 1)), Literal(ga("q", 2))))]
 
     def test_arithmetic_on_symbol_errors(self):
@@ -87,7 +91,7 @@ class TestGroundRule:
 class TestGroundProgram:
     def test_pi1_full(self):
         gp = ground_program(parse_program(PI1_TEXT), include_deferred=True)
-        assert [str(r) for r in gp.rules] == [
+        assert rule_texts(gp) == [
             "a(1) :- not b(1)",
             "b(1) :- not a(1)",
             ":- a(1), b(1)",
@@ -100,7 +104,7 @@ class TestGroundProgram:
 
     def test_pi1_deferred_removed(self):
         gp = ground_program(parse_program(PI1_DEFERRED_TEXT))
-        assert [str(r) for r in gp.rules] == [
+        assert rule_texts(gp) == [
             "a(1) :- not b(1)",
             "b(1) :- not a(1)",
             "c(1) :- not d(1)",
@@ -109,24 +113,24 @@ class TestGroundProgram:
 
     def test_facts_only(self):
         gp = ground_program(parse_program("p(1). p(2). q(a).\n"))
-        assert sorted(str(a) for a in gp.facts) == ["p(1)", "p(2)", "q(a)"]
+        assert fact_texts(gp) == ["p(1)", "p(2)", "q(a)"]
         assert gp.rules == ()
 
     def test_fact_simplification(self):
         gp = ground_program(parse_program("p(1). q(X) :- p(X). r(1) :- q(1), not s(1).\n"))
         # q(1) becomes a fact; s(1) is underivable so its literal vanishes
-        assert sorted(str(a) for a in gp.facts) == ["p(1)", "q(1)", "r(1)"]
+        assert fact_texts(gp) == ["p(1)", "q(1)", "r(1)"]
         assert gp.rules == ()
 
     def test_derivable_restriction(self):
         gp = ground_program(parse_program("p(1). q(X) :- p(X), r(X).\n"))
         # r has no deriving rule, so q never gets instantiated
-        assert sorted(str(a) for a in gp.facts) == ["p(1)"]
+        assert fact_texts(gp) == ["p(1)"]
         assert gp.rules == ()
 
     def test_empty_body_constraint_kept(self):
         gp = ground_program(parse_program("p(1). :- p(1).\n"))
-        assert GroundRule(None, ()) in gp.rules
+        assert (0, ()) in gp.rules
 
     def test_dump_text_sorted(self):
         gp = ground_program(parse_program(PI1_TEXT), include_deferred=True)
@@ -142,10 +146,10 @@ def violations(constraints, universe, truths):
     plans = [BodyPlan(c) for c in constraints]
     return [
         (
-            _instantiate(constraints[ci], subst, keep_negative=lambda atom: True),
+            plans[ci].render(slots),
             frozenset(Literal(index.atom(abs(l) - 1), l > 0) for l in lits),
         )
-        for ci, subst, lits in ground_deferred_violations(plans, index, values)
+        for ci, slots, lits in ground_deferred_violations(plans, index, values)
     ]
 
 
@@ -199,7 +203,7 @@ class TestGroundDeferredViolations:
                     got.add((inst.head, nogood))
                 want = set()
                 for rule in deferred:
-                    for inst in ground_rule(rule, index_of(_full_domains(program))):
+                    for inst in grounded(rule, index_of(_full_domains(program))):
                         if is_violated(inst, interp):
                             want.add((inst.head, frozenset(inst.body)))
                 assert got == want

@@ -5,8 +5,9 @@ repeated variables, put constants in argument positions, compare with `!=`,
 `<` and `=`, bind with `W = X+Y` and negate literals over bound variables.
 Every plan the grounder and the strategies compile, written or seeded, must
 yield what a brute-force instantiation of its rule yields under random
-partial assignments, in the same order; and every strategy must find
-exactly the stable models the oracle finds.
+partial assignments, in the same order; each match's instance must be the
+brute-force one as solver literals; and every strategy must find exactly
+the stable models the oracle finds.
 """
 import itertools
 import operator
@@ -21,7 +22,7 @@ from microasp.grounder import (
     iter_matches,
     naive_ground_program,
 )
-from microasp.model import Atom, Comparison, Literal, Var
+from microasp.model import Atom, Comparison, GroundRule, Literal, Var
 from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models
 from microasp.parser import parse_program
 from microasp.strategies import solve
@@ -47,6 +48,39 @@ def value(term, subst):
 
 def ground(atom, subst):
     return Atom(atom.predicate, tuple(value(t, subst) for t in atom.args))
+
+
+def render(rule, subst):
+    """The rule under a substitution, every body literal in written order."""
+    return GroundRule(
+        ground(rule.head, subst) if rule.head is not None else None,
+        tuple(
+            Literal(ground(e.atom, subst), e.positive)
+            for e in rule.body
+            if isinstance(e, Literal)
+        ),
+    )
+
+
+def brute_instance(rule, subst, index):
+    """The rule's instance under a substitution as (head variable or 0, body
+    literals in written order): a negative literal on an atom outside the
+    index holds and is dropped, a repeated literal is dropped, and a literal
+    with its complement in the body gives None."""
+    body = []
+    for elem in rule.body:
+        if not isinstance(elem, Literal):
+            continue
+        idx = index.id_of(ground(elem.atom, subst))
+        if idx is None:
+            continue
+        lit = idx + 1 if elem.positive else -(idx + 1)
+        if -lit in body:
+            return None
+        if lit not in body:
+            body.append(lit)
+    head = index.id_of(ground(rule.head, subst)) + 1 if rule.head is not None else 0
+    return head, tuple(body)
 
 
 def candidate_substitutions(rule, index, constants):
@@ -103,9 +137,13 @@ def brute_matches(plan, candidates, index, values, budget, seed_atom=None):
 
 def joined(plan, index, values, budget, start=None):
     return [
-        (plan.substitution(slots), sorted(set(lits)))
+        (plan.render(slots), sorted(set(lits)))
         for slots, lits in iter_matches(plan, index, values, budget, start)
     ]
+
+
+def rendered(rule, matches):
+    return [(render(rule, subst), signed) for subst, signed in matches]
 
 
 def fuzz_programs(seeds):
@@ -114,8 +152,7 @@ def fuzz_programs(seeds):
     for seed in seeds:
         program = parse_program(random_join_program_text(seed))
         naive = naive_ground_program(program)
-        heads = {r.head for r in naive.rules if r.head is not None}
-        free = [a for a in naive.atoms if a in heads and a not in naive.fact_set]
+        free = {head for head, _ in naive.rules if head} - set(naive.facts)
         if len(free) <= FREE_ATOMS:
             yield seed, program, naive
 
@@ -141,7 +178,9 @@ def test_plans_match_brute_force_instantiation(chunk):
                 for budget, plan in itertools.product((0, 1), plans):
                     if plan.seed is None:
                         want = brute_matches(plan, candidates, index, values, budget)
-                        assert joined(plan, index, values, budget) == want, seed
+                        assert joined(plan, index, values, budget) == rendered(
+                            rule, want
+                        ), seed
                         checked += len(want)
                         continue
                     seed_lit = rule.body[plan.seed]
@@ -157,11 +196,46 @@ def test_plans_match_brute_force_instantiation(chunk):
                         if start is None:
                             assert want == [], seed
                             continue
-                        assert joined(plan, index, vals, budget, start) == want, seed
+                        assert joined(plan, index, vals, budget, start) == rendered(
+                            rule, want
+                        ), seed
                         checked += len(want)
         programs += 1
     assert programs >= 60
     assert checked >= 500
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_instances_match_brute_force(chunk):
+    """Each match of each rule over the grounder's final index gives the
+    brute-force instance of its substitution."""
+    checked = pairs = dropped = 0
+    for seed, program, _ in fuzz_programs(range(chunk, 320, 4)):
+        index = ground_program(program).atoms
+        constants = sorted(herbrand_universe(program))
+        for rule in program.rules:
+            if rule.is_fact:
+                continue
+            plan = BodyPlan(rule)
+            candidates = candidate_substitutions(rule, index, constants)
+            budget = len(rule.body)
+            matches = brute_matches(plan, candidates, index, index.undefined, budget)
+            want = [brute_instance(rule, subst, index) for subst, _ in matches]
+            got = [
+                plan.instance(slots)
+                for slots, _ in iter_matches(plan, index, index.undefined, budget)
+            ]
+            assert got == want, seed
+            checked += len(want)
+            pairs += want.count(None)
+            dropped += sum(
+                len(inst[1]) < len(render(rule, subst).body)
+                for inst, (subst, _) in zip(want, matches)
+                if inst is not None
+            )
+    assert checked >= 150
+    assert pairs >= 1
+    assert dropped >= 10
 
 
 def model_set(program, kind, atoms):

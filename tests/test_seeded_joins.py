@@ -16,7 +16,6 @@ from microasp.grounder import (
     ground_deferred_violations,
     ground_program,
     iter_matches,
-    substitute_atom,
 )
 from microasp.model import Atom, Literal
 from microasp.parser import ParseError, parse_program
@@ -36,15 +35,21 @@ def fuzz_programs(n):
 
 def written_from(index, ci, seed, atom, values, budget):
     """The written-order join from a seed: the matches of the full join that
-    put `atom` at body element `seed`, as (substitution, signed variables)."""
+    put `atom` at body element `seed`, as (ground rule, signed variables)."""
     plan = index.plans[ci]
-    pattern = index.constraints[ci].body[seed].atom
+    at = sum(isinstance(e, Literal) for e in plan.rule.body[:seed])
     out = []
     for slots, lits in iter_matches(plan, index.gp.atoms, values, budget):
-        subst = plan.substitution(slots)
-        if substitute_atom(pattern, subst) == atom:
-            out.append((subst, lits))
+        inst = plan.render(slots)
+        if inst.body[at].atom == atom:
+            out.append((inst, lits))
     return out
+
+
+def rendered(emitted):
+    """Emitted (match, constraint position, nogood) with each match as its
+    ground rule."""
+    return [(plan.render(slots), ci, nogood) for (plan, slots), ci, nogood in emitted]
 
 
 def trigger_joins(index, lit, values, budget):
@@ -93,7 +98,7 @@ class TestSeededPlan:
     def test_start_checks_constants_and_repeated_variables(self):
         rule = parse_program(":- p(X,1,X,Y), q(Y).").rules[0]
         plan = BodyPlan(rule, seed=0)
-        assert plan.substitution(plan.start((2, 1, 2, 3))) == {"X": 2, "Y": 3}
+        assert str(plan.render(plan.start((2, 1, 2, 3)))) == ":- p(2,1,2,3), q(3)"
         assert plan.start((2, 0, 2, 3)) is None
         assert plan.start((2, 1, 3, 3)) is None
 
@@ -115,7 +120,7 @@ def assert_seeded_matches_written(index, values, budget):
                     continue
                 found = next(seeded)
                 got = [
-                    (plan.substitution(slots), lits)
+                    (plan.render(slots), lits)
                     for (plan, slots), _, lits in (found[k] for k in sorted(found))
                 ]
                 assert [(s, _canonical(l)) for s, l in got] == [
@@ -158,7 +163,7 @@ class TestSeededJoinDifferential:
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_rules(), gp)
         rng = random.Random(7)
-        facts = {gp.atoms.id_of(a) + 1 for a in gp.facts}
+        facts = set(gp.facts)
         values = [0] + [
             1 if v in facts else rng.choice((-1, 0, 1, 1))
             for v in range(1, len(gp.atoms) + 1)
@@ -203,18 +208,15 @@ def reordered_at_s():
 
 
 def x_values(found):
-    return [subst["X"] for subst, _, _ in found]
-
-
-def found_x_values(found):
-    return [plan.substitution(slots)["X"] for (plan, slots), _, _ in found]
+    """The X of each match, read off a(X), the constraint's first literal."""
+    return [plan.render(slots).body[0].atom.args[0] for (plan, slots), _, _ in found]
 
 
 class TestEagerOrder:
     def test_matches_come_in_written_join_order(self):
         index, solver, s5 = reordered_at_s()
         (found,) = list(index._seeded(s5, solver._assign, 1))
-        assert found_x_values(found.values()) == [2, 1]
+        assert x_values(found.values()) == [2, 1]
         assert x_values(index.eager_nogoods(solver, s5)) == [1, 2]
 
     @pytest.mark.parametrize("name", ["3sat-v20", "marriage-n5", "packing-3x3"])
@@ -228,13 +230,13 @@ class TestEagerOrder:
             want = _new_nogoods(
                 solver,
                 [
-                    (subst, ci, lits)
+                    (inst, ci, lits)
                     for ci, _, matches in trigger_joins(index, lit, solver._assign, 1)
-                    for subst, lits in matches
+                    for inst, lits in matches
                 ],
             )
             got = original(index, solver, lit)
-            assert got == want
+            assert rendered(got) == want
             emitted.extend(got)
             return got
 
@@ -257,14 +259,14 @@ class PostSpy:
             full = _new_nogoods(
                 solver,
                 [
-                    (subst, ci, lits)
-                    for ci, subst, lits in ground_deferred_violations(
+                    (index.plans[ci].render(slots), ci, lits)
+                    for ci, slots, lits in ground_deferred_violations(
                         index.plans, index.gp.atoms, solver._assign
                     )
                 ],
             )
             got = original(index, solver)
-            assert got == full
+            assert rendered(got) == full
             self.delta_calls += mark > 0
             self.clamped += mark < self._last_len
             self._last_len = len(solver._trail)

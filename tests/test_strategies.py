@@ -113,7 +113,7 @@ class TestEagerPropagator:
         legal = set()
         for rule in pi1.deferred_rules():
             for inst in ground_rule(rule, naive.atoms):
-                legal.add(frozenset(nogood_of(inst)))
+                legal.add(frozenset(nogood_of(naive.atoms.render(inst))))
         sink = []
         solve(pi1, "eager", forced_decisions=[1], instance_sink=sink)
         for _, inst, _ in sink:
