@@ -8,6 +8,24 @@ atoms with few defining rules and through a support propagator above that;
 non-tight programs get an unfounded-set check on total candidates.  The
 ground program's rules are already in these literals, (head variable or 0,
 body), and are installed as given.
+
+The search state is indexed by literal.  `_assign` has 2n+1 entries:
+`_assign[v]` is the truth of atom v (1 true, -1 false, 0 undefined) and
+`_assign[-v]`, which Python wraps to the upper half, the truth of its
+negation, so the truth of any literal is `_assign[lit]`.  `_watches[lit]`
+lists the nogoods watching `lit`, visited when it turns true.  Level,
+reason, trail position and phase stay indexed by variable.
+
+Unit propagation runs the pending trail in order (`_propagate_trail`): for
+each literal it visits the watchers, moves each watch to the first non-true
+literal of the nogood or infers the complement of the other watch, then
+runs the support propagator and the per-literal hook.  Levels never
+decrease along the trail, so a backjump cuts it at the level's start.
+
+Every undefined variable has exactly one heap entry at its current
+activity; `_heap_act[v]` is the activity of v's entry, or -1.0 when it has
+none.  A backjump pushes a variable only when that entry is missing or
+stale, and the decision is the least such entry among undefined variables.
 """
 from __future__ import annotations
 
@@ -90,11 +108,11 @@ class SolveResult:
 class SolverCallbacks:
     """Hooks may only return nogoods to add; they never touch the trail.
 
-    on_literal_true(solver, lit) runs per assigned literal, interleaved with
-    unit propagation.  on_propagation_fixpoint(solver) runs once unit and
-    support propagation rest.  on_total_candidate(solver) may veto a total
-    assignment, read off `solver._assign`, by returning nogoods; an empty
-    return accepts it.
+    on_literal_true(solver, lit) runs for each trail literal in trail order,
+    after that literal's unit and support propagation.
+    on_propagation_fixpoint(solver) runs once unit and support propagation
+    rest.  on_total_candidate(solver) may veto a total assignment, read off
+    `solver._assign`, by returning nogoods; an empty return accepts it.
     """
 
     on_literal_true: Optional[Callable] = None
@@ -146,7 +164,7 @@ class Solver:
 
         n = len(gp.atoms)
         self._nvars = n
-        self._assign = [0] * (n + 1)
+        self._assign = [0] * (2 * n + 1)
         self._level_arr = [0] * (n + 1)
         self._pos = [0] * (n + 1)
         self._reason: list[Optional[StoredNogood]] = [None] * (n + 1)
@@ -157,9 +175,8 @@ class Solver:
         # Trail length at the start of the last fixpoint callback: the post
         # propagator joins only the literals assigned since.
         self._fixpoint_mark = 0
-        self._num_assigned = 0
 
-        self._watches: dict[int, list[StoredNogood]] = {}
+        self._watches: list[list[StoredNogood]] = [[] for _ in range(2 * n + 1)]
         self._by_lits: dict[frozenset[int], StoredNogood] = {}
         self._learned: list[StoredNogood] = []
         self._fragile: list[StoredNogood] = []
@@ -176,9 +193,9 @@ class Solver:
 
             random.Random(seed).shuffle(rank)
         self._rank = rank
-        self._heap: list[tuple[float, int, int, float]] = []
-        for var in range(1, n + 1):
-            heappush(self._heap, (0.0, self._rank[var], var, 0.0))
+        self._heap = [(0.0, rank[var], var, 0.0) for var in range(1, n + 1)]
+        heapify(self._heap)
+        self._heap_act = [0.0] * (n + 1)
 
         self._forced = list(forced_decisions)
         self._forced_at = 0
@@ -195,12 +212,6 @@ class Solver:
         self._tight = self._is_tight()
 
     # ------------------------------------------------------------------ setup
-
-    def lit_of(self, atom: Atom, positive: bool = True) -> Optional[int]:
-        idx = self.gp.atoms.id_of(atom)
-        if idx is None:
-            return None
-        return idx + 1 if positive else -(idx + 1)
 
     def _build_static(self, support_mode: str) -> None:
         for var in self.gp.facts:
@@ -274,36 +285,41 @@ class Solver:
 
     def value_of(self, lit: int) -> int:
         """1 if the literal is true, -1 if false, 0 if undefined."""
-        v = self._assign[abs(lit)]
-        if v == 0:
-            return 0
-        return v if lit > 0 else -v
+        return self._assign[lit]
 
     def _assign_lit(self, lit: int, reason: Optional[StoredNogood]) -> None:
+        self._assign[lit] = 1
+        self._assign[-lit] = -1
         var = abs(lit)
-        self._assign[var] = 1 if lit > 0 else -1
         self._level_arr[var] = self.level
         self._pos[var] = len(self._trail)
         self._reason[var] = reason
         self._phase[var] = lit > 0
         self._trail.append(lit)
-        self._num_assigned += 1
         if reason is not None:
             self.stats.propagations += 1
 
     def _backjump(self, target: int) -> None:
         trail = self._trail
-        while trail and self._level_arr[abs(trail[-1])] > target:
-            var = abs(trail.pop())
-            self._assign[var] = 0
-            self._reason[var] = None
-            self._pos[var] = 0
-            self._num_assigned -= 1
-            act = self._activity[var]
-            heappush(self._heap, (-act, self._rank[var], var, act))
+        if target < len(self._trail_lim):
+            start = self._trail_lim[target]
+            assign = self._assign
+            activity = self._activity
+            heap_act = self._heap_act
+            heap = self._heap
+            rank = self._rank
+            for lit in trail[start:]:
+                assign[lit] = 0
+                assign[-lit] = 0
+                var = lit if lit > 0 else -lit
+                act = activity[var]
+                if heap_act[var] != act:
+                    heap_act[var] = act
+                    heappush(heap, (-act, rank[var], var, act))
+            del trail[start:]
+            del self._trail_lim[target:]
         if len(self._heap) > 2 * self._nvars:
             self._compact_heap()
-        del self._trail_lim[target:]
         if self._prop_head > len(trail):
             self._prop_head = len(trail)
         if self._fixpoint_mark > len(trail):
@@ -318,11 +334,11 @@ class Solver:
         for ng in self._fragile:
             if ng.deleted:
                 continue
-            not_true = [l for l in ng.lits if self.value_of(l) != 1]
+            not_true = [l for l in ng.lits if self._assign[l] != 1]
             if len(not_true) >= 2:
                 self._rewatch(ng, not_true[0], not_true[1])
                 continue
-            if len(not_true) == 1 and self.value_of(not_true[0]) == 0:
+            if len(not_true) == 1 and self._assign[not_true[0]] == 0:
                 self._assign_lit(-not_true[0], ng)
             still.append(ng)
         self._fragile = still
@@ -330,12 +346,12 @@ class Solver:
     def _rewatch(self, ng: StoredNogood, w0: int, w1: int) -> None:
         for old in (ng.w0, ng.w1):
             if old not in (w0, w1):
-                lst = self._watches.get(old)
-                if lst and ng in lst:
+                lst = self._watches[old]
+                if ng in lst:
                     lst.remove(ng)
         for new in (w0, w1):
             if new not in (ng.w0, ng.w1):
-                self._watches.setdefault(new, []).append(ng)
+                self._watches[new].append(ng)
         ng.w0, ng.w1 = w0, w1
 
     # ----------------------------------------------------------------- install
@@ -369,12 +385,13 @@ class Solver:
         if len(ordered) == 1:
             self._root_units.append(ng)
             return None
-        not_true = [l for l in ordered if self.value_of(l) != 1]
+        assign = self._assign
+        not_true = [l for l in ordered if assign[l] != 1]
         if len(not_true) >= 2:
             ng.w0, ng.w1 = not_true[0], not_true[1]
         else:
             by_depth = sorted(
-                (l for l in ordered if self.value_of(l) == 1),
+                (l for l in ordered if assign[l] == 1),
                 key=lambda l: -self._pos[abs(l)],
             )
             if len(not_true) == 1:
@@ -382,8 +399,8 @@ class Solver:
                 ng.w1 = by_depth[0]
             else:
                 ng.w0, ng.w1 = by_depth[0], by_depth[1]
-        self._watches.setdefault(ng.w0, []).append(ng)
-        self._watches.setdefault(ng.w1, []).append(ng)
+        self._watches[ng.w0].append(ng)
+        self._watches[ng.w1].append(ng)
         if learned:
             self._learned.append(ng)
         if len(not_true) == 0:
@@ -393,7 +410,7 @@ class Solver:
         if len(not_true) == 1:
             if self.level > 0:
                 self._fragile.append(ng)
-            if self.value_of(not_true[0]) == 0:
+            if assign[not_true[0]] == 0:
                 self._assign_lit(-not_true[0], ng)
         return None
 
@@ -404,7 +421,6 @@ class Solver:
 
         Returns the first falsified nogood, or None at fixpoint.
         """
-        cb_lit = self.callbacks.on_literal_true
         cb_fix = self.callbacks.on_propagation_fixpoint
         while True:
             if self._root_conflict is not None:
@@ -415,7 +431,7 @@ class Solver:
                 units, self._root_units = self._root_units, []
                 for ng in units:
                     lit = ng.lits[0]
-                    val = self.value_of(lit)
+                    val = self._assign[lit]
                     if val == 1:
                         return ng
                     if val == 0:
@@ -427,23 +443,9 @@ class Solver:
                     return conflict
                 continue
             if self._prop_head < len(self._trail):
-                lit = self._trail[self._prop_head]
-                self._prop_head += 1
-                conflict = self._propagate_watches(lit)
+                conflict = self._propagate_trail()
                 if conflict is not None:
                     return conflict
-                if self._sup_watch:
-                    conflict = self._support_propagate(lit)
-                    if conflict is not None:
-                        return conflict
-                if cb_lit is not None:
-                    self.stats.propagator_calls += 1
-                    emitted = list(cb_lit(self, lit))
-                    if emitted:
-                        self.stats.propagator_nogoods += len(emitted)
-                        conflict, _ = self._apply_emitted(emitted)
-                        if conflict is not None:
-                            return conflict
                 continue
             if cb_fix is not None:
                 self.stats.propagator_calls += 1
@@ -481,60 +483,102 @@ class Solver:
         )
         return None, progressed
 
-    def _propagate_watches(self, lit: int) -> Optional[StoredNogood]:
-        watchers = self._watches.get(lit)
-        if not watchers:
-            return None
+    def _propagate_trail(self) -> Optional[StoredNogood]:
+        """Propagate the pending trail literals in order; returns the first
+        falsified nogood, or None once the trail is done or a hook has left
+        root units or queued nogoods for `propagate`.
+
+        Each literal's watchers are visited in list order.  A watcher whose
+        other watch is false stays; otherwise its watch moves to the first
+        non-true literal of the nogood outside both watches, or, with none,
+        it infers the complement of the other watch, or is falsified if
+        that one is true too.
+        """
         assign = self._assign
-        kept: list[StoredNogood] = []
-        n = len(watchers)
-        i = 0
-        while i < n:
-            ng = watchers[i]
-            i += 1
-            if ng.deleted:
-                continue
-            other = ng.w1 if ng.w0 == lit else ng.w0
-            ov = assign[abs(other)]
-            osign = 1 if other > 0 else -1
-            if ov == -osign:  # other literal false: cannot falsify now
-                kept.append(ng)
-                continue
-            repl = 0
-            for l in ng.lits:
-                if l == ng.w0 or l == ng.w1:
+        watches = self._watches
+        trail = self._trail
+        level_arr = self._level_arr
+        pos = self._pos
+        reasons = self._reason
+        phase = self._phase
+        sup_watch = self._sup_watch
+        cb_lit = self.callbacks.on_literal_true
+        level = len(self._trail_lim)
+        head = self._prop_head
+        inferred = 0
+        conflict = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            watchers = watches[lit]
+            n = len(watchers)
+            i = j = 0
+            while i < n:
+                ng = watchers[i]
+                i += 1
+                if ng.deleted:
                     continue
-                lv = assign[abs(l)]
-                if lv == 0 or lv != (1 if l > 0 else -1):
-                    repl = l
-                    break
-            if repl:
-                if ng.w0 == lit:
-                    ng.w0 = repl
+                w0 = ng.w0
+                w1 = ng.w1
+                other = w1 if w0 == lit else w0
+                ov = assign[other]
+                if ov == -1:  # other watch false: cannot falsify now
+                    watchers[j] = ng
+                    j += 1
+                    continue
+                for l in ng.lits:
+                    if l != w0 and l != w1 and assign[l] != 1:
+                        if w0 == lit:
+                            ng.w0 = l
+                        else:
+                            ng.w1 = l
+                        watches[l].append(ng)
+                        break
                 else:
-                    ng.w1 = repl
-                self._watches.setdefault(repl, []).append(ng)
-                continue
-            kept.append(ng)
-            if ov == osign:  # every literal true: falsified
-                kept.extend(watchers[i:])
-                self._watches[lit] = kept
-                return ng
-            self._assign_lit(-other, ng)
-        self._watches[lit] = kept
-        return None
+                    watchers[j] = ng
+                    j += 1
+                    if ov == 1:  # every literal true: falsified
+                        conflict = ng
+                        break
+                    assign[other] = -1
+                    assign[-other] = 1
+                    if other > 0:
+                        var = other
+                        phase[var] = False
+                    else:
+                        var = -other
+                        phase[var] = True
+                    level_arr[var] = level
+                    pos[var] = len(trail)
+                    reasons[var] = ng
+                    trail.append(-other)
+                    inferred += 1
+            if j < i:
+                del watchers[j:i]
+            if conflict is not None:
+                break
+            if sup_watch:
+                for sup_head in sup_watch.get(lit if lit > 0 else -lit, ()):
+                    conflict = self._support_check(sup_head)
+                    if conflict is not None:
+                        break
+                if conflict is not None:
+                    break
+            if cb_lit is not None:
+                self.stats.propagator_calls += 1
+                emitted = list(cb_lit(self, lit))
+                if emitted:
+                    self.stats.propagator_nogoods += len(emitted)
+                    conflict, _ = self._apply_emitted(emitted)
+                    if conflict is not None:
+                        break
+            if self._root_units or self.nogood_queue or self._root_conflict is not None:
+                break
+        self._prop_head = head
+        self.stats.propagations += inferred
+        return conflict
 
     # ------------------------------------------------------ support propagator
-
-    def _support_propagate(self, lit: int) -> Optional[StoredNogood]:
-        heads = self._sup_watch.get(abs(lit))
-        if not heads:
-            return None
-        for head in heads:
-            conflict = self._support_check(head)
-            if conflict is not None:
-                return conflict
-        return None
 
     def _support_check(self, head: int) -> Optional[StoredNogood]:
         """Lazily derive the completion nogood an unsupported head needs."""
@@ -543,10 +587,11 @@ class Solver:
             return None
         open_bodies: list[tuple[int, ...]] = []
         witnesses: list[int] = []
+        assign = self._assign
         for body in self._defs[head]:
             false_lit = 0
             for l in body:
-                if self.value_of(l) == -1:
+                if assign[l] == -1:
                     false_lit = l
                     break
             if false_lit:
@@ -557,7 +602,7 @@ class Solver:
             return self._install((head, *witnesses))
         if val == 1 and len(open_bodies) == 1:
             for l in open_bodies[0]:
-                if self.value_of(l) == 0:
+                if assign[l] == 0:
                     conflict = self._install((head, -l, *witnesses))
                     if conflict is not None:
                         return conflict
@@ -570,42 +615,51 @@ class Solver:
     ) -> tuple[tuple[int, ...], int]:
         """First-UIP learned nogood and backjump level, bumping the
         activity of the variables and learned nogoods it resolves on."""
+        trail = self._trail
+        level_arr = self._level_arr
+        activity = self._activity
+        var_inc = self._var_inc
+        # Every literal resolved on is true, so `seen` holds trail literals.
         seen: set[int] = set()
         tail: list[int] = []
         counter = 0
         reason_lits: Sequence[int] = conflict.lits
         skip = 0
-        idx = len(self._trail) - 1
-        self._bump_cla(conflict)
+        idx = len(trail) - 1
+        if conflict.learned:
+            self._bump_cla(conflict)
         while True:
             for l in reason_lits:
-                if l == skip:
+                if l == skip or l in seen:
                     continue
-                var = abs(l)
-                if var in seen:
-                    continue
-                lvl = self._level_arr[var]
+                var = l if l > 0 else -l
+                lvl = level_arr[var]
                 if lvl == 0:
                     continue
-                seen.add(var)
-                self._bump_var(var)
+                seen.add(l)
+                act = activity[var] + var_inc
+                activity[var] = act
+                if act > 1e100:
+                    self._rescale_activity()
+                    var_inc = self._var_inc
                 if lvl == level:
                     counter += 1
                 else:
                     tail.append(l)
-            while abs(self._trail[idx]) not in seen:
+            while trail[idx] not in seen:
                 idx -= 1
-            uip = self._trail[idx]
+            uip = trail[idx]
             idx -= 1
             counter -= 1
             if counter <= 0:
                 break
-            reason = self._reason[abs(uip)]
-            self._bump_cla(reason)
+            reason = self._reason[uip if uip > 0 else -uip]
+            if reason.learned:
+                self._bump_cla(reason)
             reason_lits = reason.lits
             skip = -uip
         learned = (uip, *tail)
-        bj = max((self._level_arr[abs(l)] for l in tail), default=0)
+        bj = max((level_arr[abs(l)] for l in tail), default=0)
         return learned, bj
 
     def resolve_conflict(self, conflict: StoredNogood) -> bool:
@@ -652,45 +706,36 @@ class Solver:
         ng.activity = self._cla_inc
         ng.w0 = learned[0]
         ng.w1 = max(learned[1:], key=lambda l: self._pos[abs(l)])
-        self._watches.setdefault(ng.w0, []).append(ng)
-        self._watches.setdefault(ng.w1, []).append(ng)
+        self._watches[ng.w0].append(ng)
+        self._watches[ng.w1].append(ng)
         self._learned.append(ng)
         self.stats.learned += 1
         return ng
 
-    def _bump_var(self, var: int) -> None:
-        act = self._activity[var] + self._var_inc
-        self._activity[var] = act
-        if act > 1e100:
-            # Every entry's snapshot is stale now: one fresh entry per
-            # undefined variable, at its rescaled activity.
-            activity = self._activity
-            for v in range(1, self._nvars + 1):
-                activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._heap = [
-                (-activity[v], self._rank[v], v, activity[v])
-                for v in range(1, self._nvars + 1)
-                if self._assign[v] == 0
-            ]
-            heapify(self._heap)
-        elif self._assign[var] == 0:
-            heappush(self._heap, (-act, self._rank[var], var, act))
-
-    def _compact_heap(self) -> None:
-        """Keep one entry per undefined variable, at its current activity.
-        `choose_literal` skips every entry dropped here, or returns the
-        same variable through a kept duplicate, so no decision changes."""
+    def _rescale_activity(self) -> None:
+        """Scale every activity by 1e-100 once one passes 1e100.  Every heap
+        entry is stale then: one fresh entry per undefined variable."""
         activity = self._activity
-        assign = self._assign
-        self._heap = list(
-            {e for e in self._heap if assign[e[2]] == 0 and e[3] == activity[e[2]]}
-        )
+        for v in range(1, self._nvars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        self._heap = []
+        for v in range(1, self._nvars + 1):
+            if self._assign[v] == 0:
+                self._heap.append((-activity[v], self._rank[v], v, activity[v]))
+                self._heap_act[v] = activity[v]
+            else:
+                self._heap_act[v] = -1.0
         heapify(self._heap)
 
-    def _bump_cla(self, ng: Optional[StoredNogood]) -> None:
-        if ng is None or not ng.learned:
-            return
+    def _compact_heap(self) -> None:
+        """Drop the stale entries.  `choose_literal` skips every one of them,
+        so no decision changes."""
+        activity = self._activity
+        self._heap = [e for e in self._heap if e[3] == activity[e[2]]]
+        heapify(self._heap)
+
+    def _bump_cla(self, ng: StoredNogood) -> None:
         ng.activity += self._cla_inc
         if ng.activity > 1e20:
             for other in self._learned:
@@ -706,15 +751,18 @@ class Solver:
         while self._forced_at < len(self._forced):
             lit = self._forced[self._forced_at]
             self._forced_at += 1
-            if self._assign[abs(lit)] == 0:
+            if self._assign[lit] == 0:
                 return lit
         heap = self._heap
         while heap:
             _, _, var, snap = heappop(heap)
-            if self._assign[var] != 0 or snap != self._activity[var]:
+            if snap != self._activity[var]:
                 continue
-            # The caller decides the variable at once; `_backjump` pushes it
-            # again when it becomes undefined.
+            # The variable's entry is gone; `_backjump` pushes it again when
+            # it becomes undefined.
+            self._heap_act[var] = -1.0
+            if self._assign[var] != 0:
+                continue
             return var if self._phase[var] else -var
         raise RuntimeError("choose_literal called with no undefined atoms")
 
@@ -732,9 +780,7 @@ class Solver:
         self._conf_since_restart = 0
         self.stats.restarts += 1
         self._backjump(0)
-        if self.budget.max_seconds is not None:
-            if time.monotonic() - self._start_time > self.budget.max_seconds:
-                raise _Stop()
+        self._check_deadline()
         return True
 
     def delete_constraints_if_needed(self) -> int:
@@ -776,7 +822,7 @@ class Solver:
                 if self._assign[head] != 1 or head in founded:
                     continue
                 for body in bodies:
-                    if all(self.value_of(l) == 1 for l in body) and all(
+                    if all(self._assign[l] == 1 for l in body) and all(
                         abs(l) in founded for l in body if l > 0
                     ):
                         founded.add(head)
@@ -797,7 +843,7 @@ class Solver:
                     continue  # internal to the loop
                 false_lit = 0
                 for l in body:
-                    if self.value_of(l) == -1:
+                    if self._assign[l] == -1:
                         false_lit = l
                         break
                 if not false_lit:
@@ -818,6 +864,11 @@ class Solver:
 
     # ------------------------------------------------------------------ solve
 
+    def _check_deadline(self) -> None:
+        if self.budget.max_seconds is not None:
+            if time.monotonic() - self._start_time > self.budget.max_seconds:
+                raise _Stop()
+
     def _note_conflict(self) -> None:
         self.stats.conflicts += 1
         self._conf_since_restart += 1
@@ -826,6 +877,7 @@ class Solver:
             and self.stats.conflicts > self.budget.max_conflicts
         ):
             raise _Stop()
+        self._check_deadline()
 
     def solve(self) -> SolveResult:
         try:
@@ -836,7 +888,7 @@ class Solver:
                     if not self.resolve_conflict(conflict):
                         return SolveResult(UNSAT, None, self.stats)
                     continue
-                if self._num_assigned == self._nvars:
+                if len(self._trail) == self._nvars:
                     vetoes = self._total_checks()
                     if not vetoes:
                         return SolveResult(SAT, self.model_atoms(), self.stats)

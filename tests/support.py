@@ -200,3 +200,8 @@ def rule_texts(gp) -> list[str]:
 def fact_texts(gp) -> list[str]:
     """The facts of a ground program as text, sorted."""
     return sorted(str(gp.atoms.atom(var - 1)) for var in gp.facts)
+
+
+def lit_of(solver, atom) -> int:
+    """The positive solver literal of an atom of the solver's program."""
+    return solver.gp.atoms.id_of(atom) + 1

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from microasp.grounder import ground_program
 from microasp.model import Atom
 from microasp.oracle import enumerate_stable_models, is_stable_model
 from microasp.parser import ParseError, parse_program
-from support import PI1_TEXT, random_program_text
+from microasp.strategies import solve
+from support import PI1_TEXT, lit_of, random_program_text
 
 
 def ga(pred, *args):
@@ -46,30 +48,30 @@ class TestPropagate:
     def test_deciding_a_conflicts(self, pi1_gp):
         solver = Solver(pi1_gp)
         solver.propagate()
-        a = solver.lit_of(ga("a", 1))
+        a = lit_of(solver, ga("a", 1))
         solver.decide(a)
         conflict = solver.propagate()
         assert conflict is not None
         # the conflict involves the a/b block: every literal mentions a(1) or b(1)
         involved = {abs(l) for l in conflict.lits}
-        assert involved <= {abs(a), abs(solver.lit_of(ga("b", 1)))}
+        assert involved <= {abs(a), abs(lit_of(solver, ga("b", 1)))}
 
     def test_unit_then_support_propagation(self, pi1_gp):
         solver = Solver(pi1_gp)
         solver.propagate()
-        solver.decide(-solver.lit_of(ga("a", 1)))
+        solver.decide(-lit_of(solver, ga("a", 1)))
         assert solver.propagate() is None
-        assert solver.value_of(solver.lit_of(ga("b", 1))) == 1
-        solver.decide(solver.lit_of(ga("c", 1)))
+        assert solver.value_of(lit_of(solver, ga("b", 1))) == 1
+        solver.decide(lit_of(solver, ga("c", 1)))
         assert solver.propagate() is None
-        assert solver.value_of(solver.lit_of(ga("d", 1))) == -1
+        assert solver.value_of(lit_of(solver, ga("d", 1))) == -1
 
 
 class TestAnalyzeConflict:
     def test_worked_trace_learns_unit(self, pi1_gp):
         solver = Solver(pi1_gp)
         solver.propagate()
-        a = solver.lit_of(ga("a", 1))
+        a = lit_of(solver, ga("a", 1))
         solver.decide(a)
         conflict = solver.propagate()
         assert learn(solver, conflict) == ((a,), 0)
@@ -96,7 +98,7 @@ class TestAnalyzeConflict:
                 continue
             gp = ground_program(program, include_deferred=True)
             solver = Solver(gp, seed=seed)
-            if solver.propagate() is not None or solver._num_assigned == solver._nvars:
+            if solver.propagate() is not None or len(solver._trail) == solver._nvars:
                 continue
             solver.decide(solver.choose_literal())
             conflict = solver.propagate()
@@ -147,7 +149,7 @@ class TestComputeStableModel:
             model = solver.model_atoms()
             if not seen:
                 seen.append(model)
-                return [tuple(solver.lit_of(a) for a in model)]
+                return [tuple(lit_of(solver, a) for a in model)]
             return []
 
         result = Solver(
@@ -168,19 +170,36 @@ class TestChooseLiteral:
     def test_single_remaining_atom(self, pi1_gp):
         solver = Solver(pi1_gp)
         solver.propagate()
-        solver.decide(-solver.lit_of(ga("a", 1)))
+        solver.decide(-lit_of(solver, ga("a", 1)))
         solver.propagate()
-        solver.decide(solver.lit_of(ga("c", 1)))
+        solver.decide(lit_of(solver, ga("c", 1)))
         solver.propagate()
         # only d(1) might remain; everything else is assigned
-        assert solver._num_assigned == solver._nvars
+        assert len(solver._trail) == solver._nvars
 
-    def test_activity_orders_choices(self, pi1_gp):
-        solver = Solver(pi1_gp, seed=0)
-        solver.propagate()
-        var = solver.lit_of(ga("c", 1))
-        solver._bump_var(var)
-        assert abs(solver.choose_literal()) == var
+    def test_activity_orders_choices(self):
+        """Each decision is the undefined variable of highest activity, ties
+        broken by the seed permutation, also once conflicts have bumped
+        activities."""
+        gp = ground_program(benchgen.gen_3sat(60, 4.26, 1), include_deferred=True)
+        solver = Solver(gp, seed=1, budget=Budget(max_conflicts=50))
+        choose = solver.choose_literal
+        picks = []
+
+        def checked_choose():
+            act, _, best = min(
+                (-solver._activity[v], solver._rank[v], v)
+                for v in range(1, solver._nvars + 1)
+                if solver._assign[v] == 0
+            )
+            lit = choose()
+            picks.append((abs(lit), best, -act))
+            return lit
+
+        solver.choose_literal = checked_choose
+        solver.solve()
+        assert any(act > 0 for _, _, act in picks)
+        assert all(var == best for var, best, _ in picks)
 
     def test_seeds_permute_ties(self, pi1_gp):
         chosen = set()
@@ -211,21 +230,32 @@ def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
     """Once an activity passes 1e100 every activity is scaled by 1e-100, which
     makes every heap entry's snapshot stale.  The increment starts near the
     threshold, so the rescale comes within a few conflicts rather than after
-    about 4.5k; from then on, at every decision, each undefined variable
-    must still have an entry at its current activity."""
+    about 4.5k.  At every decision, before and after the rescale, the
+    kernel's invariants hold: the truth of each negative literal is the
+    complement of its atom's, levels never decrease along the trail, and
+    each undefined variable has exactly one heap entry at its current
+    activity, the one `_heap_act` records."""
     gp = ground_program(benchgen.gen_3sat(180, 4.26, 0), include_deferred=True)
     solver = Solver(gp, seed=1, budget=Budget(max_conflicts=200))
     solver._var_inc = 1e99
     choose = solver.choose_literal
-    missing = []
+    variables = range(1, solver._nvars + 1)
+    broken = []
 
     def checked_choose():
-        valid = {v for _, _, v, snap in solver._heap if snap == solver._activity[v]}
-        missing.append(
-            sum(
-                1
-                for v in range(1, solver._nvars + 1)
-                if solver._assign[v] == 0 and v not in valid
+        assign, activity = solver._assign, solver._activity
+        levels = [solver._level_arr[abs(l)] for l in solver._trail]
+        valid = Counter(v for _, _, v, snap in solver._heap if snap == activity[v])
+        broken.append(
+            (
+                sum(1 for v in variables if assign[-v] != -assign[v]),
+                levels != sorted(levels),
+                sum(
+                    1
+                    for v in variables
+                    if assign[v] == 0
+                    and (valid[v] != 1 or solver._heap_act[v] != activity[v])
+                ),
             )
         )
         return choose()
@@ -233,8 +263,19 @@ def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
     solver.choose_literal = checked_choose
     solver.solve()
     assert solver._var_inc < 1e99  # rescaled
-    assert len(missing) > 100
-    assert max(missing) == 0
+    assert len(broken) > 100
+    assert set(broken) == {(0, False, 0)}
+
+
+def test_time_budget_is_checked_at_each_conflict():
+    """A spent time budget stops the search at its first conflict, not at
+    the first restart."""
+    for kind in ("full", "lazy", "eager", "post"):
+        result = solve(
+            benchgen.gen_3sat(100, 4.26, 1), kind, seed=1, budget=Budget(max_seconds=0.0)
+        )
+        assert result.status == "TIMEOUT", kind
+        assert result.stats.conflicts == 1, kind
 
 
 class TestRestartsAndDeletion:
@@ -374,7 +415,7 @@ def test_learned_nogoods_preserve_model_set():
     def check_program(gp, solver, rng, flip=True) -> bool:
         before = {frozenset(m) for m in enumerate_stable_models(gp)}
         conflict = solver.propagate()
-        while conflict is None and solver._num_assigned < solver._nvars:
+        while conflict is None and len(solver._trail) < solver._nvars:
             lit = solver.choose_literal()
             if flip:
                 lit = abs(lit) if rng.random() < 0.5 else -abs(lit)

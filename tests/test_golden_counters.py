@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from microasp import benchgen
+from microasp import benchgen, cdcl
 from microasp.grounder import ground_program
 from microasp.strategies import solve
 
@@ -67,6 +67,28 @@ GOLDEN = {
 def test_counters_match_golden(instance, kind):
     result = solve(INSTANCES[instance](), kind, seed=1)
     status, counters = GOLDEN[instance, kind]
+    assert result.status == status
+    assert dataclasses.asdict(result.stats) == dict(zip(FIELDS, counters))
+
+
+# strategy -> (status, counters in FIELDS order) of gen_3sat(80, 4.26, 3) at
+# seed 1, with learned-nogood deletion from 200 active nogoods on (50 more
+# per round): a search long enough to restart, delete learned nogoods and
+# compact the decision heap, which the instances above never do.
+LONG_GOLDEN = {
+    "full": ("UNSAT", (450, 373, 6, 372, 208, 39935, 0, 0, 0, 0, 0)),
+    "lazy": ("UNSAT", (1025, 538, 10, 538, 331, 56949, 20, 298, 0, 0, 0)),
+    "eager": ("UNSAT", (465, 394, 7, 393, 211, 41802, 0, 0, 38940, 339, 0)),
+    "post": ("UNSAT", (1904, 704, 13, 703, 390, 68481, 0, 0, 2099, 281, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_GOLDEN))
+def test_long_search_counters_match_golden(kind, monkeypatch):
+    monkeypatch.setattr(cdcl, "DELETION_BASE", 200)
+    monkeypatch.setattr(cdcl, "DELETION_STEP", 50)
+    result = solve(benchgen.gen_3sat(80, 4.26, 3), kind, seed=1)
+    status, counters = LONG_GOLDEN[kind]
     assert result.status == status
     assert dataclasses.asdict(result.stats) == dict(zip(FIELDS, counters))
 

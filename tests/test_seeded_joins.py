@@ -20,7 +20,7 @@ from microasp.grounder import (
 from microasp.model import Atom, Literal
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex, _canonical, _new_nogoods, solve
-from support import PI1_DEFERRED_TEXT, random_program_text
+from support import PI1_DEFERRED_TEXT, lit_of, random_program_text
 
 
 def fuzz_programs(n):
@@ -201,7 +201,7 @@ def reordered_at_s():
     solver = Solver(gp)
     assert solver.propagate() is None
     assert index.post_nogoods(solver) == []  # the full join; sets the mark
-    s5 = solver.lit_of(Atom("s", (5,)))
+    s5 = lit_of(solver, Atom("s", (5,)))
     solver.decide(s5)
     assert solver.propagate() is None
     return index, solver, s5

@@ -18,7 +18,7 @@ from microasp.strategies import (
     solve,
     solver_nogood,
 )
-from support import PI1_DEFERRED_TEXT, random_program_text
+from support import PI1_DEFERRED_TEXT, lit_of, random_program_text
 
 ALL_KINDS = ["full", "lazy", "eager", "post"]
 
@@ -89,7 +89,7 @@ class TestEagerPropagator:
         index = ConstraintIndex(pi1.deferred_rules(), gp)
         solver = Solver(gp)
         solver.propagate()
-        lit = solver.lit_of(ga("c", 1))
+        lit = lit_of(solver, ga("c", 1))
         solver.decide(lit)
         assert index.eager_nogoods(solver, lit) == []
 
@@ -98,7 +98,7 @@ class TestEagerPropagator:
         index = ConstraintIndex(pi1.deferred_rules(), gp)
         solver = Solver(gp)
         solver.propagate()
-        lit = solver.lit_of(ga("a", 1))
+        lit = lit_of(solver, ga("a", 1))
         solver.decide(lit)
         first = [ng for _, _, ng in index.eager_nogoods(solver, lit)]
         again = [ng for _, _, ng in index.eager_nogoods(solver, lit)]
@@ -126,10 +126,10 @@ class TestPostPropagator:
         index = ConstraintIndex(pi1.deferred_rules(), gp)
         solver = Solver(gp)
         solver.propagate()
-        solver.decide(solver.lit_of(ga("a", 1)))
+        solver.decide(lit_of(solver, ga("a", 1)))
         assert solver.propagate() is None  # a true, b false by completion
         found = index.post_nogoods(solver)
-        a, b = solver.lit_of(ga("a", 1)), solver.lit_of(ga("b", 1))
+        a, b = lit_of(solver, ga("a", 1)), lit_of(solver, ga("b", 1))
         assert [ng for _, _, ng in found] == [tuple(sorted((a, -b), key=abs))]
 
     def test_quiet_fixpoint_emits_nothing(self, pi1):
@@ -137,7 +137,7 @@ class TestPostPropagator:
         index = ConstraintIndex(pi1.deferred_rules(), gp)
         solver = Solver(gp)
         solver.propagate()
-        solver.decide(-solver.lit_of(ga("a", 1)))
+        solver.decide(-lit_of(solver, ga("a", 1)))
         solver.propagate()
         assert index.post_nogoods(solver) == []
 
