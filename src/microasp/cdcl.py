@@ -22,10 +22,18 @@ literal of the nogood or infers the complement of the other watch, then
 runs the support propagator and the per-literal hook.  Levels never
 decrease along the trail, so a backjump cuts it at the level's start.
 
+A nogood is stored once, under its canonical tuple: its distinct literals
+ordered by variable, which is also its `lits`.  A tautology is never
+stored, `has_nogood` looks its argument up in the same form, and learned
+nogoods are not keyed.
+
 Every undefined variable has exactly one heap entry at its current
 activity; `_heap_act[v]` is the activity of v's entry, or -1.0 when it has
 none.  A backjump pushes a variable only when that entry is missing or
 stale, and the decision is the least such entry among undefined variables.
+Facts are true at level 0 through their unit nogoods before the first
+decision, so they never get an entry, and the heap is compacted once it
+holds twice as many entries as there are other variables.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Callable, Iterable, Optional, Sequence
 
 from .grounder import GroundProgram
@@ -141,7 +150,8 @@ class _Stop(Exception):
 
 
 class Solver:
-    """One CDCL search instance over a ground program."""
+    """One CDCL search instance over a ground program.  A time budget counts
+    from `started` (a `time.monotonic()` value), or else from construction."""
 
     def __init__(
         self,
@@ -152,6 +162,7 @@ class Solver:
         callbacks: Optional[SolverCallbacks] = None,
         budget: Optional[Budget] = None,
         forced_decisions: Sequence[int] = (),
+        started: Optional[float] = None,
     ):
         if support_mode not in ("auto", "completion", "propagator"):
             raise ValueError(f"unknown support mode {support_mode!r}")
@@ -177,7 +188,7 @@ class Solver:
         self._fixpoint_mark = 0
 
         self._watches: list[list[StoredNogood]] = [[] for _ in range(2 * n + 1)]
-        self._by_lits: dict[frozenset[int], StoredNogood] = {}
+        self._by_lits: dict[tuple[int, ...], StoredNogood] = {}
         self._learned: list[StoredNogood] = []
         self._fragile: list[StoredNogood] = []
         self._root_units: list[StoredNogood] = []
@@ -193,18 +204,25 @@ class Solver:
 
             random.Random(seed).shuffle(rank)
         self._rank = rank
-        self._heap = [(0.0, rank[var], var, 0.0) for var in range(1, n + 1)]
+        self._fact_vars = set(gp.facts)
+        self._heap = [
+            (0.0, rank[var], var, 0.0)
+            for var in range(1, n + 1)
+            if var not in self._fact_vars
+        ]
         heapify(self._heap)
         self._heap_act = [0.0] * (n + 1)
+        for var in self._fact_vars:
+            self._heap_act[var] = -1.0
+        self._heap_bound = 2 * len(self._heap)
 
         self._forced = list(forced_decisions)
         self._forced_at = 0
         self._restart_count = 0
         self._conf_since_restart = 0
         self._n_reductions = 0
-        self._start_time = time.monotonic()
+        self._start_time = time.monotonic() if started is None else started
 
-        self._fact_vars = set(gp.facts)
         self._defs: dict[int, list[tuple[int, ...]]] = {}
         self._sup_heads: list[int] = []
         self._sup_watch: dict[int, list[int]] = {}
@@ -318,7 +336,7 @@ class Solver:
                     heappush(heap, (-act, rank[var], var, act))
             del trail[start:]
             del self._trail_lim[target:]
-        if len(self._heap) > 2 * self._nvars:
+        if len(self._heap) > self._heap_bound:
             self._compact_heap()
         if self._prop_head > len(trail):
             self._prop_head = len(trail)
@@ -357,41 +375,42 @@ class Solver:
     # ----------------------------------------------------------------- install
 
     def has_nogood(self, lits: Iterable[int]) -> bool:
-        return frozenset(lits) in self._by_lits
+        return tuple(sorted(set(lits), key=abs)) in self._by_lits
 
     def add_nogood(self, lits: Iterable[int]) -> Optional[StoredNogood]:
         """Add a nogood mid-search; returns the conflict if it is falsified."""
-        return self._install(tuple(lits))
+        return self._install(lits)
 
-    def _install(self, lits: Iterable[int], learned: bool = False) -> Optional[StoredNogood]:
-        ordered: list[int] = []
-        seen: set[int] = set()
-        for lit in sorted(set(lits), key=lambda l: (abs(l), l < 0)):
-            if -lit in seen:
-                return None  # tautological, never falsifiable
-            seen.add(lit)
-            ordered.append(lit)
-        if not ordered:
+    def _install(self, lits: Iterable[int]) -> Optional[StoredNogood]:
+        """Store a nogood under its canonical tuple, watch it and infer from
+        it; returns it when it is falsified.  A tautology or a nogood
+        already stored is dropped."""
+        distinct = set(lits)
+        if not distinct.isdisjoint(map(neg, distinct)):
+            return None  # tautological, never falsifiable
+        if not distinct:
             ng = StoredNogood(())
             self._root_conflict = ng
             return ng
-        key = frozenset(ordered)
-        if not learned and key in self._by_lits:
+        key = tuple(sorted(distinct, key=abs))
+        if key in self._by_lits:
             return None
-        ng = StoredNogood(tuple(ordered), learned=learned)
+        ng = self._by_lits[key] = StoredNogood(key)
         self._store_count += 1
-        if not learned:
-            self._by_lits[key] = ng
-        if len(ordered) == 1:
+        if len(key) == 1:
             self._root_units.append(ng)
             return None
+        if not self._trail:  # nothing assigned: watch the first two literals
+            self._watches[key[0]].append(ng)
+            self._watches[key[1]].append(ng)
+            return None
         assign = self._assign
-        not_true = [l for l in ordered if assign[l] != 1]
+        not_true = [l for l in key if assign[l] != 1]
         if len(not_true) >= 2:
             ng.w0, ng.w1 = not_true[0], not_true[1]
         else:
             by_depth = sorted(
-                (l for l in ordered if assign[l] == 1),
+                (l for l in key if assign[l] == 1),
                 key=lambda l: -self._pos[abs(l)],
             )
             if len(not_true) == 1:
@@ -401,8 +420,6 @@ class Solver:
                 ng.w0, ng.w1 = by_depth[0], by_depth[1]
         self._watches[ng.w0].append(ng)
         self._watches[ng.w1].append(ng)
-        if learned:
-            self._learned.append(ng)
         if len(not_true) == 0:
             if self.level > 0:
                 self._fragile.append(ng)
@@ -472,7 +489,7 @@ class Solver:
         before_trail = len(self._trail)
         before_store = self._store_count
         for i, lits in enumerate(nogoods):
-            conflict = self._install(tuple(lits))
+            conflict = self._install(lits)
             if conflict is not None:
                 self.nogood_queue.extend(tuple(l) for l in nogoods[i + 1 :])
                 return conflict, True

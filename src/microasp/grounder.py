@@ -8,14 +8,22 @@ its predicate keyed by the positions bound when it is reached, and binds its
 free positions; comparisons and negative literals run as soon as their
 variables are bound, a negative literal as a probe of its all-positions
 table.  Facts skip the join: a fact's head enters the index at its turn in
-the first round of the fixpoint and is its own instance.
+the first round of the fixpoint and its variable is a fact of the program.
 
 A ground program is solver literals: each instance is (head variable or 0,
 body literals in written order), a literal being a signed atom variable,
 read off the match's slots by probing each atom's all-positions table
-(`BodyPlan.instance`).  Facts are then simplified out of bodies and rules
-with a definitely false body are dropped.  `AtomIndex.render` turns an
-instance back into atoms for text.
+(`BodyPlan.instance`).  `AtomIndex.render` turns an instance back into
+atoms for text.
+
+The grounder folds facts into each instance as it builds it
+(`BodyPlan.instance` given the fact variables), with no pass afterwards.
+The literals of extensional predicates (those with facts and no other
+defining rule) are not even probed, as they always hold.  An instance with
+a fact head or a negative literal on a fact is dropped, and other fact
+literals leave its body.  A body that empties makes a derived fact, which
+reaches the instances built before it through a worklist from its variable
+to the instances holding it.
 
 `iter_matches` reads each atom's truth from a list indexed by solver
 variable and lets at most `budget` body literals be undefined:
@@ -36,8 +44,9 @@ recovers that key from a match's literals.
 from __future__ import annotations
 
 import itertools
+import time
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     Atom,
@@ -60,6 +69,10 @@ Instance = tuple[int, tuple[int, ...]]
 
 class GroundingError(Exception):
     pass
+
+
+class GroundingTimeout(Exception):
+    """The deadline given to `ground_program` passed while it grounded."""
 
 
 def _key_of(positions: Sequence[int]) -> Callable:
@@ -260,10 +273,17 @@ class BodyPlan:
     an operation: a comparison a test, a binding `=` an assignment, and a
     negative literal a probe of its predicate's all-positions table.  The
     head and each body literal in written order are compiled to the same
-    probe, from which `instance` reads a match's ground rule.
+    probe, from which `instance` reads a match's ground rule; positive
+    literals on the `extensional` predicates, whose atoms are all facts,
+    are left out.
     """
 
-    def __init__(self, rule: Rule, seed: Optional[int] = None):
+    def __init__(
+        self,
+        rule: Rule,
+        seed: Optional[int] = None,
+        extensional: Container[str] = frozenset(),
+    ):
         self.rule = rule
         self.seed = seed
         at = [
@@ -368,7 +388,11 @@ class BodyPlan:
                 stage(elems),
             ))
         literals = [e for e in rule.body if isinstance(e, Literal)]
-        self._probes = [(*probe(e.atom), 1 if e.positive else -1) for e in literals]
+        self._probes = [
+            (*probe(e.atom), 1 if e.positive else -1)
+            for e in literals
+            if not (e.positive and e.atom.predicate in extensional)
+        ]
         self._literals = [
             (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
             for e in literals
@@ -408,28 +432,40 @@ class BodyPlan:
             ),
         )
 
-    def instance(self, slots: list) -> Optional[Instance]:
+    def instance(
+        self, slots: list, facts: Container[int] = frozenset()
+    ) -> Optional[Instance]:
         """A match's ground rule over the index last joined: (head variable
-        or 0, body literals in written order).  A negative literal on an
-        atom outside the index holds and is dropped, as is a repeated
-        literal; a body holding a literal and its complement never fires,
-        and gives None.  The head must be in the index."""
+        or 0, body literals in written order), with the fact variables
+        `facts` folded in.  A negative literal on an atom outside the index
+        holds and is dropped, as are a repeated literal, a positive literal
+        on a fact and one on an `extensional` predicate, which is not
+        probed.  A head or a negative literal on a fact, or a literal and
+        its complement, give None.  The head must be in the index."""
         tables = self._tables
+        head = 0
+        if self.rule.head is not None:
+            table, key = self._head_probe
+            head = tables[table][key(slots)][0][0]
+            if head in facts:
+                return None
         body: list[int] = []
         for table, key, sign in self._probes:
             rows = tables[table].get(key(slots))
             if not rows:
                 continue
-            lit = sign * rows[0][0]
+            var = rows[0][0]
+            if var in facts:
+                if sign < 0:
+                    return None
+                continue
+            lit = sign * var
             if lit in body:
                 continue
             if -lit in body:
                 return None
             body.append(lit)
-        if self.rule.head is None:
-            return 0, tuple(body)
-        table, key = self._head_probe
-        return tables[table][key(slots)][0][0], tuple(body)
+        return head, tuple(body)
 
 
 def _run(ops: tuple, slots: list, tables: list, values, budget: int, lits: list) -> int:
@@ -556,7 +592,22 @@ def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
     return list(out)
 
 
-def ground_program(program: Program, include_deferred: bool = False) -> GroundProgram:
+def _watch(
+    matches: Iterator[list], deadline: float, ticks: Iterator[int]
+) -> Iterator[list]:
+    """The matches, raising `GroundingTimeout` at every 1024th tick once the
+    monotonic clock has passed the deadline."""
+    for slots in matches:
+        if not next(ticks) & 1023 and time.monotonic() > deadline:
+            raise GroundingTimeout()
+        yield slots
+
+
+def ground_program(
+    program: Program,
+    include_deferred: bool = False,
+    deadline: Optional[float] = None,
+) -> GroundProgram:
     """Ground the program (deferred constraints excluded unless requested).
 
     Instantiation is bottom-up over derivable atoms: positive body literals
@@ -564,15 +615,38 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
     Each rule other than a fact is compiled once, for the fixpoint and the
-    instantiation; a fact is added and emitted without a join.
+    instantiation; a fact is added without a join.
+
+    Facts are folded into each instance as it is built, and a predicate
+    with facts and no other defining rule is extensional: its literals are
+    not probed.  An instance whose body empties is a derived fact, which
+    reaches the instances built before it through `_fold_derived`.
+
+    With a `deadline` (a `time.monotonic()` value), the fixpoint and the
+    instantiation each check the clock every 1024 matches and raise
+    `GroundingTimeout` once it has passed.
     """
     kept = [
         rule
         for i, rule in enumerate(program.rules)
         if include_deferred or i not in program.deferred
     ]
-    plans = [None if rule.is_fact else BodyPlan(rule) for rule in kept]
+    defined = [
+        (rule.head.predicate, rule.is_fact) for rule in kept if rule.head is not None
+    ]
+    extensional = {p for p, fact in defined if fact} - {
+        p for p, fact in defined if not fact
+    }
+    plans = [
+        None if rule.is_fact else BodyPlan(rule, None, extensional) for rule in kept
+    ]
     index = AtomIndex()
+
+    def matches(plan: BodyPlan, ticks: Iterator[int]) -> Iterator[list]:
+        found = _derivable_matches(plan, index)
+        return found if deadline is None else _watch(found, deadline, ticks)
+
+    ticks = itertools.count(1)
     changed = True
     while changed:
         changed = False
@@ -582,45 +656,63 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
             if plan is None:
                 heads: Iterable[Atom] = (rule.head,)
             else:
-                heads = (plan.head(slots) for slots in _derivable_matches(plan, index))
+                heads = (plan.head(slots) for slots in matches(plan, ticks))
             for head in heads:
                 if head not in index:
                     index.add(head)
                     changed = True
 
+    ticks = itertools.count(1)
+    facts = dict.fromkeys(
+        index.id_of(rule.head) + 1 for rule in kept if rule.is_fact
+    )
+    found: list[int] = []
     instances: dict[Instance, None] = {}
-    for rule, plan in zip(kept, plans):
+    for plan in plans:
         if plan is None:
-            instances[index.id_of(rule.head) + 1, ()] = None
             continue
-        for slots in _derivable_matches(plan, index):
-            inst = plan.instance(slots)
-            if inst is not None:
+        for slots in matches(plan, ticks):
+            inst = plan.instance(slots, facts)
+            if inst is None:
+                continue
+            if inst[0] and not inst[1]:
+                facts[inst[0]] = None
+                found.append(inst[0])
+            else:
                 instances[inst] = None
+    rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)
+    return GroundProgram(index, tuple(facts), rules)
 
-    # Fact propagation: definitely true atoms vanish from bodies, rules with a
-    # definitely false literal vanish entirely.
-    facts: dict[int, None] = {}
-    pending = list(instances)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Instance] = []
-        for head, body in pending:
-            if head in facts or any(-lit in facts for lit in body):
-                changed = True
+
+def _fold_derived(
+    pending: list[Optional[Instance]], facts: dict[int, None], queue: list[int]
+) -> tuple[Instance, ...]:
+    """The instances with the derived facts in `queue` folded in, and the
+    facts they derive in turn added to `facts`.  Each instance is visited
+    once for each derived fact it holds."""
+    holders: dict[int, list[int]] = {}
+    for i, (head, body) in enumerate(pending):
+        for var in (head, *map(abs, body)):
+            holders.setdefault(var, []).append(i)
+    while queue:
+        fact = queue.pop()
+        for i in holders.get(fact, ()):
+            inst = pending[i]
+            if inst is None:
                 continue
-            kept_body = tuple(lit for lit in body if lit not in facts)
-            if len(kept_body) != len(body):
-                changed = True
-                body = kept_body
-            if not body and head:
-                facts[head] = None
-                changed = True
+            head, body = inst
+            if head == fact or -fact in body:
+                pending[i] = None
                 continue
-            out.append((head, body))
-        pending = out
-    return GroundProgram(index, tuple(facts), tuple(dict.fromkeys(pending)))
+            body = tuple(lit for lit in body if lit != fact)
+            if head and not body:
+                pending[i] = None
+                if head not in facts:
+                    facts[head] = None
+                    queue.append(head)
+                continue
+            pending[i] = head, body
+    return tuple(dict.fromkeys(inst for inst in pending if inst is not None))
 
 
 def naive_ground_program(program: Program) -> GroundProgram:

@@ -9,13 +9,15 @@ on the returned models.
 """
 from __future__ import annotations
 
+import time
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cdcl import Budget, Solver, SolverCallbacks, SolveResult
+from .cdcl import TIMEOUT, Budget, Solver, SolverCallbacks, SolveResult, SolveStats
 from .grounder import (
     BodyPlan,
     GroundProgram,
+    GroundingTimeout,
     ground_deferred_violations,
     ground_program,
     iter_matches,
@@ -190,14 +192,20 @@ def solve(
     search, returning None keeps the model.  `instance_sink`, when given,
     collects (source constraint, ground instance, origin) for every deferred
     instance the strategy materializes.
+
+    A time budget counts from the entry and holds through grounding: a
+    deadline that passes there gives TIMEOUT with empty stats.
     """
+    started = time.monotonic()
     kind = StrategyKind(kind)
-    if kind is StrategyKind.FULL:
-        gp = ground_program(program, include_deferred=True)
-        deferred: list[Rule] = []
-    else:
-        gp = ground_program(program, include_deferred=False)
-        deferred = program.deferred_rules()
+    seconds = budget.max_seconds if budget is not None else None
+    deadline = None if seconds is None else started + seconds
+    full = kind is StrategyKind.FULL
+    try:
+        gp = ground_program(program, include_deferred=full, deadline=deadline)
+    except GroundingTimeout:
+        return SolveResult(TIMEOUT, None, SolveStats())
+    deferred: list[Rule] = [] if full else program.deferred_rules()
 
     callbacks = SolverCallbacks()
     index = (
@@ -268,5 +276,6 @@ def solve(
         callbacks=callbacks,
         budget=budget,
         forced_decisions=forced_decisions,
+        started=started,
     )
     return solver.solve()

@@ -8,6 +8,7 @@ from microasp.cdcl import (
     Budget,
     Solver,
     SolverCallbacks,
+    SolveStats,
     luby,
     RESTART_UNIT,
 )
@@ -276,6 +277,75 @@ def test_time_budget_is_checked_at_each_conflict():
         )
         assert result.status == "TIMEOUT", kind
         assert result.stats.conflicts == 1, kind
+
+
+def test_time_budget_holds_through_grounding(monkeypatch):
+    """A spent time budget stops `full` while it grounds marriage n=20, with
+    empty stats and before any Solver is built."""
+    built = []
+    init = Solver.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", spy)
+    result = solve(
+        benchgen.gen_marriage(20, 30, 1), "full", seed=1, budget=Budget(max_seconds=0.0)
+    )
+    assert result.status == "TIMEOUT"
+    assert result.stats == SolveStats()
+    assert built == []
+
+
+class TestNogoodStore:
+    def test_has_nogood_canonicalizes(self, pi1_gp):
+        solver = Solver(pi1_gp)
+        solver.add_nogood([3, -1])
+        assert solver._by_lits[(-1, 3)].lits == (-1, 3)
+        assert solver.has_nogood([3, -1, 3, -1])
+        assert solver.has_nogood((-1, 3))
+        assert not solver.has_nogood([3, 1])
+
+    def test_tautology_is_never_stored(self, pi1_gp):
+        solver = Solver(pi1_gp)
+        stored = dict(solver._by_lits)
+        assert solver.add_nogood([2, -2, 3]) is None
+        assert solver.add_nogood([-4, 4]) is None
+        assert solver._by_lits == stored
+        assert not solver.has_nogood([2, -2, 3])
+
+    def test_learned_nogoods_are_not_keyed(self):
+        gp = ground_program(benchgen.gen_3sat(60, 4.26, 1), include_deferred=True)
+        solver = Solver(gp, seed=1)
+        solver.solve()
+        assert solver.stats.learned > 0
+        stored = {id(ng) for ng in solver._by_lits.values()}
+        assert not any(ng.learned for ng in solver._by_lits.values())
+        assert not any(id(ng) in stored for ng in solver._learned)
+
+
+def test_facts_stay_out_of_the_heap(monkeypatch):
+    """Facts are assigned at level 0 before the first decision: they get no
+    heap entry, and the compaction bound counts only the other variables."""
+    gp = ground_program(benchgen.gen_3sat(60, 4.26, 1), include_deferred=True)
+    solver = Solver(gp, seed=1)
+    facts = set(gp.facts)
+    assert facts
+    assert all(solver._heap_act[var] == -1.0 for var in facts)
+    assert solver._heap_bound == 2 * (solver._nvars - len(facts))
+    pushed = []
+    push = cdcl.heappush
+
+    def recording_push(heap, entry):
+        pushed.append(entry[2])
+        push(heap, entry)
+
+    monkeypatch.setattr(cdcl, "heappush", recording_push)
+    solver.solve()
+    assert solver.stats.conflicts > 0 and pushed
+    assert facts.isdisjoint(pushed)
+    assert facts.isdisjoint(entry[2] for entry in solver._heap)
 
 
 class TestRestartsAndDeletion:

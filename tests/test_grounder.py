@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from microasp import benchgen
 from microasp.grounder import (
     AtomIndex,
     BodyPlan,
@@ -10,13 +11,21 @@ from microasp.grounder import (
     ground_program,
     ground_rule,
     herbrand_universe,
+    iter_matches,
     naive_ground_program,
 )
 from microasp.model import Atom, GroundRule, Literal
 from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex
-from support import PI1_DEFERRED_TEXT, PI1_TEXT, fact_texts, random_program_text, rule_texts
+from support import (
+    PI1_DEFERRED_TEXT,
+    PI1_TEXT,
+    fact_texts,
+    random_join_program_text,
+    random_program_text,
+    rule_texts,
+)
 
 
 def ga(pred, *args):
@@ -242,3 +251,143 @@ def test_simplified_grounding_preserves_stable_models():
         assert got == want, f"seed {seed}"
         checked += 1
     assert checked >= 60
+
+
+def reference_grounding(program, include_deferred):
+    """(atoms, facts, rules, whether a rule other than a fact derived a fact)
+    of the instantiation with facts simplified afterwards: the derivable-atom
+    fixpoint, `ground_rule` over its index for each kept rule in program
+    order, then rounds that drop instances with a fact head or a negative
+    literal on a fact and strip fact literals from the rest, a body that
+    empties making a fact, until a round changes nothing."""
+    kept = [
+        rule
+        for i, rule in enumerate(program.rules)
+        if include_deferred or i not in program.deferred
+    ]
+    index = AtomIndex()
+    changed = True
+    while changed:
+        changed = False
+        for rule in kept:
+            if rule.head is None:
+                continue
+            plan = BodyPlan(rule)
+            matches = iter_matches(plan, index, index.undefined, len(rule.body))
+            for head in (plan.head(slots) for slots, _ in matches):
+                if head not in index:
+                    index.add(head)
+                    changed = True
+    instances = {}  # instance -> whether it is first an instance of a fact
+    for rule in kept:
+        for inst in ground_rule(rule, index):
+            instances.setdefault(inst, rule.is_fact)
+    derived = False
+    facts = {}
+    pending = list(instances.items())
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for (head, body), stated in pending:
+            if head in facts or any(-lit in facts for lit in body):
+                changed = True
+                continue
+            stripped = tuple(lit for lit in body if lit not in facts)
+            if len(stripped) != len(body):
+                changed = True
+                body = stripped
+            if not body and head:
+                facts[head] = None
+                derived = derived or not stated
+                changed = True
+                continue
+            out.append(((head, body), stated))
+        pending = out
+    rules = tuple(dict.fromkeys(inst for inst, _ in pending))
+    return list(index), tuple(facts), rules, derived
+
+
+def assert_grounds_as_reference(program):
+    for include_deferred in (False, True):
+        gp = ground_program(program, include_deferred=include_deferred)
+        atoms, facts, rules, derived = reference_grounding(program, include_deferred)
+        assert list(gp.atoms) == atoms
+        assert gp.rules == rules
+        assert set(gp.facts) == set(facts)
+        if not derived:
+            assert gp.facts == facts
+
+
+FOLD_CASES = {
+    # p has facts and a deriving rule, so p(1) is probed and stripped.
+    "mixed predicate": """\
+p(1). q(2) :- not t(2). t(2) :- not q(2). p(X) :- q(X).
+r(X) :- p(X), not s(X). s(X) :- p(X), not r(X).
+""",
+    # The extensional fact p(1) and the mixed fact u(1) drop whole instances.
+    "negative literal on a fact": """\
+p(1). p(2). u(1). u(X) :- p(X), not v(X). v(X) :- p(X), not u(X).
+q(X) :- p(X), not p(1). r(X) :- p(X), not u(X). s(X) :- p(X), not q(X).
+""",
+    # The instances of c(1) and d(1) are built before b(1) and c(1) are
+    # derived; c(1) becomes a fact, and d(1)'s instance drops once it does.
+    "derived chain": """\
+c(1) :- b(1). e(1) :- not d(1). d(1) :- not c(1). b(1) :- a(1). a(1).
+f(1) :- c(1), not g(1). g(1) :- not f(1).
+""",
+    "constraint emptied": "a(1). b(1) :- a(1). :- a(1), b(1).\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_folded_grounding_matches_reference_on_hand_cases(name):
+    assert_grounds_as_reference(parse_program(FOLD_CASES[name]))
+
+
+def test_folded_grounding_hand_cases_fold():
+    """The hand cases exercise what they are named for."""
+    texts = {}
+    for name, text in FOLD_CASES.items():
+        gp = ground_program(parse_program(text), include_deferred=True)
+        texts[name] = (fact_texts(gp), rule_texts(gp))
+    facts, rules = texts["mixed predicate"]
+    assert facts == ["p(1)"]
+    assert "r(1) :- not s(1)" in rules and "r(2) :- p(2), not s(2)" in rules
+    facts, rules = texts["negative literal on a fact"]
+    assert facts == ["p(1)", "p(2)", "u(1)"]
+    assert rules == [
+        "u(2) :- not v(2)",
+        "v(2) :- not u(2)",
+        "r(2) :- not u(2)",
+        "s(1) :- not q(1)",
+        "s(2) :- not q(2)",
+    ]
+    assert texts["derived chain"] == (
+        ["a(1)", "b(1)", "c(1)"],
+        ["e(1) :- not d(1)", "f(1) :- not g(1)", "g(1) :- not f(1)"],
+    )
+    assert texts["constraint emptied"] == (["a(1)", "b(1)"], [":- "])
+
+
+def test_folded_grounding_matches_reference_on_random_programs():
+    checked = 0
+    for seed in range(120):
+        try:
+            program = parse_program(random_program_text(seed))
+        except ParseError:
+            continue
+        assert_grounds_as_reference(program)
+        checked += 1
+    assert checked >= 60
+    for seed in range(120):
+        assert_grounds_as_reference(parse_program(random_join_program_text(seed)))
+
+
+def test_folded_grounding_matches_reference_on_benchmark_families():
+    for program in (
+        benchgen.gen_3sat(20, 4.26, 1),
+        benchgen.gen_marriage(4, 30, 1),
+        benchgen.gen_packing(4, 3, (2, 2)),
+    ):
+        assert_grounds_as_reference(program)
