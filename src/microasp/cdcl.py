@@ -22,10 +22,10 @@ literal of the nogood or infers the complement of the other watch, then
 runs the support propagator and the per-literal hook.  Levels never
 decrease along the trail, so a backjump cuts it at the level's start.
 
-A nogood is stored once, under its canonical tuple: its distinct literals
-ordered by variable, which is also its `lits`.  A tautology is never
-stored, `has_nogood` looks its argument up in the same form, and learned
-nogoods are not keyed.
+A nogood is stored once, under its canonical tuple (`canonical`): its
+distinct literals ordered by variable, which is also its `lits`.  A
+tautology is never stored, `has_nogood` looks its argument up in the same
+form, and learned nogoods are not keyed.
 
 Every undefined variable has exactly one heap entry at its current
 activity; `_heap_act[v]` is the activity of v's entry, or -1.0 when it has
@@ -79,6 +79,12 @@ def luby(i: int) -> int:
         while (1 << k) - 1 < i:
             k += 1
     return 1 << (k - 1)
+
+
+def canonical(lits: Iterable[int]) -> tuple[int, ...]:
+    """A nogood's canonical tuple: its distinct literals ordered by
+    variable, the form it is stored and looked up in."""
+    return tuple(sorted(set(lits), key=abs))
 
 
 @dataclass
@@ -158,14 +164,11 @@ class Solver:
         gp: GroundProgram,
         *,
         seed: int = 0,
-        support_mode: str = "auto",
         callbacks: Optional[SolverCallbacks] = None,
         budget: Optional[Budget] = None,
         forced_decisions: Sequence[int] = (),
         started: Optional[float] = None,
     ):
-        if support_mode not in ("auto", "completion", "propagator"):
-            raise ValueError(f"unknown support mode {support_mode!r}")
         self.gp = gp
         self.seed = seed
         self.callbacks = callbacks or SolverCallbacks()
@@ -226,12 +229,12 @@ class Solver:
         self._defs: dict[int, list[tuple[int, ...]]] = {}
         self._sup_heads: list[int] = []
         self._sup_watch: dict[int, list[int]] = {}
-        self._build_static(support_mode)
+        self._build_static()
         self._tight = self._is_tight()
 
     # ------------------------------------------------------------------ setup
 
-    def _build_static(self, support_mode: str) -> None:
+    def _build_static(self) -> None:
         for var in self.gp.facts:
             self._install((-var,))
         for head, body in self.gp.rules:
@@ -251,12 +254,10 @@ class Solver:
             product = 1
             for body in bodies:
                 product *= len(body)
-            use_completion = support_mode == "completion" or (
-                support_mode == "auto"
-                and len(bodies) <= COMPLETION_MAX_RULES
+            if (
+                len(bodies) <= COMPLETION_MAX_RULES
                 and product <= COMPLETION_MAX_PRODUCT
-            )
-            if use_completion:
+            ):
                 for combo in itertools.product(*bodies):
                     self._install((var, *(-l for l in combo)))
             else:
@@ -375,7 +376,7 @@ class Solver:
     # ----------------------------------------------------------------- install
 
     def has_nogood(self, lits: Iterable[int]) -> bool:
-        return tuple(sorted(set(lits), key=abs)) in self._by_lits
+        return canonical(lits) in self._by_lits
 
     def add_nogood(self, lits: Iterable[int]) -> Optional[StoredNogood]:
         """Add a nogood mid-search; returns the conflict if it is falsified."""
@@ -392,7 +393,7 @@ class Solver:
             ng = StoredNogood(())
             self._root_conflict = ng
             return ng
-        key = tuple(sorted(distinct, key=abs))
+        key = canonical(distinct)
         if key in self._by_lits:
             return None
         ng = self._by_lits[key] = StoredNogood(key)

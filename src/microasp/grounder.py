@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from operator import itemgetter
+from operator import ge, gt, itemgetter, le, lt
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -57,7 +57,6 @@ from .model import (
     Rule,
     Term,
     Var,
-    binding_stages,
 )
 
 #: A row of an atom table: (solver variable, arguments).
@@ -68,7 +67,13 @@ Instance = tuple[int, tuple[int, ...]]
 
 
 class GroundingError(Exception):
-    pass
+    """A rule that cannot be grounded: `message` says why, and the text
+    adds the rule's source location in the parser's style, if it has one."""
+
+    def __init__(self, message: str, rule: Rule):
+        self.message = message
+        where = f" at {rule.line}:{rule.column}" if rule.line else ""
+        super().__init__(f"{message}{where}")
 
 
 class GroundingTimeout(Exception):
@@ -201,31 +206,6 @@ def herbrand_universe(program: Program) -> set[Term]:
     }
 
 
-def _at(rule: Rule) -> str:
-    """The rule's source location in the parser's style, if it has one."""
-    return f" at {rule.line}:{rule.column}" if rule.line else ""
-
-
-def _compare(op: str, left: Term, right: Term, rule: Rule) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if not (isinstance(left, int) and isinstance(right, int)):
-        bad = right if isinstance(left, int) else left
-        raise GroundingError(
-            f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'"
-            + _at(rule)
-        )
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
 def _sum_of(slots: Sequence[int], rule: Rule) -> Callable:
     """The value of a term sum read from the slots at `slots`."""
     if len(slots) == 1:
@@ -236,16 +216,37 @@ def _sum_of(slots: Sequence[int], rule: Rule) -> Callable:
         for term in terms:
             if not isinstance(term, int):
                 raise GroundingError(
-                    f"arithmetic on non-integer constant '{term}' in rule '{rule}.'"
-                    + _at(rule)
+                    f"arithmetic on non-integer constant '{term}' in rule '{rule}.'",
+                    rule,
                 )
         return sum(terms)
 
     return total
 
 
+_ORDERED = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
 def _test(op: str, left: Callable, right: Callable, rule: Rule) -> Callable:
-    return lambda slots: _compare(op, left(slots), right(slots), rule)
+    """A comparison's truth under a match's slots.  An ordered comparison
+    takes integers only."""
+    if op == "=":
+        return lambda slots: left(slots) == right(slots)
+    if op == "!=":
+        return lambda slots: left(slots) != right(slots)
+    compare = _ORDERED[op]
+
+    def ordered(slots: list) -> bool:
+        a, b = left(slots), right(slots)
+        if isinstance(a, int) and isinstance(b, int):
+            return compare(a, b)
+        bad = b if isinstance(a, int) else a
+        raise GroundingError(
+            f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'",
+            rule,
+        )
+
+    return ordered
 
 
 # Stage operations: (kind, a, b).
@@ -255,7 +256,7 @@ _NEG = 2  # a negative literal: probe table a at key b(slots)
 
 
 class BodyPlan:
-    """One rule body compiled to a join over slot lists.
+    """One rule body planned and compiled to a join over slot lists.
 
     Positive literals are matched in written order.  A plan seeded at body
     element `seed` joins outward from a start that binds the seed's
@@ -264,16 +265,23 @@ class BodyPlan:
     variable, or failing that the first left.  `written[k]` is the plan
     position of the k-th positive literal in written order.
 
-    `positives` and `stages` are the evaluation order of `binding_stages`.
-    Compiling it, each constant and variable gets a slot, the variables in
-    the order the plan binds them.  Each positive literal becomes a step:
-    the table keyed by its positions bound on arrival, the slots that make
-    the key, the free positions it binds (a run of consecutive slots) and
-    the checks of variables repeated within it.  Each stage element becomes
-    an operation: a comparison a test, a binding `=` an assignment, and a
-    negative literal a probe of its predicate's all-positions table.  The
-    head and each body literal in written order are compiled to the same
-    probe, from which `instance` reads a match's ground rule; positive
+    Each constant and variable gets a slot, the variables in the order the
+    plan binds them; a variable has a slot once it is bound.  Each positive
+    literal becomes a step: the table keyed by its positions bound on
+    arrival, the slots that make the key, the free positions it binds (a
+    run of consecutive slots) and the checks of variables repeated within
+    it.  Before the first step and after each one, the comparisons and
+    negative literals not yet placed are taken in body order, in passes
+    until one places nothing: a negative literal whose terms all have slots
+    becomes a probe of its predicate's all-positions table, a comparison
+    whose sides are bound a test, and an `=` with one side bound and a lone
+    unbound variable on the other an assignment to that variable.
+    `positives` lists the positive literals in plan order and `stages[i]`
+    the elements placed after the first i of them.  A rule variable that
+    gets no slot is unsafe, a `GroundingError`.
+
+    The head and each body literal in written order are compiled to the
+    same probe, from which `instance` reads a match's ground rule; positive
     literals on the `extensional` predicates, whose atoms are all facts,
     are left out.
     """
@@ -290,12 +298,10 @@ class BodyPlan:
             i for i, e in enumerate(rule.body) if isinstance(e, Literal) and e.positive
         ]
         order = list(range(len(at)))
-        bound: set[str] = set()
         if seed is not None:
-            bound = rule.body[seed].atom.variables()
+            reached = rule.body[seed].atom.variables()
             order = [at.index(seed)] if seed in at else []
             left = [k for k in range(len(at)) if k not in order]
-            reached = set(bound)
             while left:
                 k = next(
                     (k for k in left if rule.body[at[k]].atom.variables() & reached),
@@ -305,13 +311,7 @@ class BodyPlan:
                 left.remove(k)
                 reached |= rule.body[at[k]].atom.variables()
         self.written = tuple(order.index(k) for k in range(len(at)))
-        self.positives, self.stages, unsafe = binding_stages(
-            rule, [rule.body[at[k]] for k in order], bound
-        )
-        if unsafe:
-            raise GroundingError(
-                f"unsafe variable {sorted(unsafe)[0]} in rule '{rule}.'" + _at(rule)
-            )
+        self.positives = [rule.body[at[k]] for k in order]
 
         slot: dict[Term, int] = {}
         for term in _rule_terms(rule):
@@ -347,31 +347,55 @@ class BodyPlan:
                     binds.append((pos, bind(term)))
             return known, binds, repeats
 
-        def stage(elems: list[BodyElement]) -> tuple:
-            ops = []
-            for elem in elems:
-                if isinstance(elem, Literal):
-                    ops.append((_NEG, *probe(elem.atom)))
-                    continue
-                lhs, rhs = elem.lhs, elem.rhs
-                if elem.op == "=" and not all(t in slot for t in lhs + rhs):
-                    # An assignment: one side is a lone unbound variable.
-                    var, terms = (lhs[0], rhs) if lhs[0] not in slot else (rhs[0], lhs)
-                    value = _sum_of([slot[t] for t in terms], rule)
-                    ops.append((_BIND, bind(var), value))
-                    continue
-                left = _sum_of([slot[t] for t in lhs], rule)
-                right = _sum_of([slot[t] for t in rhs], rule)
-                ops.append((_TEST, _test(elem.op, left, right, rule), None))
+        def value(terms: tuple[Term, ...]) -> Callable:
+            return _sum_of([slot[t] for t in terms], rule)
+
+        def operation(elem: BodyElement) -> Optional[tuple]:
+            """The element's operation under the slots bound so far, or
+            None when it cannot be placed yet."""
+            if isinstance(elem, Literal):
+                if all(t in slot for t in elem.atom.args):
+                    return (_NEG, *probe(elem.atom))
+                return None
+            lhs, rhs = elem.lhs, elem.rhs
+            left = all(t in slot for t in lhs)
+            right = all(t in slot for t in rhs)
+            if left and right:
+                return _TEST, _test(elem.op, value(lhs), value(rhs), rule), None
+            if elem.op != "=" or not (left or right):
+                return None
+            target, terms = (lhs, rhs) if right else (rhs, lhs)
+            if len(target) != 1:
+                return None
+            return _BIND, bind(target[0]), value(terms)
+
+        rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
+        self.stages: list[list[BodyElement]] = []
+
+        def place() -> tuple:
+            """The operations of the elements left that can be placed now,
+            which make the next stage."""
+            placed, ops = [], []
+            while True:
+                before = len(placed)
+                for elem in list(rest):
+                    op = operation(elem)
+                    if op is not None:
+                        rest.remove(elem)
+                        placed.append(elem)
+                        ops.append(op)
+                if len(placed) == before:
+                    break
+            self.stages.append(placed)
             return tuple(ops)
 
         if seed is not None:
             args = rule.body[seed].atom.args
             known, self._seed_binds, repeats = match(args)
             self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
-        self._stage0 = stage(self.stages[0])
+        self._stage0 = place()
         self._steps = []
-        for lit, elems in zip(self.positives, self.stages[1:]):
+        for lit in self.positives:
             args = lit.atom.args
             known, binds, repeats = match(args)
             free = [pos for pos, _ in binds]
@@ -385,8 +409,12 @@ class BodyPlan:
                 free[0] if free else 0,
                 itemgetter(*free) if len(free) > 1 else None,
                 tuple(repeats),
-                stage(elems),
+                place(),
             ))
+        unsafe = sorted(name for name in rule.variables() if Var(name) not in slot)
+        if unsafe:
+            raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
+
         literals = [e for e in rule.body if isinstance(e, Literal)]
         self._probes = [
             (*probe(e.atom), 1 if e.positive else -1)

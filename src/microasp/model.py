@@ -1,5 +1,4 @@
-"""AST types for the input language, their ground counterparts, and the
-body evaluation order shared by the parser's safety check and the grounder.
+"""AST types for the input language and their ground counterparts.
 
 Variables start with an uppercase letter, constants do not.  A ground term
 is the Python value it denotes: an `int` for an integer constant, a `str`
@@ -7,11 +6,13 @@ for a symbolic one.  A variable is a `Var`, so `isinstance(t, Var)` is the
 one test that tells them apart, and ground atoms hash and compare as tuples
 of plain values.  Rules have at most one head atom; a rule without a head
 is a constraint and a rule with a ground head and empty body is a fact.
+Where a body's comparisons and negative literals are evaluated, and so
+which rules are safe, is decided by the join planner, `grounder.BodyPlan`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,6 @@ class Literal:
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
-
-
-#: Operators allowed in comparisons.  Order comparisons require integers on
-#: both sides; (in)equality also applies to symbolic constants.
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 @dataclass(frozen=True)
@@ -148,82 +144,3 @@ class GroundRule:
         if not self.body:
             return str(self.head)
         return f"{self.head} :- {body}"
-
-
-def binding_stages(
-    rule: Rule,
-    positives: Optional[list[Literal]] = None,
-    bound: Iterable[str] = (),
-) -> tuple[list[Literal], list[list[BodyElement]], set[str]]:
-    """Order body evaluation for safety checking and for join planning.
-
-    Positive literals are matched in the order given, by default left to
-    right in written order, with the variables in `bound` bound before the
-    first; each comparison or negative literal is slotted in at the earliest
-    point where its variables are bound.  An `=` comparison with a lone
-    unbound variable on one side binds it once the other side is bound.
-
-    Returns (positives, stages, unsafe) where stages[i] holds the elements
-    evaluable once positives[:i] are matched (stages has len(positives)+1
-    entries) and unsafe names the variables never bound.
-    """
-    if positives is None:
-        positives = [e for e in rule.body if isinstance(e, Literal) and e.positive]
-    rest: list[BodyElement] = [
-        e for e in rule.body if not (isinstance(e, Literal) and e.positive)
-    ]
-    stages: list[list[BodyElement]] = [[] for _ in range(len(positives) + 1)]
-    bound = set(bound)
-
-    def place(stage: int) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for elem in list(rest):
-                if isinstance(elem, Literal):
-                    if elem.atom.variables() <= bound:
-                        stages[stage].append(elem)
-                        rest.remove(elem)
-                        changed = True
-                else:
-                    lhs_vars = {t.name for t in elem.lhs if isinstance(t, Var)}
-                    rhs_vars = {t.name for t in elem.rhs if isinstance(t, Var)}
-                    if lhs_vars | rhs_vars <= bound:
-                        stages[stage].append(elem)
-                        rest.remove(elem)
-                        changed = True
-                    elif elem.op == "=":
-                        # One side is a lone unbound variable, the other fully
-                        # bound: the comparison acts as an assignment.
-                        if (
-                            len(elem.lhs) == 1
-                            and isinstance(elem.lhs[0], Var)
-                            and elem.lhs[0].name not in bound
-                            and rhs_vars <= bound
-                        ):
-                            bound.add(elem.lhs[0].name)
-                            stages[stage].append(elem)
-                            rest.remove(elem)
-                            changed = True
-                        elif (
-                            len(elem.rhs) == 1
-                            and isinstance(elem.rhs[0], Var)
-                            and elem.rhs[0].name not in bound
-                            and lhs_vars <= bound
-                        ):
-                            bound.add(elem.rhs[0].name)
-                            stages[stage].append(elem)
-                            rest.remove(elem)
-                            changed = True
-
-    place(0)
-    for i, lit in enumerate(positives):
-        bound |= lit.atom.variables()
-        place(i + 1)
-    unsafe = rule.variables() - bound
-    for elem in rest:  # elements that never became evaluable
-        if isinstance(elem, Literal):
-            unsafe |= elem.atom.variables() - bound
-        else:
-            unsafe |= elem.variables() - bound
-    return positives, stages, unsafe

@@ -9,16 +9,8 @@ from __future__ import annotations
 
 import re
 
-from .model import (
-    Atom,
-    Comparison,
-    Literal,
-    Program,
-    Rule,
-    Term,
-    Var,
-    binding_stages,
-)
+from .grounder import BodyPlan, GroundingError
+from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
 
 
 class ParseError(Exception):
@@ -233,12 +225,14 @@ class _Parser:
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
 
     def _check_safety(self, rule: Rule) -> None:
-        _, _, unsafe = binding_stages(rule)
-        if unsafe:
-            var = sorted(unsafe)[0]
-            raise SafetyError(
-                f"unsafe variable {var} in rule '{rule}.'", rule.line, rule.column
-            )
+        """Plan the body of a rule with variables, which fails when one of
+        them is unsafe."""
+        if not rule.variables():
+            return
+        try:
+            BodyPlan(rule)
+        except GroundingError as exc:
+            raise SafetyError(exc.message, rule.line, rule.column) from None
 
 
 def parse_program(text: str) -> Program:

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cdcl import TIMEOUT, Budget, Solver, SolverCallbacks, SolveResult, SolveStats
+from .cdcl import canonical as _canonical
 from .grounder import (
     BodyPlan,
     GroundProgram,
@@ -57,11 +58,6 @@ Slots = tuple[BodyPlan, list]
 #: its positive literals in written order) -> (slots, constraint position,
 #: signed variables).
 Matches = dict[tuple[int, tuple[int, ...]], tuple[Slots, int, list[int]]]
-
-
-def _canonical(lits: Iterable[int]) -> tuple[int, ...]:
-    """Nogood literals without repeats, ordered by variable."""
-    return tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
 
 
 class ConstraintIndex:

@@ -431,8 +431,19 @@ class TestNonTight:
         assert result.stats.unfounded_vetoes >= 1
 
 
+#: The (COMPLETION_MAX_RULES, COMPLETION_MAX_PRODUCT) that send every atom
+#: with defining rules to completion nogoods or to the support propagator.
+SUPPORT_PATHS = {"completion": (float("inf"), float("inf")), "propagator": (-1, -1)}
+
+
+def support_path(monkeypatch, mode):
+    rules, product = SUPPORT_PATHS[mode]
+    monkeypatch.setattr(cdcl, "COMPLETION_MAX_RULES", rules)
+    monkeypatch.setattr(cdcl, "COMPLETION_MAX_PRODUCT", product)
+
+
 class TestSupportModes:
-    def test_modes_agree_with_oracle(self):
+    def test_modes_agree_with_oracle(self, monkeypatch):
         checked = 0
         for seed in range(120):
             try:
@@ -441,19 +452,22 @@ class TestSupportModes:
                 continue
             gp = ground_program(program, include_deferred=True)
             models = {frozenset(m) for m in enumerate_stable_models(gp)}
-            for mode in ("completion", "propagator"):
-                result = Solver(gp, support_mode=mode, seed=seed % 5).solve()
+            for mode in SUPPORT_PATHS:
+                support_path(monkeypatch, mode)
+                result = Solver(gp, seed=seed % 5).solve()
                 assert (result.status == "SAT") == bool(models), (seed, mode)
                 if result.status == "SAT":
                     assert frozenset(result.model) in models, (seed, mode)
             checked += 1
         assert checked >= 60
 
-    def test_propagation_fixpoint_invariant(self, pi1_gp):
+    def test_propagation_fixpoint_invariant(self, pi1_gp, monkeypatch):
         """At a conflict-free fixpoint no nogood is one undefined literal
         away from falsification."""
-        for mode in ("completion", "propagator"):
-            solver = Solver(pi1_gp, support_mode=mode)
+        for mode in SUPPORT_PATHS:
+            support_path(monkeypatch, mode)
+            solver = Solver(pi1_gp)
+            assert bool(solver._sup_heads) == (mode == "propagator")
             assert solver.propagate() is None
             solver.decide(-1)
             assert solver.propagate() is None

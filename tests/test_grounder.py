@@ -14,7 +14,7 @@ from microasp.grounder import (
     iter_matches,
     naive_ground_program,
 )
-from microasp.model import Atom, GroundRule, Literal
+from microasp.model import Atom, Comparison, GroundRule, Literal, Rule, Var
 from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex
@@ -95,6 +95,35 @@ class TestGroundRule:
             GroundingError, match="ordered comparison on non-integer constant 'a'"
         ):
             ground_rule(rule, index_of({"p": [(1,)]}))
+
+
+class TestBodyPlanOrder:
+    def test_elements_wait_for_their_variables_in_passes(self):
+        rule = parse_program(":- p(X), Z = Y+1, Y = X+1, Z < 5, not q(Z).").rules[0]
+        plan = BodyPlan(rule)
+        assert [str(lit) for lit in plan.positives] == ["p(X)"]
+        assert [[str(e) for e in stage] for stage in plan.stages] == [
+            [],
+            ["Y = X+1", "Z = Y+1", "Z < 5", "not q(Z)"],
+        ]
+
+    def test_equality_binds_its_lone_unbound_side(self):
+        X, Y, Z = Var("X"), Var("Y"), Var("Z")
+        rule = Rule(None, (Literal(Atom("p", (X,))), Comparison("=", (Y,), (Z,))))
+        with pytest.raises(GroundingError, match="unsafe variable Y"):
+            BodyPlan(rule)
+        program = parse_program("p(1). q(Y) :- p(X), X = Y.\n")
+        assert ground_program(program).to_text() == "p(1).\nq(1).\n"
+
+    def test_comparisons_run_in_body_order(self):
+        text = "p(a).\np(1).\n:- p(X), {}.\n"
+        ground_program(parse_program(text.format("X != a, X < 3")))
+        with pytest.raises(GroundingError) as err:
+            ground_program(parse_program(text.format("X < 3, X != a")))
+        assert str(err.value) == (
+            "ordered comparison on non-integer constant 'a'"
+            " in rule ':- p(X), X < 3, X != a.' at 3:1"
+        )
 
 
 class TestGroundProgram:

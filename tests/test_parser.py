@@ -28,6 +28,13 @@ def test_unsafe_negative_variable():
         parse_program(":- not p(X).\n")
 
 
+def test_safety_error_names_the_rule_and_its_location_once():
+    with pytest.raises(SafetyError) as err:
+        parse_program(":- not p(X).\n")
+    assert str(err.value) == "unsafe variable X in rule ':- not p(X).' at 1:1"
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 def test_unsafe_head_variable():
     with pytest.raises(SafetyError, match="unsafe variable Y"):
         parse_program("a(Y) :- b(X).\n")
@@ -45,6 +52,12 @@ def test_binding_equality_makes_safe():
 def test_unbindable_comparison_variable_is_unsafe():
     with pytest.raises(SafetyError):
         parse_program(":- p(X), W < X.\n")
+
+
+def test_equality_of_two_unbound_variables_is_unsafe():
+    with pytest.raises(SafetyError, match="unsafe variable Y"):
+        parse_program(":- p(X), Y = Z.\n")
+    parse_program(":- p(X), X = Y.\n")
 
 
 def test_disjunctive_head_rejected():
