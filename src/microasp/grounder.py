@@ -1,14 +1,18 @@
 """Bottom-up grounding over derivable atoms, and the one body join that the
 grounder and all three deferred-constraint strategies run.
 
-The join is compiled.  `BodyPlan` turns a rule body, once, into steps over
-a list of slots: the rule's constants and then its variables, in the order
-the plan binds them.  Each positive literal probes the `AtomIndex` table of
-its predicate keyed by the positions bound when it is reached, and binds its
-free positions; comparisons and negative literals run as soon as their
-variables are bound, a negative literal as a probe of its all-positions
-table.  Facts skip the join: a fact's head enters the index at its turn in
-the first round of the fixpoint and its variable is a fact of the program.
+The join is compiled to Python.  `BodyPlan` plans a rule body once over a
+list of slots, the rule's constants and then its variables in the order the
+plan binds them, and emits the source of a generator: a nested `for` per
+positive literal over the bucket of its predicate's `AtomIndex` table keyed
+by the positions bound when it is reached, unpacking the free positions
+into slot locals.  Comparisons become Python operators and a binding `=` an
+assignment, each as soon as its variables are bound; a negative literal is
+a probe of its all-positions table.  The source names slots, tables and
+operators only, so the constants come in through the slots list, and
+plans of one shape share one compiled function (`_compiled`).  Facts skip
+the join: a fact's head enters the index at its turn in the first round of
+the fixpoint and its variable is a fact of the program.
 
 A ground program is solver literals: each instance is (head variable or 0,
 body literals in written order), a literal being a signed atom variable,
@@ -25,11 +29,13 @@ literals leave its body.  A body that empties makes a derived fact, which
 reaches the instances built before it through a worklist from its variable
 to the instances holding it.
 
-`iter_matches` reads each atom's truth from a list indexed by solver
-variable and lets at most `budget` body literals be undefined:
+`iter_matches` runs the truth form of the join: it reads each atom's truth
+from a list indexed by solver variable, lets at most `budget` body literals
+be undefined and returns each match's literals.  Grounding runs the
+grounding form (`_derivable_matches`), which leaves truth, budget, negative
+literals and literals out: under all-undefined truth with a budget of the
+body's length they prune nothing.  The truth form's callers are:
 
-* grounding: `AtomIndex.undefined` (all 0) with an unbounded budget, so
-  truth prunes nothing;
 * the lazy check: the solver assignment with budget 0 on a total candidate;
 * the eager propagator: the solver assignment with budget 1, through the
   plan seeded at each body literal the assigned literal matches;
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from operator import ge, gt, itemgetter, le, lt
+from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -206,57 +212,51 @@ def herbrand_universe(program: Program) -> set[Term]:
     }
 
 
-def _sum_of(slots: Sequence[int], rule: Rule) -> Callable:
-    """The value of a term sum read from the slots at `slots`."""
-    if len(slots) == 1:
-        return itemgetter(slots[0])
+#: Source that fails a comparison: the Python operator of its negation,
+#: which for integers and for `=`/`!=` on any terms is `not` of the operator.
+_FAILS = {"=": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
-    def total(values: list) -> int:
-        terms = [values[s] for s in slots]
-        for term in terms:
-            if not isinstance(term, int):
-                raise GroundingError(
-                    f"arithmetic on non-integer constant '{term}' in rule '{rule}.'",
-                    rule,
-                )
-        return sum(terms)
+#: Nested loops per generated function: CPython compiles at most 20 nested
+#: blocks, so each further run of loops goes into a nested generator.
+_NESTED = 16
 
-    return total
+#: Compiled joins by source, shared by every plan of one shape.  The source
+#: holds no program text, so the entries are bounded by the plan shapes met.
+_COMPILED: dict[str, Callable] = {}
 
 
-_ORDERED = {"<": lt, "<=": le, ">": gt, ">=": ge}
+def _compiled(source: str) -> Callable:
+    """The generator function `join` that a join's source defines."""
+    join = _COMPILED.get(source)
+    if join is None:
+        scope = {"_arith": _arith, "_ordered": _ordered}
+        exec(compile(source, "<join>", "exec"), scope)
+        join = _COMPILED[source] = scope["join"]
+    return join
 
 
-def _test(op: str, left: Callable, right: Callable, rule: Rule) -> Callable:
-    """A comparison's truth under a match's slots.  An ordered comparison
-    takes integers only."""
-    if op == "=":
-        return lambda slots: left(slots) == right(slots)
-    if op == "!=":
-        return lambda slots: left(slots) != right(slots)
-    compare = _ORDERED[op]
-
-    def ordered(slots: list) -> bool:
-        a, b = left(slots), right(slots)
-        if isinstance(a, int) and isinstance(b, int):
-            return compare(a, b)
-        bad = b if isinstance(a, int) else a
-        raise GroundingError(
-            f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'",
-            rule,
-        )
-
-    return ordered
+def _arith(rule: Rule, *terms) -> None:
+    """Fail a sum on its first term that is not an integer."""
+    bad = next(t for t in terms if not isinstance(t, int))
+    raise GroundingError(
+        f"arithmetic on non-integer constant '{bad}' in rule '{rule}.'", rule
+    )
 
 
-# Stage operations: (kind, a, b).
-_TEST = 0  # a(slots) is the comparison's truth
-_BIND = 1  # slots[a] = b(slots), a binding `=`
-_NEG = 2  # a negative literal: probe table a at key b(slots)
+def _ordered(rule: Rule, a, b) -> None:
+    """Fail an ordered comparison on its first side that is not an integer."""
+    bad = b if isinstance(a, int) else a
+    raise GroundingError(
+        f"ordered comparison on non-integer constant '{bad}' in rule '{rule}.'", rule
+    )
+
+
+def _not_ints(names: Sequence[str]) -> str:
+    return " or ".join(f"type({n}) is not int" for n in names)
 
 
 class BodyPlan:
-    """One rule body planned and compiled to a join over slot lists.
+    """One rule body planned once and emitted as the source of its join.
 
     Positive literals are matched in written order.  A plan seeded at body
     element `seed` joins outward from a start that binds the seed's
@@ -267,23 +267,28 @@ class BodyPlan:
 
     Each constant and variable gets a slot, the variables in the order the
     plan binds them; a variable has a slot once it is bound.  Each positive
-    literal becomes a step: the table keyed by its positions bound on
-    arrival, the slots that make the key, the free positions it binds (a
-    run of consecutive slots) and the checks of variables repeated within
-    it.  Before the first step and after each one, the comparisons and
-    negative literals not yet placed are taken in body order, in passes
-    until one places nothing: a negative literal whose terms all have slots
-    becomes a probe of its predicate's all-positions table, a comparison
-    whose sides are bound a test, and an `=` with one side bound and a lone
-    unbound variable on the other an assignment to that variable.
-    `positives` lists the positive literals in plan order and `stages[i]`
-    the elements placed after the first i of them.  A rule variable that
-    gets no slot is unsafe, a `GroundingError`.
+    literal becomes a `for` over the bucket of the table keyed by its
+    positions bound on arrival, unpacking its free positions into slot
+    locals and testing the variables repeated within it.  Before the first
+    loop and inside each one, the comparisons and negative literals not yet
+    placed are taken in body order, in passes until one places nothing: a
+    negative literal whose terms all have slots becomes a probe of its
+    predicate's all-positions table, a comparison whose sides are bound a
+    test with its operator, and an `=` with one side bound and a lone
+    unbound variable on the other an assignment to that variable.  A sum
+    of several terms, and each single-term side of an ordered comparison,
+    is first checked to be an integer, as Python would concatenate two
+    symbols or order them.  `positives` lists the positive literals in plan
+    order and `stages[i]` the elements placed after the first i of them.  A
+    rule variable that gets no slot is unsafe, a `GroundingError`.
 
-    The head and each body literal in written order are compiled to the
-    same probe, from which `instance` reads a match's ground rule; positive
-    literals on the `extensional` predicates, whose atoms are all facts,
-    are left out.
+    Each line of the source belongs to the truth form, which `iter_matches`
+    runs, to the grounding form, or to both; a form is compiled at the
+    plan's first join with it, never here, as the parser plans each rule
+    only for its safety check.  The head and each body literal in written
+    order are compiled to the same probe, from which `instance` reads a
+    match's ground rule; positive literals on the `extensional` predicates,
+    whose atoms are all facts, are left out.
     """
 
     def __init__(
@@ -347,73 +352,123 @@ class BodyPlan:
                     binds.append((pos, bind(term)))
             return known, binds, repeats
 
-        def value(terms: tuple[Term, ...]) -> Callable:
-            return _sum_of([slot[t] for t in terms], rule)
+        lines: list[tuple[int, Optional[bool], str]] = []
+        depth, skip, budget, lits, ends = 1, "return", "b0", [], []
 
-        def operation(elem: BodyElement) -> Optional[tuple]:
-            """The element's operation under the slots bound so far, or
-            None when it cannot be placed yet."""
+        def emit(text: str, form: Optional[bool] = None) -> None:
+            """Add a line of the join's source; form True or False keeps it
+            to the truth or the grounding form."""
+            lines.append((depth, form, text))
+
+        def names(terms: Iterable[Term]) -> list[str]:
+            return [f"s{slot[t]}" for t in terms]
+
+        def key(terms: Iterable[Term]) -> str:
+            """The source of a table key, built as `_key_of` builds it."""
+            keys = names(terms)
+            return keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+
+        def total(terms: tuple[Term, ...]) -> str:
+            """The source of a term sum, each term of a sum of several
+            checked first to be an integer."""
+            parts = names(terms)
+            if len(parts) > 1:
+                emit(f"if {_not_ints(parts)}: _arith(rule, {', '.join(parts)})")
+            return " + ".join(parts)
+
+        def placed(elem: BodyElement) -> bool:
+            """Emit the element if the slots bound so far let it run."""
             if isinstance(elem, Literal):
-                if all(t in slot for t in elem.atom.args):
-                    return (_NEG, *probe(elem.atom))
-                return None
+                if not all(t in slot for t in elem.atom.args):
+                    return False
+                n = f"n{len(lits)}"
+                lits.append(f"*{n}")
+                table = access(elem.atom.predicate, tuple(range(len(elem.atom.args))))
+                for text in (
+                    f"{n} = g{table}({key(elem.atom.args)})",
+                    f"if {n}:",
+                    f"    x = values[{n}[0][0]]",
+                    f"    if x > 0 or not (x or {budget}): {skip}",
+                    f"    if not x: {budget} -= 1",
+                    f"    {n} = (-{n}[0][0],)",
+                    f"else: {n} = ()",
+                ):
+                    emit(text, True)
+                return True
             lhs, rhs = elem.lhs, elem.rhs
             left = all(t in slot for t in lhs)
             right = all(t in slot for t in rhs)
             if left and right:
-                return _TEST, _test(elem.op, value(lhs), value(rhs), rule), None
+                a, b = total(lhs), total(rhs)
+                sides = [side for side, terms in ((a, lhs), (b, rhs)) if len(terms) == 1]
+                if elem.op not in ("=", "!=") and sides:
+                    emit(f"if {_not_ints(sides)}: _ordered(rule, {a}, {b})")
+                emit(f"if {a} {_FAILS[elem.op]} {b}: {skip}")
+                return True
             if elem.op != "=" or not (left or right):
-                return None
+                return False
             target, terms = (lhs, rhs) if right else (rhs, lhs)
             if len(target) != 1:
-                return None
-            return _BIND, bind(target[0]), value(terms)
+                return False
+            value = total(terms)
+            emit(f"s{bind(target[0])} = {value}")
+            return True
 
         rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
         self.stages: list[list[BodyElement]] = []
 
-        def place() -> tuple:
-            """The operations of the elements left that can be placed now,
-            which make the next stage."""
-            placed, ops = [], []
+        def place() -> None:
+            """Emit the elements left that can run now: the next stage."""
+            stage: list[BodyElement] = []
             while True:
-                before = len(placed)
+                before = len(stage)
                 for elem in list(rest):
-                    op = operation(elem)
-                    if op is not None:
+                    if placed(elem):
                         rest.remove(elem)
-                        placed.append(elem)
-                        ops.append(op)
-                if len(placed) == before:
+                        stage.append(elem)
+                if len(stage) == before:
                     break
-            self.stages.append(placed)
-            return tuple(ops)
+            self.stages.append(stage)
 
         if seed is not None:
             args = rule.body[seed].atom.args
             known, self._seed_binds, repeats = match(args)
             self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
-        self._stage0 = place()
-        self._steps = []
-        for lit in self.positives:
+        place()
+        for i, lit in enumerate(self.positives, 1):
             args = lit.atom.args
             known, binds, repeats = match(args)
-            free = [pos for pos, _ in binds]
-            lo = binds[0][1] if binds else 0
-            self._steps.append((
-                access(lit.atom.predicate, known),
-                _key_of([slot[args[pos]] for pos in known]),
-                len(free),
-                lo,
-                lo + len(free),
-                free[0] if free else 0,
-                itemgetter(*free) if len(free) > 1 else None,
-                tuple(repeats),
-                place(),
-            ))
+            if i % _NESTED == 0:
+                emit(f"def part{i}():")
+                ends.append((depth, None, f"yield from part{i}()"))
+                depth += 1
+            row = ["_"] * len(args)
+            for pos, s in binds:
+                row[pos] = f"s{s}"
+            for pos, _ in repeats:
+                row[pos] = f"r{pos}"
+            table = access(lit.atom.predicate, known)
+            emit(
+                f"for v{i}, ({', '.join(row)}{',' * (len(row) == 1)}) in "
+                f"g{table}({key(args[pos] for pos in known)}, ()):"
+            )
+            depth, skip = depth + 1, "continue"
+            emit(f"x = values[v{i}]", True)
+            emit("if x < 0: continue", True)
+            emit(f"b{i} = {budget} if x else {budget} - 1", True)
+            budget = f"b{i}"
+            emit(f"if {budget} < 0: continue", True)
+            for pos, s in repeats:
+                emit(f"if r{pos} != s{s}: continue")
+            lits.append(f"v{i}")
+            place()
         unsafe = sorted(name for name in rule.variables() if Var(name) not in slot)
         if unsafe:
             raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
+        every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
+        emit(f"yield {every}, [{', '.join(lits)}]", True)
+        emit(f"yield {every}", False)
+        lines.extend(reversed(ends))
 
         literals = [e for e in rule.body if isinstance(e, Literal)]
         self._probes = [
@@ -428,11 +483,43 @@ class BodyPlan:
         if rule.head is not None:
             self._head_probe = probe(rule.head)
             self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
+        lines[:0] = [
+            (0, None, "def join(slots, gets, values, b0, rule):"),
+            (1, None, f"{every} = slots"),
+            (1, None, f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"),
+        ]
+        self._lines = lines
         self._accesses = list(accesses)
         self._initial = initial
-        # The tables of the index last joined over, which `add` keeps current.
+        # The tables of the index last joined over, which `add` keeps
+        # current, their `get`s, and the join's two forms once compiled.
         self._index: Optional[AtomIndex] = None
         self._tables: list[dict] = []
+        self._gets: list[Callable] = []
+        self._joins: dict[bool, Callable] = {}
+
+    def _join(
+        self,
+        index: AtomIndex,
+        truth: bool,
+        slots: list,
+        values: Optional[Sequence[int]] = None,
+        budget: int = 0,
+    ) -> Iterator:
+        """Run the join's truth or grounding form over the index, compiling
+        it at its first use."""
+        if self._index is not index:
+            self._tables = [index.table(p, positions) for p, positions in self._accesses]
+            self._gets = [table.get for table in self._tables]
+            self._index = index
+        join = self._joins.get(truth)
+        if join is None:
+            join = self._joins[truth] = _compiled("".join(
+                f"{'    ' * depth}{text}\n"
+                for depth, form, text in self._lines
+                if form is None or form is truth
+            ))
+        return join(slots, self._gets, values, budget, self.rule)
 
     def start(self, args: tuple[Term, ...]) -> Optional[list]:
         """Slots binding the seed literal's variables to the arguments of a
@@ -496,29 +583,6 @@ class BodyPlan:
         return head, tuple(body)
 
 
-def _run(ops: tuple, slots: list, tables: list, values, budget: int, lits: list) -> int:
-    """Run a stage's operations; the budget left, or -1 when one fails."""
-    for kind, a, b in ops:
-        if kind == _TEST:
-            if not a(slots):
-                return -1
-        elif kind == _BIND:
-            slots[a] = b(slots)
-        else:
-            rows = tables[a].get(b(slots))
-            if rows:  # an atom outside the index is false: the literal holds
-                var = rows[0][0]
-                val = values[var]
-                if val == 1:
-                    return -1
-                if val == 0:
-                    if budget == 0:
-                        return -1
-                    budget -= 1
-                lits.append(-var)
-    return budget
-
-
 def iter_matches(
     plan: BodyPlan,
     index: AtomIndex,
@@ -527,7 +591,8 @@ def iter_matches(
     start: Optional[list] = None,
 ) -> Iterator[tuple[list, list[int]]]:
     """Matches of the body over the atoms of the index, from the slots
-    `start` made by `plan.start` or else from none bound.
+    `start` made by `plan.start` or else from none bound: the plan's truth
+    form, compiled at its first join.
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
@@ -538,70 +603,16 @@ def iter_matches(
     `plan.render` read a match's ground rule.  The module docstring lists
     the truth and budget each caller joins under.
     """
-    if plan._index is not index:
-        plan._tables = [index.table(p, positions) for p, positions in plan._accesses]
-        plan._index = index
-    tables = plan._tables
-    slots = plan._initial[:] if start is None else start
-    lits: list[int] = []
-    if plan._stage0:
-        budget = _run(plan._stage0, slots, tables, values, budget, lits)
-        if budget < 0:
-            return
-    steps = plan._steps
-    last = len(steps) - 1
-    if last < 0:
-        yield slots, lits
-        return
-    # Depth-first over the steps: at step i, rows[i] iterates the probed
-    # table bucket, with budgets[i] left and lits[:marks[i]] matched before.
-    rows: list = [()] * len(steps)
-    budgets = [budget] * len(steps)
-    marks = [len(lits)] * len(steps)
-    rows[0] = iter(tables[steps[0][0]].get(steps[0][1](slots), ()))
-    i = 0
-    while i >= 0:
-        _, _, nbind, lo, hi, first, free, repeats, ops = steps[i]
-        have, mark = budgets[i], marks[i]
-        for var, args in rows[i]:
-            val = values[var]
-            if val == -1:
-                continue
-            left = have
-            if val == 0:
-                if left == 0:
-                    continue
-                left -= 1
-            if nbind == 1:
-                slots[lo] = args[first]
-            elif nbind:
-                slots[lo:hi] = free(args)
-            if repeats and any(args[pos] != slots[s] for pos, s in repeats):
-                continue
-            del lits[mark:]
-            lits.append(var)
-            if ops:
-                left = _run(ops, slots, tables, values, left, lits)
-                if left < 0:
-                    continue
-            if i == last:
-                yield slots[:], lits[:]
-                continue
-            i += 1
-            rows[i] = iter(tables[steps[i][0]].get(steps[i][1](slots), ()))
-            budgets[i] = left
-            marks[i] = len(lits)
-            break
-        else:
-            i -= 1
+    slots = plan._initial if start is None else start
+    return plan._join(index, True, slots, values, budget)
 
 
 def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[list]:
-    """Slots matching the positive body over the index's atoms; as every
-    atom is undefined and every body literal may be, truth and negative
-    literals prune nothing."""
-    for slots, _ in iter_matches(plan, index, index.undefined, len(plan.rule.body)):
-        yield slots
+    """Slots matching the positive body over the index's atoms: the join
+    under all-undefined truth with a budget of the body's length, where
+    truth, budget and negative literals prune nothing, so its grounding
+    form leaves them out."""
+    return plan._join(index, False, plan._initial)
 
 
 def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:

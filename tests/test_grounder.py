@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from microasp import benchgen
+from microasp import benchgen, grounder
 from microasp.grounder import (
     AtomIndex,
     BodyPlan,
@@ -17,7 +17,7 @@ from microasp.grounder import (
 from microasp.model import Atom, Comparison, GroundRule, Literal, Rule, Var
 from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
 from microasp.parser import ParseError, parse_program
-from microasp.strategies import ConstraintIndex
+from microasp.strategies import ConstraintIndex, solve
 from support import (
     PI1_DEFERRED_TEXT,
     PI1_TEXT,
@@ -95,6 +95,114 @@ class TestGroundRule:
             GroundingError, match="ordered comparison on non-integer constant 'a'"
         ):
             ground_rule(rule, index_of({"p": [(1,)]}))
+
+
+@pytest.mark.parametrize(
+    "text, culprit",
+    [
+        ("p(a). p(b).\nq(Z) :- p(X), p(Y), Z = X+Y.\n", "q(Z) :- p(X), p(Y), Z = X+Y."),
+        ("p(a).\n:- p(X), X+1 < 3.\n", ":- p(X), X+1 < 3."),
+        ("p(1). p(a).\nq(Z) :- p(X), Z = X+1.\n", "q(Z) :- p(X), Z = X+1."),
+    ],
+)
+def test_arithmetic_on_symbol_error_text(text, culprit):
+    with pytest.raises(GroundingError) as err:
+        ground_program(parse_program(text))
+    assert str(err.value) == (
+        f"arithmetic on non-integer constant 'a' in rule '{culprit}' at 2:1"
+    )
+
+
+def source_of(join):
+    return next(src for src, fn in grounder._COMPILED.items() if fn is join)
+
+
+def joined(text):
+    """The plan of the text's last rule after joining it in both forms
+    over the text's facts, and the slots of its matches."""
+    program = parse_program(text)
+    plan = BodyPlan(program.rules[-1])
+    index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
+    budget = len(plan.rule.body)
+    found = [slots for slots, _ in iter_matches(plan, index, index.undefined, budget)]
+    assert list(grounder._derivable_matches(plan, index)) == found
+    return plan, found
+
+
+class TestCompiledJoin:
+    def test_plans_of_one_shape_share_code_without_program_text(self):
+        first, found = joined(
+            "alpha(1,kilo). beta(1,2,33). beta(1,50,33).\n"
+            ":- alpha(X,kilo), beta(X,Y,33), Y < 44, not gamma(Y,kilo).\n"
+        )
+        second, other = joined(
+            "delta(1,lima). epsilon(1,2,mike). epsilon(1,60,mike).\n"
+            ":- delta(X,lima), epsilon(X,Y,mike), Y < 66, not zeta(Y,lima).\n"
+        )
+        assert found == [["kilo", 33, 44, 1, 2]]
+        assert other == [["lima", "mike", 66, 1, 2], ["lima", "mike", 66, 1, 60]]
+        for truth in (True, False):
+            assert first._joins[truth] is second._joins[truth]
+            source = source_of(first._joins[truth])
+            for text in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                         "kilo", "lima", "mike", "33", "44", "66"):
+                assert text not in source
+        assert first._joins[True] is not first._joins[False]
+
+    def test_plans_that_differ_by_an_operator_do_not_share_code(self):
+        facts = "alpha(1,kilo). beta(1,2,33).\n"
+        less, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y < 44.\n")
+        most, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y <= 44.\n")
+        assert less._joins[True] is not most._joins[True]
+
+    def test_an_error_in_shared_code_names_its_own_rule(self):
+        text = "p(1). t(a).\nq(Z) :- p(X), Z = X+1.\nr(Z) :- t(X), Z = X+2.\n"
+        program = parse_program(text)
+        index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
+        plans = [BodyPlan(rule) for rule in program.rules[2:]]
+        assert len(list(iter_matches(plans[0], index, index.undefined, 2))) == 1
+        with pytest.raises(GroundingError) as err:
+            list(iter_matches(plans[1], index, index.undefined, 2))
+        assert plans[0]._joins[True] is plans[1]._joins[True]
+        message = (
+            "arithmetic on non-integer constant 'a' in rule"
+            " 'r(Z) :- t(X), Z = X+2.' at 3:1"
+        )
+        assert str(err.value) == message
+        with pytest.raises(GroundingError) as err:
+            ground_program(program)
+        assert str(err.value) == message
+
+    def test_parsing_and_a_second_solve_compile_nothing(self):
+        text = (
+            "u(1,2,3). u(2,3,4). u(3,4,1). v(3,2). v(4,3). w(3,2).\n"
+            "s(X) :- u(X,Y,Z), v(Z,Y), X+Y+Z > 5, not w(Y,X).\n"
+            "%@deferred\n"
+            ":- u(X,Y,Z), u(Y,Z,W), s(X), W+X+Y >= 7, X != Z.\n"
+        )
+        before = len(grounder._COMPILED)
+        program = parse_program(text)
+        assert len(grounder._COMPILED) == before
+        kinds = ("full", "lazy", "eager", "post")
+        first = [solve(program, kind).status for kind in kinds]
+        compiled = len(grounder._COMPILED)
+        assert compiled > before
+        assert [solve(parse_program(text), kind).status for kind in kinds] == first
+        assert len(grounder._COMPILED) == compiled
+
+    def test_a_body_deeper_than_the_nesting_limit_joins(self):
+        n = 3 * grounder._NESTED
+        chain = ", ".join(f"e(X{k},X{k + 1})" for k in range(n))
+        text = "".join(f"e({k},{k + 1}). " for k in range(n + 1))
+        text += f"blocked(21).\nreach(X{n}) :- {chain}, X{n} > {n - 1}, not blocked(X20).\n"
+        program = parse_program(text)
+        lines = ground_program(program).to_text().split("\n")
+        assert f"reach({n})." in lines and f"reach({n + 1})." not in lines
+        plan = BodyPlan(program.rules[-1])
+        index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
+        values = [0] + [1] * len(index)
+        found = list(iter_matches(plan, index, values, 0))
+        assert [(slots[1], slots[-1], len(lits)) for slots, lits in found] == [(0, n, n)]
 
 
 class TestBodyPlanOrder:
