@@ -128,6 +128,8 @@ class SolverCallbacks:
     on_propagation_fixpoint(solver) runs once unit and support propagation
     rest.  on_total_candidate(solver) may veto a total assignment, read off
     `solver._assign`, by returning nogoods; an empty return accepts it.
+    Each hook returns a list of nogoods, each a tuple of solver literals,
+    that the solver takes as given: it neither copies nor keeps the list.
     """
 
     on_literal_true: Optional[Callable] = None
@@ -467,7 +469,7 @@ class Solver:
                 continue
             if cb_fix is not None:
                 self.stats.propagator_calls += 1
-                emitted = list(cb_fix(self))
+                emitted = cb_fix(self)
                 if emitted:
                     self.stats.propagator_nogoods += len(emitted)
                     conflict, progressed = self._apply_emitted(emitted)
@@ -492,7 +494,7 @@ class Solver:
         for i, lits in enumerate(nogoods):
             conflict = self._install(lits)
             if conflict is not None:
-                self.nogood_queue.extend(tuple(l) for l in nogoods[i + 1 :])
+                self.nogood_queue.extend(nogoods[i + 1 :])
                 return conflict, True
         progressed = (
             len(self._trail) != before_trail
@@ -584,7 +586,7 @@ class Solver:
                     break
             if cb_lit is not None:
                 self.stats.propagator_calls += 1
-                emitted = list(cb_lit(self, lit))
+                emitted = cb_lit(self, lit)
                 if emitted:
                     self.stats.propagator_nogoods += len(emitted)
                     conflict, _ = self._apply_emitted(emitted)
@@ -877,7 +879,7 @@ class Solver:
                 self.stats.unfounded_vetoes += 1
                 return vetoes
         if self.callbacks.on_total_candidate is not None:
-            return [tuple(ng) for ng in self.callbacks.on_total_candidate(self)]
+            return self.callbacks.on_total_candidate(self)
         return []
 
     # ------------------------------------------------------------------ solve

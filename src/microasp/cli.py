@@ -13,7 +13,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import benchgen, portfolio
@@ -63,40 +63,25 @@ SOLVE_REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    inputs: list[str] = field(default_factory=list)
-    strategy: str = "full"
-    seed: int = 0
-    conflicts: Optional[int] = None
-    timeout_s: Optional[float] = None
-    json_output: bool = False
-    dump_ground: bool = False
-    timing: bool = False
-
-    def budget(self) -> Budget:
-        return Budget(max_conflicts=self.conflicts, max_seconds=self.timeout_s)
-
-
 def _read_program(path: str):
     with open(path) as handle:
         return parse_program(handle.read())
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    program = _read_program(cfg.inputs[0])
-    if cfg.dump_ground:
+def cmd_solve(args: argparse.Namespace) -> int:
+    program = _read_program(args.input)
+    if args.dump_ground:
         gp = ground_program(
-            program, include_deferred=cfg.strategy == StrategyKind.FULL.value
+            program, include_deferred=args.strategy == StrategyKind.FULL.value
         )
         sys.stdout.write(gp.to_text())
         return 0
     started = time.perf_counter()
     result = solve(
         program,
-        cfg.strategy,
-        seed=cfg.seed,
-        budget=cfg.budget(),
+        args.strategy,
+        seed=args.seed,
+        budget=Budget(max_conflicts=args.conflicts, max_seconds=args.timeout_s),
     )
     elapsed = time.perf_counter() - started
     model = (
@@ -104,18 +89,18 @@ def cmd_solve(cfg: RunConfig) -> int:
         if result.model is not None
         else None
     )
-    if cfg.json_output:
+    if args.json:
         report = {
-            "input": cfg.inputs[0],
-            "strategy": cfg.strategy,
-            "seed": cfg.seed,
-            "budget": {"conflicts": cfg.conflicts, "seconds": cfg.timeout_s},
+            "input": args.input,
+            "strategy": args.strategy,
+            "seed": args.seed,
+            "budget": {"conflicts": args.conflicts, "seconds": args.timeout_s},
             "status": result.status,
             "exit_code": result.exit_code,
             "model": model,
             "stats": asdict(result.stats),
         }
-        if cfg.timing:
+        if args.timing:
             report["elapsed_s"] = elapsed
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -126,7 +111,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             print("UNSATISFIABLE")
         else:
             print("TIMEOUT")
-        if cfg.timing:
+        if args.timing:
             print(f"time: {elapsed:.3f}s")
     return result.exit_code
 
@@ -237,6 +222,8 @@ def sweep_3sat(
 
 
 def cmd_sweep_3sat(args: argparse.Namespace) -> int:
+    if args.r_step <= 0:
+        raise ValueError(f"--r-step must be positive, got {args.r_step}")
     r_values = []
     ratio = args.r_min
     while ratio <= args.r_max + 1e-9:
@@ -326,13 +313,17 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
         report = portfolio.cross_validate(examples, folds=args.folds, seed=args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
+    if not (args.features or args.instance):
+        raise ValueError("portfolio predict needs --features or --instance")
     with open(args.tree) as handle:
         tree = portfolio.tree_from_json(handle.read())
     if args.features:
-        features = {
-            part.split("=")[0]: float(part.split("=")[1])
-            for part in args.features.split(",")
-        }
+        features = {}
+        for part in args.features.split(","):
+            name, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"--features expects name=value pairs, got '{part}'")
+            features[name] = float(value)
     else:
         program = _read_program(args.instance)
         features = portfolio.extract_features(program, args.family)
@@ -417,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     pr = port_sub.add_parser("predict")
     pr.add_argument("--tree", required=True)
-    pr.add_argument("--features")
-    pr.add_argument("--instance")
+    given = pr.add_mutually_exclusive_group()
+    given.add_argument("--features", help="comma-separated name=value pairs")
+    given.add_argument("--instance")
     pr.add_argument(
         "--family", default="generic", choices=sorted(portfolio.FEATURE_SCHEMAS)
     )
@@ -430,17 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            cfg = RunConfig(
-                inputs=[args.input],
-                strategy=args.strategy,
-                seed=args.seed,
-                conflicts=args.conflicts,
-                timeout_s=args.timeout_s,
-                json_output=args.json,
-                dump_ground=args.dump_ground,
-                timing=args.timing,
-            )
-            return cmd_solve(cfg)
+            return cmd_solve(args)
         if args.command == "oracle":
             return cmd_oracle(args.input, args.max_free)
         if args.command == "gen":

@@ -101,8 +101,7 @@ class AtomIndex:
     id + 1.  `table(predicate, positions)` maps the values at the given
     argument positions (a key as built by `_key_of`) to the rows `(var,
     args)` holding them, in insertion order.  A table is built on first use
-    and kept current by `add`.  `undefined` maps every variable to 0: the
-    truth the grounder joins under.
+    and kept current by `add`.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -110,7 +109,6 @@ class AtomIndex:
         self._ids: dict[Atom, int] = {}
         self._rows: dict[str, list[Row]] = {}
         self._tables: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
-        self.undefined: list[int] = [0]
         for atom in atoms:
             self.add(atom)
 
@@ -119,7 +117,6 @@ class AtomIndex:
             return
         self._ids[atom] = len(self._atoms)
         self._atoms.append(atom)
-        self.undefined.append(0)
         row = (len(self._atoms), atom.args)
         self._rows.setdefault(atom.predicate, []).append(row)
         tables = self._tables.get(atom.predicate)

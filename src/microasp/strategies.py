@@ -5,12 +5,13 @@ and adds the ground instances violated by each stable-model candidate.
 EAGER simulates their unit propagation per assigned literal; POST checks for
 fully violated instances at each propagation fixpoint.  Eager and post keep
 the exhaustive check on total candidates as a safety net, so all four agree
-on the returned models.
+on the returned models.  Each realization gives the solver only nogoods.
 """
 from __future__ import annotations
 
 import time
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cdcl import TIMEOUT, Budget, Solver, SolverCallbacks, SolveResult, SolveStats
@@ -51,13 +52,9 @@ def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[i
     return _canonical(lits)
 
 
-#: A join's match: the plan and the slots it matched.
-Slots = tuple[BodyPlan, list]
-
 #: Matches of a seeded join by key: (constraint position, the variables of
-#: its positive literals in written order) -> (slots, constraint position,
-#: signed variables).
-Matches = dict[tuple[int, tuple[int, ...]], tuple[Slots, int, list[int]]]
+#: its positive literals in written order) -> the match's signed variables.
+Matches = dict[tuple[int, tuple[int, ...]], list[int]]
 
 
 class ConstraintIndex:
@@ -66,12 +63,13 @@ class ConstraintIndex:
     The joins run over the program's atom index (`gp.atoms`) and read truth
     off `solver._assign` at query time, so no per-assignment bookkeeping is
     needed.  The lazy check is the full join of each constraint on a total
-    candidate, over `plans`.  The propagators join outward from a trail
-    literal, through the plan seeded at each body literal it matches (built
-    only when `seeded` is set, see `BodyPlan`): eager from each assigned
-    literal, allowing one undefined body literal (the one its nogood
-    infers), and post from each literal assigned since its last call,
-    allowing none.
+    candidate, over `plans`.  The propagators, `eager_nogoods` and
+    `post_nogoods`, are the solver's hooks and return nogoods.  They join
+    outward from a trail literal, through the plan seeded at each body
+    literal it matches (`_triggers`, planned at the first seeded join, see
+    `BodyPlan`): eager from each assigned literal, allowing one undefined
+    body literal (the one its nogood infers), and post from each literal
+    assigned since its last call, allowing none.
 
     A constraint's full join yields its matches in lexicographic order of
     the variables of its positive literals in written order.  A seeded
@@ -80,23 +78,25 @@ class ConstraintIndex:
     and post emits the new matches in the full join's order.
     """
 
-    def __init__(
-        self, constraints: Sequence[Rule], gp: GroundProgram, seeded: bool = True
-    ):
+    def __init__(self, constraints: Sequence[Rule], gp: GroundProgram):
         for constraint in constraints:
             if constraint.head is not None:
                 raise ValueError(f"not a constraint: '{constraint}.'")
         self.constraints = list(constraints)
         self.gp = gp
         self.plans = [BodyPlan(c) for c in self.constraints]
-        self._triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
-        for ci, constraint in enumerate(self.constraints if seeded else ()):
+
+    @cached_property
+    def _triggers(self) -> dict[tuple[str, bool], list[tuple[int, BodyPlan]]]:
+        """(constraint position, plan seeded there) for each body literal,
+        by its (predicate, sign)."""
+        triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
+        for ci, constraint in enumerate(self.constraints):
             for ei, elem in enumerate(constraint.body):
                 if isinstance(elem, Literal):
                     key = (elem.atom.predicate, elem.positive)
-                    self._triggers.setdefault(key, []).append(
-                        (ci, BodyPlan(constraint, ei))
-                    )
+                    triggers.setdefault(key, []).append((ci, BodyPlan(constraint, ei)))
+        return triggers
 
     def _seeded(
         self, lit: int, values: Sequence[int], budget: int
@@ -109,29 +109,24 @@ class ConstraintIndex:
             if start is None:
                 continue
             found: Matches = {}
-            for slots, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
+            for _, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
                 pos = [l for l in lits if l > 0]
-                key = (ci, tuple(pos[k] for k in plan.written))
-                found[key] = ((plan, slots), ci, lits)
+                found[ci, tuple(pos[k] for k in plan.written)] = lits
             yield found
 
-    def eager_nogoods(
-        self, solver: Solver, lit: int
-    ) -> list[tuple[Slots, int, tuple[int, ...]]]:
+    def eager_nogoods(self, solver: Solver, lit: int) -> list[tuple[int, ...]]:
         """Instances made unit or falsified by `lit` having turned true.
 
         The join is seeded at every body literal `lit` matches, and the rest
         of the body joins over true atoms with at most one undefined literal
         left (the one the emitted nogood will infer).
         """
-        matches: list[tuple[Slots, int, list[int]]] = []
+        matches: list[list[int]] = []
         for found in self._seeded(lit, solver._assign, 1):
             matches += (found[key] for key in sorted(found))
         return _new_nogoods(solver, matches)
 
-    def post_nogoods(
-        self, solver: Solver
-    ) -> list[tuple[Slots, int, tuple[int, ...]]]:
+    def post_nogoods(self, solver: Solver) -> list[tuple[int, ...]]:
         """Instances whose body is fully true under the current trail.
 
         An instance true at the previous call was emitted then or is stored,
@@ -144,9 +139,9 @@ class ConstraintIndex:
         mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
         if mark == 0:
             matches = [
-                ((plan, slots), ci, lits)
-                for ci, plan in enumerate(self.plans)
-                for slots, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
+                lits
+                for plan in self.plans
+                for _, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
             ]
         else:
             found: Matches = {}
@@ -157,17 +152,17 @@ class ConstraintIndex:
         return _new_nogoods(solver, matches)
 
 
-def _new_nogoods(solver: Solver, matches: Iterable[tuple]) -> list[tuple]:
-    """The (match, constraint position, nogood) of each match whose nogood is
-    neither in the store nor a repeat."""
-    out: list[tuple] = []
+def _new_nogoods(solver: Solver, matches: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The nogoods of the matches, in order, that are neither in the store
+    nor a repeat."""
+    out: list[tuple[int, ...]] = []
     emitted: set[tuple[int, ...]] = set()
-    for match, ci, lits in matches:
+    for lits in matches:
         nogood = _canonical(lits)
         if nogood in emitted or solver.has_nogood(nogood):
             continue
         emitted.add(nogood)
-        out.append((match, ci, nogood))
+        out.append(nogood)
     return out
 
 
@@ -179,15 +174,14 @@ def solve(
     budget: Optional[Budget] = None,
     forced_decisions: Sequence[int] = (),
     on_model: Optional[Callable] = None,
-    instance_sink: Optional[list] = None,
 ) -> SolveResult:
     """Solve a program under the chosen deferred-constraint strategy.
 
     `on_model` is called with each accepted model; returning an iterable of
     nogoods (each an iterable of model literals) blocks it and continues the
-    search, returning None keeps the model.  `instance_sink`, when given,
-    collects (source constraint, ground instance, origin) for every deferred
-    instance the strategy materializes.
+    search, returning None keeps the model.  The deferred instances a
+    strategy adds are counted in the result's stats: the propagators' in
+    `propagator_nogoods`, the check's in `lazy_added`.
 
     A time budget counts from the entry and holds through grounding: a
     deadline that passes there gives TIMEOUT with empty stats.
@@ -204,40 +198,11 @@ def solve(
     deferred: list[Rule] = [] if full else program.deferred_rules()
 
     callbacks = SolverCallbacks()
-    index = (
-        ConstraintIndex(deferred, gp, seeded=kind is not StrategyKind.LAZY)
-        if deferred
-        else None
-    )
-
-    def record(match: Slots, ci: int, origin: str) -> None:
-        """Add the match's instance, without repeated literals, to the sink."""
-        if instance_sink is not None:
-            plan, slots = match
-            inst = GroundRule(None, tuple(dict.fromkeys(plan.render(slots).body)))
-            instance_sink.append((index.constraints[ci], inst, origin))
-
+    index = ConstraintIndex(deferred, gp) if deferred else None
     if index is not None and kind is StrategyKind.EAGER:
-
-        def on_literal(solver: Solver, lit: int) -> list[tuple[int, ...]]:
-            results = []
-            for match, ci, nogood in index.eager_nogoods(solver, lit):
-                record(match, ci, "eager")
-                results.append(nogood)
-            return results
-
-        callbacks.on_literal_true = on_literal
-
+        callbacks.on_literal_true = index.eager_nogoods
     if index is not None and kind is StrategyKind.POST:
-
-        def on_fixpoint(solver: Solver) -> list[tuple[int, ...]]:
-            results = []
-            for match, ci, nogood in index.post_nogoods(solver):
-                record(match, ci, "post")
-                results.append(nogood)
-            return results
-
-        callbacks.on_propagation_fixpoint = on_fixpoint
+        callbacks.on_propagation_fixpoint = index.post_nogoods
 
     if deferred or on_model is not None:
         plans = index.plans if index is not None else []
@@ -245,11 +210,7 @@ def solve(
         def on_total(solver: Solver) -> list[tuple[int, ...]]:
             violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
             if violations:
-                nogoods = []
-                matches = (((plans[ci], slots), ci, lits) for ci, slots, lits in violations)
-                for match, ci, nogood in _new_nogoods(solver, matches):
-                    record(match, ci, "check")
-                    nogoods.append(nogood)
+                nogoods = _new_nogoods(solver, (lits for _, _, lits in violations))
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)
                 return nogoods

@@ -1,5 +1,6 @@
-"""Shared fixtures: the running two-loop example and the random-program
-generator used by the equivalence fuzz."""
+"""Shared fixtures: the running two-loop example, the random-program
+generators used by the equivalence fuzz, and a spy on what the
+deferred-constraint joins return."""
 from __future__ import annotations
 
 import random
@@ -205,3 +206,61 @@ def fact_texts(gp) -> list[str]:
 def lit_of(solver, atom) -> int:
     """The positive solver literal of an atom of the solver's program."""
     return solver.gp.atoms.id_of(atom) + 1
+
+
+class JoinSpy:
+    """What the deferred-constraint joins return during solves, recorded by
+    wrapping them through `monkeypatch`.
+
+    `returns["eager"]` and `returns["post"]` hold, call by call, the lists
+    of nogoods that `ConstraintIndex.eager_nogoods` and `post_nogoods`
+    return.  `checks` holds each violation that
+    `strategies.ground_deferred_violations` returns, as (plan, slots,
+    signed variables): `plan.render(slots)` is its instance and `plan.rule`
+    its constraint.  `atoms` is the atom index the last propagator read.
+    When given, `around(run, index, solver, *args)` stands in for each
+    propagator call `run()` on those arguments and returns what `run()`
+    returned.
+    """
+
+    def __init__(self, monkeypatch, around=None):
+        from microasp import strategies
+
+        self.returns = {"eager": [], "post": []}
+        self.checks = []
+        self.atoms = None
+        cls = strategies.ConstraintIndex
+        eager, post = cls.eager_nogoods, cls.post_nogoods
+        check = strategies.ground_deferred_violations
+
+        def keep(origin, method, index, solver, *args):
+            def run():
+                return method(index, solver, *args)
+
+            got = run() if around is None else around(run, index, solver, *args)
+            self.atoms = index.gp.atoms
+            self.returns[origin].append(got)
+            return got
+
+        def spy_eager(index, solver, lit):
+            return keep("eager", eager, index, solver, lit)
+
+        def spy_post(index, solver):
+            return keep("post", post, index, solver)
+
+        def spy_check(plans, atoms, values):
+            found = check(plans, atoms, values)
+            self.checks += [(plans[ci], slots, lits) for ci, slots, lits in found]
+            return found
+
+        monkeypatch.setattr(cls, "eager_nogoods", spy_eager)
+        monkeypatch.setattr(cls, "post_nogoods", spy_post)
+        monkeypatch.setattr(strategies, "ground_deferred_violations", spy_check)
+
+    def nogoods(self, origin: str) -> list:
+        """Every nogood the propagator of `origin` returned, in order."""
+        return [nogood for got in self.returns[origin] for nogood in got]
+
+    def texts(self, origin: str) -> list[str]:
+        """Those nogoods as constraints, their literals in variable order."""
+        return [str(self.atoms.render((0, nogood))) for nogood in self.nogoods(origin)]

@@ -133,11 +133,17 @@ class TestSweep:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [r["ratio"] for r in rows] == ["3.0", "3.25", "3.5"]
         assert "full_mean_conflicts" in rows[0]
         assert "lazy_mean_time_s" in rows[0]
         assert "unsat_freq" in rows[0]
+
+    @pytest.mark.parametrize("step", ["0", "-0.25"])
+    def test_step_must_be_positive(self, step, capsys):
+        code = main(["sweep3sat", "--vars", "5", "--r-step", step, "--seeds", "1"])
+        assert code == 1
+        assert "error: --r-step must be positive" in capsys.readouterr().err
 
     def test_single_point(self):
         rows = sweep_3sat(8, [4.0], 3, ["lazy"], conflicts=10000)
@@ -165,7 +171,7 @@ class TestBench:
             ["bench", "--dir", str(inst_dir), "--conflicts", "500", "--out", str(out)]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3
         assert rows[0]["label"] in ("full", "lazy", "eager", "post")
         assert float(rows[0]["runtime_full"]) <= 500
@@ -219,6 +225,26 @@ class TestPortfolioCommands:
             ["portfolio", "predict", "--tree", str(tree_path), "--features", "x=2"]
         ) == 0
         assert capsys.readouterr().out.strip() == "lazy"
+
+
+    @pytest.fixture
+    def tree_file(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text('{"label": "lazy", "counts": {"lazy": 1}}')
+        return str(path)
+
+    def test_predict_features_without_value(self, tree_file, capsys):
+        code = main(["portfolio", "predict", "--tree", tree_file, "--features", "persons"])
+        assert code == 1
+        assert "error: --features expects name=value pairs, got 'persons'" in (
+            capsys.readouterr().err
+        )
+
+    def test_predict_needs_features_or_instance(self, tree_file, capsys):
+        assert main(["portfolio", "predict", "--tree", tree_file]) == 1
+        assert "error: portfolio predict needs --features or --instance" in (
+            capsys.readouterr().err
+        )
 
 
 class TestDeterministicReports:

@@ -124,7 +124,8 @@ def joined(text):
     plan = BodyPlan(program.rules[-1])
     index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
     budget = len(plan.rule.body)
-    found = [slots for slots, _ in iter_matches(plan, index, index.undefined, budget)]
+    undefined = [0] * (len(index) + 1)
+    found = [slots for slots, _ in iter_matches(plan, index, undefined, budget)]
     assert list(grounder._derivable_matches(plan, index)) == found
     return plan, found
 
@@ -160,9 +161,10 @@ class TestCompiledJoin:
         program = parse_program(text)
         index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
         plans = [BodyPlan(rule) for rule in program.rules[2:]]
-        assert len(list(iter_matches(plans[0], index, index.undefined, 2))) == 1
+        undefined = [0] * (len(index) + 1)
+        assert len(list(iter_matches(plans[0], index, undefined, 2))) == 1
         with pytest.raises(GroundingError) as err:
-            list(iter_matches(plans[1], index, index.undefined, 2))
+            list(iter_matches(plans[1], index, undefined, 2))
         assert plans[0]._joins[True] is plans[1]._joins[True]
         message = (
             "arithmetic on non-integer constant 'a' in rule"
@@ -403,6 +405,7 @@ def reference_grounding(program, include_deferred):
         if include_deferred or i not in program.deferred
     ]
     index = AtomIndex()
+    undefined = [0]  # the truth of each atom, grown with the index
     changed = True
     while changed:
         changed = False
@@ -410,10 +413,11 @@ def reference_grounding(program, include_deferred):
             if rule.head is None:
                 continue
             plan = BodyPlan(rule)
-            matches = iter_matches(plan, index, index.undefined, len(rule.body))
+            matches = iter_matches(plan, index, undefined, len(rule.body))
             for head in (plan.head(slots) for slots, _ in matches):
                 if head not in index:
                     index.add(head)
+                    undefined.append(0)
                     changed = True
     instances = {}  # instance -> whether it is first an instance of a fact
     for rule in kept:

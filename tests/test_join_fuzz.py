@@ -218,12 +218,12 @@ def test_instances_match_brute_force(chunk):
                 continue
             plan = BodyPlan(rule)
             candidates = candidate_substitutions(rule, index, constants)
-            budget = len(rule.body)
-            matches = brute_matches(plan, candidates, index, index.undefined, budget)
+            budget, undefined = len(rule.body), [0] * (len(index) + 1)
+            matches = brute_matches(plan, candidates, index, undefined, budget)
             want = [brute_instance(rule, subst, index) for subst, _ in matches]
             got = [
                 plan.instance(slots)
-                for slots, _ in iter_matches(plan, index, index.undefined, budget)
+                for slots, _ in iter_matches(plan, index, undefined, budget)
             ]
             assert got == want, seed
             checked += len(want)

@@ -20,7 +20,7 @@ from microasp.grounder import (
 from microasp.model import Atom, Literal
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex, _canonical, _new_nogoods, solve
-from support import PI1_DEFERRED_TEXT, lit_of, random_program_text
+from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
 
 
 def fuzz_programs(n):
@@ -35,21 +35,16 @@ def fuzz_programs(n):
 
 def written_from(index, ci, seed, atom, values, budget):
     """The written-order join from a seed: the matches of the full join that
-    put `atom` at body element `seed`, as (ground rule, signed variables)."""
+    put `atom` at body element `seed`, each as its key, (constraint
+    position, the variables of its positive literals in written order), and
+    its signed variables."""
     plan = index.plans[ci]
     at = sum(isinstance(e, Literal) for e in plan.rule.body[:seed])
     out = []
     for slots, lits in iter_matches(plan, index.gp.atoms, values, budget):
-        inst = plan.render(slots)
-        if inst.body[at].atom == atom:
-            out.append((inst, lits))
+        if plan.render(slots).body[at].atom == atom:
+            out.append(((ci, tuple(l for l in lits if l > 0)), lits))
     return out
-
-
-def rendered(emitted):
-    """Emitted (match, constraint position, nogood) with each match as its
-    ground rule."""
-    return [(plan.render(slots), ci, nogood) for (plan, slots), ci, nogood in emitted]
 
 
 def trigger_joins(index, lit, values, budget):
@@ -105,8 +100,9 @@ class TestSeededPlan:
 
 def assert_seeded_matches_written(index, values, budget):
     """With each literal made true in turn, every trigger's seeded matches,
-    in key order, are the written-order join's from the same start, match
-    for match; returns how many."""
+    in key order, are the written-order join's from the same start, key for
+    key; returns how many.  The positive literals of a match fix all its
+    slots, so equal keys are equal matches."""
     checked = 0
     for var in range(1, len(index.gp.atoms) + 1):
         for lit in (var, -var):
@@ -119,14 +115,8 @@ def assert_seeded_matches_written(index, values, budget):
                     assert want == []
                     continue
                 found = next(seeded)
-                got = [
-                    (plan.render(slots), lits)
-                    for (plan, slots), _, lits in (found[k] for k in sorted(found))
-                ]
-                assert [(s, _canonical(l)) for s, l in got] == [
-                    (s, _canonical(l)) for s, l in want
-                ]
-                assert all(k[0] == ci for k in found)
+                got = [(key, _canonical(found[key])) for key in sorted(found)]
+                assert got == [(key, _canonical(lits)) for key, lits in want]
                 checked += len(want)
             assert next(seeded, None) is None
     return checked
@@ -207,72 +197,74 @@ def reordered_at_s():
     return index, solver, s5
 
 
-def x_values(found):
-    """The X of each match, read off a(X), the constraint's first literal."""
-    return [plan.render(slots).body[0].atom.args[0] for (plan, slots), _, _ in found]
+def x_values(atoms, matches):
+    """The X of each match, read off its a(X) literal."""
+    return [
+        atom.args[0]
+        for lits in matches
+        for atom in (atoms.atom(l - 1) for l in lits if l > 0)
+        if atom.predicate == "a"
+    ]
 
 
 class TestEagerOrder:
     def test_matches_come_in_written_join_order(self):
         index, solver, s5 = reordered_at_s()
+        atoms = index.gp.atoms
         (found,) = list(index._seeded(s5, solver._assign, 1))
-        assert x_values(found.values()) == [2, 1]
-        assert x_values(index.eager_nogoods(solver, s5)) == [1, 2]
+        assert x_values(atoms, found.values()) == [2, 1]
+        assert x_values(atoms, index.eager_nogoods(solver, s5)) == [1, 2]
 
     @pytest.mark.parametrize("name", ["3sat-v20", "marriage-n5", "packing-3x3"])
     def test_eager_emits_what_the_written_join_would(self, name, monkeypatch):
         """At every call, eager's nogoods are the written-order joins from
         each trigger's start, trigger by trigger, through `_new_nogoods`."""
-        original = ConstraintIndex.eager_nogoods
-        emitted = []
 
-        def spy(index, solver, lit):
+        def compare(run, index, solver, lit):
             want = _new_nogoods(
                 solver,
                 [
-                    (inst, ci, lits)
-                    for ci, _, matches in trigger_joins(index, lit, solver._assign, 1)
-                    for inst, lits in matches
+                    lits
+                    for _, _, matches in trigger_joins(index, lit, solver._assign, 1)
+                    for _, lits in matches
                 ],
             )
-            got = original(index, solver, lit)
-            assert rendered(got) == want
-            emitted.extend(got)
+            got = run()
+            assert got == want
             return got
 
-        monkeypatch.setattr(ConstraintIndex, "eager_nogoods", spy)
+        spy = JoinSpy(monkeypatch, around=compare)
         solve(SPY_PROGRAMS[name](), "eager", seed=1)
-        assert emitted
+        assert spy.nogoods("eager")
 
 
-class PostSpy:
-    """Wraps `post_nogoods`: at every call, compares what the delta join
-    emits with what the full join plus `_new_nogoods` would emit."""
+class PostSpy(JoinSpy):
+    """A `JoinSpy` that, at every `post_nogoods` call, compares what the
+    delta join emits with what the full join plus `_new_nogoods` would
+    emit."""
 
     def __init__(self, monkeypatch):
         self.delta_calls = self.clamped = 0
         self._last_len = 0
-        original = ConstraintIndex.post_nogoods
+        super().__init__(monkeypatch, around=self.compare)
 
-        def spy(index, solver):
-            mark = solver._fixpoint_mark
-            full = _new_nogoods(
-                solver,
-                [
-                    (index.plans[ci].render(slots), ci, lits)
-                    for ci, slots, lits in ground_deferred_violations(
-                        index.plans, index.gp.atoms, solver._assign
-                    )
-                ],
-            )
-            got = original(index, solver)
-            assert rendered(got) == full
-            self.delta_calls += mark > 0
-            self.clamped += mark < self._last_len
-            self._last_len = len(solver._trail)
-            return got
-
-        monkeypatch.setattr(ConstraintIndex, "post_nogoods", spy)
+    def compare(self, run, index, solver):
+        mark = solver._fixpoint_mark
+        full = _new_nogoods(
+            solver,
+            [
+                lits
+                for _, _, lits in ground_deferred_violations(
+                    index.plans, index.gp.atoms, solver._assign
+                )
+            ],
+        )
+        got = run()
+        assert got == full
+        self.delta_calls += mark > 0
+        self.clamped += mark < self._last_len
+        self._last_len = len(solver._trail)
+        return got
 
 
 class TestPostDelta:
@@ -285,7 +277,7 @@ class TestPostDelta:
     def test_delta_emits_in_full_join_order(self):
         index, solver, _ = reordered_at_s()
         assert solver._fixpoint_mark > 0
-        assert x_values(index.post_nogoods(solver)) == [1, 2]
+        assert x_values(index.gp.atoms, index.post_nogoods(solver)) == [1, 2]
 
     def test_delta_through_conflicts_and_backjumps(self, monkeypatch):
         spy = PostSpy(monkeypatch)
@@ -325,18 +317,20 @@ def model_set(program, kind):
 
 class TestPostEdgeCases:
     @pytest.mark.parametrize("kind", ["full", "lazy", "eager", "post"])
-    def test_ground_body_no_trail_literal_triggers(self, kind):
+    def test_ground_body_no_trail_literal_triggers(self, kind, monkeypatch):
         """`q` is underivable, so `not q` is on no trail: only the full join
-        at post's first call sees the violated body."""
+        at post's first call sees the violated body.  `q` is outside the
+        atom table, so the instance `:- not q` is the empty nogood."""
         program = parse_program(
             "p :- not r.\nr :- not p.\n%@deferred\n:- not q.\n"
         )
-        sink = []
-        assert solve(program, kind, seed=1, instance_sink=sink).status == "UNSAT"
+        spy = JoinSpy(monkeypatch)
+        result = solve(program, kind, seed=1)
+        assert result.status == "UNSAT"
         if kind == "post":
-            assert [(str(inst), origin) for _, inst, origin in sink] == [
-                (":- not q", "post")
-            ]
+            assert spy.returns["post"] == [[()]]
+            assert result.stats.propagator_nogoods == 1
+            assert result.stats.lazy_added == 0
 
     TEXT = (
         "p(1) :- not np(1).\n"
@@ -347,19 +341,17 @@ class TestPostEdgeCases:
         ":- p(X), not q(X).\n"
     )
 
-    def test_negative_literal_falsified_last_is_caught(self):
+    def test_negative_literal_falsified_last_is_caught(self, monkeypatch):
         program = parse_program(self.TEXT)
         gp = ground_program(program)
         p = gp.atoms.id_of(Atom("p", (1,))) + 1
         q = gp.atoms.id_of(Atom("q", (1,))) + 1
-        sink = []
-        result = solve(
-            program, "post", seed=1, forced_decisions=[p, -q], instance_sink=sink
-        )
+        spy = JoinSpy(monkeypatch)
+        result = solve(program, "post", seed=1, forced_decisions=[p, -q])
         assert result.status == "SAT"
-        assert [(str(inst), origin) for _, inst, origin in sink] == [
-            (":- p(1), not q(1)", "post")
-        ]
+        assert spy.nogoods("post") == [_canonical((p, -q))]
+        assert spy.texts("post") == [":- p(1), not q(1)"]
+        assert spy.checks == []
         assert result.stats.propagator_nogoods == 1
         assert result.stats.invalidations == 0
 

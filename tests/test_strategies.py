@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
+from microasp import benchgen
 from microasp.cdcl import Solver, SolverCallbacks
 from microasp.grounder import (
+    BodyPlan,
     ground_deferred_violations,
     ground_program,
     ground_rule,
@@ -18,7 +20,7 @@ from microasp.strategies import (
     solve,
     solver_nogood,
 )
-from support import PI1_DEFERRED_TEXT, lit_of, random_program_text
+from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
 
 ALL_KINDS = ["full", "lazy", "eager", "post"]
 
@@ -33,24 +35,24 @@ def pi1():
 
 
 class TestSolve:
-    def test_lazy_trajectory_through_violating_candidate(self, pi1):
-        sink = []
-        result = solve(
-            pi1, "lazy", forced_decisions=[1, 3], instance_sink=sink
-        )
+    def test_lazy_trajectory_through_violating_candidate(self, pi1, monkeypatch):
+        spy = JoinSpy(monkeypatch)
+        result = solve(pi1, "lazy", forced_decisions=[1, 3])
         assert result.status == "SAT"
         assert {str(a) for a in result.model} == {"b(1)", "c(1)"}
         assert result.stats.invalidations == 1
         assert result.stats.lazy_added == 1
-        assert [str(inst) for _, inst, _ in sink] == [":- a(1), not b(1)"]
+        checked = [str(plan.render(slots)) for plan, slots, _ in spy.checks]
+        assert checked == [":- a(1), not b(1)"]
 
-    def test_lazy_never_instantiates_subsumed_constraint(self, pi1):
+    def test_lazy_never_instantiates_subsumed_constraint(self, pi1, monkeypatch):
         blocker = pi1.rules[2]  # :- a(X), b(X)
+        spy = JoinSpy(monkeypatch)
         for seed in range(40):
-            sink = []
-            result = solve(pi1, "lazy", seed=seed, instance_sink=sink)
+            result = solve(pi1, "lazy", seed=seed)
             assert result.status == "SAT"
-            assert all(rule is not blocker for rule, _, _ in sink)
+        assert spy.checks
+        assert all(plan.rule is not blocker for plan, _, _ in spy.checks)
 
     def test_all_strategies_same_model_set(self, pi1):
         gp_full = ground_program(pi1, include_deferred=True)
@@ -73,15 +75,14 @@ class TestSolve:
 
 
 class TestEagerPropagator:
-    def test_worked_example_inference_then_conflict(self, pi1):
-        sink = []
-        result = solve(pi1, "eager", forced_decisions=[1], instance_sink=sink)
+    def test_worked_example_inference_then_conflict(self, pi1, monkeypatch):
+        spy = JoinSpy(monkeypatch)
+        result = solve(pi1, "eager", forced_decisions=[1])
         assert result.status == "SAT"
-        origins = {origin for _, _, origin in sink}
-        assert origins == {"eager"}
-        emitted = {str(inst) for _, inst, _ in sink}
-        assert ":- a(1), not b(1)" in emitted
-        assert result.stats.propagator_nogoods >= 1
+        # every instance came from the eager propagator, none from the check
+        assert result.stats.lazy_added == 0 and spy.checks == []
+        assert result.stats.propagator_nogoods == len(spy.nogoods("eager")) >= 1
+        assert ":- a(1), not b(1)" in spy.texts("eager")
         assert result.stats.propagator_calls >= 1
 
     def test_untouched_predicate_emits_nothing(self, pi1):
@@ -100,24 +101,25 @@ class TestEagerPropagator:
         solver.propagate()
         lit = lit_of(solver, ga("a", 1))
         solver.decide(lit)
-        first = [ng for _, _, ng in index.eager_nogoods(solver, lit)]
-        again = [ng for _, _, ng in index.eager_nogoods(solver, lit)]
+        first = index.eager_nogoods(solver, lit)
+        again = index.eager_nogoods(solver, lit)
         assert first == again
         for ng in first:
             assert solver.add_nogood(ng) is None or True
         assert index.eager_nogoods(solver, lit) == []  # store-level dedup
 
-    def test_emitted_nogoods_are_ground_instances(self, pi1):
+    def test_emitted_nogoods_are_ground_instances(self, pi1, monkeypatch):
         """Everything eager emits is the nogood of some instance of Grd(C)."""
         naive = naive_ground_program(parse_program(PI1_DEFERRED_TEXT))
         legal = set()
         for rule in pi1.deferred_rules():
             for inst in ground_rule(rule, naive.atoms):
                 legal.add(frozenset(nogood_of(naive.atoms.render(inst))))
-        sink = []
-        solve(pi1, "eager", forced_decisions=[1], instance_sink=sink)
-        for _, inst, _ in sink:
-            assert frozenset(nogood_of(inst)) in legal
+        spy = JoinSpy(monkeypatch)
+        solve(pi1, "eager", forced_decisions=[1])
+        assert spy.nogoods("eager")
+        for nogood in spy.nogoods("eager"):
+            assert nogood_of(spy.atoms.render((0, nogood))) in legal
 
 
 class TestPostPropagator:
@@ -130,7 +132,7 @@ class TestPostPropagator:
         assert solver.propagate() is None  # a true, b false by completion
         found = index.post_nogoods(solver)
         a, b = lit_of(solver, ga("a", 1)), lit_of(solver, ga("b", 1))
-        assert [ng for _, _, ng in found] == [tuple(sorted((a, -b), key=abs))]
+        assert found == [tuple(sorted((a, -b), key=abs))]
 
     def test_quiet_fixpoint_emits_nothing(self, pi1):
         gp = ground_program(pi1)
@@ -157,7 +159,7 @@ class TestPostPropagator:
         installed = []
 
         def spy_fixpoint(solver):
-            out = [ng for _, _, ng in index.post_nogoods(solver)]
+            out = index.post_nogoods(solver)
             installed.extend(out)
             return out
 
@@ -218,6 +220,35 @@ class TestCheckTotalCandidate:
         assert ground_deferred_violations([], gp.atoms, values) == []
 
 
+class TestHooks:
+    """The propagators are `ConstraintIndex`'s methods, installed as the
+    solver's hooks, and the seeded plans are built only when one runs."""
+
+    DEFERRED = benchgen.gen_marriage(4, 30, 1)
+
+    def test_lazy_plans_no_seeded_join(self, monkeypatch):
+        seeds = []
+        original = BodyPlan.__init__
+
+        def spy(plan, rule, seed=None, *args):
+            seeds.append(seed)
+            original(plan, rule, seed, *args)
+
+        monkeypatch.setattr(BodyPlan, "__init__", spy)
+        assert solve(self.DEFERRED, "lazy", seed=1).stats.invalidations >= 1
+        assert seeds and set(seeds) == {None}
+        solve(self.DEFERRED, "eager", seed=1)  # the spy sees a seeded plan
+        assert set(seeds) > {None}
+
+    @pytest.mark.parametrize("kind", ["eager", "post"])
+    def test_each_propagator_call_is_one_hook_call(self, kind, monkeypatch):
+        spy = JoinSpy(monkeypatch)
+        result = solve(self.DEFERRED, kind, seed=1)
+        assert len(spy.returns[kind]) == result.stats.propagator_calls > 0
+        assert len(spy.nogoods(kind)) == result.stats.propagator_nogoods
+        assert spy.returns["eager" if kind == "post" else "post"] == []
+
+
 class TestSolverNogoodConversion:
     def test_out_of_table_negative_dropped(self, pi1):
         gp = ground_program(pi1)
@@ -235,7 +266,7 @@ class TestSolverNogoodConversion:
 
 class TestStrategyEquivalenceFuzz:
     def test_small_fuzz(self):
-        checked = 0
+        checked = lazy_added = 0
         for seed in range(120):
             try:
                 program = parse_program(random_program_text(seed))
@@ -246,14 +277,16 @@ class TestStrategyEquivalenceFuzz:
                 for m in enumerate_stable_models(naive_ground_program(program))
             }
             for kind in ALL_KINDS:
-                sink = []
-                result = solve(program, kind, seed=seed % 5, instance_sink=sink)
+                result = solve(program, kind, seed=seed % 5)
                 assert (result.status == "SAT") == bool(oracle), (seed, kind)
                 if result.status == "SAT":
                     assert frozenset(result.model) in oracle, (seed, kind)
                 if kind == "lazy":
                     # monotonicity: every added instance was violated by the
                     # candidate that triggered it (hence by a total check)
-                    assert all(origin == "check" for _, _, origin in sink)
+                    assert result.stats.propagator_calls == 0, seed
+                    assert result.stats.propagator_nogoods == 0, seed
+                    lazy_added += result.stats.lazy_added
             checked += 1
         assert checked >= 60
+        assert lazy_added > 0
