@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -221,14 +222,23 @@ def sweep_3sat(
     return rows
 
 
+MAX_SWEEP_POINTS = 10_000  # ratios in one `sweep3sat` grid
+
+
 def cmd_sweep_3sat(args: argparse.Namespace) -> int:
-    if args.r_step <= 0:
-        raise ValueError(f"--r-step must be positive, got {args.r_step}")
-    r_values = []
-    ratio = args.r_min
-    while ratio <= args.r_max + 1e-9:
-        r_values.append(round(ratio, 6))
-        ratio += args.r_step
+    if not 0 < args.r_step < math.inf:
+        raise ValueError(f"--r-step must be positive and finite, got {args.r_step}")
+    # Ratio i is r_min + i * r_step for i up to `span`.  The span is NaN or
+    # infinite when a bound is, which the cap rejects, and negative when
+    # r_max < r_min, which makes an empty grid.
+    span = (args.r_max - args.r_min) / args.r_step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"--r-step {args.r_step} makes more than {MAX_SWEEP_POINTS} ratios "
+            f"from {args.r_min} to {args.r_max}"
+        )
+    points = math.floor(max(span, -1.0)) + 1
+    r_values = [round(args.r_min + i * args.r_step, 6) for i in range(points)]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     rows = sweep_3sat(
         args.vars, r_values, args.seeds, strategies, args.conflicts

@@ -651,7 +651,9 @@ def ground_program(
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
     Each rule other than a fact is compiled once, for the fixpoint and the
-    instantiation; a fact is added without a join.
+    instantiation; a fact is added without a join.  `rule.is_fact` is read
+    once per rule, for the extensional predicates, the plans and the fact
+    variables alike.
 
     Facts are folded into each instance as it is built, and a predicate
     with facts and no other defining rule is extensional: its literals are
@@ -667,14 +669,18 @@ def ground_program(
         for i, rule in enumerate(program.rules)
         if include_deferred or i not in program.deferred
     ]
+    is_fact = [rule.is_fact for rule in kept]
     defined = [
-        (rule.head.predicate, rule.is_fact) for rule in kept if rule.head is not None
+        (rule.head.predicate, fact)
+        for rule, fact in zip(kept, is_fact)
+        if rule.head is not None
     ]
     extensional = {p for p, fact in defined if fact} - {
         p for p, fact in defined if not fact
     }
     plans = [
-        None if rule.is_fact else BodyPlan(rule, None, extensional) for rule in kept
+        None if fact else BodyPlan(rule, None, extensional)
+        for rule, fact in zip(kept, is_fact)
     ]
     index = AtomIndex()
 
@@ -700,7 +706,7 @@ def ground_program(
 
     ticks = itertools.count(1)
     facts = dict.fromkeys(
-        index.id_of(rule.head) + 1 for rule in kept if rule.is_fact
+        index.id_of(rule.head) + 1 for rule, fact in zip(kept, is_fact) if fact
     )
     found: list[int] = []
     instances: dict[Instance, None] = {}

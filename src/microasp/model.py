@@ -3,16 +3,17 @@
 Variables start with an uppercase letter, constants do not.  A ground term
 is the Python value it denotes: an `int` for an integer constant, a `str`
 for a symbolic one.  A variable is a `Var`, so `isinstance(t, Var)` is the
-one test that tells them apart, and ground atoms hash and compare as tuples
-of plain values.  Rules have at most one head atom; a rule without a head
-is a constraint and a rule with a ground head and empty body is a fact.
+one test that tells them apart.  An `Atom` is a named tuple (predicate,
+args), so it is built, hashed and compared in C, and a ground atom is a
+tuple of plain values.  Rules have at most one head atom; a rule without a
+head is a constraint and a rule with a ground head and empty body is a fact.
 Where a body's comparisons and negative literals are evaluated, and so
 which rules are safe, is decided by the join planner, `grounder.BodyPlan`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,16 @@ class Var:
 Term = Union[int, str, Var]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """A predicate applied to argument terms.  Being a tuple, an atom
+    equals any (predicate, args) tuple with the same values."""
+
     predicate: str
     args: tuple[Term, ...] = ()
 
     @property
     def is_ground(self) -> bool:
-        return not any(isinstance(t, Var) for t in self.args)
+        return Var not in map(type, self.args)
 
     @property
     def arity(self) -> int:

@@ -4,6 +4,17 @@ Grammar: `head :- body.` where `:-` and the body are optional for facts,
 `not ` marks default negation, `,` separates body elements, and `%` starts
 a line comment.  A `%@deferred` comment line immediately before a constraint
 marks it for deferred treatment.
+
+Most statements of a generated instance are ground facts, so the tokenizer
+takes a plain fact whole.  At the start of a statement (the start of the
+input, or after a `.` token with only whitespace, comments and `%@deferred`
+marks in between) it first tries `_FACT_RE`: `name(c1,...,cn).` with no
+blanks inside, each `ci` an integer or a symbol other than `not`.  A match
+is one `fact` token holding the statement's text, which the parser turns
+into its rule directly, with the arity check but without the safety check,
+as the rule is ground.  Anything else, including a fact with blanks inside
+or with no arguments, goes through the general tokenizer and parser, so
+errors and their locations do not depend on the fast path.
 """
 from __future__ import annotations
 
@@ -37,6 +48,16 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# A whole ground fact, and the newline right after it, if there is one.
+_FACT_RE = re.compile(
+    r"""( [a-z][A-Za-z0-9_]*
+        \( (?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*)
+          (?:,(?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*))* \)\. )
+      (\n?)
+    """,
+    re.VERBOSE,
+)
+
 _DEFERRED_MARK = "%@deferred"
 
 
@@ -54,7 +75,17 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
     pos = 0
+    at_statement = True
     while pos < len(text):
+        if at_statement:
+            m = _FACT_RE.match(text, pos)
+            if m is not None:
+                tokens.append(_Token("fact", m[1], line, pos - line_start + 1))
+                pos = m.end()
+                if m[2]:
+                    line += 1
+                    line_start = pos
+                continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(
@@ -72,6 +103,7 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("deferred", tok, line, col))
         else:
             tokens.append(_Token(kind, tok, line, col))
+            at_statement = tok == "."
         pos = m.end()
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
@@ -107,12 +139,17 @@ class _Parser:
 
     def parse(self) -> Program:
         rules: list[Rule] = []
+        planned: list[Rule] = []  # to check for safety: fact tokens are ground
         deferred: set[int] = set()
         while self._peek().kind != "eof":
             mark = None
             if self._peek().kind == "deferred":
                 mark = self._next()
-            rule = self._statement()
+            if self._peek().kind == "fact":
+                rule = self._fact(self._next())
+            else:
+                rule = self._statement()
+                planned.append(rule)
             if mark is not None:
                 if not rule.is_constraint:
                     raise ParseError(
@@ -122,10 +159,16 @@ class _Parser:
                     )
                 deferred.add(len(rules))
             rules.append(rule)
-        program = Program(tuple(rules), frozenset(deferred))
-        for rule in program.rules:
+        for rule in planned:
             self._check_safety(rule)
-        return program
+        return Program(tuple(rules), frozenset(deferred))
+
+    def _fact(self, tok: _Token) -> Rule:
+        """The rule of a fact token, whose text is `name(c1,...,cn).`."""
+        name, args = tok.text[:-2].split("(")
+        terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
+        self._check_arity(name, len(terms), tok)
+        return Rule(Atom(name, terms), line=tok.line, column=tok.column)
 
     def _statement(self) -> Rule:
         start = self._peek()

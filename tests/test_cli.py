@@ -139,11 +139,19 @@ class TestSweep:
         assert "lazy_mean_time_s" in rows[0]
         assert "unsat_freq" in rows[0]
 
-    @pytest.mark.parametrize("step", ["0", "-0.25"])
+    @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
     def test_step_must_be_positive(self, step, capsys):
         code = main(["sweep3sat", "--vars", "5", "--r-step", step, "--seeds", "1"])
         assert code == 1
         assert "error: --r-step must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-12"])
+    def test_grid_of_too_many_ratios_is_rejected(self, step, capsys):
+        """1e-300 does not move the ratio at all (3.0 + 1e-300 == 3.0), and
+        1e-12 would make about 2.5e12 ratios: both fail before any solve."""
+        code = main(["sweep3sat", "--vars", "5", "--r-step", step, "--seeds", "1"])
+        assert code == 1
+        assert "more than 10000 ratios" in capsys.readouterr().err
 
     def test_single_point(self):
         rows = sweep_3sat(8, [4.0], 3, ["lazy"], conflicts=10000)

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from microasp.model import Atom, GroundRule, Literal
-from microasp.grounder import ground_program
+from microasp.model import Atom, GroundRule, Literal, Var
+from microasp.grounder import AtomIndex, ground_program
 from microasp.oracle import (
     is_supported,
     is_violated,
@@ -21,6 +21,37 @@ def ga(pred, *args):
 
 
 A1, B1, C1, D1 = ga("a", 1), ga("b", 1), ga("c", 1), ga("d", 1)
+
+
+class TestAtom:
+    def test_str(self):
+        assert str(Atom("p")) == "p"
+        assert str(ga("p", 1, "a", Var("X"))) == "p(1,a,X)"
+
+    def test_is_ground(self):
+        assert Atom("p").is_ground
+        assert ga("p", 1, "a").is_ground
+        assert not ga("p", 1, Var("X")).is_ground
+
+    def test_arity_and_variables(self):
+        atom = ga("p", Var("X"), 2, Var("Y"), Var("X"))
+        assert (Atom("p").arity, atom.arity) == (0, 4)
+        assert atom.variables() == {"X", "Y"}
+        assert ga("p", 1).variables() == set()
+
+    def test_equality_and_hash(self):
+        assert ga("p", 1) == Atom("p", (1,))
+        assert hash(ga("p", 1)) == hash(Atom("p", (1,)))
+        assert ga("p", 1) != ga("p", "1") and ga("p", 1) != ga("q", 1)
+        assert Atom("p") == Atom("p", ())
+        # A named tuple: equal to the plain tuple of its fields.
+        assert ga("p", 1) == ("p", (1,))
+
+    def test_atom_index_key(self):
+        index = AtomIndex([ga("p", 1), Atom("q"), ga("p", 1)])
+        assert len(index) == 2
+        assert index.id_of(Atom("p", (1,))) == 0 and index.id_of(Atom("q")) == 1
+        assert ga("p", 2) not in index and index.id_of(ga("p", 2)) is None
 
 
 class TestNogoodOf:

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microasp.model import Atom, Comparison, Literal, Rule, Var
+from microasp import benchgen, parser
+from microasp.model import Atom, Comparison, Literal, Program, Rule, Var
 from microasp.parser import ParseError, SafetyError, parse_program, program_to_text
 from support import PI1_DEFERRED_TEXT, PI1_TEXT, random_program_text
 
@@ -127,3 +130,117 @@ def test_round_trip_random(seed):
         return
     again = parse_program(program_to_text(program))
     assert again == program
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p(1).\np(1,2).", "predicate p/2 previously used with arity 1 at 2:1"),
+        ("p(a,not).", "'not' is reserved at 1:5"),
+        ("%@deferred\np(1).", "%@deferred must precede a constraint at 1:1"),
+        ("p(1)", "expected '.', found 'end of input' at 1:5"),
+    ],
+)
+def test_fact_statement_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
+def test_fact_statement_locations_and_values():
+    program = parse_program("p(1).q(1,2).")
+    assert [(r.line, r.column) for r in program.rules] == [(1, 1), (1, 6)]
+    program = parse_program("p(1). not(2).")
+    assert program.rules[1].head == Atom("not", (2,))
+    assert (program.rules[1].line, program.rules[1].column) == (1, 7)
+    assert parse_program("q(007).").rules[0].head == Atom("q", (7,))
+
+
+# The parser with the whole-fact token switched off: every statement goes
+# through the general tokenizer and parser.
+_NO_FACT = re.compile(r"(?!)")
+
+
+def _parsed(text: str):
+    """The program and its rule locations, or the error the text raises."""
+    try:
+        program = parse_program(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return program, [(rule.line, rule.column) for rule in program.rules]
+
+
+def _general_parsed(text: str):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_FACT_RE", _NO_FACT)
+        return _parsed(text)
+
+
+def _fact_tokens(text: str) -> int:
+    return sum(tok.kind == "fact" for tok in parser._tokenize(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        benchgen.sat_program_text(benchgen.make_3sat(20, 4.26, 3)),
+        benchgen.marriage_program_text(benchgen.make_marriage(5, 5, 3)),
+        benchgen.packing_program_text(benchgen.make_packing(4, 4, (2, 2, 1))),
+    ],
+    ids=["3sat", "marriage", "packing"],
+)
+def test_fact_token_matches_general_parser_on_families(text):
+    assert _fact_tokens(text) > 0
+    fast = _parsed(text)
+    assert isinstance(fast[0], Program)
+    assert fast == _general_parsed(text)
+
+
+def test_fact_token_matches_general_parser_on_random_programs():
+    seen = 0
+    for seed in range(200):
+        text = random_program_text(seed)
+        seen += _fact_tokens(text)
+        assert _parsed(text) == _general_parsed(text), seed
+    assert seen > 0
+
+
+_NAMES = {"p": 1, "q": 2, "not": 1, "r_2": 3}
+_CONSTS = ["1", "007", "42", "a", "nota", "zB_9"] * 8 + ["not"]
+_BLANKS = ["", "", "", " ", "\n", " \t", "% note\n"]
+
+
+@st.composite
+def _fact_heavy_text(draw):
+    """Statements, mostly facts, with blanks placed inside and around them:
+    trailing comments, `%@deferred` marks, nullary facts, rules,
+    constraints, and several statements on one line."""
+    blank = st.sampled_from(_BLANKS)
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        form = draw(st.sampled_from(["fact"] * 4 + ["nullary", "rule", "constraint"]))
+        if draw(st.integers(0, 2 if form == "constraint" else 30)) == 0:
+            out.append("%@deferred\n")
+        if form == "nullary":
+            stmt = draw(st.sampled_from(["s", "t"])) + draw(blank) + "."
+        elif form == "rule":
+            stmt = "p(X) :- q(X," + draw(st.sampled_from(_CONSTS)) + ")."
+        elif form == "constraint":
+            stmt = ":- p(1)" + draw(st.sampled_from(["", ", not s", ", q(X,Y)"])) + "."
+        else:
+            name = draw(st.sampled_from(sorted(_NAMES)))
+            args = [draw(st.sampled_from(_CONSTS)) for _ in range(_NAMES[name])]
+            if draw(st.integers(0, 30)) == 0:
+                args.append("1")
+            tight = draw(st.booleans())
+            seps = ["" if tight else draw(blank) for _ in range(len(args) + 3)]
+            inner = "".join(a + sep + "," for a, sep in zip(args, seps))[:-1]
+            stmt = name + seps[-3] + "(" + seps[-2] + inner + ")" + seps[-1] + "."
+        out.append(stmt + draw(st.sampled_from(["", " ", "\n", " % c\n", "  "])))
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fact_heavy_text())
+def test_fact_token_matches_general_parser_on_blanks(text):
+    assert _parsed(text) == _general_parsed(text)
