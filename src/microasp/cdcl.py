@@ -7,7 +7,9 @@ otherwise-true nogood.  Support is enforced through completion nogoods for
 atoms with few defining rules and through a support propagator above that;
 non-tight programs get an unfounded-set check on total candidates.  The
 ground program's rules are already in these literals, (head variable or 0,
-body), and are installed as given.
+body), and the build stores the whole program in one loop
+(`_build_static`); nogoods added later go through `_install`, which also
+infers from them.
 
 The search state is indexed by literal.  `_assign` has 2n+1 entries:
 `_assign[v]` is the truth of atom v (1 true, -1 false, 0 undefined) and
@@ -43,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import neg
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .grounder import GroundProgram
 from .model import Atom
@@ -237,21 +239,57 @@ class Solver:
     # ------------------------------------------------------------------ setup
 
     def _build_static(self) -> None:
-        for var in self.gp.facts:
-            self._install((-var,))
-        for head, body in self.gp.rules:
-            if head:
-                self._install((-head, *body))
-                self._defs.setdefault(head, []).append(body)
+        """Store the ground program's nogoods in one loop, in the order of
+        `_static_nogoods`.  Nothing is assigned yet, so a nogood watches its
+        first two literals and infers nothing, a unit waits in
+        `_root_units` for the first `propagate`, and an empty one is the
+        root conflict."""
+        by_lits = self._by_lits
+        watches = self._watches
+        units = self._root_units
+        for key in self._static_nogoods():
+            if not key:
+                self._root_conflict = StoredNogood(())
+                continue
+            if key in by_lits:
+                continue
+            ng = by_lits[key] = StoredNogood(key)
+            if len(key) == 1:
+                units.append(ng)
             else:
-                self._install(body)
+                watches[key[0]].append(ng)
+                watches[key[1]].append(ng)
+        self._store_count = len(by_lits)
+
+    def _static_nogoods(self) -> Iterator[tuple[int, ...]]:
+        """The canonical tuples of the ground program's nogoods, tautologies
+        left out: each fact's unit, then each rule's, then each atom's
+        completion.  As it goes it records each head's bodies in `_defs`,
+        and the heads that get the support propagator instead of completion
+        nogoods, with the variables that wake them.
+
+        A rule's body holds distinct literals and no complement (see
+        `GroundProgram`), and its variables are distinct, so its nogood is
+        tautological only if the head is in the body, repeats a literal
+        only if the head's complement is, and is canonical once sorted.  A
+        completion nogood takes a literal from each of several bodies, so
+        it is checked in general."""
+        yield from ((-var,) for var in self.gp.facts)
+        defs = self._defs
+        for head, body in self.gp.rules:
+            if not head:
+                yield tuple(sorted(body, key=abs))
+                continue
+            defs.setdefault(head, []).append(body)
+            if head not in body:
+                yield tuple(sorted(body if -head in body else (-head, *body), key=abs))
 
         for var in range(1, self._nvars + 1):
             if var in self._fact_vars:
                 continue
-            bodies = self._defs.get(var)
+            bodies = defs.get(var)
             if not bodies:
-                self._install((var,))
+                yield (var,)
                 continue
             product = 1
             for body in bodies:
@@ -261,7 +299,9 @@ class Solver:
                 and product <= COMPLETION_MAX_PRODUCT
             ):
                 for combo in itertools.product(*bodies):
-                    self._install((var, *(-l for l in combo)))
+                    distinct = {var, *(-l for l in combo)}
+                    if distinct.isdisjoint(map(neg, distinct)):
+                        yield canonical(distinct)
             else:
                 self._sup_heads.append(var)
                 touched = {var}
@@ -387,7 +427,8 @@ class Solver:
     def _install(self, lits: Iterable[int]) -> Optional[StoredNogood]:
         """Store a nogood under its canonical tuple, watch it and infer from
         it; returns it when it is falsified.  A tautology or a nogood
-        already stored is dropped."""
+        already stored is dropped.  Its watches are two literals that are
+        not true, or else the latest true ones."""
         distinct = set(lits)
         if not distinct.isdisjoint(map(neg, distinct)):
             return None  # tautological, never falsifiable
@@ -402,10 +443,6 @@ class Solver:
         self._store_count += 1
         if len(key) == 1:
             self._root_units.append(ng)
-            return None
-        if not self._trail:  # nothing assigned: watch the first two literals
-            self._watches[key[0]].append(ng)
-            self._watches[key[1]].append(ng)
             return None
         assign = self._assign
         not_true = [l for l in key if assign[l] != 1]

@@ -15,26 +15,28 @@ the join: a fact's head enters the index at its turn in the first round of
 the fixpoint and its variable is a fact of the program.
 
 A ground program is solver literals: each instance is (head variable or 0,
-body literals in written order), a literal being a signed atom variable,
-read off the match's slots by probing each atom's all-positions table
-(`BodyPlan.instance`).  `AtomIndex.render` turns an instance back into
-atoms for text.
+body literals in written order), a literal being a signed atom variable.
+The join builds it inline: a positive literal's variable comes from its
+loop's row, and the head's and each negative literal's from a probe of the
+atom's all-positions table.  `AtomIndex.render` turns an instance back into atoms
+for text.
 
-The grounder folds facts into each instance as it builds it
-(`BodyPlan.instance` given the fact variables), with no pass afterwards.
-The literals of extensional predicates (those with facts and no other
-defining rule) are not even probed, as they always hold.  An instance with
-a fact head or a negative literal on a fact is dropped, and other fact
-literals leave its body.  A body that empties makes a derived fact, which
-reaches the instances built before it through a worklist from its variable
-to the instances holding it.
+The grounder folds facts into each instance as the join builds it, with no
+pass afterwards.  The literals of extensional predicates (those with facts
+and no other defining rule) are not even read, as they always hold.  An
+instance with a fact head or a negative literal on a fact is dropped, and
+other fact literals leave its body.  A body that empties makes a derived
+fact, which reaches the instances built before it through a worklist from
+its variable to the instances holding it.
 
 `iter_matches` runs the truth form of the join: it reads each atom's truth
 from a list indexed by solver variable, lets at most `budget` body literals
-be undefined and returns each match's literals.  Grounding runs the
-grounding form (`_derivable_matches`), which leaves truth, budget, negative
-literals and literals out: under all-undefined truth with a budget of the
-body's length they prune nothing.  The truth form's callers are:
+be undefined and returns each match's slots and literals.  Grounding runs
+two grounding forms, which leave truth, budget and negative literals out of
+the join, as under all-undefined truth with a budget of the body's length
+they prune nothing: the fixpoint's form (`_derivable_heads`) yields each
+match's head arguments, and the instantiation's (`_instances`) its
+instance.  The truth form's callers are:
 
 * the lazy check: the solver assignment with budget 0 on a total candidate;
 * the eager propagator: the solver assignment with budget 1, through the
@@ -163,7 +165,13 @@ class AtomIndex:
 class GroundProgram:
     """Ground rules and constraints over a dense atom index, as solver
     literals: `facts` holds the variables of the fact atoms and `rules` the
-    instances (head variable or 0, body literals in written order)."""
+    instances (head variable or 0, body literals in written order).
+
+    Every producer (`ground_program`, `naive_ground_program`,
+    `oracle.reduct`) guarantees that `facts` holds each variable once and
+    that each body holds distinct literals and never a literal and its
+    complement.  The solver relies on it to store the rules' nogoods
+    without a set: see `cdcl.Solver._static_nogoods`."""
 
     def __init__(
         self,
@@ -216,6 +224,13 @@ _FAILS = {"=": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 #: Nested loops per generated function: CPython compiles at most 20 nested
 #: blocks, so each further run of loops goes into a nested generator.
 _NESTED = 16
+
+#: The forms of a join: the truth form that `iter_matches` runs, and the
+#: grounding forms, which yield each match's head arguments (the fixpoint)
+#: or its instance (the instantiation).
+_TRUTH, _HEADS, _INSTANCES = "truth", "heads", "instances"
+_GROUNDING = (_HEADS, _INSTANCES)
+_FORMS = (_TRUTH, *_GROUNDING)
 
 #: Compiled joins by source, shared by every plan of one shape.  The source
 #: holds no program text, so the entries are bounded by the plan shapes met.
@@ -279,13 +294,17 @@ class BodyPlan:
     order and `stages[i]` the elements placed after the first i of them.  A
     rule variable that gets no slot is unsafe, a `GroundingError`.
 
-    Each line of the source belongs to the truth form, which `iter_matches`
-    runs, to the grounding form, or to both; a form is compiled at the
-    plan's first join with it, never here, as the parser plans each rule
-    only for its safety check.  The head and each body literal in written
-    order are compiled to the same probe, from which `instance` reads a
-    match's ground rule; positive literals on the `extensional` predicates,
-    whose atoms are all facts, are left out.
+    Each line of the source belongs to some of the join's three forms
+    (`_FORMS`): the truth form, which `iter_matches` runs, and the two
+    grounding forms, which share the loops and comparisons.  The fixpoint's
+    form yields the head's arguments.  The instantiation's form builds the
+    match's instance with the fact variables folded in: the head and each
+    negative literal are probed in their all-positions tables, and a
+    positive literal's variable comes from its loop, except on the
+    `extensional` predicates, whose atoms are all facts, where the literal
+    is left out.  A form is
+    compiled at the plan's first join with it, never here, as the parser
+    plans each rule only for its safety check.
     """
 
     def __init__(
@@ -325,11 +344,6 @@ class BodyPlan:
         def access(predicate: str, positions: tuple[int, ...]) -> int:
             return accesses.setdefault((predicate, positions), len(accesses))
 
-        def probe(atom: Atom) -> tuple[int, Callable]:
-            """The table holding the atom's variable, and its key."""
-            table = access(atom.predicate, tuple(range(len(atom.args))))
-            return table, _key_of([slot[t] for t in atom.args])
-
         def bind(var: Var) -> int:
             slot[var] = len(initial)
             initial.append(None)
@@ -349,13 +363,12 @@ class BodyPlan:
                     binds.append((pos, bind(term)))
             return known, binds, repeats
 
-        lines: list[tuple[int, Optional[bool], str]] = []
+        lines: list[tuple[int, tuple[str, ...], str]] = []
         depth, skip, budget, lits, ends = 1, "return", "b0", [], []
 
-        def emit(text: str, form: Optional[bool] = None) -> None:
-            """Add a line of the join's source; form True or False keeps it
-            to the truth or the grounding form."""
-            lines.append((depth, form, text))
+        def emit(text: str, forms: tuple[str, ...] = _FORMS) -> None:
+            """Add a line of the join's source to the given forms."""
+            lines.append((depth, forms, text))
 
         def names(terms: Iterable[Term]) -> list[str]:
             return [f"s{slot[t]}" for t in terms]
@@ -364,6 +377,12 @@ class BodyPlan:
             """The source of a table key, built as `_key_of` builds it."""
             keys = names(terms)
             return keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+
+        def probe(atom: Atom) -> str:
+            """The source of the rows of the atom's all-positions table that
+            hold it: its variable's, or None."""
+            table = access(atom.predicate, tuple(range(len(atom.args))))
+            return f"g{table}({key(atom.args)})"
 
         def total(terms: tuple[Term, ...]) -> str:
             """The source of a term sum, each term of a sum of several
@@ -380,9 +399,8 @@ class BodyPlan:
                     return False
                 n = f"n{len(lits)}"
                 lits.append(f"*{n}")
-                table = access(elem.atom.predicate, tuple(range(len(elem.atom.args))))
                 for text in (
-                    f"{n} = g{table}({key(elem.atom.args)})",
+                    f"{n} = {probe(elem.atom)}",
                     f"if {n}:",
                     f"    x = values[{n}[0][0]]",
                     f"    if x > 0 or not (x or {budget}): {skip}",
@@ -390,7 +408,7 @@ class BodyPlan:
                     f"    {n} = (-{n}[0][0],)",
                     f"else: {n} = ()",
                 ):
-                    emit(text, True)
+                    emit(text, (_TRUTH,))
                 return True
             lhs, rhs = elem.lhs, elem.rhs
             left = all(t in slot for t in lhs)
@@ -437,7 +455,7 @@ class BodyPlan:
             known, binds, repeats = match(args)
             if i % _NESTED == 0:
                 emit(f"def part{i}():")
-                ends.append((depth, None, f"yield from part{i}()"))
+                ends.append((depth, _FORMS, f"yield from part{i}()"))
                 depth += 1
             row = ["_"] * len(args)
             for pos, s in binds:
@@ -450,11 +468,11 @@ class BodyPlan:
                 f"g{table}({key(args[pos] for pos in known)}, ()):"
             )
             depth, skip = depth + 1, "continue"
-            emit(f"x = values[v{i}]", True)
-            emit("if x < 0: continue", True)
-            emit(f"b{i} = {budget} if x else {budget} - 1", True)
+            emit(f"x = values[v{i}]", (_TRUTH,))
+            emit("if x < 0: continue", (_TRUTH,))
+            emit(f"b{i} = {budget} if x else {budget} - 1", (_TRUTH,))
             budget = f"b{i}"
-            emit(f"if {budget} < 0: continue", True)
+            emit(f"if {budget} < 0: continue", (_TRUTH,))
             for pos, s in repeats:
                 emit(f"if r{pos} != s{s}: continue")
             lits.append(f"v{i}")
@@ -463,60 +481,104 @@ class BodyPlan:
         if unsafe:
             raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
         every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
-        emit(f"yield {every}, [{', '.join(lits)}]", True)
-        emit(f"yield {every}", False)
-        lines.extend(reversed(ends))
+        emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
+        head_args = () if rule.head is None else rule.head.args
+        emit(f"yield ({''.join(f'{n}, ' for n in names(head_args))})", (_HEADS,))
+
+        # The instance form reads the j-th body literal into `l{j}`, 0 where
+        # it leaves the body, and the body is the tuple of those not 0.  Two
+        # literals can only be on one atom if they share a predicate, so only
+        # such pairs are compared: a repeat leaves the body, and a literal
+        # with its complement drops the instance, as a fact head or a
+        # negative literal on a fact does.
+        def instance(text: str) -> None:
+            emit(text, (_INSTANCES,))
 
         literals = [e for e in rule.body if isinstance(e, Literal)]
-        self._probes = [
-            (*probe(e.atom), 1 if e.positive else -1)
-            for e in literals
-            if not (e.positive and e.atom.predicate in extensional)
+        loops = iter(self.written)
+        atoms = [
+            f"v{next(loops) + 1}" if e.positive else f"x{j}"
+            for j, e in enumerate(literals)
         ]
+
+        def same(j: int, positive: bool, upto: int) -> list[str]:
+            """` == ` tests of the j-th literal's atom against those of the
+            literals of the given sign on its predicate before `upto`."""
+            predicate = literals[j].atom.predicate
+            return [
+                f"{atoms[j]} == {atoms[k]}"
+                for k, e in enumerate(literals[:upto])
+                if e.positive == positive and e.atom.predicate == predicate
+            ]
+
+        head = "0"
+        if rule.head is not None:
+            head = "h"
+            instance(f"h = {probe(rule.head)}[0][0]")
+            instance(f"if h in facts: {skip}")
+        body = []
+        for j, elem in enumerate(literals):
+            var = atoms[j]
+            if elem.positive:
+                if elem.atom.predicate not in extensional:
+                    left = " or ".join([f"{var} in facts", *same(j, True, j)])
+                    instance(f"l{j} = 0 if {left} else {var}")
+                    body.append(f"l{j}")
+                continue
+            body.append(f"l{j}")
+            dropped = " or ".join([f"{var} in facts", *same(j, True, len(literals))])
+            repeats = same(j, False, j)
+            instance(f"{var} = {probe(elem.atom)}")
+            instance(f"if {var}:")
+            instance(f"    {var} = {var}[0][0]")
+            instance(f"    if {dropped}: {skip}")
+            if repeats:
+                instance(f"    l{j} = 0 if {' or '.join(repeats)} else -{var}")
+            else:
+                instance(f"    l{j} = -{var}")
+            instance(f"else: {var} = l{j} = 0")
+        instance(f"body = ({''.join(f'{l}, ' for l in body)})")
+        if body:
+            instance("if 0 in body: body = tuple(filter(None, body))")
+        instance(f"yield {head}, body")
+        lines.extend(reversed(ends))
+
         self._literals = [
             (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
             for e in literals
         ]
         if rule.head is not None:
-            self._head_probe = probe(rule.head)
             self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
         lines[:0] = [
-            (0, None, "def join(slots, gets, values, b0, rule):"),
-            (1, None, f"{every} = slots"),
-            (1, None, f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"),
+            (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
+            (0, _GROUNDING, "def join(slots, gets, rule, facts):"),
+            (1, _FORMS, f"{every} = slots"),
+            (1, _FORMS, f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"),
         ]
         self._lines = lines
         self._accesses = list(accesses)
         self._initial = initial
-        # The tables of the index last joined over, which `add` keeps
-        # current, their `get`s, and the join's two forms once compiled.
+        # The index last joined over, the `get`s of its tables, which `add`
+        # keeps current, and the join's forms once compiled.
         self._index: Optional[AtomIndex] = None
-        self._tables: list[dict] = []
         self._gets: list[Callable] = []
-        self._joins: dict[bool, Callable] = {}
+        self._joins: dict[str, Callable] = {}
 
-    def _join(
-        self,
-        index: AtomIndex,
-        truth: bool,
-        slots: list,
-        values: Optional[Sequence[int]] = None,
-        budget: int = 0,
-    ) -> Iterator:
-        """Run the join's truth or grounding form over the index, compiling
-        it at its first use."""
+    def _join(self, index: AtomIndex, form: str, slots: list, *args) -> Iterator:
+        """Run one form of the join over the index from the slots, compiling
+        it at its first use: the truth form takes the truth values and the
+        budget, the grounding forms the fact variables."""
         if self._index is not index:
-            self._tables = [index.table(p, positions) for p, positions in self._accesses]
-            self._gets = [table.get for table in self._tables]
+            self._gets = [index.table(p, positions).get for p, positions in self._accesses]
             self._index = index
-        join = self._joins.get(truth)
+        join = self._joins.get(form)
         if join is None:
-            join = self._joins[truth] = _compiled("".join(
+            join = self._joins[form] = _compiled("".join(
                 f"{'    ' * depth}{text}\n"
-                for depth, form, text in self._lines
-                if form is None or form is truth
+                for depth, forms, text in self._lines
+                if form in forms
             ))
-        return join(slots, self._gets, values, budget, self.rule)
+        return join(slots, self._gets, self.rule, *args)
 
     def start(self, args: tuple[Term, ...]) -> Optional[list]:
         """Slots binding the seed literal's variables to the arguments of a
@@ -529,55 +591,20 @@ class BodyPlan:
                 return None
         return slots
 
-    def head(self, slots: list) -> Atom:
-        predicate, head = self._head
-        return Atom(predicate, tuple([slots[s] for s in head]))
-
     def render(self, slots: list) -> GroundRule:
         """The rule under a match's slots as atoms: every body literal in
         written order, those on atoms outside the index included."""
+        head = None
+        if self.rule.head is not None:
+            predicate, at = self._head
+            head = Atom(predicate, tuple([slots[s] for s in at]))
         return GroundRule(
-            self.head(slots) if self.rule.head is not None else None,
+            head,
             tuple(
                 Literal(Atom(predicate, tuple([slots[s] for s in at])), positive)
                 for predicate, at, positive in self._literals
             ),
         )
-
-    def instance(
-        self, slots: list, facts: Container[int] = frozenset()
-    ) -> Optional[Instance]:
-        """A match's ground rule over the index last joined: (head variable
-        or 0, body literals in written order), with the fact variables
-        `facts` folded in.  A negative literal on an atom outside the index
-        holds and is dropped, as are a repeated literal, a positive literal
-        on a fact and one on an `extensional` predicate, which is not
-        probed.  A head or a negative literal on a fact, or a literal and
-        its complement, give None.  The head must be in the index."""
-        tables = self._tables
-        head = 0
-        if self.rule.head is not None:
-            table, key = self._head_probe
-            head = tables[table][key(slots)][0][0]
-            if head in facts:
-                return None
-        body: list[int] = []
-        for table, key, sign in self._probes:
-            rows = tables[table].get(key(slots))
-            if not rows:
-                continue
-            var = rows[0][0]
-            if var in facts:
-                if sign < 0:
-                    return None
-                continue
-            lit = sign * var
-            if lit in body:
-                continue
-            if -lit in body:
-                return None
-            body.append(lit)
-        return head, tuple(body)
 
 
 def iter_matches(
@@ -596,47 +623,51 @@ def iter_matches(
     `budget` undefined ones.  An atom outside the index is false, so a
     positive literal on one fails and a negative one holds.  Each match
     comes as its slots and the body literals on index atoms as signed
-    variables, both lists the caller owns; `plan.instance` and
-    `plan.render` read a match's ground rule.  The module docstring lists
-    the truth and budget each caller joins under.
+    variables, both lists the caller owns; `plan.render` reads a match's
+    ground rule.  The module docstring lists the truth and budget each
+    caller joins under.
     """
     slots = plan._initial if start is None else start
-    return plan._join(index, True, slots, values, budget)
+    return plan._join(index, _TRUTH, slots, values, budget)
 
 
-def _derivable_matches(plan: BodyPlan, index: AtomIndex) -> Iterator[list]:
-    """Slots matching the positive body over the index's atoms: the join
-    under all-undefined truth with a budget of the body's length, where
-    truth, budget and negative literals prune nothing, so its grounding
-    form leaves them out."""
-    return plan._join(index, False, plan._initial)
+def _derivable_heads(plan: BodyPlan, index: AtomIndex) -> Iterator[tuple]:
+    """The head arguments of each match of the positive body over the
+    index's atoms: the join under all-undefined truth with a budget of the
+    body's length, where truth, budget and negative literals prune nothing,
+    so its grounding forms leave them out."""
+    return plan._join(index, _HEADS, plan._initial, ())
+
+
+def _instances(
+    plan: BodyPlan, index: AtomIndex, facts: Container[int]
+) -> Iterator[Instance]:
+    """The instance of each match of the positive body over the index's
+    atoms, with the fact variables `facts` folded in (see `BodyPlan`); a
+    match whose instance is dropped yields nothing.  The index must hold
+    the head."""
+    return plan._join(index, _INSTANCES, plan._initial, facts)
 
 
 def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
-    """Instances of one rule over the atoms of an index, which must hold
-    their heads and the atoms of their negative literals.
+    """The instances of one rule over the atoms of an index, each once, in
+    the order of its first match; the index must hold their heads.
 
     Positive body literals match the index and comparisons are evaluated
-    away.
+    away.  A negative literal on an atom outside the index and a repeated
+    literal leave the body, and a body holding a literal and its
+    complement drops the instance.
     """
-    plan = BodyPlan(rule)
-    out: dict[Instance, None] = {}
-    for slots in _derivable_matches(plan, index):
-        inst = plan.instance(slots)
-        if inst is not None:
-            out[inst] = None
-    return list(out)
+    return list(dict.fromkeys(_instances(BodyPlan(rule), index, ())))
 
 
-def _watch(
-    matches: Iterator[list], deadline: float, ticks: Iterator[int]
-) -> Iterator[list]:
-    """The matches, raising `GroundingTimeout` at every 1024th tick once the
-    monotonic clock has passed the deadline."""
-    for slots in matches:
+def _watch(found: Iterator, deadline: float, ticks: Iterator[int]) -> Iterator:
+    """What a join yields, raising `GroundingTimeout` at every 1024th tick
+    once the monotonic clock has passed the deadline."""
+    for item in found:
         if not next(ticks) & 1023 and time.monotonic() > deadline:
             raise GroundingTimeout()
-        yield slots
+        yield item
 
 
 def ground_program(
@@ -650,10 +681,11 @@ def ground_program(
     only match atoms derivable by some rule, so the result is usually far
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
-    Each rule other than a fact is compiled once, for the fixpoint and the
-    instantiation; a fact is added without a join.  `rule.is_fact` is read
-    once per rule, for the extensional predicates, the plans and the fact
-    variables alike.
+    Each rule other than a fact is planned once, and its join's two
+    grounding forms yield the fixpoint's head arguments and the
+    instantiation's instances; a fact is added without a join.
+    `rule.is_fact` is read once per rule, for the extensional predicates,
+    the plans and the fact variables alike.
 
     Facts are folded into each instance as it is built, and a predicate
     with facts and no other defining rule is extensional: its literals are
@@ -661,8 +693,8 @@ def ground_program(
     reaches the instances built before it through `_fold_derived`.
 
     With a `deadline` (a `time.monotonic()` value), the fixpoint and the
-    instantiation each check the clock every 1024 matches and raise
-    `GroundingTimeout` once it has passed.
+    instantiation each check the clock every 1024 heads or instances the
+    joins yield, and raise `GroundingTimeout` once it has passed.
     """
     kept = [
         rule
@@ -684,8 +716,7 @@ def ground_program(
     ]
     index = AtomIndex()
 
-    def matches(plan: BodyPlan, ticks: Iterator[int]) -> Iterator[list]:
-        found = _derivable_matches(plan, index)
+    def watched(found: Iterator, ticks: Iterator[int]) -> Iterator:
         return found if deadline is None else _watch(found, deadline, ticks)
 
     ticks = itertools.count(1)
@@ -695,14 +726,14 @@ def ground_program(
         for rule, plan in zip(kept, plans):
             if rule.head is None:
                 continue
+            before = len(index)
             if plan is None:
-                heads: Iterable[Atom] = (rule.head,)
+                index.add(rule.head)
             else:
-                heads = (plan.head(slots) for slots in matches(plan, ticks))
-            for head in heads:
-                if head not in index:
-                    index.add(head)
-                    changed = True
+                predicate = rule.head.predicate
+                for args in watched(_derivable_heads(plan, index), ticks):
+                    index.add(Atom(predicate, args))
+            changed = changed or len(index) != before
 
     ticks = itertools.count(1)
     facts = dict.fromkeys(
@@ -713,10 +744,7 @@ def ground_program(
     for plan in plans:
         if plan is None:
             continue
-        for slots in matches(plan, ticks):
-            inst = plan.instance(slots, facts)
-            if inst is None:
-                continue
+        for inst in watched(_instances(plan, index, facts), ticks):
             if inst[0] and not inst[1]:
                 facts[inst[0]] = None
                 found.append(inst[0])

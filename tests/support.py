@@ -203,6 +203,25 @@ def fact_texts(gp) -> list[str]:
     return sorted(str(gp.atoms.atom(var - 1)) for var in gp.facts)
 
 
+def instance_of(rule, index):
+    """A ground rule's instance over the index as the grounder builds it
+    with no facts, or None: a negative literal on an atom outside the index
+    holds and leaves the body, as does a repeated literal, and a literal
+    with its complement in the body drops the instance."""
+    body = []
+    for lit in rule.body:
+        if lit.atom not in index:
+            continue
+        var = index.id_of(lit.atom) + 1
+        signed = var if lit.positive else -var
+        if -signed in body:
+            return None
+        if signed not in body:
+            body.append(signed)
+    head = index.id_of(rule.head) + 1 if rule.head is not None else 0
+    return head, tuple(body)
+
+
 def lit_of(solver, atom) -> int:
     """The positive solver literal of an atom of the solver's program."""
     return solver.gp.atoms.id_of(atom) + 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -17,7 +18,13 @@ from microasp.model import Atom
 from microasp.oracle import enumerate_stable_models, is_stable_model
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import solve
-from support import PI1_TEXT, lit_of, random_program_text
+from support import (
+    PI1_TEXT,
+    lit_of,
+    random_join_program_text,
+    random_program_text,
+    rule_texts,
+)
 
 
 def ga(pred, *args):
@@ -475,6 +482,119 @@ class TestSupportModes:
                 statuses = [solver.value_of(l) for l in ng.lits]
                 if statuses.count(0) == 1:
                     assert statuses.count(1) < len(ng.lits) - 1
+
+
+class InstallingSolver(Solver):
+    """The reference build: facts, then rules, then completion, each nogood
+    stored through `_install` as any nogood added later is."""
+
+    def _build_static(self):
+        for var in self.gp.facts:
+            self._install((-var,))
+        for head, body in self.gp.rules:
+            if head:
+                self._install((-head, *body))
+                self._defs.setdefault(head, []).append(body)
+            else:
+                self._install(body)
+        for var in range(1, self._nvars + 1):
+            if var in self._fact_vars:
+                continue
+            bodies = self._defs.get(var)
+            if not bodies:
+                self._install((var,))
+                continue
+            product = 1
+            for body in bodies:
+                product *= len(body)
+            if (
+                len(bodies) <= cdcl.COMPLETION_MAX_RULES
+                and product <= cdcl.COMPLETION_MAX_PRODUCT
+            ):
+                for combo in itertools.product(*bodies):
+                    self._install((var, *(-l for l in combo)))
+            else:
+                self._sup_heads.append(var)
+                touched = {var}
+                touched.update(abs(l) for body in bodies for l in body)
+                for v in touched:
+                    self._sup_watch.setdefault(v, []).append(var)
+
+
+def store_of(solver):
+    """What the build leaves: every stored nogood in insertion order with
+    its watches, every watch list, the root units and conflict, the count,
+    and the support data in insertion order."""
+    conflict = solver._root_conflict
+    return (
+        [(key, ng.lits, ng.w0, ng.w1) for key, ng in solver._by_lits.items()],
+        [[ng.lits for ng in watchers] for watchers in solver._watches],
+        [ng.lits for ng in solver._root_units],
+        None if conflict is None else conflict.lits,
+        solver._store_count,
+        list(solver._defs.items()),
+        solver._sup_heads,
+        list(solver._sup_watch.items()),
+    )
+
+
+#: Rules that reach the build's special cases, each with the instance it
+#: must ground to, as text.
+STORE_CASES = {
+    "p :- p. p :- not q. q :- not p.\n": "p :- p",
+    "p :- not p.\n": "p :- not p",
+    "q(1). q(2). p(1) :- not r. r :- not p(1). p(X) :- q(X), p(X).\n": "p(1) :- p(1)",
+    "p(1). :- p(1).\n": ":- ",
+}
+
+
+def store_programs():
+    """Ground programs of the benchmark families, the fuzz generators and
+    the hand cases."""
+    programs = [
+        benchgen.gen_3sat(20, 4.26, 1),
+        benchgen.gen_marriage(4, 30, 1),
+        benchgen.gen_packing(4, 3, (2, 2)),
+    ]
+    for seed in range(60):
+        try:
+            programs.append(parse_program(random_program_text(seed)))
+        except ParseError:
+            pass
+        programs.append(parse_program(random_join_program_text(seed)))
+    programs.extend(parse_program(text) for text in STORE_CASES)
+    for program in programs:
+        for include_deferred in (False, True):
+            yield ground_program(program, include_deferred=include_deferred)
+
+
+def test_hand_cases_reach_the_special_cases():
+    for text, rule in STORE_CASES.items():
+        assert rule in rule_texts(ground_program(parse_program(text)))
+
+
+@pytest.mark.parametrize("mode", [None, *SUPPORT_PATHS])
+def test_build_stores_what_installing_each_nogood_stores(monkeypatch, mode):
+    if mode is not None:
+        support_path(monkeypatch, mode)
+    built = 0
+    for gp in store_programs():
+        assert store_of(Solver(gp)) == store_of(InstallingSolver(gp))
+        built += 1
+    assert built >= 200
+
+
+def test_a_nogood_added_before_the_search_watches_its_first_two_literals(pi1_gp):
+    solver = Solver(pi1_gp)
+    stored = len(solver._by_lits)
+    assert solver.add_nogood([4, -3, 1]) is None
+    ng = solver._by_lits[(1, -3, 4)]
+    assert (ng.w0, ng.w1) == (1, -3)
+    assert ng in solver._watches[1] and ng in solver._watches[-3]
+    assert ng not in solver._watches[4]
+    assert len(solver._by_lits) == stored + 1 and solver._store_count == stored + 1
+    assert solver._trail == []
+    assert solver.solve().status == "SAT"
 
 
 class TestDeterminism:

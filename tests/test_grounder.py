@@ -15,13 +15,19 @@ from microasp.grounder import (
     naive_ground_program,
 )
 from microasp.model import Atom, Comparison, GroundRule, Literal, Rule, Var
-from microasp.oracle import enumerate_stable_models, is_violated, total_interpretation
+from microasp.oracle import (
+    enumerate_stable_models,
+    is_violated,
+    reduct,
+    total_interpretation,
+)
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex, solve
 from support import (
     PI1_DEFERRED_TEXT,
     PI1_TEXT,
     fact_texts,
+    instance_of,
     random_join_program_text,
     random_program_text,
     rule_texts,
@@ -118,15 +124,17 @@ def source_of(join):
 
 
 def joined(text):
-    """The plan of the text's last rule after joining it in both forms
-    over the text's facts, and the slots of its matches."""
+    """The plan of the text's last rule after joining it in its truth and
+    instance forms over the text's facts, and the slots of its matches."""
     program = parse_program(text)
     plan = BodyPlan(program.rules[-1])
     index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
     budget = len(plan.rule.body)
     undefined = [0] * (len(index) + 1)
     found = [slots for slots, _ in iter_matches(plan, index, undefined, budget)]
-    assert list(grounder._derivable_matches(plan, index)) == found
+    assert list(grounder._instances(plan, index, ())) == [
+        instance_of(plan.render(slots), index) for slots in found
+    ]
     return plan, found
 
 
@@ -142,19 +150,19 @@ class TestCompiledJoin:
         )
         assert found == [["kilo", 33, 44, 1, 2]]
         assert other == [["lima", "mike", 66, 1, 2], ["lima", "mike", 66, 1, 60]]
-        for truth in (True, False):
-            assert first._joins[truth] is second._joins[truth]
-            source = source_of(first._joins[truth])
+        for form in (grounder._TRUTH, grounder._INSTANCES):
+            assert first._joins[form] is second._joins[form]
+            source = source_of(first._joins[form])
             for text in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta",
                          "kilo", "lima", "mike", "33", "44", "66"):
                 assert text not in source
-        assert first._joins[True] is not first._joins[False]
+        assert first._joins[grounder._TRUTH] is not first._joins[grounder._INSTANCES]
 
     def test_plans_that_differ_by_an_operator_do_not_share_code(self):
         facts = "alpha(1,kilo). beta(1,2,33).\n"
         less, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y < 44.\n")
         most, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y <= 44.\n")
-        assert less._joins[True] is not most._joins[True]
+        assert less._joins[grounder._TRUTH] is not most._joins[grounder._TRUTH]
 
     def test_an_error_in_shared_code_names_its_own_rule(self):
         text = "p(1). t(a).\nq(Z) :- p(X), Z = X+1.\nr(Z) :- t(X), Z = X+2.\n"
@@ -165,7 +173,7 @@ class TestCompiledJoin:
         assert len(list(iter_matches(plans[0], index, undefined, 2))) == 1
         with pytest.raises(GroundingError) as err:
             list(iter_matches(plans[1], index, undefined, 2))
-        assert plans[0]._joins[True] is plans[1]._joins[True]
+        assert plans[0]._joins[grounder._TRUTH] is plans[1]._joins[grounder._TRUTH]
         message = (
             "arithmetic on non-integer constant 'a' in rule"
             " 'r(Z) :- t(X), Z = X+2.' at 3:1"
@@ -190,6 +198,22 @@ class TestCompiledJoin:
         compiled = len(grounder._COMPILED)
         assert compiled > before
         assert [solve(parse_program(text), kind).status for kind in kinds] == first
+        assert len(grounder._COMPILED) == compiled
+
+    def test_groundings_that_differ_only_in_constants_share_code(self):
+        text = (
+            "p(1,{a}). p(2,{a}). q(X) :- p(X,{a}), not r(X,{b}), X < {n}.\n"
+            "r(X,{b}) :- p(X,{a}), not q(X).\n"
+        )
+        ground_program(parse_program(text.format(a="kilo", b="lima", n=2)))
+        compiled = len(grounder._COMPILED)
+        program = parse_program(text.format(a="mike", b="oscar", n=3))
+        assert rule_texts(ground_program(program)) == [
+            "q(1) :- not r(1,oscar)",
+            "q(2) :- not r(2,oscar)",
+            "r(1,oscar) :- not q(1)",
+            "r(2,oscar) :- not q(2)",
+        ]
         assert len(grounder._COMPILED) == compiled
 
     def test_a_body_deeper_than_the_nesting_limit_joins(self):
@@ -395,10 +419,11 @@ def test_simplified_grounding_preserves_stable_models():
 def reference_grounding(program, include_deferred):
     """(atoms, facts, rules, whether a rule other than a fact derived a fact)
     of the instantiation with facts simplified afterwards: the derivable-atom
-    fixpoint, `ground_rule` over its index for each kept rule in program
-    order, then rounds that drop instances with a fact head or a negative
-    literal on a fact and strip fact literals from the rest, a body that
-    empties making a fact, until a round changes nothing."""
+    fixpoint, then the instance of each match of the truth-form join of each
+    kept rule in program order over its index (`instance_of`), then rounds
+    that drop instances with a fact head or a negative literal on a fact and
+    strip fact literals from the rest, a body that empties making a fact,
+    until a round changes nothing."""
     kept = [
         rule
         for i, rule in enumerate(program.rules)
@@ -414,15 +439,18 @@ def reference_grounding(program, include_deferred):
                 continue
             plan = BodyPlan(rule)
             matches = iter_matches(plan, index, undefined, len(rule.body))
-            for head in (plan.head(slots) for slots, _ in matches):
+            for head in (plan.render(slots).head for slots, _ in matches):
                 if head not in index:
                     index.add(head)
                     undefined.append(0)
                     changed = True
     instances = {}  # instance -> whether it is first an instance of a fact
     for rule in kept:
-        for inst in ground_rule(rule, index):
-            instances.setdefault(inst, rule.is_fact)
+        plan = BodyPlan(rule)
+        for slots, _ in iter_matches(plan, index, undefined, len(rule.body)):
+            inst = instance_of(plan.render(slots), index)
+            if inst is not None:
+                instances.setdefault(inst, rule.is_fact)
     derived = False
     facts = {}
     pending = list(instances.items())
@@ -478,6 +506,32 @@ c(1) :- b(1). e(1) :- not d(1). d(1) :- not c(1). b(1) :- a(1). a(1).
 f(1) :- c(1), not g(1). g(1) :- not f(1).
 """,
     "constraint emptied": "a(1). b(1) :- a(1). :- a(1), b(1).\n",
+    # At X = Y every positive and every negative literal repeats.
+    "repeated literal": """\
+d(1). d(2). p(X) :- d(X), not q(X). q(X) :- d(X), not p(X).
+r(X,Y) :- p(X), p(Y), p(X), d(Y), not q(Y), not q(X), not q(Y).
+""",
+    # At X = Y the body holds p(X) and its complement, in either order.
+    "literal and its complement": """\
+d(1). d(2). p(X) :- d(X), not q(X). q(X) :- d(X), not p(X).
+s(X,Y) :- p(X), d(Y), not p(Y). t(X,Y) :- d(Y), not p(Y), p(X).
+""",
+    "head in its own body": """\
+d(1). d(2). p(X) :- d(X), not q(X). q(X) :- d(X), not p(X). p(X) :- p(X), d(X).
+""",
+    # b(1) is derived after c's instances are built and before e's.
+    "negative literal on a derived fact": """\
+a(1). a(2). c(X) :- a(X), not b(X). b(X) :- a(X), X < 2. e(X) :- a(X), not b(X).
+""",
+    # 48 positive literals and a repeat on the mixed predicate e, so the
+    # instance form probes literals in three nested generators: every third
+    # e atom is derived from f and the others are facts.
+    "deep body": "".join(
+        f"f({k},{k + 1}). " if k % 3 == 0 else f"e({k},{k + 1}). " for k in range(48)
+    )
+    + "e(X,Y) :- f(X,Y), not g(X,Y). g(X,Y) :- f(X,Y), not e(X,Y).\n"
+    + f"reach(X0) :- {', '.join(f'e(X{k},X{k + 1})' for k in range(48))},"
+    " e(X0,X1), not g(X0,X1), not e(X3,X2).\n",
 }
 
 
@@ -509,6 +563,29 @@ def test_folded_grounding_hand_cases_fold():
         ["e(1) :- not d(1)", "f(1) :- not g(1)", "g(1) :- not f(1)"],
     )
     assert texts["constraint emptied"] == (["a(1)", "b(1)"], [":- "])
+    _, rules = texts["repeated literal"]
+    assert rules[4:] == [
+        "r(1,1) :- p(1), not q(1)",
+        "r(1,2) :- p(1), p(2), not q(2), not q(1)",
+        "r(2,1) :- p(2), p(1), not q(1), not q(2)",
+        "r(2,2) :- p(2), not q(2)",
+    ]
+    _, rules = texts["literal and its complement"]
+    assert rules[4:] == [
+        "s(1,2) :- p(1), not p(2)",
+        "s(2,1) :- p(2), not p(1)",
+        "t(2,1) :- not p(1), p(2)",
+        "t(1,2) :- not p(2), p(1)",
+    ]
+    _, rules = texts["head in its own body"]
+    assert rules[4:] == ["p(1) :- p(1)", "p(2) :- p(2)"]
+    assert texts["negative literal on a derived fact"] == (
+        ["a(1)", "a(2)", "b(1)", "c(2)", "e(2)"],
+        [],
+    )
+    _, rules = texts["deep body"]
+    kept = ", ".join(f"e({k},{k + 1})" for k in range(0, 48, 3))
+    assert rules[-1] == f"reach(0) :- {kept}, not g(0,1)"
 
 
 def test_folded_grounding_matches_reference_on_random_programs():
@@ -523,6 +600,41 @@ def test_folded_grounding_matches_reference_on_random_programs():
     assert checked >= 60
     for seed in range(120):
         assert_grounds_as_reference(parse_program(random_join_program_text(seed)))
+
+
+def assert_bodies_are_distinct_and_complement_free(gp):
+    """The guarantee of `GroundProgram` that the solver's build relies on."""
+    assert len(set(gp.facts)) == len(gp.facts)
+    for _, body in gp.rules:
+        assert len(set(body)) == len(body), body
+        assert set(body).isdisjoint(-lit for lit in body), body
+
+
+def test_every_producer_gives_distinct_complement_free_bodies():
+    """On the fuzz programs, and on the hand cases for `ground_program`
+    alone: the naive instantiation of the deep body would not end."""
+    for text in FOLD_CASES.values():
+        gp = ground_program(parse_program(text), include_deferred=True)
+        assert_bodies_are_distinct_and_complement_free(gp)
+    programs = []
+    for seed in range(120):
+        try:
+            programs.append(parse_program(random_program_text(seed)))
+        except ParseError:
+            pass
+        programs.append(parse_program(random_join_program_text(seed)))
+    produced = 0
+    for program in programs:
+        gps = [ground_program(program, include_deferred=d) for d in (False, True)]
+        naive = naive_ground_program(program)
+        gps.append(naive)
+        atoms = list(naive.atoms)
+        for k in range(3):
+            gps.append(reduct(naive, atoms[k::3]))
+        for gp in gps:
+            assert_bodies_are_distinct_and_complement_free(gp)
+            produced += bool(gp.rules)
+    assert produced >= 1000
 
 
 def test_folded_grounding_matches_reference_on_benchmark_families():

@@ -5,8 +5,8 @@ repeated variables, put constants in argument positions, compare with `!=`,
 `<` and `=`, bind with `W = X+Y` and negate literals over bound variables.
 Every plan the grounder and the strategies compile, written or seeded, must
 yield what a brute-force instantiation of its rule yields under random
-partial assignments, in the same order; each match's instance must be the
-brute-force one as solver literals; and every strategy must find exactly
+partial assignments, in the same order; the instances the grounder builds
+must be the brute-force ones as solver literals; and every strategy must find exactly
 the stable models the oracle finds.
 """
 import itertools
@@ -17,8 +17,10 @@ import pytest
 
 from microasp.grounder import (
     BodyPlan,
+    _instances,
     herbrand_universe,
     ground_program,
+    ground_rule,
     iter_matches,
     naive_ground_program,
 )
@@ -26,7 +28,7 @@ from microasp.model import Atom, Comparison, GroundRule, Literal, Var
 from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models
 from microasp.parser import parse_program
 from microasp.strategies import solve
-from support import random_join_program_text
+from support import instance_of, random_join_program_text
 
 OPS = {
     "=": operator.eq,
@@ -60,27 +62,6 @@ def render(rule, subst):
             if isinstance(e, Literal)
         ),
     )
-
-
-def brute_instance(rule, subst, index):
-    """The rule's instance under a substitution as (head variable or 0, body
-    literals in written order): a negative literal on an atom outside the
-    index holds and is dropped, a repeated literal is dropped, and a literal
-    with its complement in the body gives None."""
-    body = []
-    for elem in rule.body:
-        if not isinstance(elem, Literal):
-            continue
-        idx = index.id_of(ground(elem.atom, subst))
-        if idx is None:
-            continue
-        lit = idx + 1 if elem.positive else -(idx + 1)
-        if -lit in body:
-            return None
-        if lit not in body:
-            body.append(lit)
-    head = index.id_of(ground(rule.head, subst)) + 1 if rule.head is not None else 0
-    return head, tuple(body)
 
 
 def candidate_substitutions(rule, index, constants):
@@ -207,8 +188,9 @@ def test_plans_match_brute_force_instantiation(chunk):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_instances_match_brute_force(chunk):
-    """Each match of each rule over the grounder's final index gives the
-    brute-force instance of its substitution."""
+    """The instance form of each rule over the grounder's final index yields
+    the brute-force instance of each substitution in match order, skipping
+    those that give None, and `ground_rule` yields each of them once."""
     checked = pairs = dropped = 0
     for seed, program, _ in fuzz_programs(range(chunk, 320, 4)):
         index = ground_program(program).atoms
@@ -220,12 +202,10 @@ def test_instances_match_brute_force(chunk):
             candidates = candidate_substitutions(rule, index, constants)
             budget, undefined = len(rule.body), [0] * (len(index) + 1)
             matches = brute_matches(plan, candidates, index, undefined, budget)
-            want = [brute_instance(rule, subst, index) for subst, _ in matches]
-            got = [
-                plan.instance(slots)
-                for slots, _ in iter_matches(plan, index, undefined, budget)
-            ]
-            assert got == want, seed
+            want = [instance_of(render(rule, subst), index) for subst, _ in matches]
+            kept = [inst for inst in want if inst is not None]
+            assert list(_instances(plan, index, ())) == kept, seed
+            assert ground_rule(rule, index) == list(dict.fromkeys(kept)), seed
             checked += len(want)
             pairs += want.count(None)
             dropped += sum(
