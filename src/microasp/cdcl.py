@@ -40,7 +40,6 @@ holds twice as many entries as there are other variables.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -91,6 +90,9 @@ def canonical(lits: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass
 class Budget:
+    """Limits on one solve, None for none.  `max_seconds` is wall time from
+    the entry to `strategies.solve`, whose docstring says what it needs."""
+
     max_conflicts: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -155,13 +157,14 @@ class StoredNogood:
         return f"Nogood{self.lits}"
 
 
-class _Stop(Exception):
-    pass
+class BudgetSpent(Exception):
+    """A budget ran out: raised by the solver past `max_conflicts`, and by
+    the interval timer that `strategies.solve` arms for `max_seconds`."""
 
 
 class Solver:
-    """One CDCL search instance over a ground program.  A time budget counts
-    from `started` (a `time.monotonic()` value), or else from construction."""
+    """One CDCL search instance over a ground program.  Of a budget it
+    enforces only `max_conflicts`; `strategies.solve` enforces the time."""
 
     def __init__(
         self,
@@ -171,7 +174,6 @@ class Solver:
         callbacks: Optional[SolverCallbacks] = None,
         budget: Optional[Budget] = None,
         forced_decisions: Sequence[int] = (),
-        started: Optional[float] = None,
     ):
         self.gp = gp
         self.seed = seed
@@ -228,7 +230,6 @@ class Solver:
         self._restart_count = 0
         self._conf_since_restart = 0
         self._n_reductions = 0
-        self._start_time = time.monotonic() if started is None else started
 
         self._defs: dict[int, list[tuple[int, ...]]] = {}
         self._sup_heads: list[int] = []
@@ -837,7 +838,6 @@ class Solver:
         self._conf_since_restart = 0
         self.stats.restarts += 1
         self._backjump(0)
-        self._check_deadline()
         return True
 
     def delete_constraints_if_needed(self) -> int:
@@ -921,11 +921,6 @@ class Solver:
 
     # ------------------------------------------------------------------ solve
 
-    def _check_deadline(self) -> None:
-        if self.budget.max_seconds is not None:
-            if time.monotonic() - self._start_time > self.budget.max_seconds:
-                raise _Stop()
-
     def _note_conflict(self) -> None:
         self.stats.conflicts += 1
         self._conf_since_restart += 1
@@ -933,8 +928,7 @@ class Solver:
             self.budget.max_conflicts is not None
             and self.stats.conflicts > self.budget.max_conflicts
         ):
-            raise _Stop()
-        self._check_deadline()
+            raise BudgetSpent()
 
     def solve(self) -> SolveResult:
         try:
@@ -960,6 +954,6 @@ class Solver:
                 self.restart_if_needed()
                 self.delete_constraints_if_needed()
                 self.decide(self.choose_literal())
-        except _Stop:
+        except BudgetSpent:
             return SolveResult(TIMEOUT, None, self.stats)
 

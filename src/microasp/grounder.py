@@ -52,7 +52,6 @@ recovers that key from a match's literals.
 from __future__ import annotations
 
 import itertools
-import time
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
@@ -82,10 +81,6 @@ class GroundingError(Exception):
         self.message = message
         where = f" at {rule.line}:{rule.column}" if rule.line else ""
         super().__init__(f"{message}{where}")
-
-
-class GroundingTimeout(Exception):
-    """The deadline given to `ground_program` passed while it grounded."""
 
 
 def _key_of(positions: Sequence[int]) -> Callable:
@@ -386,11 +381,13 @@ class BodyPlan:
 
         def total(terms: tuple[Term, ...]) -> str:
             """The source of a term sum, each term of a sum of several
-            checked first to be an integer."""
+            checked first to be an integer.  Three or more terms are summed
+            flat, as a chain of `+` nests as deep as it is long when it
+            compiles."""
             parts = names(terms)
             if len(parts) > 1:
                 emit(f"if {_not_ints(parts)}: _arith(rule, {', '.join(parts)})")
-            return " + ".join(parts)
+            return f"sum(({', '.join(parts)}))" if len(parts) > 2 else " + ".join(parts)
 
         def placed(elem: BodyElement) -> bool:
             """Emit the element if the slots bound so far let it run."""
@@ -661,20 +658,7 @@ def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
     return list(dict.fromkeys(_instances(BodyPlan(rule), index, ())))
 
 
-def _watch(found: Iterator, deadline: float, ticks: Iterator[int]) -> Iterator:
-    """What a join yields, raising `GroundingTimeout` at every 1024th tick
-    once the monotonic clock has passed the deadline."""
-    for item in found:
-        if not next(ticks) & 1023 and time.monotonic() > deadline:
-            raise GroundingTimeout()
-        yield item
-
-
-def ground_program(
-    program: Program,
-    include_deferred: bool = False,
-    deadline: Optional[float] = None,
-) -> GroundProgram:
+def ground_program(program: Program, include_deferred: bool = False) -> GroundProgram:
     """Ground the program (deferred constraints excluded unless requested).
 
     Instantiation is bottom-up over derivable atoms: positive body literals
@@ -691,10 +675,6 @@ def ground_program(
     with facts and no other defining rule is extensional: its literals are
     not probed.  An instance whose body empties is a derived fact, which
     reaches the instances built before it through `_fold_derived`.
-
-    With a `deadline` (a `time.monotonic()` value), the fixpoint and the
-    instantiation each check the clock every 1024 heads or instances the
-    joins yield, and raise `GroundingTimeout` once it has passed.
     """
     kept = [
         rule
@@ -715,11 +695,6 @@ def ground_program(
         for rule, fact in zip(kept, is_fact)
     ]
     index = AtomIndex()
-
-    def watched(found: Iterator, ticks: Iterator[int]) -> Iterator:
-        return found if deadline is None else _watch(found, deadline, ticks)
-
-    ticks = itertools.count(1)
     changed = True
     while changed:
         changed = False
@@ -731,11 +706,10 @@ def ground_program(
                 index.add(rule.head)
             else:
                 predicate = rule.head.predicate
-                for args in watched(_derivable_heads(plan, index), ticks):
+                for args in _derivable_heads(plan, index):
                     index.add(Atom(predicate, args))
             changed = changed or len(index) != before
 
-    ticks = itertools.count(1)
     facts = dict.fromkeys(
         index.id_of(rule.head) + 1 for rule, fact in zip(kept, is_fact) if fact
     )
@@ -744,7 +718,7 @@ def ground_program(
     for plan in plans:
         if plan is None:
             continue
-        for inst in watched(_instances(plan, index, facts), ticks):
+        for inst in _instances(plan, index, facts):
             if inst[0] and not inst[1]:
                 facts[inst[0]] = None
                 found.append(inst[0])

@@ -109,6 +109,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _integer(digits: str, line: int, column: int) -> int:
+    """The value of an integer token; one longer than `int` converts
+    (`sys.get_int_max_str_digits()` digits) is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"integer of {len(digits)} digits is too long"
+        raise ParseError(message, line, column) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
@@ -166,7 +176,15 @@ class _Parser:
     def _fact(self, tok: _Token) -> Rule:
         """The rule of a fact token, whose text is `name(c1,...,cn).`."""
         name, args = tok.text[:-2].split("(")
-        terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
+        try:
+            terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
+        except ValueError:  # an integer too long: report it where it starts
+            column = tok.column + len(name) + 1
+            for t in args.split(","):
+                if t[0].isdigit():
+                    _integer(t, tok.line, column)
+                column += len(t) + 1
+            raise
         self._check_arity(name, len(terms), tok)
         return Rule(Atom(name, terms), line=tok.line, column=tok.column)
 
@@ -258,7 +276,7 @@ class _Parser:
     def _term(self) -> Term:
         tok = self._next()
         if tok.kind == "int":
-            return int(tok.text)
+            return _integer(tok.text, tok.line, tok.column)
         if tok.kind == "var":
             return Var(tok.text)
         if tok.kind == "ident":

@@ -9,17 +9,16 @@ on the returned models.  Each realization gives the solver only nogoods.
 """
 from __future__ import annotations
 
-import time
+import sys
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cdcl import TIMEOUT, Budget, Solver, SolverCallbacks, SolveResult, SolveStats
-from .cdcl import canonical as _canonical
+from .cdcl import TIMEOUT, Budget, BudgetSpent, Solver, SolverCallbacks, SolveResult
+from .cdcl import SolveStats, canonical as _canonical
 from .grounder import (
     BodyPlan,
     GroundProgram,
-    GroundingTimeout,
     ground_deferred_violations,
     ground_program,
     iter_matches,
@@ -166,6 +165,10 @@ def _new_nogoods(solver: Solver, matches: Iterable[Sequence[int]]) -> list[tuple
     return out
 
 
+def _spent(signum, frame) -> None:
+    raise BudgetSpent()
+
+
 def solve(
     program: Program,
     kind: StrategyKind | str = StrategyKind.FULL,
@@ -183,18 +186,60 @@ def solve(
     strategy adds are counted in the result's stats: the propagators' in
     `propagator_nogoods`, the check's in `lazy_added`.
 
-    A time budget counts from the entry and holds through grounding: a
-    deadline that passes there gives TIMEOUT with empty stats.
+    A time budget (0 to 1e9 s, which every platform's timer holds; 0 is
+    spent on entry) is one `ITIMER_REAL` timer, armed after its SIGALRM
+    handler is installed, and nothing else reads a clock.  The handler
+    raises `BudgetSpent` wherever the solve is: in the search `Solver.solve`
+    returns TIMEOUT with its stats, before it (or while disarming) this
+    returns TIMEOUT with empty stats.  It needs Unix `setitimer` and the main thread, elsewhere
+    `signal.signal` raises `ValueError`.  No state outliving a solve is left
+    half-updated: the only module-level one, `grounder._COMPILED`, is set in
+    one assignment.
     """
-    started = time.monotonic()
     kind = StrategyKind(kind)
     seconds = budget.max_seconds if budget is not None else None
-    deadline = None if seconds is None else started + seconds
-    full = kind is StrategyKind.FULL
-    try:
-        gp = ground_program(program, include_deferred=full, deadline=deadline)
-    except GroundingTimeout:
+    if seconds is None:
+        return _solve(program, kind, seed, budget, forced_decisions, on_model)
+    if not 0 <= seconds <= 1e9:
+        raise ValueError(f"time budget of {seconds!r} s is not in [0, 1e9]")
+    if seconds == 0:
         return SolveResult(TIMEOUT, None, SolveStats())
+    import signal  # only for a timed solve: its import takes about 1 ms
+
+    hook, disarming = sys.unraisablehook, False
+
+    def retry(unraisable) -> None:
+        """An alarm dropped in a gc callback or a finalizer goes off again
+        1 ms later."""
+        if unraisable.exc_type is not BudgetSpent:
+            hook(unraisable)
+        elif not disarming:
+            signal.setitimer(signal.ITIMER_REAL, 1e-3)
+
+    previous = signal.signal(signal.SIGALRM, _spent)
+    sys.unraisablehook = retry
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        result = _solve(program, kind, seed, budget, forced_decisions, on_model)
+    except BudgetSpent:
+        result = SolveResult(TIMEOUT, None, SolveStats())
+    finally:
+        # The timer is one-shot and goes off again only once dropped, so
+        # one alarm at most is caught here, before or in `signal.signal`.
+        try:
+            disarming = True
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        except BudgetSpent:
+            signal.signal(signal.SIGALRM, previous)
+            result = SolveResult(TIMEOUT, None, SolveStats())
+        sys.unraisablehook = hook
+    return result
+
+
+def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResult:
+    full = kind is StrategyKind.FULL
+    gp = ground_program(program, include_deferred=full)
     deferred: list[Rule] = [] if full else program.deferred_rules()
 
     callbacks = SolverCallbacks()
@@ -233,6 +278,5 @@ def solve(
         callbacks=callbacks,
         budget=budget,
         forced_decisions=forced_decisions,
-        started=started,
     )
     return solver.solve()

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from microasp import benchgen, cdcl
+from microasp import benchgen, cdcl, strategies
 from microasp.cdcl import (
     Budget,
     Solver,
@@ -73,6 +73,30 @@ class TestPropagate:
         solver.decide(lit_of(solver, ga("c", 1)))
         assert solver.propagate() is None
         assert solver.value_of(lit_of(solver, ga("d", 1))) == -1
+
+    def test_support_propagator_infers_the_single_open_body(self):
+        """A head with more rules than completion takes gets the support
+        propagator: true, with every body but one false, it infers each
+        literal of the open body."""
+        n = cdcl.COMPLETION_MAX_RULES + 1
+        text = "".join(
+            f"b({i}) :- not nb({i}). nb({i}) :- not b({i}).\n"
+            f"c({i}) :- not nc({i}). nc({i}) :- not c({i}).\n"
+            f"h(1) :- b({i}), not c({i}).\n"
+            for i in range(1, n + 1)
+        )
+        solver = Solver(ground_program(parse_program(text)))
+        h = lit_of(solver, ga("h", 1))
+        assert solver._sup_heads == [h]
+        assert solver.propagate() is None
+        solver.decide(h)
+        for i in range(1, n):
+            assert solver.propagate() is None
+            assert solver.value_of(lit_of(solver, ga("b", n))) == 0
+            solver.decide(-lit_of(solver, ga("b", i)))
+        assert solver.propagate() is None
+        assert solver.value_of(lit_of(solver, ga("b", n))) == 1
+        assert solver.value_of(lit_of(solver, ga("c", n))) == -1
 
 
 class TestAnalyzeConflict:
@@ -275,20 +299,8 @@ def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
     assert set(broken) == {(0, False, 0)}
 
 
-def test_time_budget_is_checked_at_each_conflict():
-    """A spent time budget stops the search at its first conflict, not at
-    the first restart."""
-    for kind in ("full", "lazy", "eager", "post"):
-        result = solve(
-            benchgen.gen_3sat(100, 4.26, 1), kind, seed=1, budget=Budget(max_seconds=0.0)
-        )
-        assert result.status == "TIMEOUT", kind
-        assert result.stats.conflicts == 1, kind
-
-
-def test_time_budget_holds_through_grounding(monkeypatch):
-    """A spent time budget stops `full` while it grounds marriage n=20, with
-    empty stats and before any Solver is built."""
+def _spy_on_builds(monkeypatch) -> list:
+    """The Solvers built from here on, in order."""
     built = []
     init = Solver.__init__
 
@@ -297,11 +309,41 @@ def test_time_budget_holds_through_grounding(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Solver, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("kind", ["full", "lazy", "eager", "post"])
+def test_spent_time_budget_builds_no_solver(kind, monkeypatch):
+    """A time budget of 0 is spent on entry: TIMEOUT with empty stats, and
+    no Solver is built."""
+    built = _spy_on_builds(monkeypatch)
     result = solve(
-        benchgen.gen_marriage(20, 30, 1), "full", seed=1, budget=Budget(max_seconds=0.0)
+        benchgen.gen_3sat(100, 4.26, 1), kind, seed=1, budget=Budget(max_seconds=0.0)
     )
     assert result.status == "TIMEOUT"
     assert result.stats == SolveStats()
+    assert built == []
+
+
+def test_time_budget_holds_through_grounding(monkeypatch):
+    """A 0.2 s budget stops `full` while it grounds marriage n=45, which
+    takes seconds, with empty stats and before any Solver is built."""
+    built = _spy_on_builds(monkeypatch)
+    grounding = []
+
+    def spy(*args, **kwargs):
+        grounding.append("entered")
+        gp = ground_program(*args, **kwargs)
+        grounding.append("returned")
+        return gp
+
+    monkeypatch.setattr(strategies, "ground_program", spy)
+    result = solve(
+        benchgen.gen_marriage(45, 30, 1), "full", seed=1, budget=Budget(max_seconds=0.2)
+    )
+    assert result.status == "TIMEOUT"
+    assert result.stats == SolveStats()
+    assert grounding == ["entered"]
     assert built == []
 
 

@@ -36,6 +36,21 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--conflicts", "0"]) == 30
         assert "TIMEOUT" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1", "1e12"])
+    def test_an_invalid_time_budget_exits_one(self, tmp_path, capsys, seconds):
+        path = tmp_path / "p.lp"
+        path.write_text("p(1).\n")
+        assert main(["solve", str(path), "--timeout-s", seconds]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: time budget of ")
+        assert repr(float(seconds)) in err
+
+    def test_a_time_budget_of_zero_is_spent(self, tmp_path, capsys):
+        path = tmp_path / "p.lp"
+        path.write_text("p(1).\n")
+        assert main(["solve", str(path), "--timeout-s", "0"]) == 30
+        assert "TIMEOUT" in capsys.readouterr().out
+
     def test_json_report_validates(self, pi1_file, capsys):
         code = main(["solve", pi1_file, "--strategy", "lazy", "--json"])
         report = json.loads(capsys.readouterr().out)

@@ -230,6 +230,15 @@ class TestCompiledJoin:
         found = list(iter_matches(plan, index, values, 0))
         assert [(slots[1], slots[-1], len(lits)) for slots, lits in found] == [(0, n, n)]
 
+    @pytest.mark.parametrize("n", [3000, 50_000])
+    def test_a_long_sum_grounds(self, n):
+        """A sum of three or more terms is emitted flat; as a chain of `+`
+        it nests too deep to compile."""
+        text = f"d(1).\np(X) :- d(Y), X = {'+'.join(['Y'] * n)}.\n"
+        gp = ground_program(parse_program(text))
+        assert fact_texts(gp) == ["d(1)", f"p({n})"]
+        assert gp.rules == ()
+
 
 class TestBodyPlanOrder:
     def test_elements_wait_for_their_variables_in_passes(self):

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,27 @@ def test_fact_statement_errors(text, message):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no limit on int digits"
+)
+@pytest.mark.parametrize(
+    "text,facts,where",
+    [
+        ("q(1).\nab(x,{big},2).\n", 2, "2:6"),
+        ("q(X) :- p(X), X = {big}.\np(1).\n", 1, "1:19"),
+    ],
+    ids=["fact", "term"],
+)
+def test_an_overlong_integer_is_a_parse_error_at_its_token(text, facts, where):
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    text = text.format(big=big)
+    assert _fact_tokens(text) == facts
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == f"integer of {len(big)} digits is too long at {where}"
+    assert _parsed(text) == _general_parsed(text)
 
 
 def test_fact_statement_locations_and_values():

@@ -1,11 +1,19 @@
 import dataclasses
+import gc
+import random
+import signal
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
 from microasp import benchgen
-from microasp.cdcl import Solver, SolverCallbacks
+from microasp.cdcl import Budget, Solver, SolverCallbacks, SolveStats
 from microasp.grounder import (
     BodyPlan,
+    GroundingError,
     ground_deferred_violations,
     ground_program,
     ground_rule,
@@ -17,6 +25,7 @@ from microasp.parser import ParseError, parse_program
 from microasp.strategies import (
     ConstraintIndex,
     StrategyKind,
+    _spent,
     solve,
     solver_nogood,
 )
@@ -247,6 +256,167 @@ class TestHooks:
         assert len(spy.returns[kind]) == result.stats.propagator_calls > 0
         assert len(spy.nogoods(kind)) == result.stats.propagator_nogoods
         assert spy.returns["eager" if kind == "post" else "post"] == []
+
+
+def _unarmed(handler) -> bool:
+    """Whether SIGALRM's handler is `handler` and the interval timer is off."""
+    return signal.getsignal(signal.SIGALRM) is handler and signal.getitimer(
+        signal.ITIMER_REAL
+    ) == (0.0, 0.0)
+
+
+class TestTimeBudget:
+    """A time budget is one interval timer that `solve` arms.  It holds
+    wherever the solve is, within a loose 2 x budget + 0.5 s, and leaves the
+    SIGALRM handler and the timer as it found them."""
+
+    @staticmethod
+    def timed(program, kind, seconds):
+        started = time.perf_counter()
+        result = solve(program, kind, seed=1, budget=Budget(max_seconds=seconds))
+        elapsed = time.perf_counter() - started
+        assert elapsed <= 2 * seconds + 0.5, elapsed
+        assert result.status == "TIMEOUT"
+        return result
+
+    def test_eager_without_a_conflict(self):
+        """Marriage n=45 under `eager` spends seconds on grounding, the
+        build and level-0 propagator calls before any conflict."""
+        self.timed(benchgen.gen_marriage(45, 30, 1), "eager", 0.3)
+
+    def test_a_slow_build(self, monkeypatch):
+        build = Solver._build_static
+
+        def slow(solver):
+            time.sleep(2)
+            build(solver)
+
+        monkeypatch.setattr(Solver, "_build_static", slow)
+        result = self.timed(benchgen.gen_3sat(20, 4.26, 1), "full", 0.2)
+        assert result.stats == SolveStats()
+
+    def test_a_slow_propagator_call(self, monkeypatch):
+        """The alarm lands in the search, so the stats are the solver's."""
+        calls = []
+
+        def around(run, index, solver, lit):
+            calls.append(lit)
+            if len(calls) == 1:
+                time.sleep(2)
+            return run()
+
+        JoinSpy(monkeypatch, around)
+        result = self.timed(benchgen.gen_3sat(20, 4.26, 1), "eager", 0.2)
+        assert len(calls) == result.stats.propagator_calls == 1
+
+    def test_short_budgets_leave_nothing_armed(self):
+        """Solves whose alarms land anywhere, from the entry to the return
+        and in a gc callback, and one that raises, each restore the handler
+        and the hook on dropped exceptions and leave the timer off; none
+        raises anything else, and no alarm reaches the handler."""
+        stray = []
+
+        def previous(signum, frame):
+            stray.append(signum)
+
+        def collecting(phase, info):
+            pass
+
+        programs = [benchgen.gen_3sat(20, 4.26, seed) for seed in range(5)]
+        rng = random.Random(0)
+        statuses = Counter()
+        hook = sys.unraisablehook
+        old = signal.signal(signal.SIGALRM, previous)
+        gc.callbacks.append(collecting)
+        try:
+            for i in range(240):
+                budget = Budget(max_seconds=rng.uniform(1e-4, 5e-3))
+                result = solve(programs[i % 5], ALL_KINDS[i % 4], seed=i, budget=budget)
+                statuses[result.status] += 1
+                assert _unarmed(previous) and sys.unraisablehook is hook, i
+            bad = parse_program("d(a).\np(Y) :- d(X), Y = X+1.\n")
+            with pytest.raises(GroundingError):
+                solve(bad, budget=Budget(max_seconds=5.0))
+            assert _unarmed(previous)
+        finally:
+            gc.callbacks.remove(collecting)
+            signal.signal(signal.SIGALRM, old)
+        assert stray == []
+        assert set(statuses) <= {"SAT", "UNSAT", "TIMEOUT"}
+        assert statuses["TIMEOUT"] > 0
+
+    def test_a_dropped_alarm_goes_off_again(self, monkeypatch):
+        """An alarm raised in a finalizer is dropped; the solve's hook on
+        dropped exceptions sets the timer again, so the slow build that
+        follows is cut short."""
+        build = Solver._build_static
+
+        class Finalized:
+            def __del__(self):
+                _spent(signal.SIGALRM, None)
+
+        def slow(solver):
+            Finalized()
+            time.sleep(2)
+            build(solver)
+
+        hook = sys.unraisablehook
+        monkeypatch.setattr(Solver, "_build_static", slow)
+        started = time.perf_counter()
+        result = solve(benchgen.gen_3sat(20, 4.26, 1), budget=Budget(max_seconds=30.0))
+        assert time.perf_counter() - started < 1.0
+        assert result.status == "TIMEOUT"
+        assert sys.unraisablehook is hook
+
+    @pytest.mark.parametrize("where", ["disarm", "restore"])
+    def test_an_alarm_while_disarming_gives_timeout(self, pi1, where, monkeypatch):
+        """The handler raises right after the timer is disarmed, or in
+        `signal.signal`, which runs a pending handler before it changes."""
+        setitimer, set_handler = signal.setitimer, signal.signal
+        restores = []
+
+        def late_disarm(which, seconds):
+            setitimer(which, seconds)
+            if seconds == 0 and where == "disarm":
+                _spent(signal.SIGALRM, None)
+
+        def late_restore(signum, handler):
+            if handler is not _spent and where == "restore" and not restores:
+                restores.append(handler)
+                _spent(signal.SIGALRM, None)
+            return set_handler(signum, handler)
+
+        before = signal.getsignal(signal.SIGALRM)
+        monkeypatch.setattr(signal, "setitimer", late_disarm)
+        monkeypatch.setattr(signal, "signal", late_restore)
+        result = solve(pi1, "lazy", budget=Budget(max_seconds=30.0))
+        assert result.status == "TIMEOUT"
+        assert result.stats == SolveStats()
+        assert _unarmed(before)
+
+    def test_off_the_main_thread_is_a_value_error(self, pi1):
+        before = signal.getsignal(signal.SIGALRM)
+        raised = []
+
+        def run():
+            try:
+                solve(pi1, budget=Budget(max_seconds=30.0))
+            except ValueError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(raised) == 1
+        assert _unarmed(before)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 1e12])
+    def test_an_invalid_budget_is_a_value_error(self, pi1, seconds):
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(ValueError, match=f"time budget of {seconds!r} s"):
+            solve(pi1, budget=Budget(max_seconds=seconds))
+        assert _unarmed(before)
 
 
 class TestSolverNogoodConversion:
