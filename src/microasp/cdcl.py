@@ -202,7 +202,6 @@ class Solver:
         self._fragile: list[StoredNogood] = []
         self._root_units: list[StoredNogood] = []
         self._root_conflict: Optional[StoredNogood] = None
-        self._store_count = 0
 
         self._activity = [0.0] * (n + 1)
         self._var_inc = 1.0
@@ -260,7 +259,6 @@ class Solver:
             else:
                 watches[key[0]].append(ng)
                 watches[key[1]].append(ng)
-        self._store_count = len(by_lits)
 
     def _static_nogoods(self) -> Iterator[tuple[int, ...]]:
         """The canonical tuples of the ground program's nogoods, tautologies
@@ -441,7 +439,6 @@ class Solver:
         if key in self._by_lits:
             return None
         ng = self._by_lits[key] = StoredNogood(key)
-        self._store_count += 1
         if len(key) == 1:
             self._root_units.append(ng)
             return None
@@ -528,7 +525,7 @@ class Solver:
     ) -> tuple[Optional[StoredNogood], bool]:
         """Install hook-produced nogoods; on conflict the rest join the queue."""
         before_trail = len(self._trail)
-        before_store = self._store_count
+        before_store = len(self._by_lits)
         for i, lits in enumerate(nogoods):
             conflict = self._install(lits)
             if conflict is not None:
@@ -536,7 +533,7 @@ class Solver:
                 return conflict, True
         progressed = (
             len(self._trail) != before_trail
-            or self._store_count != before_store
+            or len(self._by_lits) != before_store
             or bool(self._root_units)
         )
         return None, progressed
@@ -742,7 +739,6 @@ class Solver:
             self._cla_inc /= 0.999
             if len(learned) == 1:
                 stored = StoredNogood(learned, learned=True)
-                self._store_count += 1
                 self._root_units.append(stored)
                 self.stats.learned += 1
                 return True
@@ -759,7 +755,6 @@ class Solver:
 
     def _attach_learned(self, learned: tuple[int, ...]) -> StoredNogood:
         ng = StoredNogood(learned, learned=True)
-        self._store_count += 1
         ng.lbd = len({self._level_arr[abs(l)] for l in learned})
         ng.activity = self._cla_inc
         ng.w0 = learned[0]

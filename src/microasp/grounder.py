@@ -10,33 +10,12 @@ into slot locals.  Comparisons become Python operators and a binding `=` an
 assignment, each as soon as its variables are bound; a negative literal is
 a probe of its all-positions table.  The source names slots, tables and
 operators only, so the constants come in through the slots list, and
-plans of one shape share one compiled function (`_compiled`).  Facts skip
-the join: a fact's head enters the index at its turn in the first round of
-the fixpoint and its variable is a fact of the program.
+plans of one shape share one compiled function (`_compiled`).
 
-A ground program is solver literals: each instance is (head variable or 0,
-body literals in written order), a literal being a signed atom variable.
-The join builds it inline: a positive literal's variable comes from its
-loop's row, and the head's and each negative literal's from a probe of the
-atom's all-positions table.  `AtomIndex.render` turns an instance back into atoms
-for text.
-
-The grounder folds facts into each instance as the join builds it, with no
-pass afterwards.  The literals of extensional predicates (those with facts
-and no other defining rule) are not even read, as they always hold.  An
-instance with a fact head or a negative literal on a fact is dropped, and
-other fact literals leave its body.  A body that empties makes a derived
-fact, which reaches the instances built before it through a worklist from
-its variable to the instances holding it.
-
-`iter_matches` runs the truth form of the join: it reads each atom's truth
-from a list indexed by solver variable, lets at most `budget` body literals
-be undefined and returns each match's slots and literals.  Grounding runs
-two grounding forms, which leave truth, budget and negative literals out of
-the join, as under all-undefined truth with a budget of the body's length
-they prune nothing: the fixpoint's form (`_derivable_heads`) yields each
-match's head arguments, and the instantiation's (`_instances`) its
-instance.  The truth form's callers are:
+A join has two forms.  `iter_matches` runs the truth form: it reads each
+atom's truth from a list indexed by solver variable, lets at most `budget`
+body literals be undefined and returns each match's slots and literals.
+Its callers are:
 
 * the lazy check: the solver assignment with budget 0 on a total candidate;
 * the eager propagator: the solver assignment with budget 1, through the
@@ -45,6 +24,20 @@ instance.  The truth form's callers are:
   first call, then through the seeded plans of each literal assigned since
   its last call.
 
+Grounding runs the instance form (`_instances`) in the rounds of the
+fixpoint, whose last round is the instantiation (`ground_program`).  It
+leaves truth, budget and negative literals out of the join, as they prune
+nothing under all-undefined truth with a budget of the body's length, and
+yields each match's instance: (head variable or 0, body literals in written
+order), a literal being a signed atom variable.  A positive literal's
+variable comes from its loop's row, and the head's and each negative
+literal's from a probe of the atom's all-positions table; a head not found
+is added.  Facts are folded in as the instance is built: the literals of
+extensional predicates (those with facts and no other defining rule) are
+not even read, an instance with a fact head or a negative literal on a fact
+is dropped, and other fact literals leave its body.  `AtomIndex.render`
+turns an instance back into atoms for text.
+
 Each match of a plan in written order comes in lexicographic order of the
 variables of its positive literals; a seeded plan's `written` permutation
 recovers that key from a match's literals.
@@ -52,6 +45,7 @@ recovers that key from a match's literals.
 from __future__ import annotations
 
 import itertools
+import sys
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
@@ -109,10 +103,11 @@ class AtomIndex:
         for atom in atoms:
             self.add(atom)
 
-    def add(self, atom: Atom) -> None:
-        if atom in self._ids:
-            return
-        self._ids[atom] = len(self._atoms)
+    def add(self, atom: Atom) -> int:
+        """The atom's solver variable, adding the atom if it is new."""
+        idx = self._ids.setdefault(atom, len(self._atoms))
+        if idx < len(self._atoms):
+            return idx + 1
         self._atoms.append(atom)
         row = (len(self._atoms), atom.args)
         self._rows.setdefault(atom.predicate, []).append(row)
@@ -120,6 +115,7 @@ class AtomIndex:
         if tables:
             for key, table in tables.values():
                 table.setdefault(key(atom.args), []).append(row)
+        return row[0]
 
     def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
         if not positions:
@@ -217,28 +213,34 @@ def herbrand_universe(program: Program) -> set[Term]:
 _FAILS = {"=": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 #: Nested loops per generated function: CPython compiles at most 20 nested
-#: blocks, so each further run of loops goes into a nested generator.
+#: blocks and 100 levels of indentation, so each further run of loops goes
+#: into a sibling generator, which takes the names bound so far.
 _NESTED = 16
 
 #: The forms of a join: the truth form that `iter_matches` runs, and the
-#: grounding forms, which yield each match's head arguments (the fixpoint)
-#: or its instance (the instantiation).
-_TRUTH, _HEADS, _INSTANCES = "truth", "heads", "instances"
-_GROUNDING = (_HEADS, _INSTANCES)
-_FORMS = (_TRUTH, *_GROUNDING)
+#: instance form that grounding runs.
+_TRUTH, _INSTANCES = "truth", "instances"
+_FORMS = (_TRUTH, _INSTANCES)
 
-#: Compiled joins by source, shared by every plan of one shape.  The source
-#: holds no program text, so the entries are bounded by the plan shapes met.
-_COMPILED: dict[str, Callable] = {}
+#: The limit on the digits of an integer's text, 0 for none.
+_int_digits: Callable[[], int] = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+#: Compiled joins by source and digit limit, shared by every plan of one
+#: shape.  The source holds no program text, so the entries are bounded by
+#: the plan shapes met.
+_COMPILED: dict[tuple[str, int], Callable] = {}
 
 
 def _compiled(source: str) -> Callable:
-    """The generator function `join` that a join's source defines."""
-    join = _COMPILED.get(source)
+    """The generator function `join` that a join's source defines, its sums
+    bound by `=` held to the present digit limit."""
+    digits = _int_digits()
+    join = _COMPILED.get((source, digits))
     if join is None:
-        scope = {"_arith": _arith, "_ordered": _ordered}
+        scope = dict(Atom=Atom, _arith=_arith, _ordered=_ordered, _too_long=_too_long)
+        scope["_long"] = 10**digits if digits else float("inf")
         exec(compile(source, "<join>", "exec"), scope)
-        join = _COMPILED[source] = scope["join"]
+        join = _COMPILED[source, digits] = scope["join"]
     return join
 
 
@@ -258,7 +260,12 @@ def _ordered(rule: Rule, a, b) -> None:
     )
 
 
-def _not_ints(names: Sequence[str]) -> str:
+def _too_long(rule: Rule) -> None:
+    """Fail a sum too long for `str` to print."""
+    raise GroundingError(f"sum of over {_int_digits()} digits in rule '{rule}.'", rule)
+
+
+def _not_ints(names: Iterable[str]) -> str:
     return " or ".join(f"type({n}) is not int" for n in names)
 
 
@@ -282,24 +289,20 @@ class BodyPlan:
     negative literal whose terms all have slots becomes a probe of its
     predicate's all-positions table, a comparison whose sides are bound a
     test with its operator, and an `=` with one side bound and a lone
-    unbound variable on the other an assignment to that variable.  A sum
-    of several terms, and each single-term side of an ordered comparison,
-    is first checked to be an integer, as Python would concatenate two
-    symbols or order them.  `positives` lists the positive literals in plan
-    order and `stages[i]` the elements placed after the first i of them.  A
-    rule variable that gets no slot is unsafe, a `GroundingError`.
+    unbound variable on the other an assignment to that variable.  Each
+    distinct term of a sum of several, and each single-term side of an
+    ordered comparison, is first checked to be an integer, as Python would
+    concatenate two symbols or order them; a sum bound by `=` must have no
+    more digits than `str` prints.  `positives` lists the positive literals
+    in plan order and `stages[i]` the elements placed after the first i of
+    them.  A rule variable that gets no slot is unsafe, a `GroundingError`.
 
-    Each line of the source belongs to some of the join's three forms
-    (`_FORMS`): the truth form, which `iter_matches` runs, and the two
-    grounding forms, which share the loops and comparisons.  The fixpoint's
-    form yields the head's arguments.  The instantiation's form builds the
-    match's instance with the fact variables folded in: the head and each
-    negative literal are probed in their all-positions tables, and a
-    positive literal's variable comes from its loop, except on the
-    `extensional` predicates, whose atoms are all facts, where the literal
-    is left out.  A form is
-    compiled at the plan's first join with it, never here, as the parser
-    plans each rule only for its safety check.
+    Each line of the source belongs to one or both forms (`_FORMS`), which
+    share the loops and comparisons.  The instance form folds the fact
+    variables in, and leaves out the positive literals on the `extensional`
+    predicates, whose atoms are all facts.  A form is compiled at the
+    plan's first join with it, never here, as the parser plans each rule
+    only for its safety check.
     """
 
     def __init__(
@@ -316,16 +319,14 @@ class BodyPlan:
         order = list(range(len(at)))
         if seed is not None:
             reached = rule.body[seed].atom.variables()
+            shared = [rule.body[i].atom.variables() for i in at]
             order = [at.index(seed)] if seed in at else []
             left = [k for k in range(len(at)) if k not in order]
             while left:
-                k = next(
-                    (k for k in left if rule.body[at[k]].atom.variables() & reached),
-                    left[0],
-                )
+                k = next((k for k in left if shared[k] & reached), left[0])
                 order.append(k)
                 left.remove(k)
-                reached |= rule.body[at[k]].atom.variables()
+                reached |= shared[k]
         self.written = tuple(order.index(k) for k in range(len(at)))
         self.positives = [rule.body[at[k]] for k in order]
 
@@ -359,7 +360,7 @@ class BodyPlan:
             return known, binds, repeats
 
         lines: list[tuple[int, tuple[str, ...], str]] = []
-        depth, skip, budget, lits, ends = 1, "return", "b0", [], []
+        depth, skip, budget, lits = 1, "return", "b0", []
 
         def emit(text: str, forms: tuple[str, ...] = _FORMS) -> None:
             """Add a line of the join's source to the given forms."""
@@ -380,14 +381,15 @@ class BodyPlan:
             return f"g{table}({key(atom.args)})"
 
         def total(terms: tuple[Term, ...]) -> str:
-            """The source of a term sum, each term of a sum of several
-            checked first to be an integer.  Three or more terms are summed
-            flat, as a chain of `+` nests as deep as it is long when it
-            compiles."""
-            parts = names(terms)
-            if len(parts) > 1:
-                emit(f"if {_not_ints(parts)}: _arith(rule, {', '.join(parts)})")
-            return f"sum(({', '.join(parts)}))" if len(parts) > 2 else " + ".join(parts)
+            """The source of a term sum, each distinct term of a sum of
+            several checked first to be an integer.  Three or more terms
+            are summed flat, as a chain of `+` nests as deep as it is long
+            when it compiles."""
+            summed = names(terms)
+            if len(summed) > 1:
+                distinct = list(dict.fromkeys(summed))
+                emit(f"if {_not_ints(distinct)}: _arith(rule, {', '.join(distinct)})")
+            return f"sum(({', '.join(summed)}))" if len(summed) > 2 else " + ".join(summed)
 
         def placed(elem: BodyElement) -> bool:
             """Emit the element if the slots bound so far let it run."""
@@ -422,8 +424,10 @@ class BodyPlan:
             target, terms = (lhs, rhs) if right else (rhs, lhs)
             if len(target) != 1:
                 return False
-            value = total(terms)
-            emit(f"s{bind(target[0])} = {value}")
+            value, bound = total(terms), f"s{bind(target[0])}"
+            emit(f"{bound} = {value}")
+            if len(terms) > 1:
+                emit(f"if abs({bound}) >= _long: _too_long(rule)")
             return True
 
         rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
@@ -448,12 +452,18 @@ class BodyPlan:
             self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
         place()
         for i, lit in enumerate(self.positives, 1):
+            if i % _NESTED == 0:
+                for form, own in (
+                    (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits)]),
+                    (_INSTANCES, ["facts", "add", *(f"v{k}" for k in range(1, i))]),
+                ):
+                    params = ", ".join(["rule", "gets", *own, *names(slot)])
+                    emit(f"yield from part{i}({params})", (form,))
+                    lines.append((0, (form,), f"def part{i}({params}):"))
+                lines.append((1, _FORMS, ""))  # unpacks `gets`: filled in last
+                depth = 1
             args = lit.atom.args
             known, binds, repeats = match(args)
-            if i % _NESTED == 0:
-                emit(f"def part{i}():")
-                ends.append((depth, _FORMS, f"yield from part{i}()"))
-                depth += 1
             row = ["_"] * len(args)
             for pos, s in binds:
                 row[pos] = f"s{s}"
@@ -479,8 +489,6 @@ class BodyPlan:
             raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
         every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
         emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
-        head_args = () if rule.head is None else rule.head.args
-        emit(f"yield ({''.join(f'{n}, ' for n in names(head_args))})", (_HEADS,))
 
         # The instance form reads the j-th body literal into `l{j}`, 0 where
         # it leaves the body, and the body is the tuple of those not 0.  Two
@@ -511,7 +519,9 @@ class BodyPlan:
         head = "0"
         if rule.head is not None:
             head = "h"
-            instance(f"h = {probe(rule.head)}[0][0]")
+            fields = "".join(f"{n}, " for n in names(rule.head.args))
+            instance(f"h = {probe(rule.head)}")
+            instance(f"h = h[0][0] if h else add(Atom(rule.head.predicate, ({fields})))")
             instance(f"if h in facts: {skip}")
         body = []
         for j, elem in enumerate(literals):
@@ -538,7 +548,6 @@ class BodyPlan:
         if body:
             instance("if 0 in body: body = tuple(filter(None, body))")
         instance(f"yield {head}, body")
-        lines.extend(reversed(ends))
 
         self._literals = [
             (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
@@ -546,11 +555,13 @@ class BodyPlan:
         ]
         if rule.head is not None:
             self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
+        gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
+        lines = [(d, forms, text or gets) for d, forms, text in lines]
         lines[:0] = [
             (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
-            (0, _GROUNDING, "def join(slots, gets, rule, facts):"),
+            (0, (_INSTANCES,), "def join(slots, gets, rule, facts, add):"),
             (1, _FORMS, f"{every} = slots"),
-            (1, _FORMS, f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"),
+            (1, _FORMS, gets),
         ]
         self._lines = lines
         self._accesses = list(accesses)
@@ -564,7 +575,7 @@ class BodyPlan:
     def _join(self, index: AtomIndex, form: str, slots: list, *args) -> Iterator:
         """Run one form of the join over the index from the slots, compiling
         it at its first use: the truth form takes the truth values and the
-        budget, the grounding forms the fact variables."""
+        budget, the instance form the fact variables and the index's `add`."""
         if self._index is not index:
             self._gets = [index.table(p, positions).get for p, positions in self._accesses]
             self._index = index
@@ -628,27 +639,19 @@ def iter_matches(
     return plan._join(index, _TRUTH, slots, values, budget)
 
 
-def _derivable_heads(plan: BodyPlan, index: AtomIndex) -> Iterator[tuple]:
-    """The head arguments of each match of the positive body over the
-    index's atoms: the join under all-undefined truth with a budget of the
-    body's length, where truth, budget and negative literals prune nothing,
-    so its grounding forms leave them out."""
-    return plan._join(index, _HEADS, plan._initial, ())
-
-
 def _instances(
     plan: BodyPlan, index: AtomIndex, facts: Container[int]
 ) -> Iterator[Instance]:
     """The instance of each match of the positive body over the index's
     atoms, with the fact variables `facts` folded in (see `BodyPlan`); a
-    match whose instance is dropped yields nothing.  The index must hold
-    the head."""
-    return plan._join(index, _INSTANCES, plan._initial, facts)
+    match whose instance is dropped yields nothing.  A head not yet in the
+    index is added to it, and the rest of the join sees it."""
+    return plan._join(index, _INSTANCES, plan._initial, facts, index.add)
 
 
 def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
     """The instances of one rule over the atoms of an index, each once, in
-    the order of its first match; the index must hold their heads.
+    the order of its first match; heads not in the index are added to it.
 
     Positive body literals match the index and comparisons are evaluated
     away.  A negative literal on an atom outside the index and a repeated
@@ -665,16 +668,17 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     only match atoms derivable by some rule, so the result is usually far
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
-    Each rule other than a fact is planned once, and its join's two
-    grounding forms yield the fixpoint's head arguments and the
-    instantiation's instances; a fact is added without a join.
     `rule.is_fact` is read once per rule, for the extensional predicates,
     the plans and the fact variables alike.
 
-    Facts are folded into each instance as it is built, and a predicate
-    with facts and no other defining rule is extensional: its literals are
-    not probed.  An instance whose body empties is a derived fact, which
-    reaches the instances built before it through `_fold_derived`.
+    The fixpoint runs in rounds.  The first adds each fact's head at its
+    turn.  In every round each rule with a head runs its instance form,
+    which adds the heads it derives.  A round that adds atoms is dropped, as
+    a negative literal on an atom derived later in it has left a body; the
+    round that adds none is the instantiation.  Constraints add no atoms and
+    are joined once, after it, in their places in rule order.  An instance
+    whose body empties is a derived fact, which reaches the instances built
+    before it through `_fold_derived`.
     """
     kept = [
         rule
@@ -695,35 +699,29 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
         for rule, fact in zip(kept, is_fact)
     ]
     index = AtomIndex()
-    changed = True
-    while changed:
-        changed = False
+    given: dict[int, None] = {}  # the fact rules' variables
+    size = -1
+    while size != len(index):
+        size = len(index)
+        # Each rule's instances in this round, None for a constraint.
+        facts, joined = dict(given), []
         for rule, plan in zip(kept, plans):
-            if rule.head is None:
-                continue
-            before = len(index)
+            own = None if rule.head is None else []
+            joined.append(own)
             if plan is None:
-                index.add(rule.head)
-            else:
-                predicate = rule.head.predicate
-                for args in _derivable_heads(plan, index):
-                    index.add(Atom(predicate, args))
-            changed = changed or len(index) != before
-
-    facts = dict.fromkeys(
-        index.id_of(rule.head) + 1 for rule, fact in zip(kept, is_fact) if fact
-    )
-    found: list[int] = []
-    instances: dict[Instance, None] = {}
-    for plan in plans:
-        if plan is None:
-            continue
-        for inst in _instances(plan, index, facts):
-            if inst[0] and not inst[1]:
-                facts[inst[0]] = None
-                found.append(inst[0])
-            else:
-                instances[inst] = None
+                if not size:
+                    given[index.add(rule.head)] = None
+            elif own is not None:
+                for inst in _instances(plan, index, facts):
+                    if inst[1]:
+                        own.append(inst)
+                    else:
+                        facts[inst[0]] = None
+    instances = dict.fromkeys(itertools.chain.from_iterable(
+        _instances(plan, index, facts) if own is None else own
+        for plan, own in zip(plans, joined)
+    ))
+    found = list(facts)[len(given):]
     rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)
     return GroundProgram(index, tuple(facts), rules)
 
@@ -785,9 +783,8 @@ def naive_ground_program(program: Program) -> GroundProgram:
 
     def var(lit: int) -> int:
         """The table's literal for a literal over the domain."""
-        atom = domain.atom(abs(lit) - 1)
-        table.add(atom)
-        return (table.id_of(atom) + 1) * (1 if lit > 0 else -1)
+        var = table.add(domain.atom(abs(lit) - 1))
+        return var if lit > 0 else -var
 
     facts: dict[int, None] = {}
     rules: dict[Instance, None] = {}

@@ -565,15 +565,14 @@ class InstallingSolver(Solver):
 
 def store_of(solver):
     """What the build leaves: every stored nogood in insertion order with
-    its watches, every watch list, the root units and conflict, the count,
-    and the support data in insertion order."""
+    its watches, every watch list, the root units and conflict, and the
+    support data in insertion order."""
     conflict = solver._root_conflict
     return (
         [(key, ng.lits, ng.w0, ng.w1) for key, ng in solver._by_lits.items()],
         [[ng.lits for ng in watchers] for watchers in solver._watches],
         [ng.lits for ng in solver._root_units],
         None if conflict is None else conflict.lits,
-        solver._store_count,
         list(solver._defs.items()),
         solver._sup_heads,
         list(solver._sup_watch.items()),
@@ -634,9 +633,24 @@ def test_a_nogood_added_before_the_search_watches_its_first_two_literals(pi1_gp)
     assert (ng.w0, ng.w1) == (1, -3)
     assert ng in solver._watches[1] and ng in solver._watches[-3]
     assert ng not in solver._watches[4]
-    assert len(solver._by_lits) == stored + 1 and solver._store_count == stored + 1
+    assert len(solver._by_lits) == stored + 1
     assert solver._trail == []
     assert solver.solve().status == "SAT"
+
+
+def test_a_fixpoint_hook_that_only_stores_a_nogood_runs_again(pi1_gp):
+    """A stored nogood counts as progress for the fixpoint hook, even when
+    nothing is assigned: the solver calls the hook again."""
+    calls = []
+
+    def hook(solver):
+        calls.append(len(solver._trail))
+        return [(1, 3)] if len(calls) == 1 else []
+
+    solver = Solver(pi1_gp, callbacks=SolverCallbacks(on_propagation_fixpoint=hook))
+    stored = len(solver._by_lits)
+    assert solver.propagate() is None
+    assert calls == [0, 0] and len(solver._by_lits) == stored + 1
 
 
 class TestDeterminism:

@@ -1,12 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import re
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microasp import benchgen as bg
 from microasp.cli import SOLVE_REPORT_SCHEMA, main, sweep_3sat, bench_matrix
 from support import PI1_DEFERRED_TEXT, PI1_TEXT
+
+#: The interpreter's limit on the digits of an integer's text, 0 for none.
+DIGITS = getattr(sys, "get_int_max_str_digits", int)()
 
 
 @pytest.fixture
@@ -50,6 +58,15 @@ class TestSolveCommand:
         path.write_text("p(1).\n")
         assert main(["solve", str(path), "--timeout-s", "0"]) == 30
         assert "TIMEOUT" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not DIGITS, reason="no limit on int digits")
+    @pytest.mark.parametrize("dump", [[], ["--dump-ground"]])
+    def test_a_sum_too_long_to_print_exits_one_at_its_rule(self, tmp_path, capsys, dump):
+        path = tmp_path / "long.lp"
+        path.write_text(f"d({'9' * DIGITS}).\np(X) :- d(Y), X = Y+Y.\n")
+        assert main(["solve", str(path), *dump]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.rstrip().endswith("at 2:1")
 
     def test_json_report_validates(self, pi1_file, capsys):
         code = main(["solve", pi1_file, "--strategy", "lazy", "--json"])
@@ -279,3 +296,68 @@ class TestDeterministicReports:
             main(["solve", str(path), "--strategy", "lazy", "--seed", "3", "--json"])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def _d_body(n):
+    return ", ".join(f"d(X{k})" for k in range(n))
+
+
+def _hostile_programs():
+    """Programs that stress the parser and the grounder: long bodies over
+    a one-constant domain, long sums, wide heads, integers near the digit
+    limit, and runs of parentheses and punctuation, balanced or not."""
+    deferred = st.sampled_from(["", "%@deferred\n"])
+    long_body = st.tuples(deferred, st.integers(1, 130) | st.just(95)).map(
+        lambda t: f"d(1).\n{t[0]}:- {_d_body(t[1])}.\n"
+    )
+    wide_head = st.integers(1, 300).map(
+        lambda n: f"d(1).\np({','.join(f'X{k}' for k in range(n))}) :- {_d_body(n)}.\n"
+    )
+    long_sum = st.integers(2, 3000).map(
+        lambda n: f"d(1).\np(X) :- d(Y), X = {'+'.join(['Y'] * n)}.\n"
+    )
+    near_limit = st.tuples(
+        st.integers(max(DIGITS, 8) - 2, max(DIGITS, 8) + 1),
+        st.sampled_from(["Y", "Y+0", "Y+1", "Y+Y", "Y+Y+Y"]),
+    ).map(lambda t: f"d({'9' * t[0]}).\np(X) :- d(Y), X = {t[1]}.\n")
+    punctuation = st.lists(
+        st.sampled_from(["(", ")", "p", "q", "1", "X", ",", ".", ":-", "not ", " ", "\n"]),
+        max_size=40,
+    ).map(lambda parts: "q(1).\n" + "".join(parts))
+    nested = st.tuples(st.integers(0, 300), st.integers(0, 300)).map(
+        lambda t: f"p({'(' * t[0]}1{')' * t[1]}).\n"
+    )
+    return st.one_of(long_body, wide_head, long_sum, near_limit, punctuation, nested)
+
+
+@st.composite
+def _hostile_inputs(draw):
+    """A hostile program, perhaps with a control byte put in anywhere, and
+    a strategy to solve it with."""
+    text = draw(_hostile_programs())
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        control = draw(st.sampled_from([chr(c) for c in (*range(32), 127)]))
+        text = text[:at] + control + text[at:]
+    return text, draw(st.sampled_from(["full", "lazy", "eager", "post"]))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_hostile_inputs())
+def test_hostile_programs_solve_or_fail_at_a_location(tmp_path, case):
+    """`solve` ends with exit 10, 20 or 30, or with exit 1 and a source
+    location on stderr, and never raises."""
+    text, kind = case
+    path = tmp_path / "hostile.lp"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path), "--strategy", kind, "--timeout-s", "10"])
+    if code != 1:
+        assert code in (10, 20, 30)
+    else:
+        assert re.search(r" at \d+:\d+", err.getvalue()), err.getvalue()[-300:]

@@ -1,5 +1,5 @@
 """Golden search counters: every strategy on four small benchmark instances,
-and the digests of their ground programs.
+and the digests of their ground programs, as sorted text and read in order.
 
 The counters are deterministic for a fixed solver seed and must not depend
 on the interpreter's hash seed, so a change that moves any of them changed
@@ -7,6 +7,7 @@ the search, not only its speed.
 """
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,9 +18,11 @@ import pytest
 
 from microasp import benchgen, cdcl
 from microasp.grounder import ground_program
+from microasp.parser import parse_program
 from microasp.strategies import solve
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 INSTANCES = {
     "3sat-v20": lambda: benchgen.gen_3sat(20, 4.26, 1),
@@ -106,6 +109,53 @@ GROUND_SHA256 = {
 def test_ground_program_matches_golden(instance):
     text = ground_program(INSTANCES[instance](), include_deferred=True).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GROUND_SHA256[instance]
+
+
+def ordered_digest(programs) -> str:
+    """SHA-256 of ground programs read in order: the atoms by id, the facts
+    and the rules as stored.  `to_text` sorts its lines, so it pins what is
+    grounded but not the order, which the solver's build and search follow."""
+    data = [
+        [[str(atom) for atom in gp.atoms], gp.facts, gp.rules] for gp in programs
+    ]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+# instance -> SHA-256 of its ground program read in order, deferred
+# constraints kept.
+GROUND_ORDER_SHA256 = {
+    "3sat-v20": "fc260fc3de7c73c4433fd80c35e4d75b7409c43802a441e5e2b55d4eec4ca149",
+    "marriage-n5": "ed10feba38035df7c72fb2cbe9feea884ca8c1d9608fdc21ee6f6fe1aad1f16c",
+    "packing-4x3": "15a6d02a3c3459a34a555cb79c065bd75db35a96080909c855b75817629acfa0",
+    "packing-3x3": "d3a4cc74db58c56d92f0db4f1803d3a811470e28d5af40cb1f258d3534ec21ae",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GROUND_ORDER_SHA256))
+def test_ground_program_order_matches_golden(instance):
+    gp = ground_program(INSTANCES[instance](), include_deferred=True)
+    assert ordered_digest([gp]) == GROUND_ORDER_SHA256[instance]
+
+
+# SHA-256 of the ground programs of the benchmark's three workloads at seed
+# 1, in workload, instance and strategy order, read in order.
+WORKLOADS_ORDER_SHA256 = "126b5644eea57dacaf928a4098a1663d2312fb481d0e08f19c556a8c1782e87b"
+
+
+def test_workload_groundings_order_matches_golden():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    programs = [
+        ground_program(parse_program(inst.text), include_deferred=kind == "full")
+        for workload in workloads.WORKLOADS.values()
+        for inst in workload.instances(1)
+        for kind in workload.strategies
+    ]
+    assert len(programs) == 48
+    assert ordered_digest(programs) == WORKLOADS_ORDER_SHA256
 
 
 LAZY_STATS_SCRIPT = """

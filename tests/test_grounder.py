@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -120,7 +121,7 @@ def test_arithmetic_on_symbol_error_text(text, culprit):
 
 
 def source_of(join):
-    return next(src for src, fn in grounder._COMPILED.items() if fn is join)
+    return next(src for (src, _), fn in grounder._COMPILED.items() if fn is join)
 
 
 def joined(text):
@@ -233,11 +234,86 @@ class TestCompiledJoin:
     @pytest.mark.parametrize("n", [3000, 50_000])
     def test_a_long_sum_grounds(self, n):
         """A sum of three or more terms is emitted flat; as a chain of `+`
-        it nests too deep to compile."""
+        it nests too deep to compile.  A term repeated is checked once."""
         text = f"d(1).\np(X) :- d(Y), X = {'+'.join(['Y'] * n)}.\n"
-        gp = ground_program(parse_program(text))
+        program = parse_program(text)
+        gp = ground_program(program)
         assert fact_texts(gp) == ["d(1)", f"p({n})"]
         assert gp.rules == ()
+        plan = BodyPlan(program.rules[-1])
+        list(grounder._instances(plan, gp.atoms, ()))
+        source = source_of(plan._joins[grounder._INSTANCES])
+        assert source.count("is not int") == 1
+        assert "_arith(rule, s0)" in source
+
+    @pytest.mark.skipif(
+        not grounder._int_digits(), reason="no limit on int digits"
+    )
+    @pytest.mark.parametrize("kind", ["full", "lazy", "eager", "post"])
+    def test_a_sum_too_long_to_print_is_an_error_at_its_rule(self, kind):
+        nines = "9" * grounder._int_digits()
+        program = parse_program(f"d({nines}).\np(X) :- d(Y), X = Y+Y.\n")
+        with pytest.raises(GroundingError) as err:
+            solve(program, kind)
+        assert str(err.value) == (
+            f"sum of over {grounder._int_digits()} digits in rule"
+            " 'p(X) :- d(Y), X = Y+Y.' at 2:1"
+        )
+        fits = parse_program(f"d({nines}).\np(X) :- d(Y), X = Y+0.\n")
+        assert solve(fits, kind).status == "SAT"
+
+    @pytest.mark.skipif(
+        not grounder._int_digits(), reason="no limit on int digits"
+    )
+    def test_the_digit_limit_is_read_when_a_join_compiles(self):
+        """Joins compiled under one limit are not reused under another."""
+        program = parse_program(f"d({'9' * 700}).\np(X) :- d(Y), X = Y+Y.\n")
+        assert fact_texts(ground_program(program))[1] == f"p({2 * (10**700 - 1)})"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(700)
+        try:
+            with pytest.raises(GroundingError, match="sum of over 700 digits"):
+                ground_program(program)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(ground_program(program).facts) == 2
+
+
+def _literals(pred, count, first=0):
+    return ", ".join(f"{pred}(X{k})" for k in range(first, count))
+
+
+def _choice(mark, n):
+    """A choice between a(1) and b(1) and a constraint of n positive
+    literals against a(1) without b(1), deferred or not."""
+    return (
+        "d(1).\na(1) :- not b(1).\nb(1) :- not a(1).\n"
+        f"{mark}:- a(X0), {_literals('d', n, 1)}, not b(X{n - 1}).\n"
+    )
+
+
+#: Long bodies and a wide head over the one-constant domain: CPython caps
+#: indentation at 100 levels, which a join nesting all its loops in one
+#: function passes from about 95 positive literals.
+LONG_BODIES = {
+    "constraint-95": f"d(1).\n:- {_literals('d', 95)}.\n",
+    "deferred-95": _choice("%@deferred\n", 95),
+    "head-300": (
+        f"d(1).\np({','.join(f'X{k}' for k in range(300))}) :- {_literals('d', 300)}.\n"
+    ),
+    "body-300": _choice("", 300),
+}
+
+
+@pytest.mark.parametrize("kind", ["full", "lazy", "eager", "post"])
+@pytest.mark.parametrize("name", sorted(LONG_BODIES))
+def test_long_bodies_agree_with_the_oracle(name, kind):
+    program = parse_program(LONG_BODIES[name])
+    want = enumerate_stable_models(naive_ground_program(program))
+    result = solve(program, kind, seed=1)
+    assert result.status == ("SAT" if want else "UNSAT")
+    if want:
+        assert frozenset(result.model) in want
 
 
 class TestBodyPlanOrder:
