@@ -65,8 +65,23 @@ SOLVE_REPORT_SCHEMA = {
 
 
 def _read_program(path: str):
-    with open(path) as handle:
-        return parse_program(handle.read())
+    """Parse a program file, read as UTF-8 with universal newlines as text
+    mode reads it.  A byte that is not UTF-8 is a `ParseError` at its line
+    and column."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _newlines(data[: exc.start].decode("utf-8"))
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+        raise ParseError(message, line, column) from None
+    return parse_program(_newlines(text))
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -15,14 +15,20 @@ plans of one shape share one compiled function (`_compiled`).
 A join has two forms.  `iter_matches` runs the truth form: it reads each
 atom's truth from a list indexed by solver variable, lets at most `budget`
 body literals be undefined and returns each match's slots and literals.
-Its callers are:
+Its callers join over a `GroundProgram`, whose extensional predicates hold
+facts only, so a positive literal on one is taken as true without a read.
+They are:
 
 * the lazy check: the solver assignment with budget 0 on a total candidate;
-* the eager propagator: the solver assignment with budget 1, through the
-  plan seeded at each body literal the assigned literal matches;
+* the eager propagator: the solver assignment with budget 1, in full at its
+  first call, when every fact is true, then through the plan seeded at each
+  body literal the assigned literal matches;
 * the post propagator: the solver assignment with budget 0, in full at its
   first call, then through the seeded plans of each literal assigned since
   its last call.
+
+Both propagators seed plans only at literals on predicates that are not
+extensional: a fact is true before their first call and never changes.
 
 Grounding runs the instance form (`_instances`) in the rounds of the
 fixpoint, whose last round is the instantiation (`ground_program`).  It
@@ -157,6 +163,11 @@ class GroundProgram:
     """Ground rules and constraints over a dense atom index, as solver
     literals: `facts` holds the variables of the fact atoms and `rules` the
     instances (head variable or 0, body literals in written order).
+    `extensional` names predicates whose atoms in the index are all facts,
+    so true from level 0 on: the deferred-constraint joins neither read
+    their truth nor trigger on them.  `ground_program` gives the predicates
+    with facts and no other defining rule; a producer whose index holds
+    other atoms of such predicates gives none.
 
     Every producer (`ground_program`, `naive_ground_program`,
     `oracle.reduct`) guarantees that `facts` holds each variable once and
@@ -169,10 +180,12 @@ class GroundProgram:
         atoms: AtomIndex,
         facts: tuple[int, ...],
         rules: tuple[Instance, ...],
+        extensional: frozenset[str],
     ):
         self.atoms = atoms
         self.facts = facts
         self.rules = rules
+        self.extensional = extensional
 
     def to_text(self) -> str:
         """Textual form with lexicographically sorted statements."""
@@ -298,11 +311,15 @@ class BodyPlan:
     them.  A rule variable that gets no slot is unsafe, a `GroundingError`.
 
     Each line of the source belongs to one or both forms (`_FORMS`), which
-    share the loops and comparisons.  The instance form folds the fact
-    variables in, and leaves out the positive literals on the `extensional`
-    predicates, whose atoms are all facts.  A form is compiled at the
-    plan's first join with it, never here, as the parser plans each rule
-    only for its safety check.
+    share the loops and comparisons.  Both leave out what a positive literal
+    on an `extensional` predicate would test, as its atoms are all facts:
+    the truth form reads no truth value and spends no budget on its loop,
+    and the instance form leaves it out of the body.  Its variable is still
+    among a truth-form match's literals.  The instance form folds the other
+    fact variables in.  A seeded plan only ever runs the truth form, so it
+    builds no instance form.  A form is compiled at the plan's first join
+    with it, never here, as the parser plans each rule only for its safety
+    check.
     """
 
     def __init__(
@@ -475,11 +492,12 @@ class BodyPlan:
                 f"g{table}({key(args[pos] for pos in known)}, ()):"
             )
             depth, skip = depth + 1, "continue"
-            emit(f"x = values[v{i}]", (_TRUTH,))
-            emit("if x < 0: continue", (_TRUTH,))
-            emit(f"b{i} = {budget} if x else {budget} - 1", (_TRUTH,))
-            budget = f"b{i}"
-            emit(f"if {budget} < 0: continue", (_TRUTH,))
+            if lit.atom.predicate not in extensional:
+                emit(f"x = values[v{i}]", (_TRUTH,))
+                emit("if x < 0: continue", (_TRUTH,))
+                emit(f"b{i} = {budget} if x else {budget} - 1", (_TRUTH,))
+                budget = f"b{i}"
+                emit(f"if {budget} < 0: continue", (_TRUTH,))
             for pos, s in repeats:
                 emit(f"if r{pos} != s{s}: continue")
             lits.append(f"v{i}")
@@ -490,64 +508,69 @@ class BodyPlan:
         every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
         emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
 
+        literals = [e for e in rule.body if isinstance(e, Literal)]
         # The instance form reads the j-th body literal into `l{j}`, 0 where
         # it leaves the body, and the body is the tuple of those not 0.  Two
         # literals can only be on one atom if they share a predicate, so only
         # such pairs are compared: a repeat leaves the body, and a literal
         # with its complement drops the instance, as a fact head or a
-        # negative literal on a fact does.
-        def instance(text: str) -> None:
-            emit(text, (_INSTANCES,))
+        # negative literal on a fact does.  A seeded plan only ever runs the
+        # truth form, so it builds none of this.
+        if seed is None:
 
-        literals = [e for e in rule.body if isinstance(e, Literal)]
-        loops = iter(self.written)
-        atoms = [
-            f"v{next(loops) + 1}" if e.positive else f"x{j}"
-            for j, e in enumerate(literals)
-        ]
+            def instance(text: str) -> None:
+                emit(text, (_INSTANCES,))
 
-        def same(j: int, positive: bool, upto: int) -> list[str]:
-            """` == ` tests of the j-th literal's atom against those of the
-            literals of the given sign on its predicate before `upto`."""
-            predicate = literals[j].atom.predicate
-            return [
-                f"{atoms[j]} == {atoms[k]}"
-                for k, e in enumerate(literals[:upto])
-                if e.positive == positive and e.atom.predicate == predicate
+            loops = iter(self.written)
+            atoms = [
+                f"v{next(loops) + 1}" if e.positive else f"x{j}"
+                for j, e in enumerate(literals)
             ]
 
-        head = "0"
-        if rule.head is not None:
-            head = "h"
-            fields = "".join(f"{n}, " for n in names(rule.head.args))
-            instance(f"h = {probe(rule.head)}")
-            instance(f"h = h[0][0] if h else add(Atom(rule.head.predicate, ({fields})))")
-            instance(f"if h in facts: {skip}")
-        body = []
-        for j, elem in enumerate(literals):
-            var = atoms[j]
-            if elem.positive:
-                if elem.atom.predicate not in extensional:
-                    left = " or ".join([f"{var} in facts", *same(j, True, j)])
-                    instance(f"l{j} = 0 if {left} else {var}")
-                    body.append(f"l{j}")
-                continue
-            body.append(f"l{j}")
-            dropped = " or ".join([f"{var} in facts", *same(j, True, len(literals))])
-            repeats = same(j, False, j)
-            instance(f"{var} = {probe(elem.atom)}")
-            instance(f"if {var}:")
-            instance(f"    {var} = {var}[0][0]")
-            instance(f"    if {dropped}: {skip}")
-            if repeats:
-                instance(f"    l{j} = 0 if {' or '.join(repeats)} else -{var}")
-            else:
-                instance(f"    l{j} = -{var}")
-            instance(f"else: {var} = l{j} = 0")
-        instance(f"body = ({''.join(f'{l}, ' for l in body)})")
-        if body:
-            instance("if 0 in body: body = tuple(filter(None, body))")
-        instance(f"yield {head}, body")
+            def same(j: int, positive: bool, upto: int) -> list[str]:
+                """` == ` tests of the j-th literal's atom against those of the
+                literals of the given sign on its predicate before `upto`."""
+                predicate = literals[j].atom.predicate
+                return [
+                    f"{atoms[j]} == {atoms[k]}"
+                    for k, e in enumerate(literals[:upto])
+                    if e.positive == positive and e.atom.predicate == predicate
+                ]
+
+            head = "0"
+            if rule.head is not None:
+                head = "h"
+                fields = "".join(f"{n}, " for n in names(rule.head.args))
+                instance(f"h = {probe(rule.head)}")
+                added = f"add(Atom(rule.head.predicate, ({fields})))"
+                instance(f"h = h[0][0] if h else {added}")
+                instance(f"if h in facts: {skip}")
+            body = []
+            for j, elem in enumerate(literals):
+                var = atoms[j]
+                if elem.positive:
+                    if elem.atom.predicate not in extensional:
+                        left = " or ".join([f"{var} in facts", *same(j, True, j)])
+                        instance(f"l{j} = 0 if {left} else {var}")
+                        body.append(f"l{j}")
+                    continue
+                body.append(f"l{j}")
+                on_facts = [f"{var} in facts", *same(j, True, len(literals))]
+                dropped = " or ".join(on_facts)
+                repeats = same(j, False, j)
+                instance(f"{var} = {probe(elem.atom)}")
+                instance(f"if {var}:")
+                instance(f"    {var} = {var}[0][0]")
+                instance(f"    if {dropped}: {skip}")
+                if repeats:
+                    instance(f"    l{j} = 0 if {' or '.join(repeats)} else -{var}")
+                else:
+                    instance(f"    l{j} = -{var}")
+                instance(f"else: {var} = l{j} = 0")
+            instance(f"body = ({''.join(f'{l}, ' for l in body)})")
+            if body:
+                instance("if 0 in body: body = tuple(filter(None, body))")
+            instance(f"yield {head}, body")
 
         self._literals = [
             (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
@@ -628,12 +651,14 @@ def iter_matches(
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
-    `budget` undefined ones.  An atom outside the index is false, so a
-    positive literal on one fails and a negative one holds.  Each match
-    comes as its slots and the body literals on index atoms as signed
-    variables, both lists the caller owns; `plan.render` reads a match's
-    ground rule.  The module docstring lists the truth and budget each
-    caller joins under.
+    `budget` undefined ones.  A positive literal on a predicate the plan
+    was given as extensional is taken as true, whatever `values` says: the
+    index must hold only facts of it, true in `values`.  An atom outside
+    the index is false, so a positive literal on one fails and a negative
+    one holds.  Each match comes as its slots and the body literals on
+    index atoms as signed variables, both lists the caller owns;
+    `plan.render` reads a match's ground rule.  The module docstring lists
+    the truth and budget each caller joins under.
     """
     slots = plan._initial if start is None else start
     return plan._join(index, _TRUTH, slots, values, budget)
@@ -723,7 +748,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     ))
     found = list(facts)[len(given):]
     rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)
-    return GroundProgram(index, tuple(facts), rules)
+    return GroundProgram(index, tuple(facts), rules, frozenset(extensional))
 
 
 def _fold_derived(
@@ -796,7 +821,7 @@ def naive_ground_program(program: Program) -> GroundProgram:
                 facts[head] = None
             else:
                 rules[head, body] = None
-    return GroundProgram(table, tuple(facts), tuple(rules))
+    return GroundProgram(table, tuple(facts), tuple(rules), frozenset())
 
 
 def ground_deferred_violations(

@@ -6,6 +6,9 @@ EAGER simulates their unit propagation per assigned literal; POST checks for
 fully violated instances at each propagation fixpoint.  Eager and post keep
 the exhaustive check on total candidates as a safety net, so all four agree
 on the returned models.  Each realization gives the solver only nogoods.
+None of them does work for a literal on an extensional predicate (facts and
+no other defining rule, `GroundProgram.extensional`): it is true from level
+0 on, so no join tests it and no propagator is triggered by it.
 """
 from __future__ import annotations
 
@@ -68,7 +71,11 @@ class ConstraintIndex:
     literal it matches (`_triggers`, planned at the first seeded join, see
     `BodyPlan`): eager from each assigned literal, allowing one undefined
     body literal (the one its nogood infers), and post from each literal
-    assigned since its last call, allowing none.
+    assigned since its last call, allowing none.  Body literals on the
+    program's extensional predicates get no seeded plan, so a fact starts
+    no join; each propagator's first call joins every body in full
+    instead, which covers what the facts alone violate or make unit.  An
+    index serves one solve: eager's first call is the solve's first.
 
     A constraint's full join yields its matches in lexicographic order of
     the variables of its positive literals in written order.  A seeded
@@ -83,18 +90,23 @@ class ConstraintIndex:
                 raise ValueError(f"not a constraint: '{constraint}.'")
         self.constraints = list(constraints)
         self.gp = gp
-        self.plans = [BodyPlan(c) for c in self.constraints]
+        self.plans = [BodyPlan(c, None, gp.extensional) for c in self.constraints]
+        # Whether eager's first call, which also joins every body in full,
+        # is still to come.
+        self._unjoined = True
 
     @cached_property
     def _triggers(self) -> dict[tuple[str, bool], list[tuple[int, BodyPlan]]]:
-        """(constraint position, plan seeded there) for each body literal,
-        by its (predicate, sign)."""
+        """(constraint position, plan seeded there) for each body literal on
+        a predicate that is not extensional, by its (predicate, sign)."""
+        extensional = self.gp.extensional
         triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
         for ci, constraint in enumerate(self.constraints):
             for ei, elem in enumerate(constraint.body):
-                if isinstance(elem, Literal):
+                if isinstance(elem, Literal) and elem.atom.predicate not in extensional:
                     key = (elem.atom.predicate, elem.positive)
-                    triggers.setdefault(key, []).append((ci, BodyPlan(constraint, ei)))
+                    plan = BodyPlan(constraint, ei, extensional)
+                    triggers.setdefault(key, []).append((ci, plan))
         return triggers
 
     def _seeded(
@@ -118,9 +130,22 @@ class ConstraintIndex:
 
         The join is seeded at every body literal `lit` matches, and the rest
         of the body joins over true atoms with at most one undefined literal
-        left (the one the emitted nogood will infer).
+        left (the one the emitted nogood will infer).  A literal on an
+        extensional predicate triggers nothing: its atoms are facts, true
+        before the first call.  So the first call also joins every body in
+        full, in written order, and emits those matches first: they are the
+        instances that the facts alone make unit or falsified.  Any later
+        instance turns unit when a literal on another predicate is assigned,
+        whose trigger finds it.
         """
         matches: list[list[int]] = []
+        if self._unjoined:
+            self._unjoined = False
+            matches = [
+                lits
+                for plan in self.plans
+                for _, lits in iter_matches(plan, self.gp.atoms, solver._assign, 1)
+            ]
         for found in self._seeded(lit, solver._assign, 1):
             matches += (found[key] for key in sorted(found))
         return _new_nogoods(solver, matches)

@@ -68,6 +68,27 @@ class TestSolveCommand:
         out = capsys.readouterr()
         assert out.out == "" and out.err.rstrip().endswith("at 2:1")
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"p(1).\n\xff q.\n", "2:1"),
+            # Columns count characters, and lines end as in text mode.
+            (b"p(1).\r\n% \xc3\xa9 \xc3 q.\n", "2:5"),
+            (b"p(1).\rq(2). \x80", "2:7"),
+        ],
+        ids=["line-start", "after-a-character", "after-a-carriage-return"],
+    )
+    def test_a_byte_not_utf8_exits_one_at_its_location(
+        self, tmp_path, capsys, data, where
+    ):
+        path = tmp_path / "bad.lp"
+        path.write_bytes(data)
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: byte 0x")
+        assert captured.err.rstrip().endswith(f" at {where}")
+        assert captured.out == ""
+
     def test_json_report_validates(self, pi1_file, capsys):
         code = main(["solve", pi1_file, "--strategy", "lazy", "--json"])
         report = json.loads(capsys.readouterr().out)

@@ -159,6 +159,33 @@ class TestCompiledJoin:
                 assert text not in source
         assert first._joins[grounder._TRUTH] is not first._joins[grounder._INSTANCES]
 
+    def test_a_seeded_plan_reads_no_truth_of_an_extensional_literal(self):
+        """Marriage's scores are facts: the truth form seeded at `match`
+        reads the truth of the `match` loops only, and a seeded plan
+        builds no instance form."""
+        program = benchgen.gen_marriage(4, 30, 1)
+        gp = ground_program(program)
+        index = ConstraintIndex(program.deferred_rules(), gp)
+        _, plan = index._triggers["match", True][0]
+        values = [0] * (len(gp.atoms) + 1)
+        for var in gp.facts:
+            values[var] = 1
+        start = plan.start(next(a for a in gp.atoms if a.predicate == "match").args)
+        list(iter_matches(plan, gp.atoms, values, 1, start))
+        source = source_of(plan._joins[grounder._TRUTH])
+        loops = {lit.atom.predicate: [] for lit in plan.positives}
+        for i, lit in enumerate(plan.positives, 1):
+            loops[lit.atom.predicate].append(f"values[v{i}]" in source)
+        assert loops == {
+            "match": [True, True],
+            "manAssignsScore": [False, False],
+            "womanAssignsScore": [False, False],
+        }
+        instance_only = [
+            text for _, forms, text in plan._lines if forms == (grounder._INSTANCES,)
+        ]
+        assert [text for text in instance_only if not text.startswith("def ")] == []
+
     def test_plans_that_differ_by_an_operator_do_not_share_code(self):
         facts = "alpha(1,kilo). beta(1,2,33).\n"
         less, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y < 44.\n")

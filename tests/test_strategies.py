@@ -33,6 +33,16 @@ from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
 
 ALL_KINDS = ["full", "lazy", "eager", "post"]
 
+#: `d` and `e` are extensional: d(X) holds for both X, so each instance of
+#: the deferred constraint is unit from the facts alone.
+FACT_UNIT_TEXT = """\
+d(1). d(2). e(3).
+p(X) :- d(X), not q(X).
+q(X) :- d(X), not p(X).
+%@deferred
+:- d(X), p(X), not e(X).
+"""
+
 
 def ga(pred, *args):
     return Atom(pred, args)
@@ -116,6 +126,45 @@ class TestEagerPropagator:
         for ng in first:
             assert solver.add_nogood(ng) is None or True
         assert index.eager_nogoods(solver, lit) == []  # store-level dedup
+
+    def test_a_fact_alone_makes_an_instance_unit_at_level_0(self):
+        """No trigger runs from a fact: eager's first call joins the bodies
+        in full, and `not p(X)` is inferred before any decision."""
+        program = parse_program(FACT_UNIT_TEXT)
+        gp = ground_program(program)
+        assert gp.extensional == {"d", "e"}
+        index = ConstraintIndex(program.deferred_rules(), gp)
+        callbacks = SolverCallbacks(on_literal_true=index.eager_nogoods)
+        solver = Solver(gp, callbacks=callbacks)
+        assert solver.propagate() is None
+        assert solver.level == 0
+        assert [solver._assign[lit_of(solver, ga("p", x))] for x in (1, 2)] == [-1, -1]
+        full = ground_program(program, include_deferred=True)
+        oracle = {frozenset(m) for m in enumerate_stable_models(full)}
+        assert len(oracle) == 1
+        for seed in range(8):
+            for kind in ALL_KINDS:
+                result = solve(program, kind, seed=seed)
+                assert result.status == "SAT"
+                assert frozenset(result.model) in oracle
+                if kind == "eager":
+                    assert result.stats.conflicts == 0
+
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (lambda: parse_program(FACT_UNIT_TEXT), {("p", True)}),
+            (lambda: benchgen.gen_marriage(4, 30, 1), {("match", True)}),
+        ],
+        ids=["fact-unit", "marriage"],
+    )
+    def test_no_trigger_on_an_extensional_predicate(self, make, want):
+        """Of either sign: the atoms of `d`, `e` and the scores are facts."""
+        program = make()
+        gp = ground_program(program)
+        index = ConstraintIndex(program.deferred_rules(), gp)
+        assert set(index._triggers) == want
+        assert not {predicate for predicate, _ in index._triggers} & gp.extensional
 
     def test_emitted_nogoods_are_ground_instances(self, pi1, monkeypatch):
         """Everything eager emits is the nogood of some instance of Grd(C)."""
@@ -280,9 +329,9 @@ class TestTimeBudget:
         return result
 
     def test_eager_without_a_conflict(self):
-        """Marriage n=45 under `eager` spends seconds on grounding, the
-        build and level-0 propagator calls before any conflict."""
-        self.timed(benchgen.gen_marriage(45, 30, 1), "eager", 0.3)
+        """Marriage n=60 under `eager` spends seconds on grounding, the
+        build and the search, which meets no conflict."""
+        self.timed(benchgen.gen_marriage(60, 30, 1), "eager", 0.3)
 
     def test_a_slow_build(self, monkeypatch):
         build = Solver._build_static
