@@ -18,11 +18,23 @@ negation, so the truth of any literal is `_assign[lit]`.  `_watches[lit]`
 lists the nogoods watching `lit`, visited when it turns true.  Level,
 reason, trail position and phase stay indexed by variable.
 
+A stored nogood of two or more literals watches two of them, `w0` and `w1`,
+an unordered pair: it sits once in the list of each and in no other, and
+nothing reads which of the two is `w0`.  No list holds a deleted nogood:
+the deletion takes its victims out of their watches' lists.
+
 Unit propagation runs the pending trail in order (`_propagate_trail`): for
 each literal it visits the watchers, moves each watch to the first non-true
 literal of the nogood or infers the complement of the other watch, then
 runs the support propagator and the per-literal hook.  Levels never
 decrease along the trail, so a backjump cuts it at the level's start.
+
+The support propagator covers heads with too many rules for completion
+nogoods (`_support_check`).  A body is open while none of its literals is
+false.  An undefined head with one open body, or a true head with two,
+derives nothing, so per head the propagator keeps the first two open
+bodies of its last scan and scans again only once too few of them are
+still open.
 
 A nogood is stored once, under its canonical tuple (`canonical`): its
 distinct literals ordered by variable, which is also its `lits`.  A
@@ -234,6 +246,11 @@ class Solver:
         self._sup_heads: list[int] = []
         self._sup_watch: dict[int, list[int]] = {}
         self._build_static()
+        # Up to two bodies of each support head that were open at its last
+        # scan (`_support_check`).
+        self._sup_open: dict[int, list[tuple[int, ...]]] = {
+            head: [] for head in self._sup_heads
+        }
         self._tight = self._is_tight()
 
     # ------------------------------------------------------------------ setup
@@ -547,7 +564,11 @@ class Solver:
         other watch is false stays; otherwise its watch moves to the first
         non-true literal of the nogood outside both watches, or, with none,
         it infers the complement of the other watch, or is falsified if
-        that one is true too.
+        that one is true too.  The list is compacted in place as it is
+        visited, so the watchers that stay keep their order.  Only the
+        support propagator and the per-literal hook can leave root units,
+        queued nogoods or a root conflict, so a solve with neither runs
+        just the watch loop.
         """
         assign = self._assign
         watches = self._watches
@@ -558,36 +579,31 @@ class Solver:
         phase = self._phase
         sup_watch = self._sup_watch
         cb_lit = self.callbacks.on_literal_true
+        hooked = bool(sup_watch) or cb_lit is not None
         level = len(self._trail_lim)
         head = self._prop_head
+        size = len(trail)
         inferred = 0
         conflict = None
-        while head < len(trail):
+        while head < size:
             lit = trail[head]
             head += 1
             watchers = watches[lit]
-            n = len(watchers)
-            i = j = 0
-            while i < n:
-                ng = watchers[i]
-                i += 1
-                if ng.deleted:
-                    continue
-                w0 = ng.w0
-                w1 = ng.w1
-                other = w1 if w0 == lit else w0
+            j = moved = 0
+            for ng in watchers:
+                other = ng.w0
+                if other == lit:
+                    other = ng.w1
                 ov = assign[other]
                 if ov == -1:  # other watch false: cannot falsify now
                     watchers[j] = ng
                     j += 1
                     continue
                 for l in ng.lits:
-                    if l != w0 and l != w1 and assign[l] != 1:
-                        if w0 == lit:
-                            ng.w0 = l
-                        else:
-                            ng.w1 = l
+                    if l != lit and l != other and assign[l] != 1:
+                        ng.w0, ng.w1 = other, l
                         watches[l].append(ng)
+                        moved += 1
                         break
                 else:
                     watchers[j] = ng
@@ -604,31 +620,34 @@ class Solver:
                         var = -other
                         phase[var] = True
                     level_arr[var] = level
-                    pos[var] = len(trail)
+                    pos[var] = size
                     reasons[var] = ng
                     trail.append(-other)
+                    size += 1
                     inferred += 1
-            if j < i:
-                del watchers[j:i]
+            if moved:
+                del watchers[j : j + moved]
             if conflict is not None:
                 break
-            if sup_watch:
-                for sup_head in sup_watch.get(lit if lit > 0 else -lit, ()):
-                    conflict = self._support_check(sup_head)
+            if hooked:
+                if sup_watch:
+                    for sup_head in sup_watch.get(lit if lit > 0 else -lit, ()):
+                        conflict = self._support_check(sup_head)
+                        if conflict is not None:
+                            break
                     if conflict is not None:
                         break
-                if conflict is not None:
+                if cb_lit is not None:
+                    self.stats.propagator_calls += 1
+                    emitted = cb_lit(self, lit)
+                    if emitted:
+                        self.stats.propagator_nogoods += len(emitted)
+                        conflict, _ = self._apply_emitted(emitted)
+                        if conflict is not None:
+                            break
+                if self._root_units or self.nogood_queue or self._root_conflict is not None:
                     break
-            if cb_lit is not None:
-                self.stats.propagator_calls += 1
-                emitted = cb_lit(self, lit)
-                if emitted:
-                    self.stats.propagator_nogoods += len(emitted)
-                    conflict, _ = self._apply_emitted(emitted)
-                    if conflict is not None:
-                        break
-            if self._root_units or self.nogood_queue or self._root_conflict is not None:
-                break
+                size = len(trail)
         self._prop_head = head
         self.stats.propagations += inferred
         return conflict
@@ -636,31 +655,55 @@ class Solver:
     # ------------------------------------------------------ support propagator
 
     def _support_check(self, head: int) -> Optional[StoredNogood]:
-        """Lazily derive the completion nogood an unsupported head needs."""
-        val = self._assign[head]
+        """Lazily derive the completion nogood an unsupported head needs.
+
+        A body is open while none of its literals is false.  A scan derives
+        nothing for a false head, for an undefined one with an open body
+        and for a true one with two.  So a scan stops at two open bodies
+        and keeps them in `_sup_open`, and while as many of them as the
+        head needs are still open, the next call returns at once.  With
+        fewer, a false literal of each closed body witnesses the nogood
+        derived: the head false with no open body, or each literal of the
+        one open body true under a true head.
+        """
+        assign = self._assign
+        val = assign[head]
         if val == -1:
             return None
-        open_bodies: list[tuple[int, ...]] = []
+        opened = self._sup_open[head]
+        if len(opened) > val:
+            for l in opened[0]:
+                if assign[l] == -1:
+                    break
+            else:
+                if not val:
+                    return None
+                for l in opened[1]:
+                    if assign[l] == -1:
+                        break
+                else:
+                    return None
+        opened = []
         witnesses: list[int] = []
-        assign = self._assign
         for body in self._defs[head]:
-            false_lit = 0
             for l in body:
                 if assign[l] == -1:
-                    false_lit = l
+                    witnesses.append(-l)
                     break
-            if false_lit:
-                witnesses.append(-false_lit)
             else:
-                open_bodies.append(body)
-        if not open_bodies:
+                opened.append(body)
+                if len(opened) == 2:
+                    break
+        self._sup_open[head] = opened
+        if len(opened) > val:
+            return None
+        if not opened:
             return self._install((head, *witnesses))
-        if val == 1 and len(open_bodies) == 1:
-            for l in open_bodies[0]:
-                if assign[l] == 0:
-                    conflict = self._install((head, -l, *witnesses))
-                    if conflict is not None:
-                        return conflict
+        for l in opened[0]:
+            if assign[l] == 0:
+                conflict = self._install((head, -l, *witnesses))
+                if conflict is not None:
+                    return conflict
         return None
 
     # -------------------------------------------------------------- conflicts
@@ -677,6 +720,7 @@ class Solver:
         # Every literal resolved on is true, so `seen` holds trail literals.
         seen: set[int] = set()
         tail: list[int] = []
+        bj = 0  # the highest level in `tail`
         counter = 0
         reason_lits: Sequence[int] = conflict.lits
         skip = 0
@@ -701,6 +745,8 @@ class Solver:
                     counter += 1
                 else:
                     tail.append(l)
+                    if lvl > bj:
+                        bj = lvl
             while trail[idx] not in seen:
                 idx -= 1
             uip = trail[idx]
@@ -713,9 +759,7 @@ class Solver:
                 self._bump_cla(reason)
             reason_lits = reason.lits
             skip = -uip
-        learned = (uip, *tail)
-        bj = max((level_arr[abs(l)] for l in tail), default=0)
-        return learned, bj
+        return (uip, *tail), bj
 
     def resolve_conflict(self, conflict: StoredNogood) -> bool:
         """Learn from a falsified nogood and backjump; False means UNSAT.
@@ -836,6 +880,10 @@ class Solver:
         return True
 
     def delete_constraints_if_needed(self) -> int:
+        """Past the current limit on active learned nogoods, delete the less
+        active half of those with LBD above 2 that are no inference's
+        reason; returns how many went.  Each victim leaves the lists of its
+        two watches, whose other entries keep their order."""
         active = self.stats.learned - self.stats.deleted
         if active <= DELETION_BASE + DELETION_STEP * self._n_reductions:
             return 0
@@ -843,15 +891,14 @@ class Solver:
         locked = {
             self._reason[abs(l)] for l in self._trail if self._reason[abs(l)]
         }
-        candidates = [
-            ng
-            for ng in self._learned
-            if not ng.deleted and ng.lbd > 2 and ng not in locked
-        ]
+        candidates = [ng for ng in self._learned if ng.lbd > 2 and ng not in locked]
         candidates.sort(key=lambda ng: ng.activity)
         victims = candidates[: len(candidates) // 2]
         for ng in victims:
             ng.deleted = True
+        watches = self._watches
+        for lit in {w for ng in victims for w in (ng.w0, ng.w1)}:
+            watches[lit] = [ng for ng in watches[lit] if not ng.deleted]
         self.stats.deleted += len(victims)
         self._learned = [ng for ng in self._learned if not ng.deleted]
         return len(victims)

@@ -250,7 +250,13 @@ def _compiled(source: str) -> Callable:
     digits = _int_digits()
     join = _COMPILED.get((source, digits))
     if join is None:
-        scope = dict(Atom=Atom, _arith=_arith, _ordered=_ordered, _too_long=_too_long)
+        scope = dict(
+            Atom=Atom,
+            _new=tuple.__new__,
+            _arith=_arith,
+            _ordered=_ordered,
+            _too_long=_too_long,
+        )
         scope["_long"] = 10**digits if digits else float("inf")
         exec(compile(source, "<join>", "exec"), scope)
         join = _COMPILED[source, digits] = scope["join"]
@@ -542,7 +548,9 @@ class BodyPlan:
                 head = "h"
                 fields = "".join(f"{n}, " for n in names(rule.head.args))
                 instance(f"h = {probe(rule.head)}")
-                added = f"add(Atom(rule.head.predicate, ({fields})))"
+                # `tuple.__new__` builds the atom without the Python-level
+                # `__new__` of the named tuple.
+                added = f"add(_new(Atom, (rule.head.predicate, ({fields}))))"
                 instance(f"h = h[0][0] if h else {added}")
                 instance(f"if h in facts: {skip}")
             body = []

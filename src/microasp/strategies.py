@@ -216,10 +216,12 @@ def solve(
     handler is installed, and nothing else reads a clock.  The handler
     raises `BudgetSpent` wherever the solve is: in the search `Solver.solve`
     returns TIMEOUT with its stats, before it (or while disarming) this
-    returns TIMEOUT with empty stats.  It needs Unix `setitimer` and the main thread, elsewhere
-    `signal.signal` raises `ValueError`.  No state outliving a solve is left
-    half-updated: the only module-level one, `grounder._COMPILED`, is set in
-    one assignment.
+    returns TIMEOUT with empty stats.  It needs Unix `setitimer` and the
+    main thread, elsewhere `signal.signal` raises `ValueError`.  There is one
+    timer, so a timed solve called from a hook of another timed solve raises
+    `ValueError` before it arms anything, and the outer budget holds.  No
+    state outliving a solve is left half-updated: the only module-level one,
+    `grounder._COMPILED`, is set in one assignment.
     """
     kind = StrategyKind(kind)
     seconds = budget.max_seconds if budget is not None else None
@@ -231,6 +233,8 @@ def solve(
         return SolveResult(TIMEOUT, None, SolveStats())
     import signal  # only for a timed solve: its import takes about 1 ms
 
+    if signal.getsignal(signal.SIGALRM) is _spent:
+        raise ValueError("a timed solve cannot run inside another timed solve")
     hook, disarming = sys.unraisablehook, False
 
     def retry(unraisable) -> None:

@@ -1,9 +1,10 @@
 """Shared fixtures: the running two-loop example, the random-program
-generators used by the equivalence fuzz, and a spy on what the
-deferred-constraint joins return."""
+generators used by the equivalence fuzz, a spy on what the
+deferred-constraint joins return and a dict that counts its reads."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 PI1_TEXT = """\
 a(1) :- not b(1).
@@ -225,6 +226,20 @@ def instance_of(rule, index):
 def lit_of(solver, atom) -> int:
     """The positive solver literal of an atom of the solver's program."""
     return solver.gp.atoms.id_of(atom) + 1
+
+
+class CountedReads(dict):
+    """A dict that counts its reads by key, in `reads`.  As a solver's
+    `_defs` it counts the support propagator's scans of each head's bodies,
+    the only reads by `[]`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
 
 
 class JoinSpy:

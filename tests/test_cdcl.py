@@ -19,6 +19,7 @@ from microasp.oracle import enumerate_stable_models, is_stable_model
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import solve
 from support import (
+    CountedReads,
     PI1_TEXT,
     lit_of,
     random_join_program_text,
@@ -97,6 +98,30 @@ class TestPropagate:
         assert solver.propagate() is None
         assert solver.value_of(lit_of(solver, ga("b", n))) == 1
         assert solver.value_of(lit_of(solver, ga("c", n))) == -1
+
+    def test_support_propagator_scans_only_once_its_open_bodies_close(self):
+        """The support propagator keeps the first two bodies of a head that
+        were open (no false literal) at its last scan.  It scans again only
+        once fewer of them stay open than the head needs to derive nothing:
+        one while the head is undefined, two once it is true."""
+        n = cdcl.COMPLETION_MAX_RULES + 1
+        text = "".join(
+            f"b({i}) :- not nb({i}). nb({i}) :- not b({i}).\n"
+            f"c({i}) :- not nc({i}). nc({i}) :- not c({i}).\n"
+            f"h(1) :- b({i}), not c({i}).\n"
+            for i in range(1, n + 1)
+        )
+        solver = Solver(ground_program(parse_program(text)))
+        solver._defs = defs = CountedReads(solver._defs)
+        h = lit_of(solver, ga("h", 1))
+        assert solver.propagate() is None
+        scans = []
+        for i in (1, 3, 2, "h", 5):
+            solver.decide(h if i == "h" else -lit_of(solver, ga("b", i)))
+            assert solver.propagate() is None
+            scans.append(defs.reads[h])
+        assert scans == [1, 1, 2, 2, 3]
+        assert [solver.value_of(lit_of(solver, ga("b", i))) for i in (4, 6, n)] == [0, 0, 0]
 
 
 class TestAnalyzeConflict:
@@ -445,6 +470,47 @@ class TestRestartsAndDeletion:
         survivors = [ng for ng in solver._learned if ng.lbd == 5]
         acts = [ng.activity for ng in survivors]
         assert min(acts) >= 4100 / 2 - 1  # least active half went away
+
+    def test_watch_lists_hold_each_live_nogood_at_its_two_watches(self, monkeypatch):
+        """The long golden search (restarts and learned-nogood deletion from
+        200 active nogoods on).  At every decision no watch list holds a
+        deleted nogood, and each live stored or learned nogood of two or
+        more literals sits once in the list of each of its two watches and
+        in no other list, which the watch loop relies on."""
+        monkeypatch.setattr(cdcl, "DELETION_BASE", 200)
+        monkeypatch.setattr(cdcl, "DELETION_STEP", 50)
+        gp = ground_program(benchgen.gen_3sat(80, 4.26, 3), include_deferred=True)
+        solver = Solver(gp, seed=1)
+        n = solver._nvars
+        decide = solver.decide
+        broken = []
+
+        def checked_decide(lit):
+            entries = [
+                (ng, w)
+                for w in itertools.chain(range(1, n + 1), range(-n, 0))
+                for ng in solver._watches[w]
+            ]
+            live = [
+                ng
+                for ng in itertools.chain(solver._by_lits.values(), solver._learned)
+                if len(ng.lits) >= 2
+            ]
+            expected = Counter(w for ng in live for w in ((ng, ng.w0), (ng, ng.w1)))
+            broken.append(
+                (
+                    sum(1 for ng, _ in entries if ng.deleted),
+                    sum(1 for ng in live if ng.w0 == ng.w1),
+                    Counter(entries) != expected,
+                )
+            )
+            decide(lit)
+
+        solver.decide = checked_decide
+        assert solver.solve().status == "UNSAT"
+        assert solver.stats.deleted > 0
+        assert len(broken) == solver.stats.decisions > 100
+        assert set(broken) == {(0, 0, False)}
 
 
 class TestNonTight:

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from microasp import benchgen, cdcl
 from microasp.grounder import ground_program
 from microasp.parser import parse_program
 from microasp.strategies import solve
+from support import CountedReads
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -156,6 +158,115 @@ def test_workload_groundings_order_matches_golden():
     ]
     assert len(programs) == 48
     assert ordered_digest(programs) == WORKLOADS_ORDER_SHA256
+
+
+def load_workloads():
+    """perfbench's workload module, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# (workload, instance, strategy) -> (status, counters in FIELDS order) of
+# each solve of the two deferred workloads at benchmark seed 1, run as the
+# benchmark runs them.  Their marriages and packings have heads with 9 to 36
+# rules, past COMPLETION_MAX_RULES, so these searches run the support
+# propagator, which no instance above reaches.
+DEFERRED_GOLDEN = {
+    ("deferred-ground", "marriage-n14-k30-s288545018", "full"): ("SAT", (29, 1, 0, 1, 0, 955, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "marriage-n14-k30-s288545018", "lazy"): ("SAT", (450, 28, 0, 29, 0, 3248, 17, 388, 0, 0, 0)),
+    ("deferred-ground", "marriage-n14-k30-s135520872", "full"): ("SAT", (19, 0, 0, 0, 0, 821, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "marriage-n14-k30-s135520872", "lazy"): ("SAT", (52, 3, 0, 3, 0, 1135, 2, 26, 0, 0, 0)),
+    ("deferred-ground", "marriage-n14-k30-s547756574", "full"): ("SAT", (14, 0, 0, 0, 0, 826, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "marriage-n14-k30-s547756574", "lazy"): ("SAT", (107, 11, 0, 11, 0, 1648, 7, 88, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-3.3.2.2.1", "full"): ("SAT", (126, 28, 0, 28, 0, 1233, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-3.3.2.2.1", "lazy"): ("SAT", (2913, 52, 1, 52, 0, 5002, 47, 616, 0, 0, 0)),
+    ("deferred-ground", "packing-5x5-3.2.2.2", "full"): ("SAT", (8, 1, 0, 1, 0, 174, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-5x5-3.2.2.2", "lazy"): ("SAT", (452, 25, 0, 25, 0, 799, 19, 237, 0, 0, 0)),
+    ("deferred-ground", "packing-7x5-4.3.2.1.1", "full"): ("SAT", (6, 0, 0, 0, 0, 286, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-7x5-4.3.2.1.1", "lazy"): ("SAT", (688, 12, 0, 12, 0, 1113, 10, 614, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-4.2.2.2.2", "full"): ("SAT", (8, 0, 0, 0, 0, 266, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-4.2.2.2.2", "lazy"): ("SAT", (167, 4, 0, 4, 0, 343, 1, 721, 0, 0, 0)),
+    ("deferred-ground", "packing-5x5-3.3", "full"): ("UNSAT", (64, 16, 0, 15, 0, 263, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-5x5-3.3", "lazy"): ("UNSAT", (165, 42, 1, 41, 0, 609, 33, 123, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-4.3.1", "full"): ("UNSAT", (94, 30, 0, 29, 0, 1030, 0, 0, 0, 0, 0)),
+    ("deferred-ground", "packing-6x6-4.3.1", "lazy"): ("UNSAT", (3785, 125, 2, 124, 0, 5558, 113, 369, 0, 0, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s38", "eager"): ("SAT", (6, 0, 0, 0, 0, 420, 0, 0, 426, 18, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s38", "post"): ("SAT", (65, 9, 0, 9, 0, 573, 0, 0, 75, 15, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s9", "eager"): ("SAT", (14, 2, 0, 2, 0, 488, 0, 0, 494, 24, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s9", "post"): ("SAT", (85, 23, 0, 23, 0, 829, 0, 0, 107, 29, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s46", "eager"): ("SAT", (20, 11, 0, 11, 0, 781, 0, 0, 748, 53, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s46", "post"): ("SAT", (102, 27, 0, 27, 0, 956, 0, 0, 130, 32, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s51", "eager"): ("SAT", (15, 8, 0, 8, 0, 704, 0, 0, 684, 54, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s51", "post"): ("SAT", (129, 37, 1, 37, 0, 1237, 0, 0, 163, 48, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s11", "eager"): ("SAT", (21, 15, 0, 15, 0, 1034, 0, 0, 987, 76, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s11", "post"): ("SAT", (138, 48, 1, 48, 0, 1594, 0, 0, 182, 59, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s33", "eager"): ("UNSAT", (13, 11, 0, 10, 0, 839, 0, 0, 800, 73, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s33", "post"): ("UNSAT", (143, 67, 2, 66, 0, 2144, 0, 0, 183, 63, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s32", "eager"): ("UNSAT", (16, 16, 0, 15, 0, 1026, 0, 0, 960, 80, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s32", "post"): ("UNSAT", (134, 59, 1, 58, 0, 2245, 0, 0, 173, 68, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s12", "eager"): ("UNSAT", (25, 21, 0, 20, 0, 1400, 0, 0, 1317, 91, 0)),
+    ("deferred-propagate", "3sat-v24-r4.26-s12", "post"): ("UNSAT", (129, 75, 2, 74, 0, 2470, 0, 0, 170, 57, 0)),
+    ("deferred-propagate", "marriage-n10-k30-s450874518", "eager"): ("SAT", (15, 0, 0, 0, 0, 425, 0, 0, 440, 23, 0)),
+    ("deferred-propagate", "marriage-n10-k30-s450874518", "post"): ("SAT", (54, 2, 0, 2, 0, 536, 0, 0, 57, 4, 0)),
+    ("deferred-propagate", "marriage-n10-k30-s201561926", "eager"): ("SAT", (24, 1, 0, 1, 0, 497, 0, 0, 444, 86, 0)),
+    ("deferred-propagate", "marriage-n10-k30-s201561926", "post"): ("SAT", (399, 26, 0, 26, 0, 1483, 0, 0, 425, 50, 0)),
+}
+
+
+def test_deferred_workloads_search_matches_golden(monkeypatch):
+    """The search of the deferred workloads is pinned, and it reaches both
+    ends of the support propagator: the return on kept open bodies, which
+    skips the scan, and the install of a derived nogood.  Each such return
+    is checked against the scan it skipped: the head had as many open
+    bodies (with no false literal) as it needs to derive nothing, one if
+    undefined and two if true.  Every head here is true when it is
+    checked."""
+    workloads = load_workloads()
+    check, install = cdcl.Solver._support_check, cdcl.Solver._install
+    installs = []
+    paths = Counter()
+
+    def counted_install(solver, lits):
+        installs.append(lits)
+        return install(solver, lits)
+
+    def spied_check(solver, head):
+        if type(solver._defs) is not CountedReads:
+            solver._defs = CountedReads(solver._defs)
+        assign = solver._assign
+        value = assign[head]
+        bodies = dict.__getitem__(solver._defs, head)
+        open_bodies = sum(-1 not in map(assign.__getitem__, body) for body in bodies)
+        scans, installed = solver._defs.reads[head], len(installs)
+        result = check(solver, head)
+        if len(installs) > installed:
+            paths["install"] += 1
+        elif value != -1 and solver._defs.reads[head] == scans:
+            paths["kept"] += 1
+            assert open_bodies > value
+        return result
+
+    monkeypatch.setattr(cdcl.Solver, "_install", counted_install)
+    monkeypatch.setattr(cdcl.Solver, "_support_check", spied_check)
+    found = {}
+    for name in ("deferred-ground", "deferred-propagate"):
+        workload = workloads.WORKLOADS[name]
+        for inst in workload.instances(1):
+            for kind in workload.strategies:
+                result = solve(
+                    parse_program(inst.text),
+                    kind,
+                    seed=workloads.SOLVER_SEED,
+                    budget=cdcl.Budget(max_conflicts=workloads.CONFLICT_BUDGET),
+                )
+                counters = tuple(getattr(result.stats, f) for f in FIELDS)
+                found[name, inst.name, kind] = (result.status, counters)
+    assert found == DEFERRED_GOLDEN
+    assert paths["install"] and paths["kept"], paths
 
 
 LAZY_STATS_SCRIPT = """

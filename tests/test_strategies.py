@@ -443,6 +443,29 @@ class TestTimeBudget:
         assert result.stats == SolveStats()
         assert _unarmed(before)
 
+    def test_a_nested_timed_solve_is_refused(self, pi1):
+        """There is one timer: a timed solve called from a hook of another
+        raises `ValueError` before it arms anything, so the outer solve's
+        handler and timer are intact after it, and the outer budget holds."""
+        before = signal.getsignal(signal.SIGALRM)
+        seen = []
+
+        def on_model(model):
+            with pytest.raises(ValueError, match="inside another timed solve"):
+                solve(pi1, budget=Budget(max_seconds=5.0))
+            seen.append(
+                (
+                    signal.getsignal(signal.SIGALRM) is _spent,
+                    signal.getitimer(signal.ITIMER_REAL)[0],
+                )
+            )
+
+        result = solve(pi1, "lazy", budget=Budget(max_seconds=30.0), on_model=on_model)
+        assert result.status == "SAT"
+        [(handled, left)] = seen
+        assert handled and 0 < left <= 30.0
+        assert _unarmed(before)
+
     def test_off_the_main_thread_is_a_value_error(self, pi1):
         before = signal.getsignal(signal.SIGALRM)
         raised = []
