@@ -10,7 +10,10 @@ into slot locals.  Comparisons become Python operators and a binding `=` an
 assignment, each as soon as its variables are bound; a negative literal is
 a probe of its all-positions table.  The source names slots, tables and
 operators only, so the constants come in through the slots list, and
-plans of one shape share one compiled function (`_compiled`).
+plans of one shape share one compiled function (`_compiled`).  A program
+plans each of its rules once (`Program.plans`, made when it is parsed), and
+every solve of it grounds and checks through those plans; only the plans
+seeded for the propagators are made per solve, by its `ConstraintIndex`.
 
 A join has two forms.  `iter_matches` runs the truth form: it reads each
 atom's truth from a list indexed by solver variable, lets at most `budget`
@@ -74,11 +77,13 @@ Instance = tuple[int, tuple[int, ...]]
 
 
 class GroundingError(Exception):
-    """A rule that cannot be grounded: `message` says why, and the text
-    adds the rule's source location in the parser's style, if it has one."""
+    """A rule that cannot be grounded: `message` says why and `rule` is
+    the rule, and the text adds its source location in the parser's style,
+    if it has one."""
 
     def __init__(self, message: str, rule: Rule):
         self.message = message
+        self.rule = rule
         where = f" at {rule.line}:{rule.column}" if rule.line else ""
         super().__init__(f"{message}{where}")
 
@@ -246,7 +251,7 @@ _COMPILED: dict[tuple[str, int], Callable] = {}
 
 def _compiled(source: str) -> Callable:
     """The generator function `join` that a join's source defines, its sums
-    bound by `=` held to the present digit limit."""
+    bound by `=` held to the present digit limit, which is its `digits`."""
     digits = _int_digits()
     join = _COMPILED.get((source, digits))
     if join is None:
@@ -260,6 +265,7 @@ def _compiled(source: str) -> Callable:
         scope["_long"] = 10**digits if digits else float("inf")
         exec(compile(source, "<join>", "exec"), scope)
         join = _COMPILED[source, digits] = scope["join"]
+        join.digits = digits
     return join
 
 
@@ -324,8 +330,12 @@ class BodyPlan:
     among a truth-form match's literals.  The instance form folds the other
     fact variables in.  A seeded plan only ever runs the truth form, so it
     builds no instance form.  A form is compiled at the plan's first join
-    with it, never here, as the parser plans each rule only for its safety
-    check.
+    with it, never here: a program's plans are made when it is parsed, for
+    its safety check, and a solve may run only some of their forms.
+
+    A plan serves any solve of its program, also two at once (a solve
+    started from a hook of another, or solves on threads): `_join` keeps
+    no state of one solve that another could pair with its own.
     """
 
     def __init__(
@@ -597,27 +607,31 @@ class BodyPlan:
         self._lines = lines
         self._accesses = list(accesses)
         self._initial = initial
-        # The index last joined over, the `get`s of its tables, which `add`
-        # keeps current, and the join's forms once compiled.
-        self._index: Optional[AtomIndex] = None
-        self._gets: list[Callable] = []
+        # The index last joined over with the `get`s of its tables, which
+        # `add` keeps current, as one pair; and the join's forms once
+        # compiled, each under the digit limit it was last run under.
+        self._bound: tuple[Optional[AtomIndex], list[Callable]] = (None, [])
         self._joins: dict[str, Callable] = {}
 
     def _join(self, index: AtomIndex, form: str, slots: list, *args) -> Iterator:
         """Run one form of the join over the index from the slots, compiling
-        it at its first use: the truth form takes the truth values and the
-        budget, the instance form the fact variables and the index's `add`."""
-        if self._index is not index:
-            self._gets = [index.table(p, positions).get for p, positions in self._accesses]
-            self._index = index
+        it at its first use under the present digit limit: the truth form
+        takes the truth values and the budget, the instance form the fact
+        variables and the index's `add`.  The index and its `get`s are read
+        and bound as one pair, so a join never runs over the tables of
+        another solve's index."""
+        bound = self._bound
+        if bound[0] is not index:
+            gets = [index.table(p, positions).get for p, positions in self._accesses]
+            bound = self._bound = (index, gets)
         join = self._joins.get(form)
-        if join is None:
+        if join is None or join.digits != _int_digits():
             join = self._joins[form] = _compiled("".join(
                 f"{'    ' * depth}{text}\n"
                 for depth, forms, text in self._lines
                 if form in forms
             ))
-        return join(slots, self._gets, self.rule, *args)
+        return join(slots, bound[1], self.rule, *args)
 
     def start(self, args: tuple[Term, ...]) -> Optional[list]:
         """Slots binding the seed literal's variables to the arguments of a
@@ -701,8 +715,9 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     only match atoms derivable by some rule, so the result is usually far
     smaller than the full instantiation while having the same stable models.
     The index of the derivable atoms becomes the program's atom table.
-    `rule.is_fact` is read once per rule, for the extensional predicates,
-    the plans and the fact variables alike.
+    The rules join through the program's own plans (`Program.plans`, None
+    for a fact) over its extensional predicates (`Program.extensional`),
+    which deferred constraints, defining nothing, leave the same.
 
     The fixpoint runs in rounds.  The first adds each fact's head at its
     turn.  In every round each rule with a head runs its instance form,
@@ -714,22 +729,9 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     before it through `_fold_derived`.
     """
     kept = [
-        rule
-        for i, rule in enumerate(program.rules)
+        (rule, plan)
+        for i, (rule, plan) in enumerate(zip(program.rules, program.plans))
         if include_deferred or i not in program.deferred
-    ]
-    is_fact = [rule.is_fact for rule in kept]
-    defined = [
-        (rule.head.predicate, fact)
-        for rule, fact in zip(kept, is_fact)
-        if rule.head is not None
-    ]
-    extensional = {p for p, fact in defined if fact} - {
-        p for p, fact in defined if not fact
-    }
-    plans = [
-        None if fact else BodyPlan(rule, None, extensional)
-        for rule, fact in zip(kept, is_fact)
     ]
     index = AtomIndex()
     given: dict[int, None] = {}  # the fact rules' variables
@@ -738,7 +740,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
         size = len(index)
         # Each rule's instances in this round, None for a constraint.
         facts, joined = dict(given), []
-        for rule, plan in zip(kept, plans):
+        for rule, plan in kept:
             own = None if rule.head is None else []
             joined.append(own)
             if plan is None:
@@ -752,11 +754,11 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
                         facts[inst[0]] = None
     instances = dict.fromkeys(itertools.chain.from_iterable(
         _instances(plan, index, facts) if own is None else own
-        for plan, own in zip(plans, joined)
+        for (_, plan), own in zip(kept, joined)
     ))
     found = list(facts)[len(given):]
     rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)
-    return GroundProgram(index, tuple(facts), rules, frozenset(extensional))
+    return GroundProgram(index, tuple(facts), rules, program.extensional)
 
 
 def _fold_derived(

@@ -8,17 +8,23 @@ args), so it is built, hashed and compared in C, and a ground atom is a
 tuple of plain values.  Rules have at most one head atom; a rule without a
 head is a constraint and a rule with a ground head and empty body is a fact.
 Where a body's comparisons and negative literals are evaluated, and so
-which rules are safe, is decided by the join planner, `grounder.BodyPlan`.
+which rules are safe, is decided by the join planner, `grounder.BodyPlan`;
+a `Program` plans each of its rules once and keeps the plans.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    from .grounder import BodyPlan
 
 
-@dataclass(frozen=True)
-class Var:
-    """A variable; the only term that is not the value it denotes."""
+class Var(NamedTuple):
+    """A variable; the only term that is not the value it denotes.  Being a
+    named tuple, it hashes in C, and it never equals a ground term, which is
+    an `int` or a `str`."""
 
     name: str
 
@@ -122,13 +128,47 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
-    """Parsed program plus the indices of constraints marked for deferral."""
+    """Parsed program plus the indices of constraints marked for deferral.
+
+    A program is planned once: `extensional` and `plans` are computed at
+    their first read and kept with the program (a `cached_property` writes
+    the instance `__dict__`, which a frozen dataclass allows).  The parser
+    reads `plans` for its safety check, and every solve of the program
+    grounds and joins through them, so a plan holds no state of one solve.
+    """
 
     rules: tuple[Rule, ...] = ()
     deferred: frozenset[int] = frozenset()
 
     def deferred_rules(self) -> list[Rule]:
         return [self.rules[i] for i in sorted(self.deferred)]
+
+    def deferred_plans(self) -> list[Optional[BodyPlan]]:
+        return [self.plans[i] for i in sorted(self.deferred)]
+
+    @cached_property
+    def extensional(self) -> frozenset[str]:
+        """The predicates with facts and no other defining rule.  Deferred
+        constraints define nothing, so a solve that leaves them out of its
+        ground program has the same set."""
+        fact, other = set(), set()
+        for rule in self.rules:
+            if rule.head is not None:
+                (fact if rule.is_fact else other).add(rule.head.predicate)
+        return frozenset(fact - other)
+
+    @cached_property
+    def plans(self) -> tuple[Optional[BodyPlan], ...]:
+        """Each rule's `BodyPlan` over the extensional predicates, None for
+        a fact.  Planning fails on the first unsafe rule in rule order with
+        a `GroundingError`."""
+        from .grounder import BodyPlan  # the planner imports this module
+
+        extensional = self.extensional
+        return tuple(
+            None if rule.is_fact else BodyPlan(rule, None, extensional)
+            for rule in self.rules
+        )
 
 
 @dataclass(frozen=True)

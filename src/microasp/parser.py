@@ -11,17 +11,24 @@ input, or after a `.` token with only whitespace, comments and `%@deferred`
 marks in between) it first tries `_FACT_RE`: `name(c1,...,cn).` with no
 blanks inside, each `ci` an integer or a symbol other than `not`.  A match
 is one `fact` token holding the statement's text, which the parser turns
-into its rule directly, with the arity check but without the safety check,
-as the rule is ground.  Anything else, including a fact with blanks inside
-or with no arguments, goes through the general tokenizer and parser, so
-errors and their locations do not depend on the fast path.
+into its rule directly, with the arity check.  Anything else, including a
+fact with blanks inside or with no arguments, goes through the general
+tokenizer and parser, so errors and their locations do not depend on the
+fast path.
+
+The safety check is the program's plans: `parse` plans every rule that is
+not a fact (`Program.plans`), and the planner's `GroundingError` for the
+first unsafe rule becomes a `SafetyError` at that rule.  The plans are kept
+with the program, so its solves plan no rule again.
 """
 from __future__ import annotations
 
 import re
 
-from .grounder import BodyPlan, GroundingError
+from .grounder import GroundingError
 from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
+
+_new_rule, _new_atom, _set = object.__new__, tuple.__new__, object.__setattr__
 
 
 class ParseError(Exception):
@@ -149,7 +156,6 @@ class _Parser:
 
     def parse(self) -> Program:
         rules: list[Rule] = []
-        planned: list[Rule] = []  # to check for safety: fact tokens are ground
         deferred: set[int] = set()
         while self._peek().kind != "eof":
             mark = None
@@ -159,7 +165,6 @@ class _Parser:
                 rule = self._fact(self._next())
             else:
                 rule = self._statement()
-                planned.append(rule)
             if mark is not None:
                 if not rule.is_constraint:
                     raise ParseError(
@@ -169,12 +174,18 @@ class _Parser:
                     )
                 deferred.add(len(rules))
             rules.append(rule)
-        for rule in planned:
-            self._check_safety(rule)
-        return Program(tuple(rules), frozenset(deferred))
+        program = Program(tuple(rules), frozenset(deferred))
+        try:
+            program.plans  # planned once, here: the safety check
+        except GroundingError as exc:
+            raise SafetyError(exc.message, exc.rule.line, exc.rule.column) from None
+        return program
 
     def _fact(self, tok: _Token) -> Rule:
-        """The rule of a fact token, whose text is `name(c1,...,cn).`."""
+        """The rule of a fact token, whose text is `name(c1,...,cn).`.  Most
+        rules of an instance are facts, so its atom and rule are built
+        without their Python-level constructors, `Rule`'s being a frozen
+        dataclass's that sets each field through `object.__setattr__`."""
         name, args = tok.text[:-2].split("(")
         try:
             terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
@@ -186,7 +197,12 @@ class _Parser:
                 column += len(t) + 1
             raise
         self._check_arity(name, len(terms), tok)
-        return Rule(Atom(name, terms), line=tok.line, column=tok.column)
+        rule = _new_rule(Rule)
+        _set(rule, "head", _new_atom(Atom, (name, terms)))
+        _set(rule, "body", ())
+        _set(rule, "line", tok.line)
+        _set(rule, "column", tok.column)
+        return rule
 
     def _statement(self) -> Rule:
         start = self._peek()
@@ -284,16 +300,6 @@ class _Parser:
                 raise ParseError("'not' is reserved", tok.line, tok.column)
             return tok.text
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
-
-    def _check_safety(self, rule: Rule) -> None:
-        """Plan the body of a rule with variables, which fails when one of
-        them is unsafe."""
-        if not rule.variables():
-            return
-        try:
-            BodyPlan(rule)
-        except GroundingError as exc:
-            raise SafetyError(exc.message, rule.line, rule.column) from None
 
 
 def parse_program(text: str) -> Program:

@@ -26,7 +26,7 @@ from .grounder import (
     ground_program,
     iter_matches,
 )
-from .model import GroundRule, Literal, Program, Rule
+from .model import GroundRule, Literal, Program
 
 
 class StrategyKind(str, Enum):
@@ -64,18 +64,21 @@ class ConstraintIndex:
 
     The joins run over the program's atom index (`gp.atoms`) and read truth
     off `solver._assign` at query time, so no per-assignment bookkeeping is
-    needed.  The lazy check is the full join of each constraint on a total
-    candidate, over `plans`.  The propagators, `eager_nogoods` and
-    `post_nogoods`, are the solver's hooks and return nogoods.  They join
-    outward from a trail literal, through the plan seeded at each body
-    literal it matches (`_triggers`, planned at the first seeded join, see
-    `BodyPlan`): eager from each assigned literal, allowing one undefined
-    body literal (the one its nogood infers), and post from each literal
-    assigned since its last call, allowing none.  Body literals on the
-    program's extensional predicates get no seeded plan, so a fact starts
-    no join; each propagator's first call joins every body in full
-    instead, which covers what the facts alone violate or make unit.  An
-    index serves one solve: eager's first call is the solve's first.
+    needed.  `plans` are the deferred constraints' plans, the program's own
+    (`Program.deferred_plans`), which its every solve shares.  The lazy
+    check is the full join of each constraint on a total candidate, over
+    them.  The propagators, `eager_nogoods` and `post_nogoods`, are the
+    solver's hooks and return nogoods.  They join outward from a trail
+    literal, through the plan seeded at each body literal it matches
+    (`_triggers`, planned at the first seeded join, see `BodyPlan`): eager
+    from each assigned literal, allowing one undefined body literal (the one
+    its nogood infers), and post from each literal assigned since its last
+    call, allowing none.  `_fired` holds those triggers by literal, indexed
+    like `Solver._assign`, so a literal with none starts no join.  Body
+    literals on the program's extensional predicates get no seeded plan, so
+    a fact starts no join; each propagator's first call joins every body in
+    full instead, which covers what the facts alone violate or make unit.
+    An index serves one solve: eager's first call is the solve's first.
 
     A constraint's full join yields its matches in lexicographic order of
     the variables of its positive literals in written order.  A seeded
@@ -84,13 +87,15 @@ class ConstraintIndex:
     and post emits the new matches in the full join's order.
     """
 
-    def __init__(self, constraints: Sequence[Rule], gp: GroundProgram):
-        for constraint in constraints:
-            if constraint.head is not None:
-                raise ValueError(f"not a constraint: '{constraint}.'")
-        self.constraints = list(constraints)
+    def __init__(self, plans: Sequence[Optional[BodyPlan]], gp: GroundProgram):
+        for plan in plans:
+            if plan is None:  # a fact has no plan
+                raise ValueError("not a constraint: a fact")
+            if plan.rule.head is not None:
+                raise ValueError(f"not a constraint: '{plan.rule}.'")
+        self.plans = list(plans)
+        self.constraints = [plan.rule for plan in self.plans]
         self.gp = gp
-        self.plans = [BodyPlan(c, None, gp.extensional) for c in self.constraints]
         # Whether eager's first call, which also joins every body in full,
         # is still to come.
         self._unjoined = True
@@ -109,13 +114,23 @@ class ConstraintIndex:
                     triggers.setdefault(key, []).append((ci, plan))
         return triggers
 
+    @cached_property
+    def _fired(self) -> list[Sequence[tuple[int, BodyPlan]]]:
+        """The triggers of each literal, indexed like `Solver._assign`: a
+        literal's are those of its predicate and sign, () for none."""
+        fired: list = [()] * (2 * len(self.gp.atoms) + 1)
+        for (predicate, positive), triggers in self._triggers.items():
+            for var, _ in self.gp.atoms.table(predicate, ())[()]:
+                fired[var if positive else -var] = triggers
+        return fired
+
     def _seeded(
         self, lit: int, values: Sequence[int], budget: int
     ) -> Iterator[Matches]:
-        """For each body literal that the true literal `lit` matches, in
-        trigger order, the matches of the join seeded there, by key."""
+        """For each of the true literal `lit`'s triggers, in order, the
+        matches of the join seeded at its body literal, by key."""
         atom = self.gp.atoms.atom(abs(lit) - 1)
-        for ci, plan in self._triggers.get((atom.predicate, lit > 0), ()):
+        for ci, plan in self._fired[lit]:
             start = plan.start(atom.args)
             if start is None:
                 continue
@@ -136,8 +151,11 @@ class ConstraintIndex:
         full, in written order, and emits those matches first: they are the
         instances that the facts alone make unit or falsified.  Any later
         instance turns unit when a literal on another predicate is assigned,
-        whose trigger finds it.
+        whose trigger finds it.  After the first call, a literal with no
+        trigger returns at once.
         """
+        if not (self._fired[lit] or self._unjoined):
+            return []
         matches: list[list[int]] = []
         if self._unjoined:
             self._unjoined = False
@@ -169,9 +187,11 @@ class ConstraintIndex:
             ]
         else:
             found: Matches = {}
+            fired = self._fired
             for lit in trail[mark:]:
-                for more in self._seeded(lit, solver._assign, 0):
-                    found.update(more)
+                if fired[lit]:
+                    for more in self._seeded(lit, solver._assign, 0):
+                        found.update(more)
             matches = [found[key] for key in sorted(found)]
         return _new_nogoods(solver, matches)
 
@@ -269,7 +289,7 @@ def solve(
 def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResult:
     full = kind is StrategyKind.FULL
     gp = ground_program(program, include_deferred=full)
-    deferred: list[Rule] = [] if full else program.deferred_rules()
+    deferred = [] if full else program.deferred_plans()
 
     callbacks = SolverCallbacks()
     index = ConstraintIndex(deferred, gp) if deferred else None

@@ -165,7 +165,7 @@ class TestCompiledJoin:
         builds no instance form."""
         program = benchgen.gen_marriage(4, 30, 1)
         gp = ground_program(program)
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         _, plan = index._triggers["match", True][0]
         values = [0] * (len(gp.atoms) + 1)
         for var in gp.facts:
@@ -461,7 +461,7 @@ class TestGroundDeferredViolations:
     def test_rejects_non_constraint(self):
         program = parse_program("b(1).\na(1) :- b(1).\n")
         with pytest.raises(ValueError, match="not a constraint"):
-            ConstraintIndex(program.rules[1:], ground_program(program))
+            ConstraintIndex(program.plans[1:], ground_program(program))
 
     def test_matches_naive_instantiation(self):
         """Cross-check the join against filtering the naive instantiation."""

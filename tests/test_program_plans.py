@@ -1,0 +1,194 @@
+"""A program is planned once: `Program.plans` serve the parser's safety
+check, the grounder and the propagators of every solve of the program,
+which must solve as a fresh parse of its text does."""
+import dataclasses
+import sys
+import threading
+
+import pytest
+
+from microasp import benchgen, strategies
+from microasp.cdcl import Solver
+from microasp.grounder import BodyPlan, ground_program
+from microasp.model import Atom, Literal, Program, Rule, Var
+from microasp.parser import parse_program
+from microasp.strategies import ConstraintIndex, solve
+from support import PI1_DEFERRED_TEXT
+
+KINDS = ["full", "lazy", "eager", "post"]
+
+TEXTS = {
+    "3sat": benchgen.sat_program_text(benchgen.make_3sat(20, 4.26, 1)),
+    "marriage": benchgen.marriage_program_text(benchgen.make_marriage(5, 30, 1)),
+    "packing": benchgen.packing_program_text(benchgen.make_packing(3, 3, [2, 1, 1])),
+    "pi1": PI1_DEFERRED_TEXT,
+}
+
+
+def outcome(result):
+    return result.status, dataclasses.asdict(result.stats), result.model
+
+
+def fresh(text):
+    """Each strategy's outcome on a parse of its own."""
+    return {kind: outcome(solve(parse_program(text), kind, seed=1)) for kind in KINDS}
+
+
+def enumerate_some(inner=lambda: None):
+    """An `on_model` that calls `inner()` at each model and blocks the
+    first three models, and the list the models go to."""
+    models = []
+
+    def on_model(model):
+        inner()
+        models.append(model)
+        return [[Literal(a) for a in model]] if len(models) < 3 else None
+
+    return on_model, models
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+class TestSharedPlans:
+    def test_solving_one_program_again_matches_fresh_parses(self, name):
+        want = fresh(TEXTS[name])
+        program = parse_program(TEXTS[name])
+        for _ in range(2):
+            for kind in KINDS:
+                assert outcome(solve(program, kind, seed=1)) == want[kind]
+
+    def test_a_solve_inside_another_of_the_same_program(self, name):
+        """The inner solves rebind the program's plans to their own atom
+        index; the outer solve goes on over its own."""
+        text = TEXTS[name]
+        want = fresh(text)
+        program = parse_program(text)
+        for kind in KINDS:
+            on_model, models = enumerate_some()
+            outer = outcome(solve(parse_program(text), kind, seed=1, on_model=on_model))
+            inner = []
+
+            def solve_inner():
+                inner.append({k: outcome(solve(program, k, seed=1)) for k in KINDS})
+
+            on_model, nested = enumerate_some(solve_inner)
+            assert outcome(solve(program, kind, seed=1, on_model=on_model)) == outer
+            assert nested == models
+            assert inner and all(got == want for got in inner)
+
+    def test_solves_on_threads(self, name):
+        want = fresh(TEXTS[name])
+        program = parse_program(TEXTS[name])
+        got = []
+
+        def run():
+            for kind in KINDS * 2:
+                got.append((kind, outcome(solve(program, kind, seed=1))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4 * 2 * len(KINDS)
+        assert all(result == want[kind] for kind, result in got)
+
+
+class TestPlannedOnce:
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        """The seed of every plan made, in order."""
+        seeds = []
+        original = BodyPlan.__init__
+
+        def spy(plan, rule, seed=None, *args):
+            seeds.append(seed)
+            original(plan, rule, seed, *args)
+
+        monkeypatch.setattr(BodyPlan, "__init__", spy)
+        return seeds
+
+    def test_a_solve_plans_no_rule_again(self, seeds):
+        program = parse_program(TEXTS["marriage"])
+        assert seeds == [None] * sum(not rule.is_fact for rule in program.rules)
+        assert [plan is None for plan in program.plans] == [
+            rule.is_fact for rule in program.rules
+        ]
+        planned = len(seeds)
+        for kind in ("full", "lazy"):
+            solve(program, kind, seed=1)
+        assert len(seeds) == planned
+        for kind in ("eager", "post"):
+            solve(program, kind, seed=1)
+            assert len(seeds) > planned and None not in seeds[planned:]
+            planned = len(seeds)
+
+    def test_a_program_built_directly_plans_at_its_first_solve(self, seeds):
+        parsed = parse_program(PI1_DEFERRED_TEXT)
+        program = dataclasses.replace(parsed)
+        del seeds[:]
+        solve(program, "lazy", seed=1)
+        assert seeds == [None] * len(program.rules)
+        assert program.plans is program.plans
+        assert program.extensional == parsed.extensional == frozenset()
+
+
+@pytest.mark.parametrize("kind", ["lazy", "eager", "post"])
+def test_a_deferred_fact_is_rejected_before_search(kind):
+    """A fact has no plan; a program built directly may still mark one."""
+    base = parse_program("p(1).\n:- p(1).\n")
+    with pytest.raises(ValueError, match="not a constraint"):
+        solve(Program(base.rules, frozenset({0})), kind)
+
+
+class TestTriggersByLiteral:
+    def test_each_literal_holds_the_triggers_of_its_predicate_and_sign(self):
+        program = parse_program(TEXTS["marriage"])
+        gp = ground_program(program)
+        index = ConstraintIndex(program.deferred_plans(), gp)
+        assert len(index._fired) == 2 * len(gp.atoms) + 1
+        for var, atom in enumerate(gp.atoms, 1):
+            for lit in (var, -var):
+                want = index._triggers.get((atom.predicate, lit > 0), [])
+                assert list(index._fired[lit]) == want
+
+    def test_eager_joins_nothing_for_a_literal_with_no_trigger(self, monkeypatch):
+        joins = []
+        original = strategies.iter_matches
+
+        def spy(*args):
+            joins.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(strategies, "iter_matches", spy)
+        program = parse_program(TEXTS["marriage"])
+        gp = ground_program(program)
+        index = ConstraintIndex(program.deferred_plans(), gp)
+        solver = Solver(gp)
+        solver.propagate()
+        quiet = next(v for v in range(1, len(gp.atoms) + 1) if not index._fired[v])
+        index.eager_nogoods(solver, quiet)  # the first call joins in full
+        assert joins
+        del joins[:]
+        assert index.eager_nogoods(solver, quiet) == [] and joins == []
+
+
+class TestModel:
+    def test_a_variable_is_a_named_tuple_unequal_to_any_ground_term(self):
+        x = Var("X")
+        assert isinstance(x, tuple) and x == Var("X") and str(x) == "X"
+        assert len({x: 0, "X": 1, Var("Y"): 2}) == 3
+
+    def test_a_fact_token_builds_the_rule_its_constructor_would(self):
+        (rule,) = parse_program("\n  p(1,a).\n").rules
+        built = Rule(Atom("p", (1, "a")), line=2, column=3)
+        assert rule == built and hash(rule) == hash(built)
+        assert type(rule.head) is Atom and rule.head == built.head
+        assert vars(rule) == vars(built)
+        # Set field by field, the rule's dict shares its class's keys.
+        assert sys.getsizeof(vars(rule)) == sys.getsizeof(vars(built))

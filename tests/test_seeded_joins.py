@@ -129,7 +129,7 @@ class TestSeededJoinDifferential:
         checked = programs = 0
         for program in fuzz_programs(150):
             gp = ground_program(program)
-            index = ConstraintIndex(program.deferred_rules(), gp)
+            index = ConstraintIndex(program.deferred_plans(), gp)
             for _ in range(8):
                 values = [0] + [rng.choice((-1, 0, 1)) for _ in gp.atoms]
                 checked += assert_seeded_matches_written(index, values, budget)
@@ -151,7 +151,7 @@ class TestSeededJoinDifferential:
         written one; facts true, the rest at random."""
         program = make()
         gp = ground_program(program)
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         rng = random.Random(7)
         facts = set(gp.facts)
         values = [0] + [
@@ -187,7 +187,7 @@ def reordered_at_s():
     """A solver with the facts propagated and s(5) decided, and the index."""
     program = parse_program(REORDERED_TEXT)
     gp = ground_program(program)
-    index = ConstraintIndex(program.deferred_rules(), gp)
+    index = ConstraintIndex(program.deferred_plans(), gp)
     solver = Solver(gp)
     assert solver.propagate() is None
     assert index.post_nogoods(solver) == []  # the full join; sets the mark

@@ -106,7 +106,7 @@ class TestEagerPropagator:
 
     def test_untouched_predicate_emits_nothing(self, pi1):
         gp = ground_program(pi1)
-        index = ConstraintIndex(pi1.deferred_rules(), gp)
+        index = ConstraintIndex(pi1.deferred_plans(), gp)
         solver = Solver(gp)
         solver.propagate()
         lit = lit_of(solver, ga("c", 1))
@@ -115,7 +115,7 @@ class TestEagerPropagator:
 
     def test_replay_is_idempotent(self, pi1):
         gp = ground_program(pi1)
-        index = ConstraintIndex(pi1.deferred_rules(), gp)
+        index = ConstraintIndex(pi1.deferred_plans(), gp)
         solver = Solver(gp)
         solver.propagate()
         lit = lit_of(solver, ga("a", 1))
@@ -133,7 +133,7 @@ class TestEagerPropagator:
         program = parse_program(FACT_UNIT_TEXT)
         gp = ground_program(program)
         assert gp.extensional == {"d", "e"}
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         callbacks = SolverCallbacks(on_literal_true=index.eager_nogoods)
         solver = Solver(gp, callbacks=callbacks)
         assert solver.propagate() is None
@@ -162,7 +162,7 @@ class TestEagerPropagator:
         """Of either sign: the atoms of `d`, `e` and the scores are facts."""
         program = make()
         gp = ground_program(program)
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         assert set(index._triggers) == want
         assert not {predicate for predicate, _ in index._triggers} & gp.extensional
 
@@ -183,7 +183,7 @@ class TestEagerPropagator:
 class TestPostPropagator:
     def test_detects_violation_at_fixpoint(self, pi1):
         gp = ground_program(pi1)
-        index = ConstraintIndex(pi1.deferred_rules(), gp)
+        index = ConstraintIndex(pi1.deferred_plans(), gp)
         solver = Solver(gp)
         solver.propagate()
         solver.decide(lit_of(solver, ga("a", 1)))
@@ -194,7 +194,7 @@ class TestPostPropagator:
 
     def test_quiet_fixpoint_emits_nothing(self, pi1):
         gp = ground_program(pi1)
-        index = ConstraintIndex(pi1.deferred_rules(), gp)
+        index = ConstraintIndex(pi1.deferred_plans(), gp)
         solver = Solver(gp)
         solver.propagate()
         solver.decide(-lit_of(solver, ga("a", 1)))
@@ -221,7 +221,7 @@ class TestPostPropagator:
             installed.extend(out)
             return out
 
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         solver = Solver(
             gp,
             callbacks=SolverCallbacks(on_propagation_fixpoint=spy_fixpoint),
@@ -255,7 +255,7 @@ class TestCheckTotalCandidate:
     @staticmethod
     def check(program, true_atoms):
         gp = ground_program(program)
-        index = ConstraintIndex(program.deferred_rules(), gp)
+        index = ConstraintIndex(program.deferred_plans(), gp)
         values = [0] + [1 if atom in true_atoms else -1 for atom in gp.atoms]
         return gp, [
             (str(index.constraints[ci]), lits)
@@ -293,9 +293,10 @@ class TestHooks:
             original(plan, rule, seed, *args)
 
         monkeypatch.setattr(BodyPlan, "__init__", spy)
-        assert solve(self.DEFERRED, "lazy", seed=1).stats.invalidations >= 1
+        program = benchgen.gen_marriage(4, 30, 1)  # planned as it is parsed
+        assert solve(program, "lazy", seed=1).stats.invalidations >= 1
         assert seeds and set(seeds) == {None}
-        solve(self.DEFERRED, "eager", seed=1)  # the spy sees a seeded plan
+        solve(program, "eager", seed=1)  # the spy sees a seeded plan
         assert set(seeds) > {None}
 
     @pytest.mark.parametrize("kind", ["eager", "post"])
