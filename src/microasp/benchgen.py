@@ -8,6 +8,7 @@ input syntax; the expensive constraints of each family carry the
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -32,6 +33,8 @@ def make_3sat(v: int, ratio: float, seed: int) -> SatInstance:
     distinct variables per clause with independent random signs."""
     if v < 3:
         raise ValueError("need at least 3 variables")
+    if not 0 <= ratio < math.inf:
+        raise ValueError(f"clause ratio {ratio} is not finite and non-negative")
     rng = random.Random(seed)
     n_clauses = int(ratio * v + 0.5)
     clauses = []

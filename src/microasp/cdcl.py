@@ -529,12 +529,6 @@ class Solver:
                         return conflict
                     if progressed:
                         continue
-            if (
-                self._root_units
-                or self.nogood_queue
-                or self._prop_head < len(self._trail)
-            ):
-                continue
             return None
 
     def _apply_emitted(

@@ -12,15 +12,15 @@ a probe of its all-positions table.  The source names slots, tables and
 operators only, so the constants come in through the slots list, and
 plans of one shape share one compiled function (`_compiled`).  A program
 plans each of its rules once (`Program.plans`, made when it is parsed), and
-every solve of it grounds and checks through those plans; only the plans
-seeded for the propagators are made per solve, by its `ConstraintIndex`.
+every solve of it grounds and checks through those plans, the propagators'
+seeded plans included, made at the first solve that reads them.
 
 A join has two forms.  `iter_matches` runs the truth form: it reads each
 atom's truth from a list indexed by solver variable, lets at most `budget`
 body literals be undefined and returns each match's slots and literals.
-Its callers join over a `GroundProgram`, whose extensional predicates hold
-facts only, so a positive literal on one is taken as true without a read.
-They are:
+Its callers join over a `GroundProgram` of the plan's program, where the
+plan's extensional predicates hold facts only, so a positive literal on one
+is taken as true without a read.  They are:
 
 * the lazy check: the solver assignment with budget 0 on a total candidate;
 * the eager propagator: the solver assignment with budget 1, in full at its
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
@@ -89,10 +90,8 @@ class GroundingError(Exception):
 
 
 def _key_of(positions: Sequence[int]) -> Callable:
-    """The key of a sequence at `positions`: () for none, the value itself
+    """The key of a sequence at one or more `positions`: the value itself
     for one, a tuple for more.  Tables and plans build keys alike."""
-    if not positions:
-        return lambda seq: ()
     return itemgetter(*positions)
 
 
@@ -168,11 +167,6 @@ class GroundProgram:
     """Ground rules and constraints over a dense atom index, as solver
     literals: `facts` holds the variables of the fact atoms and `rules` the
     instances (head variable or 0, body literals in written order).
-    `extensional` names predicates whose atoms in the index are all facts,
-    so true from level 0 on: the deferred-constraint joins neither read
-    their truth nor trigger on them.  `ground_program` gives the predicates
-    with facts and no other defining rule; a producer whose index holds
-    other atoms of such predicates gives none.
 
     Every producer (`ground_program`, `naive_ground_program`,
     `oracle.reduct`) guarantees that `facts` holds each variable once and
@@ -185,12 +179,10 @@ class GroundProgram:
         atoms: AtomIndex,
         facts: tuple[int, ...],
         rules: tuple[Instance, ...],
-        extensional: frozenset[str],
     ):
         self.atoms = atoms
         self.facts = facts
         self.rules = rules
-        self.extensional = extensional
 
     def to_text(self) -> str:
         """Textual form with lexicographically sorted statements."""
@@ -251,7 +243,8 @@ _COMPILED: dict[tuple[str, int], Callable] = {}
 
 def _compiled(source: str) -> Callable:
     """The generator function `join` that a join's source defines, its sums
-    bound by `=` held to the present digit limit, which is its `digits`."""
+    bound by `=` held to the present digit limit, compiled at its first
+    use under that limit."""
     digits = _int_digits()
     join = _COMPILED.get((source, digits))
     if join is None:
@@ -265,7 +258,6 @@ def _compiled(source: str) -> Callable:
         scope["_long"] = 10**digits if digits else float("inf")
         exec(compile(source, "<join>", "exec"), scope)
         join = _COMPILED[source, digits] = scope["join"]
-        join.digits = digits
     return join
 
 
@@ -328,14 +320,18 @@ class BodyPlan:
     the truth form reads no truth value and spends no budget on its loop,
     and the instance form leaves it out of the body.  Its variable is still
     among a truth-form match's literals.  The instance form folds the other
-    fact variables in.  A seeded plan only ever runs the truth form, so it
-    builds no instance form.  A form is compiled at the plan's first join
-    with it, never here: a program's plans are made when it is parsed, for
-    its safety check, and a solve may run only some of their forms.
+    fact variables in.  `_source` holds the source of each form the plan
+    runs: both, or the truth form only for a seeded plan.  A form is
+    compiled at its first join (`_compiled`), never here: a program's plans
+    are made when it is parsed, for its safety check, and a solve may run
+    only some of their forms.  `seeded` holds the plans seeded at the body
+    literals on predicates that are not `extensional`, made at its first
+    read and kept.
 
     A plan serves any solve of its program, also two at once (a solve
     started from a hook of another, or solves on threads): `_join` keeps
-    no state of one solve that another could pair with its own.
+    no state of one solve that another could pair with its own, and two
+    reads of `seeded` that race make equal lists.
     """
 
     def __init__(
@@ -597,41 +593,49 @@ class BodyPlan:
         if rule.head is not None:
             self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
-        lines = [(d, forms, text or gets) for d, forms, text in lines]
         lines[:0] = [
             (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
             (0, (_INSTANCES,), "def join(slots, gets, rule, facts, add):"),
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
         ]
-        self._lines = lines
+        self._source = {
+            form: "".join(
+                f"{'    ' * depth}{text or gets}\n"
+                for depth, forms, text in lines
+                if form in forms
+            )
+            for form in (_FORMS if seed is None else (_TRUTH,))
+        }
+        self.extensional = extensional
         self._accesses = list(accesses)
         self._initial = initial
         # The index last joined over with the `get`s of its tables, which
-        # `add` keeps current, as one pair; and the join's forms once
-        # compiled, each under the digit limit it was last run under.
+        # `add` keeps current, as one pair.
         self._bound: tuple[Optional[AtomIndex], list[Callable]] = (None, [])
-        self._joins: dict[str, Callable] = {}
+
+    @cached_property
+    def seeded(self) -> list[tuple[tuple[str, bool], BodyPlan]]:
+        """The plan seeded at each body literal on a predicate that is not
+        extensional, in body order, with the literal's (predicate, sign)."""
+        rule, extensional = self.rule, self.extensional
+        return [
+            ((elem.atom.predicate, elem.positive), BodyPlan(rule, ei, extensional))
+            for ei, elem in enumerate(rule.body)
+            if isinstance(elem, Literal) and elem.atom.predicate not in extensional
+        ]
 
     def _join(self, index: AtomIndex, form: str, slots: list, *args) -> Iterator:
-        """Run one form of the join over the index from the slots, compiling
-        it at its first use under the present digit limit: the truth form
-        takes the truth values and the budget, the instance form the fact
-        variables and the index's `add`.  The index and its `get`s are read
-        and bound as one pair, so a join never runs over the tables of
+        """Run one form of the join over the index from the slots: the truth
+        form takes the truth values and the budget, the instance form the
+        fact variables and the index's `add`.  The index and its `get`s are
+        read and bound as one pair, so a join never runs over the tables of
         another solve's index."""
         bound = self._bound
         if bound[0] is not index:
             gets = [index.table(p, positions).get for p, positions in self._accesses]
             bound = self._bound = (index, gets)
-        join = self._joins.get(form)
-        if join is None or join.digits != _int_digits():
-            join = self._joins[form] = _compiled("".join(
-                f"{'    ' * depth}{text}\n"
-                for depth, forms, text in self._lines
-                if form in forms
-            ))
-        return join(slots, bound[1], self.rule, *args)
+        return _compiled(self._source[form])(slots, bound[1], self.rule, *args)
 
     def start(self, args: tuple[Term, ...]) -> Optional[list]:
         """Slots binding the seed literal's variables to the arguments of a
@@ -758,7 +762,7 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     ))
     found = list(facts)[len(given):]
     rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)
-    return GroundProgram(index, tuple(facts), rules, program.extensional)
+    return GroundProgram(index, tuple(facts), rules)
 
 
 def _fold_derived(
@@ -831,7 +835,7 @@ def naive_ground_program(program: Program) -> GroundProgram:
                 facts[head] = None
             else:
                 rules[head, body] = None
-    return GroundProgram(table, tuple(facts), tuple(rules), frozenset())
+    return GroundProgram(table, tuple(facts), tuple(rules))
 
 
 def ground_deferred_violations(

@@ -134,7 +134,8 @@ class Program:
     their first read and kept with the program (a `cached_property` writes
     the instance `__dict__`, which a frozen dataclass allows).  The parser
     reads `plans` for its safety check, and every solve of the program
-    grounds and joins through them, so a plan holds no state of one solve.
+    grounds and joins through them, the seeded ones of `BodyPlan.seeded`
+    included, so a plan holds no state of one solve.
     """
 
     rules: tuple[Rule, ...] = ()

@@ -39,7 +39,7 @@ def reduct(gp: GroundProgram, true_atoms: Iterable[Atom]) -> GroundProgram:
             facts[head] = None
         else:
             rules[head, body] = None
-    return GroundProgram(gp.atoms, tuple(facts), tuple(rules), frozenset())
+    return GroundProgram(gp.atoms, tuple(facts), tuple(rules))
 
 
 def least_model(gp: GroundProgram) -> frozenset[Atom]:

@@ -150,10 +150,6 @@ class _Parser:
             )
         return tok
 
-    def _fail(self, message: str) -> ParseError:
-        tok = self._peek()
-        return ParseError(message, tok.line, tok.column)
-
     def parse(self) -> Program:
         rules: list[Rule] = []
         deferred: set[int] = set()

@@ -7,8 +7,8 @@ fully violated instances at each propagation fixpoint.  Eager and post keep
 the exhaustive check on total candidates as a safety net, so all four agree
 on the returned models.  Each realization gives the solver only nogoods.
 None of them does work for a literal on an extensional predicate (facts and
-no other defining rule, `GroundProgram.extensional`): it is true from level
-0 on, so no join tests it and no propagator is triggered by it.
+no other defining rule, `Program.extensional`): it is true from level 0 on,
+so no join tests it and no propagator is triggered by it.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .grounder import (
     ground_program,
     iter_matches,
 )
-from .model import GroundRule, Literal, Program
+from .model import GroundRule, Program
 
 
 class StrategyKind(str, Enum):
@@ -70,15 +70,16 @@ class ConstraintIndex:
     them.  The propagators, `eager_nogoods` and `post_nogoods`, are the
     solver's hooks and return nogoods.  They join outward from a trail
     literal, through the plan seeded at each body literal it matches
-    (`_triggers`, planned at the first seeded join, see `BodyPlan`): eager
-    from each assigned literal, allowing one undefined body literal (the one
-    its nogood infers), and post from each literal assigned since its last
-    call, allowing none.  `_fired` holds those triggers by literal, indexed
-    like `Solver._assign`, so a literal with none starts no join.  Body
-    literals on the program's extensional predicates get no seeded plan, so
-    a fact starts no join; each propagator's first call joins every body in
-    full instead, which covers what the facts alone violate or make unit.
-    An index serves one solve: eager's first call is the solve's first.
+    (`_triggers`, the constraints' `BodyPlan.seeded`, made once per
+    program): eager from each assigned literal, allowing one undefined body
+    literal (the one its nogood infers), and post from each literal
+    assigned since its last call, allowing none.  `_fired` holds those
+    triggers by literal, indexed like `Solver._assign`, so a literal with
+    none starts no join.  Body literals on the program's extensional
+    predicates get no seeded plan, so a fact starts no join; each
+    propagator's first call joins every body in full instead (`_joined`),
+    which covers what the facts alone violate or make unit.  An index
+    serves one solve: eager's first call is the solve's first.
 
     A constraint's full join yields its matches in lexicographic order of
     the variables of its positive literals in written order.  A seeded
@@ -94,7 +95,6 @@ class ConstraintIndex:
             if plan.rule.head is not None:
                 raise ValueError(f"not a constraint: '{plan.rule}.'")
         self.plans = list(plans)
-        self.constraints = [plan.rule for plan in self.plans]
         self.gp = gp
         # Whether eager's first call, which also joins every body in full,
         # is still to come.
@@ -102,16 +102,12 @@ class ConstraintIndex:
 
     @cached_property
     def _triggers(self) -> dict[tuple[str, bool], list[tuple[int, BodyPlan]]]:
-        """(constraint position, plan seeded there) for each body literal on
-        a predicate that is not extensional, by its (predicate, sign)."""
-        extensional = self.gp.extensional
+        """(constraint position, seeded plan) for each of the constraints'
+        seeded plans, by the (predicate, sign) of its seed literal."""
         triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
-        for ci, constraint in enumerate(self.constraints):
-            for ei, elem in enumerate(constraint.body):
-                if isinstance(elem, Literal) and elem.atom.predicate not in extensional:
-                    key = (elem.atom.predicate, elem.positive)
-                    plan = BodyPlan(constraint, ei, extensional)
-                    triggers.setdefault(key, []).append((ci, plan))
+        for ci, plan in enumerate(self.plans):
+            for key, seeded in plan.seeded:
+                triggers.setdefault(key, []).append((ci, seeded))
         return triggers
 
     @cached_property
@@ -140,6 +136,15 @@ class ConstraintIndex:
                 found[ci, tuple(pos[k] for k in plan.written)] = lits
             yield found
 
+    def _joined(self, values: Sequence[int], budget: int) -> list[list[int]]:
+        """The literals of each match of every body joined in full, in plan
+        order, each plan's in the order of its full join."""
+        return [
+            lits
+            for plan in self.plans
+            for _, lits in iter_matches(plan, self.gp.atoms, values, budget)
+        ]
+
     def eager_nogoods(self, solver: Solver, lit: int) -> list[tuple[int, ...]]:
         """Instances made unit or falsified by `lit` having turned true.
 
@@ -159,11 +164,7 @@ class ConstraintIndex:
         matches: list[list[int]] = []
         if self._unjoined:
             self._unjoined = False
-            matches = [
-                lits
-                for plan in self.plans
-                for _, lits in iter_matches(plan, self.gp.atoms, solver._assign, 1)
-            ]
+            matches = self._joined(solver._assign, 1)
         for found in self._seeded(lit, solver._assign, 1):
             matches += (found[key] for key in sorted(found))
         return _new_nogoods(solver, matches)
@@ -180,11 +181,7 @@ class ConstraintIndex:
         trail = solver._trail
         mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
         if mark == 0:
-            matches = [
-                lits
-                for plan in self.plans
-                for _, lits in iter_matches(plan, self.gp.atoms, solver._assign, 0)
-            ]
+            matches = self._joined(solver._assign, 0)
         else:
             found: Matches = {}
             fired = self._fired
@@ -231,19 +228,22 @@ def solve(
     strategy adds are counted in the result's stats: the propagators' in
     `propagator_nogoods`, the check's in `lazy_added`.
 
-    A time budget (0 to 1e9 s, which every platform's timer holds; 0 is
-    spent on entry) is one `ITIMER_REAL` timer, armed after its SIGALRM
-    handler is installed, and nothing else reads a clock.  The handler
-    raises `BudgetSpent` wherever the solve is: in the search `Solver.solve`
-    returns TIMEOUT with its stats, before it (or while disarming) this
-    returns TIMEOUT with empty stats.  It needs Unix `setitimer` and the
-    main thread, elsewhere `signal.signal` raises `ValueError`.  There is one
-    timer, so a timed solve called from a hook of another timed solve raises
-    `ValueError` before it arms anything, and the outer budget holds.  No
-    state outliving a solve is left half-updated: the only module-level one,
-    `grounder._COMPILED`, is set in one assignment.
+    A conflict budget below 0 is a `ValueError`.  A time budget (0 to 1e9
+    s, which every platform's timer holds; 0 is spent on entry) is one
+    `ITIMER_REAL` timer, armed after its SIGALRM handler is installed, and
+    nothing else reads a clock.  The handler raises `BudgetSpent` wherever
+    the solve is: in the search `Solver.solve` returns TIMEOUT with its
+    stats, before it (or while disarming) this returns TIMEOUT with empty
+    stats.  It needs Unix `setitimer` and the main thread, elsewhere
+    `signal.signal` raises `ValueError`.  There is one timer, so a timed
+    solve called from a hook of another timed solve raises `ValueError`
+    before it arms anything, and the outer budget holds.  No state
+    outliving a solve is left half-updated: `grounder._COMPILED` and a
+    plan's `seeded` are each set in one assignment.
     """
     kind = StrategyKind(kind)
+    if budget is not None and (budget.max_conflicts or 0) < 0:
+        raise ValueError(f"conflict budget of {budget.max_conflicts!r} is negative")
     seconds = budget.max_seconds if budget is not None else None
     if seconds is None:
         return _solve(program, kind, seed, budget, forced_decisions, on_model)

@@ -30,6 +30,11 @@ class TestSatGenerator:
         with pytest.raises(ValueError):
             bg.make_3sat(2, 4.0, 0)
 
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan"), -1.0])
+    def test_a_ratio_not_finite_and_non_negative_is_rejected(self, ratio):
+        with pytest.raises(ValueError, match=f"clause ratio {ratio} is not finite"):
+            bg.make_3sat(8, ratio, 0)
+
     def test_program_parses_with_one_deferred_constraint(self):
         program = bg.gen_3sat(6, 2.0, 1)
         assert len(program.deferred) == 1

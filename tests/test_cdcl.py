@@ -753,7 +753,7 @@ def test_learned_nogoods_preserve_model_set():
         if outcome is None:
             return False
         learned, _ = outcome
-        gp2 = GroundProgram(gp.atoms, gp.facts, gp.rules + ((0, learned),), gp.extensional)
+        gp2 = GroundProgram(gp.atoms, gp.facts, gp.rules + ((0, learned),))
         after = {frozenset(m) for m in enumerate_stable_models(gp2)}
         assert before == after
         return True

@@ -53,6 +53,15 @@ class TestSolveCommand:
         assert err.startswith("error: time budget of ")
         assert repr(float(seconds)) in err
 
+    @pytest.mark.parametrize("conflicts", ["-1", "-3"])
+    def test_a_negative_conflict_budget_exits_one(self, tmp_path, capsys, conflicts):
+        path = tmp_path / "unsat.lp"
+        path.write_text(bg.sat_program_text(bg.make_3sat(8, 6.0, 0)))
+        assert main(["solve", str(path), "--conflicts", conflicts]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: conflict budget of {conflicts} is negative\n"
+        assert captured.out == ""
+
     def test_a_time_budget_of_zero_is_spent(self, tmp_path, capsys):
         path = tmp_path / "p.lp"
         path.write_text("p(1).\n")
@@ -96,6 +105,18 @@ class TestSolveCommand:
         assert code == report["exit_code"] == 10
         assert report["model"] in (["b(1)", "c(1)"], ["b(1)", "d(1)"])
 
+    def test_json_report_with_timing_has_the_elapsed_time(self, pi1_file, capsys):
+        assert main(["solve", pi1_file, "--json", "--timing"]) == 10
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SOLVE_REPORT_SCHEMA)
+        assert report["elapsed_s"] >= 0
+
+    def test_timing_prints_a_time_line(self, pi1_file, capsys):
+        assert main(["solve", pi1_file, "--timing"]) == 10
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "SATISFIABLE"
+        assert re.fullmatch(r"time: \d+\.\d{3}s", out[-1])
+
     def test_text_and_json_agree(self, pi1_file, capsys):
         main(["solve", pi1_file])
         text_atoms = capsys.readouterr().out.splitlines()[0].split()
@@ -128,6 +149,17 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [(":- 1.\n", "1:5"), ("p :- X.\n", "1:7")])
+    def test_a_term_that_is_no_literal_needs_a_comparison(
+        self, tmp_path, capsys, text, where
+    ):
+        path = tmp_path / "term.lp"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected a comparison operator at {where}\n"
+        )
+
     def test_grounding_error_names_the_rule_location(self, tmp_path, capsys):
         path = tmp_path / "order.lp"
         path.write_text("p(1).\nq(X) :- p(X), X < a.\n")
@@ -156,6 +188,15 @@ class TestGenCommand:
     def test_packing(self, capsys):
         assert main(["gen", "packing", "--width", "2", "--height", "2", "--sizes", "1,1"]) == 0
         assert "square(1,1)." in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_3sat_ratio_not_finite_exits_one(self, capsys, ratio):
+        assert main(["gen", "3sat", "--vars", "8", "--ratio", ratio]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: clause ratio {ratio} is not finite and non-negative\n"
+        )
+        assert captured.out == ""
 
 
 class TestOracleCommand:
@@ -237,6 +278,27 @@ class TestBench:
         assert rows[0]["label"] in ("full", "lazy", "eager", "post")
         assert float(rows[0]["runtime_full"]) <= 500
 
+    def test_a_spent_budget_labels_the_row_none(self, tmp_path, capsys):
+        """The instance is UNSAT and needs 5 conflicts under `full`: with a
+        budget of 0 every strategy times out, and the dataset reader drops
+        the row."""
+        from microasp.portfolio import read_dataset
+
+        inst_dir = tmp_path / "unsat"
+        inst_dir.mkdir()
+        (inst_dir / "u.lp").write_text(bg.sat_program_text(bg.make_3sat(8, 6.0, 0)))
+        out = tmp_path / "data.csv"
+        code = main(
+            ["bench", "--dir", str(inst_dir), "--conflicts", "0", "--out", str(out)]
+        )
+        assert code == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["label"] == "none"
+        assert {row[f"runtime_{s}"] for s in ("full", "lazy", "eager", "post")} == {
+            "0.0"
+        }
+        assert read_dataset(str(out))[0] == []
+
     def test_empty_directory(self, tmp_path, capsys):
         inst_dir = tmp_path / "none"
         inst_dir.mkdir()
@@ -293,6 +355,35 @@ class TestPortfolioCommands:
         path = tmp_path / "tree.json"
         path.write_text('{"label": "lazy", "counts": {"lazy": 1}}')
         return str(path)
+
+    def test_train_without_out_writes_the_tree_to_stdout(self, tmp_path, capsys):
+        from microasp.portfolio import Example, write_dataset
+
+        examples = [
+            Example(f"i{i}", {"x": float(i)}, "lazy" if i < 5 else "post", {})
+            for i in range(10)
+        ]
+        data, tree = tmp_path / "d.csv", tmp_path / "tree.json"
+        write_dataset(str(data), examples, ["x"])
+        assert main(["portfolio", "train", "--data", str(data), "--out", str(tree)]) == 0
+        assert main(["portfolio", "train", "--data", str(data)]) == 0
+        out = capsys.readouterr().out
+        assert out == tree.read_text() and '"feature": "x"' in out
+
+    def test_predict_reads_the_features_of_an_instance(self, tmp_path, capsys):
+        """A tree that splits on the generic `facts` feature: pi1 has one."""
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "feature": "facts", "threshold": 0.5,
+            "left": {"label": "lazy"}, "right": {"label": "post"},
+        }))
+        path = tmp_path / "p.lp"
+        for text, want in (("a :- not b.\nb :- not a.\n", "lazy"), ("p(1).\n", "post")):
+            path.write_text(text)
+            assert main(
+                ["portfolio", "predict", "--tree", str(tree), "--instance", str(path)]
+            ) == 0
+            assert capsys.readouterr().out == f"{want}\n"
 
     def test_predict_features_without_value(self, tree_file, capsys):
         code = main(["portfolio", "predict", "--tree", tree_file, "--features", "persons"])

@@ -120,10 +120,6 @@ def test_arithmetic_on_symbol_error_text(text, culprit):
     )
 
 
-def source_of(join):
-    return next(src for (src, _), fn in grounder._COMPILED.items() if fn is join)
-
-
 def joined(text):
     """The plan of the text's last rule after joining it in its truth and
     instance forms over the text's facts, and the slots of its matches."""
@@ -152,12 +148,13 @@ class TestCompiledJoin:
         assert found == [["kilo", 33, 44, 1, 2]]
         assert other == [["lima", "mike", 66, 1, 2], ["lima", "mike", 66, 1, 60]]
         for form in (grounder._TRUTH, grounder._INSTANCES):
-            assert first._joins[form] is second._joins[form]
-            source = source_of(first._joins[form])
+            source = first._source[form]
+            assert source == second._source[form]
+            assert sum(src == source for src, _ in grounder._COMPILED) == 1
             for text in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta",
                          "kilo", "lima", "mike", "33", "44", "66"):
                 assert text not in source
-        assert first._joins[grounder._TRUTH] is not first._joins[grounder._INSTANCES]
+        assert first._source[grounder._TRUTH] != first._source[grounder._INSTANCES]
 
     def test_a_seeded_plan_reads_no_truth_of_an_extensional_literal(self):
         """Marriage's scores are facts: the truth form seeded at `match`
@@ -172,7 +169,7 @@ class TestCompiledJoin:
             values[var] = 1
         start = plan.start(next(a for a in gp.atoms if a.predicate == "match").args)
         list(iter_matches(plan, gp.atoms, values, 1, start))
-        source = source_of(plan._joins[grounder._TRUTH])
+        source = plan._source[grounder._TRUTH]
         loops = {lit.atom.predicate: [] for lit in plan.positives}
         for i, lit in enumerate(plan.positives, 1):
             loops[lit.atom.predicate].append(f"values[v{i}]" in source)
@@ -181,16 +178,13 @@ class TestCompiledJoin:
             "manAssignsScore": [False, False],
             "womanAssignsScore": [False, False],
         }
-        instance_only = [
-            text for _, forms, text in plan._lines if forms == (grounder._INSTANCES,)
-        ]
-        assert [text for text in instance_only if not text.startswith("def ")] == []
+        assert list(plan._source) == [grounder._TRUTH]
 
     def test_plans_that_differ_by_an_operator_do_not_share_code(self):
         facts = "alpha(1,kilo). beta(1,2,33).\n"
         less, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y < 44.\n")
         most, _ = joined(facts + ":- alpha(X,kilo), beta(X,Y,33), Y <= 44.\n")
-        assert less._joins[grounder._TRUTH] is not most._joins[grounder._TRUTH]
+        assert less._source[grounder._TRUTH] != most._source[grounder._TRUTH]
 
     def test_an_error_in_shared_code_names_its_own_rule(self):
         text = "p(1). t(a).\nq(Z) :- p(X), Z = X+1.\nr(Z) :- t(X), Z = X+2.\n"
@@ -201,7 +195,7 @@ class TestCompiledJoin:
         assert len(list(iter_matches(plans[0], index, undefined, 2))) == 1
         with pytest.raises(GroundingError) as err:
             list(iter_matches(plans[1], index, undefined, 2))
-        assert plans[0]._joins[grounder._TRUTH] is plans[1]._joins[grounder._TRUTH]
+        assert plans[0]._source[grounder._TRUTH] == plans[1]._source[grounder._TRUTH]
         message = (
             "arithmetic on non-integer constant 'a' in rule"
             " 'r(Z) :- t(X), Z = X+2.' at 3:1"
@@ -269,7 +263,7 @@ class TestCompiledJoin:
         assert gp.rules == ()
         plan = BodyPlan(program.rules[-1])
         list(grounder._instances(plan, gp.atoms, ()))
-        source = source_of(plan._joins[grounder._INSTANCES])
+        source = plan._source[grounder._INSTANCES]
         assert source.count("is not int") == 1
         assert "_arith(rule, s0)" in source
 

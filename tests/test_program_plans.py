@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from microasp import benchgen, strategies
+from microasp import benchgen, grounder, strategies
 from microasp.cdcl import Solver
 from microasp.grounder import BodyPlan, ground_program
 from microasp.model import Atom, Literal, Program, Rule, Var
@@ -114,6 +114,8 @@ class TestPlannedOnce:
         return seeds
 
     def test_a_solve_plans_no_rule_again(self, seeds):
+        """The first propagator solve makes the seeded plans, which every
+        later solve shares; no later solve compiles a join."""
         program = parse_program(TEXTS["marriage"])
         assert seeds == [None] * sum(not rule.is_fact for rule in program.rules)
         assert [plan is None for plan in program.plans] == [
@@ -123,10 +125,16 @@ class TestPlannedOnce:
         for kind in ("full", "lazy"):
             solve(program, kind, seed=1)
         assert len(seeds) == planned
-        for kind in ("eager", "post"):
+        solve(program, "eager", seed=1)
+        assert len(seeds) > planned and None not in seeds[planned:]
+        planned = len(seeds)
+        solve(program, "post", seed=1)
+        assert len(seeds) == planned
+        compiled = len(grounder._COMPILED)
+        for kind in KINDS:
             solve(program, kind, seed=1)
-            assert len(seeds) > planned and None not in seeds[planned:]
-            planned = len(seeds)
+        assert len(seeds) == planned
+        assert len(grounder._COMPILED) == compiled
 
     def test_a_program_built_directly_plans_at_its_first_solve(self, seeds):
         parsed = parse_program(PI1_DEFERRED_TEXT)

@@ -132,7 +132,7 @@ class TestEagerPropagator:
         in full, and `not p(X)` is inferred before any decision."""
         program = parse_program(FACT_UNIT_TEXT)
         gp = ground_program(program)
-        assert gp.extensional == {"d", "e"}
+        assert program.extensional == {"d", "e"}
         index = ConstraintIndex(program.deferred_plans(), gp)
         callbacks = SolverCallbacks(on_literal_true=index.eager_nogoods)
         solver = Solver(gp, callbacks=callbacks)
@@ -164,7 +164,7 @@ class TestEagerPropagator:
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_plans(), gp)
         assert set(index._triggers) == want
-        assert not {predicate for predicate, _ in index._triggers} & gp.extensional
+        assert not {predicate for predicate, _ in index._triggers} & program.extensional
 
     def test_emitted_nogoods_are_ground_instances(self, pi1, monkeypatch):
         """Everything eager emits is the nogood of some instance of Grd(C)."""
@@ -258,7 +258,7 @@ class TestCheckTotalCandidate:
         index = ConstraintIndex(program.deferred_plans(), gp)
         values = [0] + [1 if atom in true_atoms else -1 for atom in gp.atoms]
         return gp, [
-            (str(index.constraints[ci]), lits)
+            (str(index.plans[ci].rule), lits)
             for ci, _, lits in ground_deferred_violations(index.plans, gp.atoms, values)
         ]
 
@@ -490,6 +490,12 @@ class TestTimeBudget:
         with pytest.raises(ValueError, match=f"time budget of {seconds!r} s"):
             solve(pi1, budget=Budget(max_seconds=seconds))
         assert _unarmed(before)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_negative_conflict_budget_is_a_value_error(self, pi1, kind):
+        with pytest.raises(ValueError, match="conflict budget of -1 is negative"):
+            solve(pi1, kind, budget=Budget(max_conflicts=-1))
+        assert solve(pi1, kind, budget=Budget(max_conflicts=0)).status == "SAT"
 
 
 class TestSolverNogoodConversion:
