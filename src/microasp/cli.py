@@ -1,6 +1,10 @@
 """Command-line front end: solve, generate, oracle, sweeps, benchmark
 matrix, and portfolio subcommands.
 
+`solve`, `sweep3sat` and `bench` run every solve through `_timed_solve`,
+which times `strategies.solve` alone, not the parsing before it.  The
+sweep's grid is the list of clause/variable ratios given to `--ratios`.
+
 Exit codes for `solve`: 10 = model found, 20 = unsatisfiable, 30 = budget
 exhausted.  JSON reports contain no wall-clock values unless --timing is
 given, so identical runs produce byte-identical reports.
@@ -9,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
+import io
 import json
-import math
+import os
 import statistics
 import sys
 import time
@@ -18,11 +24,15 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import benchgen, portfolio
-from .cdcl import Budget
+from .cdcl import EXIT_MODEL, EXIT_TIMEOUT, EXIT_UNSAT, SAT, TIMEOUT, UNSAT
+from .cdcl import Budget, SolveResult
 from .grounder import GroundingError, ground_program
+from .model import Program
 from .oracle import enumerate_stable_models
 from .parser import ParseError, parse_program
 from .strategies import StrategyKind, solve
+
+ALL_STRATEGIES = tuple(kind.value for kind in StrategyKind)
 
 SOLVE_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -40,7 +50,7 @@ SOLVE_REPORT_SCHEMA = {
     ],
     "properties": {
         "input": {"type": "string"},
-        "strategy": {"enum": ["full", "lazy", "eager", "post"]},
+        "strategy": {"enum": list(ALL_STRATEGIES)},
         "seed": {"type": "integer"},
         "budget": {
             "type": "object",
@@ -51,8 +61,8 @@ SOLVE_REPORT_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "status": {"enum": ["SAT", "UNSAT", "TIMEOUT"]},
-        "exit_code": {"enum": [10, 20, 30]},
+        "status": {"enum": [SAT, UNSAT, TIMEOUT]},
+        "exit_code": {"enum": [EXIT_MODEL, EXIT_UNSAT, EXIT_TIMEOUT]},
         "model": {"type": ["array", "null"], "items": {"type": "string"}},
         "stats": {
             "type": "object",
@@ -84,6 +94,25 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _write_out(path: Optional[str], text: str) -> None:
+    """Write a command's output to the file at `path`, or to stdout."""
+    if path:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _timed_solve(
+    program: Program, strategy: str, seed: int, budget: Budget
+) -> tuple[SolveResult, float]:
+    """Solve a parsed program and return the result with the seconds spent
+    in `strategies.solve`."""
+    started = time.perf_counter()
+    result = solve(program, strategy, seed=seed, budget=budget)
+    return result, time.perf_counter() - started
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     program = _read_program(args.input)
     if args.dump_ground:
@@ -92,14 +121,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         sys.stdout.write(gp.to_text())
         return 0
-    started = time.perf_counter()
-    result = solve(
+    result, elapsed = _timed_solve(
         program,
         args.strategy,
-        seed=args.seed,
-        budget=Budget(max_conflicts=args.conflicts, max_seconds=args.timeout_s),
+        args.seed,
+        Budget(max_conflicts=args.conflicts, max_seconds=args.timeout_s),
     )
-    elapsed = time.perf_counter() - started
     model = (
         sorted(str(atom) for atom in result.model)
         if result.model is not None
@@ -123,7 +150,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if model is not None:
             print(" ".join(model))
             print("SATISFIABLE")
-        elif result.status == "UNSAT":
+        elif result.status == UNSAT:
             print("UNSATISFIABLE")
         else:
             print("TIMEOUT")
@@ -132,10 +159,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def cmd_oracle(path: str, max_free: int) -> int:
-    program = _read_program(path)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    program = _read_program(args.input)
     gp = ground_program(program, include_deferred=True)
-    models = enumerate_stable_models(gp, max_free=max_free)
+    models = enumerate_stable_models(gp, max_free=args.max_free)
     for model in models:
         print("model: " + " ".join(sorted(str(a) for a in model)))
     print(f"models: {len(models)}")
@@ -156,39 +183,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         text = benchgen.packing_program_text(
             benchgen.make_packing(args.width, args.height, sizes)
         )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, text)
     return 0
-
-
-def _sweep_cell(
-    vars_: int,
-    ratio: float,
-    seed: int,
-    strategies: Sequence[str],
-    conflicts: Optional[int],
-) -> dict[str, tuple[str, int, float]]:
-    program = parse_program(
-        benchgen.sat_program_text(benchgen.make_3sat(vars_, ratio, seed))
-    )
-    out = {}
-    for strategy in strategies:
-        started = time.perf_counter()
-        result = solve(
-            program,
-            strategy,
-            seed=seed,
-            budget=Budget(max_conflicts=conflicts),
-        )
-        out[strategy] = (
-            result.status,
-            result.stats.conflicts,
-            time.perf_counter() - started,
-        )
-    return out
 
 
 def sweep_3sat(
@@ -200,78 +196,61 @@ def sweep_3sat(
 ) -> list[dict]:
     """Solve `seeds` random instances per ratio with every strategy.
 
-    Rows come back in grid order with mean solve time, mean conflicts, and
-    timeout counts per strategy, plus the UNSAT frequency over the decided
-    runs of the first strategy.
+    Instance `seed` of a ratio is `make_3sat(vars_, ratio, seed)`, solved
+    with solver seed `seed`, each solve timed by `_timed_solve`.  Rows come
+    back in the order of `r_values` with mean solve time, mean conflicts,
+    and timeout counts per strategy, plus the UNSAT frequency over the
+    decided runs of the first strategy.  An empty list of ratios or of
+    strategies, or fewer than one seed, is a `ValueError`.
     """
-    cells = [
-        _sweep_cell(vars_, ratio, seed, strategies, conflicts)
-        for ratio in r_values
-        for seed in range(seeds)
-    ]
+    if not r_values or not strategies or seeds < 1:
+        raise ValueError(
+            f"a sweep needs at least one ratio, one strategy and one seed, "
+            f"got {len(r_values)}, {len(strategies)} and {seeds}"
+        )
+    budget = Budget(max_conflicts=conflicts)
     rows = []
-    for i, ratio in enumerate(r_values):
-        chunk = cells[i * seeds : (i + 1) * seeds]
+    for ratio in r_values:
+        cells = []
+        for seed in range(seeds):
+            program = parse_program(
+                benchgen.sat_program_text(benchgen.make_3sat(vars_, ratio, seed))
+            )
+            cells.append(
+                {s: _timed_solve(program, s, seed, budget) for s in strategies}
+            )
+        decided = [
+            c[strategies[0]][0].status
+            for c in cells
+            if c[strategies[0]][0].status != TIMEOUT
+        ]
         row: dict = {
             "vars": vars_,
             "ratio": ratio,
             "clauses": int(ratio * vars_ + 0.5),
+            "unsat_freq": decided.count(UNSAT) / len(decided) if decided else 0.0,
         }
-        lead = strategies[0]
-        decided = [c[lead][0] for c in chunk if c[lead][0] != "TIMEOUT"]
-        row["unsat_freq"] = (
-            sum(1 for s in decided if s == "UNSAT") / len(decided)
-            if decided
-            else 0.0
-        )
         for strategy in strategies:
-            results = [c[strategy] for c in chunk]
-            row[f"{strategy}_mean_time_s"] = statistics.fmean(r[2] for r in results)
+            runs = [c[strategy] for c in cells]
+            row[f"{strategy}_mean_time_s"] = statistics.fmean(t for _, t in runs)
             row[f"{strategy}_mean_conflicts"] = statistics.fmean(
-                r[1] for r in results
+                r.stats.conflicts for r, _ in runs
             )
-            row[f"{strategy}_timeouts"] = sum(
-                1 for r in results if r[0] == "TIMEOUT"
-            )
+            row[f"{strategy}_timeouts"] = sum(r.status == TIMEOUT for r, _ in runs)
         rows.append(row)
     return rows
 
 
-MAX_SWEEP_POINTS = 10_000  # ratios in one `sweep3sat` grid
-
-
 def cmd_sweep_3sat(args: argparse.Namespace) -> int:
-    if not 0 < args.r_step < math.inf:
-        raise ValueError(f"--r-step must be positive and finite, got {args.r_step}")
-    # Ratio i is r_min + i * r_step for i up to `span`.  The span is NaN or
-    # infinite when a bound is, which the cap rejects, and negative when
-    # r_max < r_min, which makes an empty grid.
-    span = (args.r_max - args.r_min) / args.r_step + 1e-9
-    if not span < MAX_SWEEP_POINTS:
-        raise ValueError(
-            f"--r-step {args.r_step} makes more than {MAX_SWEEP_POINTS} ratios "
-            f"from {args.r_min} to {args.r_max}"
-        )
-    points = math.floor(max(span, -1.0)) + 1
-    r_values = [round(args.r_min + i * args.r_step, 6) for i in range(points)]
+    ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    rows = sweep_3sat(
-        args.vars, r_values, args.seeds, strategies, args.conflicts
-    )
-    header = list(rows[0]) if rows else []
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[h] for h in header])
-    finally:
-        if args.out:
-            out.close()
+    rows = sweep_3sat(args.vars, ratios, args.seeds, strategies, args.conflicts)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_out(args.out, text.getvalue())
     return 0
-
-
-ALL_STRATEGIES = tuple(kind.value for kind in StrategyKind)
 
 
 def bench_matrix(
@@ -286,58 +265,53 @@ def bench_matrix(
     label is the cheapest strategy, ties broken in declaration order, or
     `none` when everything timed out.
     """
+    budget = Budget(max_conflicts=conflicts)
     examples = []
     for path in paths:
         program = _read_program(path)
         features = portfolio.extract_features(program, family)
-        runtimes: dict[str, float] = {}
-        statuses: dict[str, str] = {}
-        for strategy in ALL_STRATEGIES:
-            result = solve(
-                program, strategy, seed=seed, budget=Budget(max_conflicts=conflicts)
-            )
-            statuses[strategy] = result.status
-            runtimes[strategy] = float(
-                conflicts if result.status == "TIMEOUT" else result.stats.conflicts
-            )
-        if all(status == "TIMEOUT" for status in statuses.values()):
+        results = {
+            s: _timed_solve(program, s, seed, budget)[0] for s in ALL_STRATEGIES
+        }
+        runtimes = {
+            s: float(conflicts if r.status == TIMEOUT else r.stats.conflicts)
+            for s, r in results.items()
+        }
+        if all(r.status == TIMEOUT for r in results.values()):
             label = "none"
         else:
             best = min(runtimes.values())
-            label = next(s for s in ALL_STRATEGIES if runtimes[s] == best)
+            label = next(s for s, runtime in runtimes.items() if runtime == best)
         examples.append(portfolio.Example(path, features, label, runtimes))
     return examples
 
 
 def cmd_bench_matrix(args: argparse.Namespace) -> int:
-    import glob
-    import os
-
+    if not os.path.isdir(args.dir):
+        raise NotADirectoryError(f"--dir {args.dir} is not a directory")
     paths = sorted(glob.glob(os.path.join(args.dir, "*.lp")))
     examples = bench_matrix(paths, args.family, args.conflicts, args.seed)
     schema = portfolio.FEATURE_SCHEMAS[args.family]
-    out = args.out or "dataset.csv"
-    portfolio.write_dataset(out, examples, schema)
-    print(f"wrote {len(examples)} rows to {out}")
+    portfolio.write_dataset(args.out, examples, schema)
+    print(f"wrote {len(examples)} rows to {args.out}")
     return 0
 
 
-def cmd_portfolio(args: argparse.Namespace) -> int:
-    if args.action == "train":
-        examples, _ = portfolio.read_dataset(args.data)
-        tree = portfolio.train([(ex.features, ex.label) for ex in examples])
-        text = portfolio.tree_to_json(tree)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if args.action == "eval":
-        examples, _ = portfolio.read_dataset(args.data)
-        report = portfolio.cross_validate(examples, folds=args.folds, seed=args.seed)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
+def cmd_train(args: argparse.Namespace) -> int:
+    examples, _ = portfolio.read_dataset(args.data)
+    tree = portfolio.train([(ex.features, ex.label) for ex in examples])
+    _write_out(args.out, portfolio.tree_to_json(tree))
+    return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    examples, _ = portfolio.read_dataset(args.data)
+    report = portfolio.cross_validate(examples, folds=args.folds, seed=args.seed)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
     if not (args.features or args.instance):
         raise ValueError("portfolio predict needs --features or --instance")
     with open(args.tree) as handle:
@@ -364,11 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="compute one stable model")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("input")
     p_solve.add_argument(
-        "--strategy",
-        default="full",
-        choices=[k.value for k in StrategyKind],
+        "--strategy", default=StrategyKind.FULL.value, choices=ALL_STRATEGIES
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--conflicts", type=int, default=None)
@@ -382,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timing", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
+    p_gen.set_defaults(run=cmd_gen)
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
     g_marriage = gen_sub.add_parser("marriage")
     g_marriage.add_argument("--n", type=int, required=True)
@@ -400,38 +374,46 @@ def build_parser() -> argparse.ArgumentParser:
     g_pack.add_argument("--out")
 
     p_oracle = sub.add_parser("oracle", help="enumerate all stable models")
+    p_oracle.set_defaults(run=cmd_oracle)
     p_oracle.add_argument("input")
     p_oracle.add_argument("--max-free", type=int, default=24)
 
     p_sweep = sub.add_parser("sweep3sat", help="phase-transition sweep")
+    p_sweep.set_defaults(run=cmd_sweep_3sat)
     p_sweep.add_argument("--vars", type=int, required=True)
-    p_sweep.add_argument("--r-min", type=float, default=3.0)
-    p_sweep.add_argument("--r-max", type=float, default=5.5)
-    p_sweep.add_argument("--r-step", type=float, default=0.25)
+    p_sweep.add_argument(
+        "--ratios",
+        default="3.0,3.25,3.5,3.75,4.0,4.25,4.5,4.75,5.0,5.25,5.5",
+        help="comma-separated clause/variable ratios",
+    )
     p_sweep.add_argument("--seeds", type=int, default=50)
     p_sweep.add_argument("--strategies", default="lazy,eager")
     p_sweep.add_argument("--conflicts", type=int, default=None)
     p_sweep.add_argument("--out")
 
     p_bench = sub.add_parser("bench", help="portfolio dataset from a directory")
+    p_bench.set_defaults(run=cmd_bench_matrix)
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument(
         "--family", default="generic", choices=sorted(portfolio.FEATURE_SCHEMAS)
     )
     p_bench.add_argument("--conflicts", type=int, default=10000)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out")
+    p_bench.add_argument("--out", default="dataset.csv")
 
     p_port = sub.add_parser("portfolio", help="train, evaluate, or apply a selector")
     port_sub = p_port.add_subparsers(dest="action", required=True)
     t = port_sub.add_parser("train")
+    t.set_defaults(run=cmd_train)
     t.add_argument("--data", required=True)
     t.add_argument("--out")
     e = port_sub.add_parser("eval")
+    e.set_defaults(run=cmd_eval)
     e.add_argument("--data", required=True)
     e.add_argument("--folds", type=int, default=10)
     e.add_argument("--seed", type=int, default=0)
     pr = port_sub.add_parser("predict")
+    pr.set_defaults(run=cmd_predict)
     pr.add_argument("--tree", required=True)
     given = pr.add_mutually_exclusive_group()
     given.add_argument("--features", help="comma-separated name=value pairs")
@@ -446,17 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "oracle":
-            return cmd_oracle(args.input, args.max_free)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "sweep3sat":
-            return cmd_sweep_3sat(args)
-        if args.command == "bench":
-            return cmd_bench_matrix(args)
-        return cmd_portfolio(args)
+        return args.run(args)
     except (ParseError, GroundingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

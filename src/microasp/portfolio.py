@@ -9,11 +9,13 @@ import csv
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .grounder import herbrand_universe
 from .model import Literal, Program
+from .strategies import StrategyKind
 
 FEATURE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "marriage": ("persons", "pref_pct"),
@@ -21,7 +23,7 @@ FEATURE_SCHEMAS: dict[str, tuple[str, ...]] = {
 }
 
 #: Runtime columns of the dataset CSV, in order.
-RUNTIME_FIELDS = ("runtime_full", "runtime_lazy", "runtime_eager", "runtime_post")
+RUNTIME_FIELDS = tuple(f"runtime_{kind.value}" for kind in StrategyKind)
 
 MIN_SPLIT = 4
 
@@ -82,13 +84,8 @@ class TreeNode:
 
 def entropy(labels: Sequence[str]) -> float:
     total = len(labels)
-    if total == 0:
-        return 0.0
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
     out = 0.0
-    for count in counts.values():
+    for count in Counter(labels).values():
         p = count / total
         out -= p * math.log2(p)
     return out
@@ -103,15 +100,12 @@ def information_gain(
     )
 
 
-def _majority(labels: Sequence[str], global_counts: dict[str, int]) -> str:
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
+def _majority(counts: Counter[str], global_counts: Counter[str]) -> str:
     best = max(counts.values())
     tied = [label for label, c in counts.items() if c == best]
     if len(tied) > 1:
-        globally = max(global_counts.get(label, 0) for label in tied)
-        tied = [label for label in tied if global_counts.get(label, 0) == globally]
+        globally = max(global_counts[label] for label in tied)
+        tied = [label for label in tied if global_counts[label] == globally]
     return sorted(tied)[0]
 
 
@@ -125,17 +119,12 @@ def train(data: Sequence[tuple[dict[str, float], str]]) -> TreeNode:
     """
     if not data:
         raise ValueError("empty dataset")
-    global_counts: dict[str, int] = {}
-    for _, label in data:
-        global_counts[label] = global_counts.get(label, 0) + 1
+    global_counts = Counter(label for _, label in data)
     features = sorted(data[0][0])
 
     def leaf(rows: Sequence[tuple[dict[str, float], str]]) -> TreeNode:
-        labels = [label for _, label in rows]
-        counts: dict[str, int] = {}
-        for label in labels:
-            counts[label] = counts.get(label, 0) + 1
-        return TreeNode(label=_majority(labels, global_counts), counts=counts)
+        counts = Counter(label for _, label in rows)
+        return TreeNode(label=_majority(counts, global_counts), counts=dict(counts))
 
     def build(rows: Sequence[tuple[dict[str, float], str]]) -> TreeNode:
         labels = [label for _, label in rows]
@@ -206,9 +195,19 @@ def tree_to_json(tree: TreeNode) -> str:
 
 
 def tree_from_json(text: str) -> TreeNode:
+    """Decode `tree_to_json`'s text.  A node that is neither a leaf (a
+    `label`) nor a split (`feature`, `threshold`, `left` and `right`) is a
+    `ValueError`."""
+
     def decode(obj: dict) -> TreeNode:
+        if not isinstance(obj, dict):
+            raise ValueError(f"a tree node is a JSON object, not {type(obj).__name__}")
         if "label" in obj:
             return TreeNode(label=obj["label"], counts=dict(obj.get("counts", {})))
+        missing = {"feature", "threshold", "left", "right"} - obj.keys()
+        if missing:
+            missing = ", ".join(sorted(missing))
+            raise ValueError(f"a tree node has no label and no {missing}")
         return TreeNode(
             feature=obj["feature"],
             threshold=obj["threshold"],
@@ -330,17 +329,26 @@ def write_dataset(path: str, examples: Sequence[Example], schema: Sequence[str])
 
 
 def read_dataset(path: str) -> tuple[list[Example], list[str]]:
-    """Load a dataset CSV; rows labelled `none` are kept out of the result."""
+    """Load a dataset CSV; rows labelled `none` are kept out of the result.
+    A file without a header that has `instance` and `label` columns, or
+    with a row whose length is not the header's, is a `ValueError`."""
     examples: list[Example] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
+        if not {"instance", "label"} <= set(header):
+            raise ValueError(f"{path}: no header with instance and label columns")
         schema = [
             col
             for col in header
             if col not in ("instance", "label", *RUNTIME_FIELDS)
         ]
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
             record = dict(zip(header, row))
             if record["label"] == "none":
                 continue

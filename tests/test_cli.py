@@ -221,9 +221,8 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = main(
             [
-                "sweep3sat", "--vars", "10", "--r-min", "3.0", "--r-max", "3.5",
-                "--r-step", "0.25", "--seeds", "2", "--strategies", "full,lazy",
-                "--out", str(out),
+                "sweep3sat", "--vars", "10", "--ratios", "3.0,3.25,3.5",
+                "--seeds", "2", "--strategies", "full,lazy", "--out", str(out),
             ]
         )
         assert code == 0
@@ -233,19 +232,40 @@ class TestSweep:
         assert "lazy_mean_time_s" in rows[0]
         assert "unsat_freq" in rows[0]
 
-    @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
-    def test_step_must_be_positive(self, step, capsys):
-        code = main(["sweep3sat", "--vars", "5", "--r-step", step, "--seeds", "1"])
-        assert code == 1
-        assert "error: --r-step must be positive" in capsys.readouterr().err
+    def test_the_default_grid_has_eleven_ratios(self, capsys):
+        assert main(["sweep3sat", "--vars", "4", "--seeds", "1", "--strategies", "full"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [float(r["ratio"]) for r in rows] == [3.0 + 0.25 * i for i in range(11)]
 
-    @pytest.mark.parametrize("step", ["1e-300", "1e-12"])
-    def test_grid_of_too_many_ratios_is_rejected(self, step, capsys):
-        """1e-300 does not move the ratio at all (3.0 + 1e-300 == 3.0), and
-        1e-12 would make about 2.5e12 ratios: both fail before any solve."""
-        code = main(["sweep3sat", "--vars", "5", "--r-step", step, "--seeds", "1"])
+    @pytest.mark.parametrize(
+        "option, value, got",
+        [
+            ("--strategies", "", "1, 0 and 1"),
+            ("--strategies", " , ", "1, 0 and 1"),
+            ("--ratios", "", "0, 1 and 1"),
+            ("--seeds", "0", "1, 1 and 0"),
+            ("--seeds", "-2", "1, 1 and -2"),
+        ],
+        ids=["no-strategy", "blank-strategies", "no-ratio", "no-seed", "negative-seeds"],
+    )
+    def test_an_empty_sweep_exits_one(self, tmp_path, capsys, option, value, got):
+        """Each needs one more item: no solve runs and no file is written."""
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep3sat", "--vars", "5", "--ratios", "3.0", "--seeds", "1"]
+        code = main(argv + ["--strategies", "full", option, value, "--out", str(out)])
         assert code == 1
-        assert "more than 10000 ratios" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: a sweep needs at least one ratio, one strategy and one seed, "
+            f"got {got}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["-1.0", "3.0,inf", "3,x"])
+    def test_a_bad_ratio_exits_one(self, capsys, ratios):
+        code = main(["sweep3sat", "--vars", "5", "--ratios", ratios, "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_single_point(self):
         rows = sweep_3sat(8, [4.0], 3, ["lazy"], conflicts=10000)
@@ -298,6 +318,22 @@ class TestBench:
             "0.0"
         }
         assert read_dataset(str(out))[0] == []
+
+    def test_a_directory_that_does_not_exist_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        missing = tmp_path / "missing"
+        assert main(["bench", "--dir", str(missing), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --dir {missing} is not a directory\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_out_defaults_to_dataset_csv(self, tmp_path, capsys, monkeypatch):
+        inst_dir = tmp_path / "none"
+        inst_dir.mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--dir", str(inst_dir)]) == 0
+        assert capsys.readouterr().out == "wrote 0 rows to dataset.csv\n"
+        assert (tmp_path / "dataset.csv").read_text().startswith("instance,")
 
     def test_empty_directory(self, tmp_path, capsys):
         inst_dir = tmp_path / "none"
@@ -397,6 +433,52 @@ class TestPortfolioCommands:
         assert "error: portfolio predict needs --features or --instance" in (
             capsys.readouterr().err
         )
+
+
+    @pytest.mark.parametrize("action", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", ": no header with instance and label columns"),
+            ("instance,x\ni0,1.0\n", ": no header with instance and label columns"),
+            ("instance,x,label\ni0,1.0,lazy\ni1,2.0\n", ":3: 2 fields, the header has 3"),
+            ("instance,x,label\ni0,1.0,lazy\n\n", ":3: 0 fields, the header has 3"),
+        ],
+        ids=["empty", "no-label", "short-row", "blank-line"],
+    )
+    def test_a_malformed_dataset_exits_one(self, tmp_path, capsys, action, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert main(["portfolio", action, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}{message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "node, missing",
+        [
+            ({"feature": "x", "left": {"label": "a"}, "right": {"label": "b"}}, "threshold"),
+            ({"feature": "x", "threshold": 1.0, "right": {"label": "b"}}, "left"),
+            ({"feature": "x", "threshold": 1.0, "left": {"label": "a"}}, "right"),
+            ({"feature": "x", "threshold": 1.0, "left": {}, "right": {"label": "b"}},
+             "feature, left, right, threshold"),
+        ],
+    )
+    def test_a_tree_node_that_is_no_split_exits_one(self, tmp_path, capsys, node, missing):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(node))
+        code = main(["portfolio", "predict", "--tree", str(tree), "--features", "x=2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a tree node has no label and no {missing}\n"
+        assert captured.out == ""
+
+    def test_a_tree_that_is_no_object_exits_one(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text("[1, 2]")
+        code = main(["portfolio", "predict", "--tree", str(tree), "--features", "x=2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: a tree node is a JSON object, not list\n"
 
 
 class TestDeterministicReports:

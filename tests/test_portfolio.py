@@ -83,6 +83,33 @@ class TestTrain:
         tree = train(data)
         assert tree.is_leaf and tree.label == "post"
 
+    def test_tied_leaves_keep_their_tie_breaks(self):
+        """Leaf ties broken by the global count (post over lazy, post over
+        eager) and lexicographically (eager, full and lazy are each global
+        3 times): the bytes the tree has always had."""
+        rows = [
+            (0, 0, "post"), (0, 0, "lazy"), (0, 0, "lazy"), (0, 0, "post"),
+            (5, 1, "eager"), (5, 1, "full"), (5, 2, "lazy"),
+            (9, 3, "full"), (9, 3, "full"),
+            (9, 4, "eager"), (9, 4, "post"), (9, 4, "post"), (9, 4, "eager"),
+        ]
+        tree = train([({"x": float(x), "y": float(y)}, label) for x, y, label in rows])
+        assert tree_to_json(tree) == TIED_TREE_JSON
+
+
+TIED_TREE_JSON = (
+    '{\n  "feature": "x",\n  "left": {\n    "counts": {\n      "lazy": 2,\n'
+    '      "post": 2\n    },\n    "label": "post"\n  },\n  "right": {\n'
+    '    "feature": "y",\n    "left": {\n      "feature": "x",\n      "left": {\n'
+    '        "counts": {\n          "eager": 1,\n          "full": 1,\n'
+    '          "lazy": 1\n        },\n        "label": "eager"\n      },\n'
+    '      "right": {\n        "counts": {\n          "full": 2\n        },\n'
+    '        "label": "full"\n      },\n      "threshold": 7.0\n    },\n'
+    '    "right": {\n      "counts": {\n        "eager": 2,\n        "post": 2\n'
+    '      },\n      "label": "post"\n    },\n    "threshold": 3.5\n  },\n'
+    '  "threshold": 2.5\n}\n'
+)
+
 
 class TestPredict:
     def test_root_only_tree(self):
