@@ -78,31 +78,14 @@ def clause_satisfied(clause: Iterable[int], assignment: dict[int, bool]) -> bool
 
 
 def brute_force_sat(instance: SatInstance) -> bool:
-    """Exhaustive satisfiability check via the union of per-clause
-    falsifying assignment sets (each clause pins 3 bits)."""
-    v = instance.v
-    total = 1 << v
-    falsified: set[int] = set()
-    for clause in instance.clauses:
-        pattern = 0
-        fixed = 0
-        for lit in clause:
-            bit = 1 << (abs(lit) - 1)
-            fixed |= bit
-            if lit < 0:
-                pattern |= bit  # negated literal is false when the var is true
-        free = [1 << b for b in range(v) if not (fixed >> b) & 1]
-        for combo in range(1 << len(free)):
-            word = pattern
-            rest = combo
-            for bit in free:
-                if rest & 1:
-                    word |= bit
-                rest >>= 1
-            falsified.add(word)
-        if len(falsified) == total:
-            return False
-    return len(falsified) < total
+    """Exhaustive satisfiability check: whether one of the 2^v assignments
+    satisfies every clause."""
+    variables = range(1, instance.v + 1)
+    for values in itertools.product((False, True), repeat=instance.v):
+        assignment = dict(zip(variables, values))
+        if all(clause_satisfied(c, assignment) for c in instance.clauses):
+            return True
+    return False
 
 
 def sat_model_assignment(true_atoms: Iterable[Atom]) -> dict[int, bool]:

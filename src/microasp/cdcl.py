@@ -52,6 +52,7 @@ holds twice as many entries as there are other variables.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -82,16 +83,11 @@ DELETION_STEP = 500
 
 
 def luby(i: int) -> int:
-    """The reluctant-doubling sequence 1,1,2,1,1,2,4,... (1-indexed)."""
-    k = 1
-    while (1 << k) - 1 < i:
-        k += 1
-    while (1 << k) - 1 != i:
-        i -= (1 << (k - 1)) - 1
-        k = 1
-        while (1 << k) - 1 < i:
-            k += 1
-    return 1 << (k - 1)
+    """The reluctant-doubling sequence 1,1,2,1,1,2,4,... (1-indexed): its
+    term at i = 2^k - 1 is 2^(k-1), and past that i it starts over."""
+    while i & (i + 1):  # i is not 2^k - 1
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
 
 
 def canonical(lits: Iterable[int]) -> tuple[int, ...]:
@@ -135,24 +131,6 @@ class SolveResult:
         return {SAT: EXIT_MODEL, UNSAT: EXIT_UNSAT, TIMEOUT: EXIT_TIMEOUT}[self.status]
 
 
-@dataclass
-class SolverCallbacks:
-    """Hooks may only return nogoods to add; they never touch the trail.
-
-    on_literal_true(solver, lit) runs for each trail literal in trail order,
-    after that literal's unit and support propagation.
-    on_propagation_fixpoint(solver) runs once unit and support propagation
-    rest.  on_total_candidate(solver) may veto a total assignment, read off
-    `solver._assign`, by returning nogoods; an empty return accepts it.
-    Each hook returns a list of nogoods, each a tuple of solver literals,
-    that the solver takes as given: it neither copies nor keeps the list.
-    """
-
-    on_literal_true: Optional[Callable] = None
-    on_propagation_fixpoint: Optional[Callable] = None
-    on_total_candidate: Optional[Callable] = None
-
-
 class StoredNogood:
     __slots__ = ("lits", "w0", "w1", "learned", "deleted", "activity", "lbd")
 
@@ -176,20 +154,38 @@ class BudgetSpent(Exception):
 
 class Solver:
     """One CDCL search instance over a ground program.  Of a budget it
-    enforces only `max_conflicts`; `strategies.solve` enforces the time."""
+    enforces only `max_conflicts`; `strategies.solve` enforces the time.
+
+    The hooks extend the search; they may only return nogoods to add and
+    never touch the trail.  `on_literal_true(solver, lit)` runs for each
+    trail literal in trail order, after that literal's unit and support
+    propagation.  `on_propagation_fixpoint(solver)` runs once unit and
+    support propagation rest.  `on_total_candidate(solver)` may veto a
+    total assignment, read off `solver._assign`, by returning nogoods; an
+    empty return accepts it.  Each hook returns a list of nogoods, each a
+    tuple of solver literals, that the solver takes as given: it neither
+    copies nor keeps the list.
+
+    A decision heap entry is `(-activity, rank, var)`: the least entry is
+    the most active variable, ties broken by the seed's permutation `rank`,
+    and the entry is stale once `-activity` is no longer the variable's.
+    """
 
     def __init__(
         self,
         gp: GroundProgram,
         *,
         seed: int = 0,
-        callbacks: Optional[SolverCallbacks] = None,
         budget: Optional[Budget] = None,
         forced_decisions: Sequence[int] = (),
+        on_literal_true: Optional[Callable] = None,
+        on_propagation_fixpoint: Optional[Callable] = None,
+        on_total_candidate: Optional[Callable] = None,
     ):
         self.gp = gp
-        self.seed = seed
-        self.callbacks = callbacks or SolverCallbacks()
+        self.on_literal_true = on_literal_true
+        self.on_propagation_fixpoint = on_propagation_fixpoint
+        self.on_total_candidate = on_total_candidate
         self.budget = budget or Budget()
         self.stats = SolveStats()
         self.nogood_queue: deque[tuple[int, ...]] = deque()
@@ -204,7 +200,7 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._prop_head = 0
-        # Trail length at the start of the last fixpoint callback: the post
+        # Trail length at the start of the last fixpoint hook call: the post
         # propagator joins only the literals assigned since.
         self._fixpoint_mark = 0
 
@@ -226,7 +222,7 @@ class Solver:
         self._rank = rank
         self._fact_vars = set(gp.facts)
         self._heap = [
-            (0.0, rank[var], var, 0.0)
+            (0.0, rank[var], var)
             for var in range(1, n + 1)
             if var not in self._fact_vars
         ]
@@ -243,14 +239,11 @@ class Solver:
         self._n_reductions = 0
 
         self._defs: dict[int, list[tuple[int, ...]]] = {}
-        self._sup_heads: list[int] = []
+        # Up to two bodies of each support head that were open at its last
+        # scan (`_support_check`), by head in build order.
+        self._sup_open: dict[int, list[tuple[int, ...]]] = {}
         self._sup_watch: dict[int, list[int]] = {}
         self._build_static()
-        # Up to two bodies of each support head that were open at its last
-        # scan (`_support_check`).
-        self._sup_open: dict[int, list[tuple[int, ...]]] = {
-            head: [] for head in self._sup_heads
-        }
         self._tight = self._is_tight()
 
     # ------------------------------------------------------------------ setup
@@ -307,19 +300,16 @@ class Solver:
             if not bodies:
                 yield (var,)
                 continue
-            product = 1
-            for body in bodies:
-                product *= len(body)
             if (
                 len(bodies) <= COMPLETION_MAX_RULES
-                and product <= COMPLETION_MAX_PRODUCT
+                and math.prod(map(len, bodies)) <= COMPLETION_MAX_PRODUCT
             ):
                 for combo in itertools.product(*bodies):
                     distinct = {var, *(-l for l in combo)}
                     if distinct.isdisjoint(map(neg, distinct)):
                         yield canonical(distinct)
             else:
-                self._sup_heads.append(var)
+                self._sup_open[var] = []
                 touched = {var}
                 touched.update(abs(l) for body in bodies for l in body)
                 for v in touched:
@@ -392,7 +382,7 @@ class Solver:
                 act = activity[var]
                 if heap_act[var] != act:
                     heap_act[var] = act
-                    heappush(heap, (-act, rank[var], var, act))
+                    heappush(heap, (-act, rank[var], var))
             del trail[start:]
             del self._trail_lim[target:]
         if len(self._heap) > self._heap_bound:
@@ -464,24 +454,18 @@ class Solver:
         if len(not_true) >= 2:
             ng.w0, ng.w1 = not_true[0], not_true[1]
         else:
-            by_depth = sorted(
+            latest = sorted(
                 (l for l in key if assign[l] == 1),
                 key=lambda l: -self._pos[abs(l)],
             )
-            if len(not_true) == 1:
-                ng.w0 = not_true[0]
-                ng.w1 = by_depth[0]
-            else:
-                ng.w0, ng.w1 = by_depth[0], by_depth[1]
+            ng.w0, ng.w1 = (not_true + latest)[:2]
         self._watches[ng.w0].append(ng)
         self._watches[ng.w1].append(ng)
-        if len(not_true) == 0:
+        if len(not_true) < 2:
             if self.level > 0:
                 self._fragile.append(ng)
-            return ng
-        if len(not_true) == 1:
-            if self.level > 0:
-                self._fragile.append(ng)
+            if not not_true:
+                return ng
             if assign[not_true[0]] == 0:
                 self._assign_lit(-not_true[0], ng)
         return None
@@ -493,7 +477,7 @@ class Solver:
 
         Returns the first falsified nogood, or None at fixpoint.
         """
-        cb_fix = self.callbacks.on_propagation_fixpoint
+        cb_fix = self.on_propagation_fixpoint
         while True:
             if self._root_conflict is not None:
                 return self._root_conflict
@@ -534,20 +518,15 @@ class Solver:
     def _apply_emitted(
         self, nogoods: list[tuple[int, ...]]
     ) -> tuple[Optional[StoredNogood], bool]:
-        """Install hook-produced nogoods; on conflict the rest join the queue."""
-        before_trail = len(self._trail)
-        before_store = len(self._by_lits)
+        """Install hook-produced nogoods; on conflict the rest join the queue.
+        Progress is a longer trail or a larger store; a unit is stored too."""
+        before = (len(self._trail), len(self._by_lits))
         for i, lits in enumerate(nogoods):
             conflict = self._install(lits)
             if conflict is not None:
                 self.nogood_queue.extend(nogoods[i + 1 :])
                 return conflict, True
-        progressed = (
-            len(self._trail) != before_trail
-            or len(self._by_lits) != before_store
-            or bool(self._root_units)
-        )
-        return None, progressed
+        return None, (len(self._trail), len(self._by_lits)) != before
 
     def _propagate_trail(self) -> Optional[StoredNogood]:
         """Propagate the pending trail literals in order; returns the first
@@ -572,7 +551,7 @@ class Solver:
         reasons = self._reason
         phase = self._phase
         sup_watch = self._sup_watch
-        cb_lit = self.callbacks.on_literal_true
+        cb_lit = self.on_literal_true
         hooked = bool(sup_watch) or cb_lit is not None
         level = len(self._trail_lim)
         head = self._prop_head
@@ -658,7 +637,9 @@ class Solver:
         head needs are still open, the next call returns at once.  With
         fewer, a false literal of each closed body witnesses the nogood
         derived: the head false with no open body, or each literal of the
-        one open body true under a true head.
+        one open body true under a true head.  Each of the latter holds the
+        complement of an undefined literal, so it is never falsified: it
+        only infers that literal.
         """
         assign = self._assign
         val = assign[head]
@@ -695,9 +676,7 @@ class Solver:
             return self._install((head, *witnesses))
         for l in opened[0]:
             if assign[l] == 0:
-                conflict = self._install((head, -l, *witnesses))
-                if conflict is not None:
-                    return conflict
+                self._install((head, -l, *witnesses))
         return None
 
     # -------------------------------------------------------------- conflicts
@@ -813,7 +792,7 @@ class Solver:
         self._heap = []
         for v in range(1, self._nvars + 1):
             if self._assign[v] == 0:
-                self._heap.append((-activity[v], self._rank[v], v, activity[v]))
+                self._heap.append((-activity[v], self._rank[v], v))
                 self._heap_act[v] = activity[v]
             else:
                 self._heap_act[v] = -1.0
@@ -823,7 +802,7 @@ class Solver:
         """Drop the stale entries.  `choose_literal` skips every one of them,
         so no decision changes."""
         activity = self._activity
-        self._heap = [e for e in self._heap if e[3] == activity[e[2]]]
+        self._heap = [e for e in self._heap if -e[0] == activity[e[2]]]
         heapify(self._heap)
 
     def _bump_cla(self, ng: StoredNogood) -> None:
@@ -846,8 +825,8 @@ class Solver:
                 return lit
         heap = self._heap
         while heap:
-            _, _, var, snap = heappop(heap)
-            if snap != self._activity[var]:
+            neg_act, _, var = heappop(heap)
+            if -neg_act != self._activity[var]:
                 continue
             # The variable's entry is gone; `_backjump` pushes it again when
             # it becomes undefined.
@@ -951,41 +930,33 @@ class Solver:
             if vetoes:
                 self.stats.unfounded_vetoes += 1
                 return vetoes
-        if self.callbacks.on_total_candidate is not None:
-            return self.callbacks.on_total_candidate(self)
+        if self.on_total_candidate is not None:
+            return self.on_total_candidate(self)
         return []
 
     # ------------------------------------------------------------------ solve
-
-    def _note_conflict(self) -> None:
-        self.stats.conflicts += 1
-        self._conf_since_restart += 1
-        if (
-            self.budget.max_conflicts is not None
-            and self.stats.conflicts > self.budget.max_conflicts
-        ):
-            raise BudgetSpent()
 
     def solve(self) -> SolveResult:
         try:
             while True:
                 conflict = self.propagate()
-                if conflict is not None:
-                    self._note_conflict()
-                    if not self.resolve_conflict(conflict):
-                        return SolveResult(UNSAT, None, self.stats)
-                    continue
-                if len(self._trail) == self._nvars:
+                if conflict is None and len(self._trail) == self._nvars:
                     vetoes = self._total_checks()
                     if not vetoes:
                         return SolveResult(SAT, self.model_atoms(), self.stats)
                     conflict, progressed = self._apply_emitted(vetoes)
-                    if conflict is not None:
-                        self._note_conflict()
-                        if not self.resolve_conflict(conflict):
-                            return SolveResult(UNSAT, None, self.stats)
-                    elif not progressed:
-                        raise RuntimeError("total-candidate veto made no progress")
+                    if conflict is None:
+                        if not progressed:
+                            raise RuntimeError("total-candidate veto made no progress")
+                        continue
+                if conflict is not None:
+                    self.stats.conflicts += 1
+                    self._conf_since_restart += 1
+                    limit = self.budget.max_conflicts
+                    if limit is not None and self.stats.conflicts > limit:
+                        raise BudgetSpent()
+                    if not self.resolve_conflict(conflict):
+                        return SolveResult(UNSAT, None, self.stats)
                     continue
                 self.restart_if_needed()
                 self.delete_constraints_if_needed()

@@ -263,16 +263,20 @@ def bench_matrix(
 
     The runtime metric is the conflict count (the budget for timeouts); the
     label is the cheapest strategy, ties broken in declaration order, or
-    `none` when everything timed out.
+    `none` when everything timed out.  An instance that does not parse or
+    ground is a `ValueError` that names its path first.
     """
     budget = Budget(max_conflicts=conflicts)
     examples = []
     for path in paths:
-        program = _read_program(path)
-        features = portfolio.extract_features(program, family)
-        results = {
-            s: _timed_solve(program, s, seed, budget)[0] for s in ALL_STRATEGIES
-        }
+        try:
+            program = _read_program(path)
+            features = portfolio.extract_features(program, family)
+            results = {
+                s: _timed_solve(program, s, seed, budget)[0] for s in ALL_STRATEGIES
+            }
+        except (ParseError, GroundingError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         runtimes = {
             s: float(conflicts if r.status == TIMEOUT else r.stats.conflicts)
             for s, r in results.items()
@@ -322,7 +326,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             name, eq, value = part.partition("=")
             if not eq:
                 raise ValueError(f"--features expects name=value pairs, got '{part}'")
-            features[name] = float(value)
+            features[name] = portfolio.finite_float(value, f"--features {name}")
     else:
         program = _read_program(args.instance)
         features = portfolio.extract_features(program, args.family)

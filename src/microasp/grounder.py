@@ -89,19 +89,14 @@ class GroundingError(Exception):
         super().__init__(f"{message}{where}")
 
 
-def _key_of(positions: Sequence[int]) -> Callable:
-    """The key of a sequence at one or more `positions`: the value itself
-    for one, a tuple for more.  Tables and plans build keys alike."""
-    return itemgetter(*positions)
-
-
 class AtomIndex:
     """Ground atoms with dense ids, and keyed tables for joins.
 
     An atom's id is its insertion rank (0-based) and its solver variable is
     id + 1.  `table(predicate, positions)` maps the values at the given
-    argument positions (a key as built by `_key_of`) to the rows `(var,
-    args)` holding them, in insertion order.  A table is built on first use
+    argument positions (the key `operator.itemgetter` builds: the value
+    itself for one position, a tuple for more) to the rows `(var, args)`
+    holding them, in insertion order.  A table is built on first use
     and kept current by `add`.
     """
 
@@ -132,7 +127,7 @@ class AtomIndex:
             return {(): self._rows.setdefault(predicate, [])}
         tables = self._tables.setdefault(predicate, {})
         if positions not in tables:
-            key = _key_of(positions)
+            key = itemgetter(*positions)
             table: dict = {}
             for row in self._rows.get(predicate, ()):
                 table.setdefault(key(row[1]), []).append(row)
@@ -399,7 +394,8 @@ class BodyPlan:
             return [f"s{slot[t]}" for t in terms]
 
         def key(terms: Iterable[Term]) -> str:
-            """The source of a table key, built as `_key_of` builds it."""
+            """The source of a table key, built as the table's
+            `operator.itemgetter` builds it."""
             keys = names(terms)
             return keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
 

@@ -194,16 +194,36 @@ def tree_to_json(tree: TreeNode) -> str:
     return json.dumps(encode(tree), indent=2, sort_keys=True) + "\n"
 
 
+#: The test and the description of each valued field of a tree node.
+_TREE_FIELDS = {
+    "label": (lambda v: isinstance(v, str), "a string"),
+    "counts": (
+        lambda v: isinstance(v, dict)
+        and all(type(c) is int and c >= 0 for c in v.values()),
+        "a map of labels to non-negative integers",
+    ),
+    "feature": (lambda v: isinstance(v, str), "a string"),
+    "threshold": (
+        lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+        "a finite number",
+    ),
+}
+
+
 def tree_from_json(text: str) -> TreeNode:
     """Decode `tree_to_json`'s text.  A node that is neither a leaf (a
-    `label`) nor a split (`feature`, `threshold`, `left` and `right`) is a
-    `ValueError`."""
+    `label`) nor a split (`feature`, `threshold`, `left` and `right`), a
+    field whose value `_TREE_FIELDS` rejects, or nesting too deep to
+    decode is a `ValueError`."""
 
     def decode(obj: dict) -> TreeNode:
         if not isinstance(obj, dict):
             raise ValueError(f"a tree node is a JSON object, not {type(obj).__name__}")
+        for key, (valid, what) in _TREE_FIELDS.items():
+            if key in obj and not valid(obj[key]):
+                raise ValueError(f"a tree node's {key} is {what}, not {json.dumps(obj[key])}")
         if "label" in obj:
-            return TreeNode(label=obj["label"], counts=dict(obj.get("counts", {})))
+            return TreeNode(label=obj["label"], counts=obj.get("counts", {}))
         missing = {"feature", "threshold", "left", "right"} - obj.keys()
         if missing:
             missing = ", ".join(sorted(missing))
@@ -215,7 +235,22 @@ def tree_from_json(text: str) -> TreeNode:
             right=decode(obj["right"]),
         )
 
-    return decode(json.loads(text))
+    try:
+        return decode(json.loads(text))
+    except RecursionError:
+        raise ValueError("the tree is nested too deeply to decode") from None
+
+
+def finite_float(text: str, where: str) -> float:
+    """The finite number `text` spells; anything else, `nan` and `inf`
+    included, is a `ValueError` that `where` begins."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 def _stratified_folds(
@@ -317,21 +352,18 @@ def write_dataset(path: str, examples: Sequence[Example], schema: Sequence[str])
         writer = csv.writer(handle)
         writer.writerow(["instance", *schema, "label", *RUNTIME_FIELDS])
         for ex in examples:
+            runtimes = [ex.runtimes.get(f.removeprefix("runtime_")) for f in RUNTIME_FIELDS]
             writer.writerow(
-                [ex.name]
-                + [repr(ex.features[f]) for f in schema]
-                + [ex.label]
-                + [repr(ex.runtimes.get(f.removeprefix("runtime_"), ""))
-                   if ex.runtimes.get(f.removeprefix("runtime_")) is not None
-                   else ""
-                   for f in RUNTIME_FIELDS]
+                [ex.name, *(repr(ex.features[f]) for f in schema), ex.label]
+                + ["" if t is None else repr(t) for t in runtimes]
             )
 
 
 def read_dataset(path: str) -> tuple[list[Example], list[str]]:
     """Load a dataset CSV; rows labelled `none` are kept out of the result.
-    A file without a header that has `instance` and `label` columns, or
-    with a row whose length is not the header's, is a `ValueError`."""
+    A file without a header that has `instance` and `label` columns, with a
+    row whose length is not the header's, or with a feature or runtime
+    cell that is not a finite number, is a `ValueError`."""
     examples: list[Example] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -352,15 +384,16 @@ def read_dataset(path: str) -> tuple[list[Example], list[str]]:
             record = dict(zip(header, row))
             if record["label"] == "none":
                 continue
+            where = f"{path}:{reader.line_num}: column"
             runtimes = {
-                f.removeprefix("runtime_"): float(record[f])
+                f.removeprefix("runtime_"): finite_float(record[f], f"{where} {f}")
                 for f in RUNTIME_FIELDS
                 if record.get(f)
             }
             examples.append(
                 Example(
                     record["instance"],
-                    {f: float(record[f]) for f in schema},
+                    {f: finite_float(record[f], f"{where} {f}") for f in schema},
                     record["label"],
                     runtimes,
                 )

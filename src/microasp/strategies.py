@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cdcl import TIMEOUT, Budget, BudgetSpent, Solver, SolverCallbacks, SolveResult
+from .cdcl import TIMEOUT, Budget, BudgetSpent, Solver, SolveResult
 from .cdcl import SolveStats, canonical as _canonical
 from .grounder import (
     BodyPlan,
@@ -26,7 +26,7 @@ from .grounder import (
     ground_program,
     iter_matches,
 )
-from .model import GroundRule, Program
+from .model import Literal, Program
 
 
 class StrategyKind(str, Enum):
@@ -36,15 +36,15 @@ class StrategyKind(str, Enum):
     POST = "post"
 
 
-def solver_nogood(gp: GroundProgram, constraint: GroundRule) -> Optional[tuple[int, ...]]:
-    """Constraint body as solver literals.
+def solver_nogood(gp: GroundProgram, body: Iterable[Literal]) -> Optional[tuple[int, ...]]:
+    """A nogood of ground literals as solver literals.
 
     Atoms outside the table can never become true: a positive literal on one
     makes the nogood unfalsifiable (the whole nogood is dropped, None), a
     negative literal on one is permanently true and is simply omitted.
     """
     lits: list[int] = []
-    for lit in constraint.body:
+    for lit in body:
         idx = gp.atoms.id_of(lit.atom)
         if idx is None:
             if lit.positive:
@@ -291,18 +291,13 @@ def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResu
     gp = ground_program(program, include_deferred=full)
     deferred = [] if full else program.deferred_plans()
 
-    callbacks = SolverCallbacks()
     index = ConstraintIndex(deferred, gp) if deferred else None
-    if index is not None and kind is StrategyKind.EAGER:
-        callbacks.on_literal_true = index.eager_nogoods
-    if index is not None and kind is StrategyKind.POST:
-        callbacks.on_propagation_fixpoint = index.post_nogoods
-
+    eager = index.eager_nogoods if index and kind is StrategyKind.EAGER else None
+    post = index.post_nogoods if index and kind is StrategyKind.POST else None
+    on_total = None
     if deferred or on_model is not None:
-        plans = index.plans if index is not None else []
-
         def on_total(solver: Solver) -> list[tuple[int, ...]]:
-            violations = ground_deferred_violations(plans, gp.atoms, solver._assign)
+            violations = ground_deferred_violations(deferred, gp.atoms, solver._assign)
             if violations:
                 nogoods = _new_nogoods(solver, (lits for _, _, lits in violations))
                 solver.stats.invalidations += 1
@@ -311,21 +306,17 @@ def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResu
             if on_model is not None:
                 extra = on_model(solver.model_atoms())
                 if extra is not None:
-                    converted = []
-                    for nogood in extra:
-                        lits = solver_nogood(gp, GroundRule(None, tuple(nogood)))
-                        if lits is not None:
-                            converted.append(lits)
-                    return converted
+                    converted = (solver_nogood(gp, nogood) for nogood in extra)
+                    return [lits for lits in converted if lits is not None]
             return []
-
-        callbacks.on_total_candidate = on_total
 
     solver = Solver(
         gp,
         seed=seed,
-        callbacks=callbacks,
         budget=budget,
         forced_decisions=forced_decisions,
+        on_literal_true=eager,
+        on_propagation_fixpoint=post,
+        on_total_candidate=on_total,
     )
     return solver.solve()

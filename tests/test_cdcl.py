@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ from microasp import benchgen, cdcl, strategies
 from microasp.cdcl import (
     Budget,
     Solver,
-    SolverCallbacks,
     SolveStats,
     luby,
     RESTART_UNIT,
@@ -88,7 +88,7 @@ class TestPropagate:
         )
         solver = Solver(ground_program(parse_program(text)))
         h = lit_of(solver, ga("h", 1))
-        assert solver._sup_heads == [h]
+        assert list(solver._sup_open) == [h]
         assert solver.propagate() is None
         solver.decide(h)
         for i in range(1, n):
@@ -209,9 +209,7 @@ class TestComputeStableModel:
                 return [tuple(lit_of(solver, a) for a in model)]
             return []
 
-        result = Solver(
-            pi1_gp, callbacks=SolverCallbacks(on_total_candidate=veto_first)
-        ).solve()
+        result = Solver(pi1_gp, on_total_candidate=veto_first).solve()
         assert result.status == "SAT"
         assert result.model != seen[0]
         assert is_stable_model(pi1_gp, result.model)
@@ -302,7 +300,7 @@ def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
     def checked_choose():
         assign, activity = solver._assign, solver._activity
         levels = [solver._level_arr[abs(l)] for l in solver._trail]
-        valid = Counter(v for _, _, v, snap in solver._heap if snap == activity[v])
+        valid = Counter(v for neg_act, _, v in solver._heap if -neg_act == activity[v])
         broken.append(
             (
                 sum(1 for v in variables if assign[-v] != -assign[v]),
@@ -322,6 +320,41 @@ def test_vsids_rescale_keeps_every_undefined_variable_in_the_heap():
     assert solver._var_inc < 1e99  # rescaled
     assert len(broken) > 100
     assert set(broken) == {(0, False, 0)}
+
+
+@pytest.mark.parametrize("ratio, seed, status", [(4.0, 1, "SAT"), (4.26, 0, "UNSAT")])
+def test_clause_activity_rescale_keeps_the_order_of_learned_nogoods(ratio, seed, status):
+    """Once a learned nogood's activity passes 1e20, every learned activity
+    and the increment are scaled by 1e-20.  The increment starts near the
+    bound, so the rescale comes within a few dozen conflicts rather than
+    after about 46k.  After every bump each learned activity is finite and
+    at most 1e20, a rescale keeps the order of the learned activities, and
+    the answer is the one a solve without the rescale gives."""
+    inst = benchgen.make_3sat(80, ratio, seed)
+    program = parse_program(benchgen.sat_program_text(inst))
+    gp = ground_program(program, include_deferred=True)
+    solver = Solver(gp, seed=1)
+    solver._cla_inc = 1e19
+    bump = solver._bump_cla
+    kept = []
+
+    def checked_bump(ng):
+        inc = solver._cla_inc
+        bumped = [other.activity + (inc if other is ng else 0.0) for other in solver._learned]
+        bump(ng)
+        after = [other.activity for other in solver._learned]
+        assert all(math.isfinite(a) and a <= 1e20 for a in after)
+        if solver._cla_inc < inc:
+            order = sorted(range(len(after)), key=bumped.__getitem__)
+            kept.append(all(after[i] <= after[j] for i, j in zip(order, order[1:])))
+
+    solver._bump_cla = checked_bump
+    result = solver.solve()
+    assert kept and all(kept)
+    assert result.status == status == Solver(gp, seed=1).solve().status
+    if result.model is not None:
+        assignment = benchgen.sat_model_assignment(result.model)
+        assert all(benchgen.clause_satisfied(c, assignment) for c in inst.clauses)
 
 
 def _spy_on_builds(monkeypatch) -> list:
@@ -582,7 +615,7 @@ class TestSupportModes:
         for mode in SUPPORT_PATHS:
             support_path(monkeypatch, mode)
             solver = Solver(pi1_gp)
-            assert bool(solver._sup_heads) == (mode == "propagator")
+            assert bool(solver._sup_open) == (mode == "propagator")
             assert solver.propagate() is None
             solver.decide(-1)
             assert solver.propagate() is None
@@ -622,7 +655,7 @@ class InstallingSolver(Solver):
                 for combo in itertools.product(*bodies):
                     self._install((var, *(-l for l in combo)))
             else:
-                self._sup_heads.append(var)
+                self._sup_open[var] = []
                 touched = {var}
                 touched.update(abs(l) for body in bodies for l in body)
                 for v in touched:
@@ -640,7 +673,7 @@ def store_of(solver):
         [ng.lits for ng in solver._root_units],
         None if conflict is None else conflict.lits,
         list(solver._defs.items()),
-        solver._sup_heads,
+        list(solver._sup_open),
         list(solver._sup_watch.items()),
     )
 
@@ -713,7 +746,7 @@ def test_a_fixpoint_hook_that_only_stores_a_nogood_runs_again(pi1_gp):
         calls.append(len(solver._trail))
         return [(1, 3)] if len(calls) == 1 else []
 
-    solver = Solver(pi1_gp, callbacks=SolverCallbacks(on_propagation_fixpoint=hook))
+    solver = Solver(pi1_gp, on_propagation_fixpoint=hook)
     stored = len(solver._by_lits)
     assert solver.propagate() is None
     assert calls == [0, 0] and len(solver._by_lits) == stored + 1

@@ -327,6 +327,31 @@ class TestBench:
         assert captured.err == f"error: --dir {missing} is not a directory\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a(1) !\n", "unexpected character '!' at 1:6"),
+            (
+                "p(1).\nq(X) :- p(X), X < a.\n",
+                "ordered comparison on non-integer constant 'a' in rule "
+                "'q(X) :- p(X), X < a.' at 2:1",
+            ),
+        ],
+        ids=["parse", "ground"],
+    )
+    def test_an_instance_that_fails_is_named(self, tmp_path, capsys, text, message):
+        """A parse or grounding error of one instance names its file, and
+        no dataset is written."""
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        (inst_dir / "a.lp").write_text(bg.sat_program_text(bg.make_3sat(5, 2.0, 0)))
+        (inst_dir / "b.lp").write_text(text)
+        out = tmp_path / "data.csv"
+        assert main(["bench", "--dir", str(inst_dir), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {inst_dir / 'b.lp'}: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_out_defaults_to_dataset_csv(self, tmp_path, capsys, monkeypatch):
         inst_dir = tmp_path / "none"
         inst_dir.mkdir()
@@ -428,6 +453,14 @@ class TestPortfolioCommands:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", ""])
+    def test_predict_features_not_a_number(self, tree_file, capsys, value):
+        code = main(["portfolio", "predict", "--tree", tree_file, "--features", f"x={value}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --features x: {value!r} is not a finite number\n"
+        assert captured.out == ""
+
     def test_predict_needs_features_or_instance(self, tree_file, capsys):
         assert main(["portfolio", "predict", "--tree", tree_file]) == 1
         assert "error: portfolio predict needs --features or --instance" in (
@@ -453,6 +486,97 @@ class TestPortfolioCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {data}{message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("action", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("instance,x,label\ni0,xx,lazy\n", ":2: column x: 'xx' is not a finite number"),
+            ("instance,x,label\ni0,1.0,lazy\ni1,nan,post\n",
+             ":3: column x: 'nan' is not a finite number"),
+            ("instance,x,label,runtime_full\ni0,1.0,lazy,fast\n",
+             ":2: column runtime_full: 'fast' is not a finite number"),
+            ("instance,x,label,runtime_lazy\ni0,1.0,lazy,inf\n",
+             ":2: column runtime_lazy: 'inf' is not a finite number"),
+        ],
+        ids=["feature-text", "feature-nan", "runtime-text", "runtime-inf"],
+    )
+    def test_a_cell_that_is_no_number_exits_one(self, tmp_path, capsys, action, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert main(["portfolio", action, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}{message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"feature": "x", "threshold": "a", "left": {"label": "a"}, "right": {"label": "b"}}',
+                "a tree node's threshold is a finite number, not \"a\"",
+            ),
+            (
+                '{"feature": "x", "threshold": true, "left": {"label": "a"}, "right": {"label": "b"}}',
+                "a tree node's threshold is a finite number, not true",
+            ),
+            (
+                '{"feature": "x", "threshold": NaN, "left": {"label": "a"}, "right": {"label": "b"}}',
+                "a tree node's threshold is a finite number, not NaN",
+            ),
+            (
+                '{"feature": ["x"], "threshold": 1, "left": {"label": "a"}, "right": {"label": "b"}}',
+                "a tree node's feature is a string, not [\"x\"]",
+            ),
+            (
+                '{"label": "a", "counts": 3}',
+                "a tree node's counts is a map of labels to non-negative integers, not 3",
+            ),
+            (
+                '{"label": "a", "counts": {"a": -1}}',
+                "a tree node's counts is a map of labels to non-negative integers, "
+                'not {"a": -1}',
+            ),
+            (
+                '{"label": "a", "counts": {"a": 1.5}}',
+                "a tree node's counts is a map of labels to non-negative integers, "
+                'not {"a": 1.5}',
+            ),
+            ('{"label": 7}', "a tree node's label is a string, not 7"),
+            ("[" * 100_000, "the tree is nested too deeply to decode"),
+            (
+                '{"feature": "x", "threshold": 1, "right": {"label": "b"}, "left": ' * 5000
+                + '{"label": "a"}' + "}" * 5000,
+                "the tree is nested too deeply to decode",
+            ),
+        ],
+        ids=[
+            "threshold-string", "threshold-bool", "threshold-nan", "feature-list",
+            "counts-int", "counts-negative", "counts-float", "label-number",
+            "deep-lists", "deep-splits",
+        ],
+    )
+    def test_a_tree_value_of_the_wrong_kind_exits_one(self, tmp_path, capsys, text, message):
+        tree = tmp_path / "tree.json"
+        tree.write_text(text)
+        code = main(["portfolio", "predict", "--tree", str(tree), "--features", "x=2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_a_tree_with_integer_values_predicts(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "feature": "x", "threshold": 3,
+            "left": {"label": "lazy", "counts": {"lazy": 2, "post": 0}},
+            "right": {"label": "post"},
+        }))
+        for x, want in (("2", "lazy"), ("4", "post")):
+            assert main(
+                ["portfolio", "predict", "--tree", str(tree), "--features", f"x={x}"]
+            ) == 0
+            assert capsys.readouterr().out == f"{want}\n"
 
     @pytest.mark.parametrize(
         "node, missing",

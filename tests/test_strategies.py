@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from microasp import benchgen
-from microasp.cdcl import Budget, Solver, SolverCallbacks, SolveStats
+from microasp.cdcl import Budget, Solver, SolveStats
 from microasp.grounder import (
     BodyPlan,
     GroundingError,
@@ -134,8 +134,7 @@ class TestEagerPropagator:
         gp = ground_program(program)
         assert program.extensional == {"d", "e"}
         index = ConstraintIndex(program.deferred_plans(), gp)
-        callbacks = SolverCallbacks(on_literal_true=index.eager_nogoods)
-        solver = Solver(gp, callbacks=callbacks)
+        solver = Solver(gp, on_literal_true=index.eager_nogoods)
         assert solver.propagate() is None
         assert solver.level == 0
         assert [solver._assign[lit_of(solver, ga("p", x))] for x in (1, 2)] == [-1, -1]
@@ -224,7 +223,7 @@ class TestPostPropagator:
         index = ConstraintIndex(program.deferred_plans(), gp)
         solver = Solver(
             gp,
-            callbacks=SolverCallbacks(on_propagation_fixpoint=spy_fixpoint),
+            on_propagation_fixpoint=spy_fixpoint,
             forced_decisions=[p_var],
         )
         result = solver.solve()
@@ -267,9 +266,7 @@ class TestCheckTotalCandidate:
 
     def test_vetoes_with_violations(self, pi1):
         gp, out = self.check(pi1, {ga("a", 1), ga("c", 1)})
-        nogood = solver_nogood(
-            gp, GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1), False)))
-        )
+        nogood = solver_nogood(gp, (Literal(ga("a", 1)), Literal(ga("b", 1), False)))
         assert [(c, tuple(lits)) for c, lits in out] == [(":- a(X), not b(X)", nogood)]
 
     def test_empty_deferred_always_accepts(self, pi1):
@@ -503,14 +500,14 @@ class TestSolverNogoodConversion:
         gp = ground_program(pi1)
         ghost = ga("zzz", 9)
         constraint = GroundRule(None, (Literal(ga("a", 1)), Literal(ghost, False)))
-        lits = solver_nogood(gp, constraint)
+        lits = solver_nogood(gp, constraint.body)
         assert lits == (gp.atoms.id_of(ga("a", 1)) + 1,)
 
     def test_out_of_table_positive_skips_nogood(self, pi1):
         gp = ground_program(pi1)
         ghost = ga("zzz", 9)
         constraint = GroundRule(None, (Literal(ghost),))
-        assert solver_nogood(gp, constraint) is None
+        assert solver_nogood(gp, constraint.body) is None
 
 
 class TestStrategyEquivalenceFuzz:
