@@ -8,8 +8,10 @@ atoms with few defining rules and through a support propagator above that;
 non-tight programs get an unfounded-set check on total candidates.  The
 ground program's rules are already in these literals, (head variable or 0,
 body), and the build stores the whole program in one loop
-(`_build_static`); nogoods added later go through `_install`, which also
-infers from them.
+(`_build_static`): facts, rules, then completion, each nogood ordered by
+variable, a pair by one comparison, and made without a call to its
+class.  Nogoods added later go through `_install`, which also infers from
+them.
 
 The search state is indexed by literal.  `_assign` has 2n+1 entries:
 `_assign[v]` is the truth of atom v (1 true, -1 false, 0 undefined) and
@@ -249,56 +251,78 @@ class Solver:
     # ------------------------------------------------------------------ setup
 
     def _build_static(self) -> None:
-        """Store the ground program's nogoods in one loop, in the order of
-        `_static_nogoods`.  Nothing is assigned yet, so a nogood watches its
-        first two literals and infers nothing, a unit waits in
-        `_root_units` for the first `propagate`, and an empty one is the
-        root conflict."""
-        by_lits = self._by_lits
-        watches = self._watches
-        units = self._root_units
-        for key in self._static_nogoods():
-            if not key:
-                self._root_conflict = StoredNogood(())
-                continue
-            if key in by_lits:
-                continue
-            ng = by_lits[key] = StoredNogood(key)
-            if len(key) == 1:
-                units.append(ng)
-            else:
-                watches[key[0]].append(ng)
-                watches[key[1]].append(ng)
-
-    def _static_nogoods(self) -> Iterator[tuple[int, ...]]:
-        """The canonical tuples of the ground program's nogoods, tautologies
-        left out: each fact's unit, then each rule's, then each atom's
-        completion.  As it goes it records each head's bodies in `_defs`,
-        and the heads that get the support propagator instead of completion
-        nogoods, with the variables that wake them.
+        """Store the ground program's nogoods under their canonical tuples
+        in one loop, tautologies left out: each fact's unit, then each
+        rule's nogood, recording each head's bodies in `_defs`, then each
+        atom's completion (`_completion`).  Nothing is assigned yet, so a
+        nogood watches its first two literals and infers nothing, a unit
+        waits in `_root_units` for the first `propagate`, and an empty one
+        is the root conflict.
 
         A rule's body holds distinct literals and no complement (see
         `GroundProgram`), and its variables are distinct, so its nogood is
         tautological only if the head is in the body, repeats a literal
-        only if the head's complement is, and is canonical once sorted.  A
-        completion nogood takes a literal from each of several bodies, so
-        it is checked in general."""
-        yield from ((-var,) for var in self.gp.facts)
+        only if the head's complement is, and is canonical once ordered by
+        variable: a pair by one comparison, a longer one by a sort.  Each
+        nogood is made without a call to `StoredNogood`, its slots set here
+        as its `__init__` sets them."""
+        by_lits = self._by_lits
+        watches = self._watches
+        units = self._root_units
         defs = self._defs
-        for head, body in self.gp.rules:
-            if not head:
-                yield tuple(sorted(body, key=abs))
+        new = object.__new__
+        facts = [(0, (-var,)) for var in self.gp.facts]
+        # The completion reads `_defs` only once the rules are all stored:
+        # `chain` starts a generator at its turn.
+        for head, body in itertools.chain(facts, self.gp.rules, self._completion()):
+            if head:
+                defs.setdefault(head, []).append(body)
+                if head in body:
+                    continue
+                if -head not in body:
+                    body = (-head, *body)
+            size = len(body)
+            if size == 2:
+                w0, w1 = body
+                if abs(w1) < abs(w0):
+                    w0, w1 = w1, w0
+                    body = (w0, w1)
+            elif size > 2:
+                body = tuple(sorted(body, key=abs))
+                w0, w1 = body[0], body[1]
+            elif size:
+                w0 = w1 = body[0]
+            else:
+                self._root_conflict = StoredNogood(())
                 continue
-            defs.setdefault(head, []).append(body)
-            if head not in body:
-                yield tuple(sorted(body if -head in body else (-head, *body), key=abs))
+            if body in by_lits:
+                continue
+            ng = by_lits[body] = new(StoredNogood)
+            ng.lits = body
+            ng.w0 = w0
+            ng.w1 = w1
+            ng.learned = ng.deleted = False
+            ng.activity = 0.0
+            ng.lbd = 0
+            if size == 1:
+                units.append(ng)
+            else:
+                watches[w0].append(ng)
+                watches[w1].append(ng)
 
+    def _completion(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Each atom's completion nogoods as constraints (0, literals): the
+        unit of an atom without a rule, and for a head with few enough
+        bodies, one nogood per choice of a literal from each, tautologies
+        left out.  A head with more gets the support propagator instead,
+        recorded with the variables that wake it."""
+        defs = self._defs
         for var in range(1, self._nvars + 1):
             if var in self._fact_vars:
                 continue
             bodies = defs.get(var)
             if not bodies:
-                yield (var,)
+                yield 0, (var,)
                 continue
             if (
                 len(bodies) <= COMPLETION_MAX_RULES
@@ -307,7 +331,7 @@ class Solver:
                 for combo in itertools.product(*bodies):
                     distinct = {var, *(-l for l in combo)}
                     if distinct.isdisjoint(map(neg, distinct)):
-                        yield canonical(distinct)
+                        yield 0, tuple(distinct)
             else:
                 self._sup_open[var] = []
                 touched = {var}
@@ -319,8 +343,7 @@ class Solver:
         """No cycle through positive bodies in the head-dependency graph."""
         graph: dict[int, list[int]] = {}
         for head, bodies in self._defs.items():
-            deps = {abs(l) for body in bodies for l in body if l > 0}
-            graph[head] = sorted(deps)
+            graph[head] = {l for body in bodies for l in body if l > 0}
         color: dict[int, int] = {}
         for start in graph:
             if color.get(start):

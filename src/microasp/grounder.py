@@ -49,7 +49,14 @@ turns an instance back into atoms for text.
 
 Each match of a plan in written order comes in lexicographic order of the
 variables of its positive literals; a seeded plan's `written` permutation
-recovers that key from a match's literals.
+recovers that key from a match's literals.  The instance form of a
+constraint uses that order to join a symmetric pair once: where swapping
+two positive literals a < b on one predicate maps the body onto itself
+(`_symmetric_pairs`), such as `:- match(M,W1), match(M,W2), W1 != W2.`, it
+skips a match whose row at b has a lower variable than its row at a.  The
+match it skips has the literals of one that came before it, so the
+nogoods, their first occurrences and the solver's store are those of the
+full join.
 """
 from __future__ import annotations
 
@@ -62,6 +69,7 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 from .model import (
     Atom,
     BodyElement,
+    Comparison,
     GroundRule,
     Literal,
     Program,
@@ -167,7 +175,13 @@ class GroundProgram:
     `oracle.reduct`) guarantees that `facts` holds each variable once and
     that each body holds distinct literals and never a literal and its
     complement.  The solver relies on it to store the rules' nogoods
-    without a set: see `cdcl.Solver._static_nogoods`."""
+    without a set: see `cdcl.Solver._build_static`.
+
+    A constraint's instances need not be every match of its body: the
+    grounder joins a symmetric pair once (see the module docstring), and
+    the instances left out are ones whose set of literals an earlier
+    instance holds.  So the nogoods, in the order of their first
+    occurrence, are those of the full instantiation."""
 
     def __init__(
         self,
@@ -281,6 +295,76 @@ def _not_ints(names: Iterable[str]) -> str:
     return " or ".join(f"type({n}) is not int" for n in names)
 
 
+def _symmetric_pairs(rule: Rule) -> list[tuple[int, int]]:
+    """The pairs (a, b) of positive literals of a constraint, by written
+    position among its positive literals, whose swap maps the body onto
+    itself, a being the nearest positive literal before b on b's predicate.
+
+    The swap is the renaming of variables that maps literal a onto b and b
+    onto a, argument by argument; a constant must meet an equal constant.
+    Every other positive literal must stay itself, and the set of the
+    other elements must stay the same, `X != Y` being `Y != X`.  A body with
+    a sum or an ordered comparison has no pair: an ordered comparison can
+    fail on a symbol, and the match that fails first could be one a swap
+    leaves out.  Of the matches that the swaps map onto one another, the
+    first in match order comes with each b's variable no lower than its
+    a's.  Each check reads only the elements that hold a variable the swap
+    moves, so a long body is checked in time about linear in its length.
+    """
+    if rule.head is not None:
+        return []
+    positives = [e.atom for e in rule.body if isinstance(e, Literal) and e.positive]
+    rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
+    for elem in rest:
+        if isinstance(elem, Comparison) and (
+            elem.op not in ("=", "!=") or len(elem.lhs) + len(elem.rhs) > 2
+        ):
+            return []
+
+    def form(elem: BodyElement, swap: dict) -> tuple:
+        """A negative literal or a comparison under the swap, the sides of
+        a comparison unordered."""
+        if isinstance(elem, Literal):
+            return elem.atom.predicate, tuple(swap.get(t, t) for t in elem.atom.args)
+        return elem.op, frozenset(swap.get(t, t) for t in elem.lhs + elem.rhs)
+
+    holders: dict[Var, set[int]] = {}  # the positive literals holding a variable
+    for k, atom in enumerate(positives):
+        for t in atom.args:
+            if isinstance(t, Var):
+                holders.setdefault(t, set()).add(k)
+    touching: dict[Var, list[BodyElement]] = {}  # the other elements holding it
+    for elem in rest:
+        terms = elem.atom.args if isinstance(elem, Literal) else elem.lhs + elem.rhs
+        for t in set(terms):
+            if isinstance(t, Var):
+                touching.setdefault(t, []).append(elem)
+    unchanged = {form(elem, {}) for elem in rest}
+    last: dict[tuple[str, int], int] = {}
+    pairs = []
+    for b, atom_b in enumerate(positives):
+        a = last.get((atom_b.predicate, atom_b.arity))
+        last[atom_b.predicate, atom_b.arity] = b
+        if a is None:
+            continue
+        swap: dict[Var, Var] = {}
+        for s, t in zip(positives[a].args, atom_b.args):
+            if not (isinstance(s, Var) and isinstance(t, Var)):
+                if s != t:
+                    break
+            elif swap.setdefault(s, t) != t or swap.setdefault(t, s) != s:
+                break
+        else:
+            moved = [s for s, t in swap.items() if s != t]
+            if all(holders[s] <= {a, b} for s in moved) and all(
+                form(elem, swap) in unchanged
+                for s in moved
+                for elem in touching.get(s, ())
+            ):
+                pairs.append((a, b))
+    return pairs
+
+
 class BodyPlan:
     """One rule body planned once and emitted as the source of its join.
 
@@ -315,7 +399,10 @@ class BodyPlan:
     the truth form reads no truth value and spends no budget on its loop,
     and the instance form leaves it out of the body.  Its variable is still
     among a truth-form match's literals.  The instance form folds the other
-    fact variables in.  `_source` holds the source of each form the plan
+    fact variables in, and for each pair (a, b) of `_symmetric_pairs`, a
+    constraint's only, skips a match right after loop b when b's variable
+    is lower than a's: of two matches that the swap exchanges it keeps the
+    first.  `_source` holds the source of each form the plan
     runs: both, or the truth form only for a seeded plan.  A form is
     compiled at its first join (`_compiled`), never here: a program's plans
     are made when it is parsed, for its safety check, and a solve may run
@@ -475,6 +562,10 @@ class BodyPlan:
             args = rule.body[seed].atom.args
             known, self._seed_binds, repeats = match(args)
             self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
+        # Loop a's number by loop b's, for each symmetric pair (a, b).
+        swapped = {} if seed is not None else {
+            b + 1: a + 1 for a, b in _symmetric_pairs(rule)
+        }
         place()
         for i, lit in enumerate(self.positives, 1):
             if i % _NESTED == 0:
@@ -500,6 +591,8 @@ class BodyPlan:
                 f"g{table}({key(args[pos] for pos in known)}, ()):"
             )
             depth, skip = depth + 1, "continue"
+            if i in swapped:
+                emit(f"if v{i} < v{swapped[i]}: continue", (_INSTANCES,))
             if lit.atom.predicate not in extensional:
                 emit(f"x = values[v{i}]", (_TRUTH,))
                 emit("if x < 0: continue", (_TRUTH,))
@@ -698,7 +791,8 @@ def _instances(
 
 def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
     """The instances of one rule over the atoms of an index, each once, in
-    the order of its first match; heads not in the index are added to it.
+    the order of its first match, a symmetric pair of a constraint joined
+    once (see `BodyPlan`); heads not in the index are added to it.
 
     Positive body literals match the index and comparisons are evaluated
     away.  A negative literal on an atom outside the index and a repeated

@@ -11,7 +11,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .grounder import herbrand_universe
 from .model import Literal, Program
@@ -363,11 +363,20 @@ def read_dataset(path: str) -> tuple[list[Example], list[str]]:
     """Load a dataset CSV; rows labelled `none` are kept out of the result.
     A file without a header that has `instance` and `label` columns, with a
     row whose length is not the header's, or with a feature or runtime
-    cell that is not a finite number, is a `ValueError`."""
+    cell that is not a finite number, is a `ValueError`, and so is a line
+    the `csv` module cannot read, such as a cell over its field limit."""
     examples: list[Example] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+
+        def lines() -> Iterator[list[str]]:
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+        rows = lines()
+        header = next(rows, [])
         if not {"instance", "label"} <= set(header):
             raise ValueError(f"{path}: no header with instance and label columns")
         schema = [
@@ -375,7 +384,7 @@ def read_dataset(path: str) -> tuple[list[Example], list[str]]:
             for col in header
             if col not in ("instance", "label", *RUNTIME_FIELDS)
         ]
-        for row in reader:
+        for row in rows:
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}:{reader.line_num}: {len(row)} fields, "

@@ -488,6 +488,22 @@ class TestPortfolioCommands:
         assert captured.out == ""
 
     @pytest.mark.parametrize("action", ["train", "eval"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_cell_over_the_csv_field_limit_exits_one(
+        self, tmp_path, capsys, action, line
+    ):
+        """A line the `csv` module cannot read is an error at that line."""
+        rows = ["instance,x,label", "i0,1.0,lazy", "i1,2.0,post"]
+        rows[line - 1] = rows[line - 1].replace("i", "i" * 200_000, 1)
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["portfolio", action, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        limit = csv.field_size_limit()
+        assert captured.err == f"error: {data}:{line}: field larger than field limit ({limit})\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("action", ["train", "eval"])
     @pytest.mark.parametrize(
         "text, message",
         [

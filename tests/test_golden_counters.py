@@ -101,9 +101,9 @@ def test_long_search_counters_match_golden(kind, monkeypatch):
 # instance -> SHA-256 of its ground program's text, deferred constraints kept.
 GROUND_SHA256 = {
     "3sat-v20": "9927d2dfb7b7a1493f7429f9ee8838749439c36c19ba629c51715418b0e7be27",
-    "marriage-n5": "96fec53c3682bc16732c6af18c5a4060d2834e17f43e7f1a87bbf41167656b37",
-    "packing-4x3": "9bbe488799e49b67df855ef4b7a4262fab2e62088083e0e3fa63d8d59c9bf515",
-    "packing-3x3": "ba8a418006e0e86bf139c84e60139b2087e4a2e5628f89424d52aaee2507230c",
+    "marriage-n5": "ef661f878838aa4d42861bad386ab92a0a6077ccee5166a718dca23157c668bb",
+    "packing-4x3": "e17b611a359fc2277e62c533e5a42e0c0a8f426bdaff95b7ab82a1a9475005c0",
+    "packing-3x3": "9744ee4dfcc3bd2d280a3ca28acaf11e88b43552bea489b9dc34669beaa0367d",
 }
 
 
@@ -127,9 +127,9 @@ def ordered_digest(programs) -> str:
 # constraints kept.
 GROUND_ORDER_SHA256 = {
     "3sat-v20": "fc260fc3de7c73c4433fd80c35e4d75b7409c43802a441e5e2b55d4eec4ca149",
-    "marriage-n5": "ed10feba38035df7c72fb2cbe9feea884ca8c1d9608fdc21ee6f6fe1aad1f16c",
-    "packing-4x3": "15a6d02a3c3459a34a555cb79c065bd75db35a96080909c855b75817629acfa0",
-    "packing-3x3": "d3a4cc74db58c56d92f0db4f1803d3a811470e28d5af40cb1f258d3534ec21ae",
+    "marriage-n5": "500a8e87f88e0141dc13b0e9d9e549a9e06757a0ce19c8ac42a3988999647c54",
+    "packing-4x3": "0237bb15d09a26e58937f29951d68a2c93fe00fec16c1d74534029e9ecfecd08",
+    "packing-3x3": "9d13e1c5deae702305fbc06d822b97004f386af0e8dd2e9a26c7a566f457309e",
 }
 
 
@@ -141,7 +141,7 @@ def test_ground_program_order_matches_golden(instance):
 
 # SHA-256 of the ground programs of the benchmark's three workloads at seed
 # 1, in workload, instance and strategy order, read in order.
-WORKLOADS_ORDER_SHA256 = "126b5644eea57dacaf928a4098a1663d2312fb481d0e08f19c556a8c1782e87b"
+WORKLOADS_ORDER_SHA256 = "86ee37be790dd01a0b252108403ccb02a88aff2838e6f2e88c810b508669114f"
 
 
 def test_workload_groundings_order_matches_golden():

@@ -4,9 +4,11 @@ import sys
 import pytest
 
 from microasp import benchgen, grounder
+from microasp.cdcl import Solver, canonical
 from microasp.grounder import (
     AtomIndex,
     BodyPlan,
+    GroundProgram,
     GroundingError,
     ground_deferred_violations,
     ground_program,
@@ -33,6 +35,8 @@ from support import (
     random_program_text,
     rule_texts,
 )
+from test_cdcl import store_of
+from test_golden_counters import INSTANCES as GOLDEN_INSTANCES, load_workloads
 
 
 def ga(pred, *args):
@@ -535,15 +539,15 @@ def reference_grounding(program, include_deferred):
         for i, rule in enumerate(program.rules)
         if include_deferred or i not in program.deferred
     ]
+    plans = [BodyPlan(rule) for rule in kept]
     index = AtomIndex()
     undefined = [0]  # the truth of each atom, grown with the index
     changed = True
     while changed:
         changed = False
-        for rule in kept:
+        for rule, plan in zip(kept, plans):
             if rule.head is None:
                 continue
-            plan = BodyPlan(rule)
             matches = iter_matches(plan, index, undefined, len(rule.body))
             for head in (plan.render(slots).head for slots, _ in matches):
                 if head not in index:
@@ -551,8 +555,7 @@ def reference_grounding(program, include_deferred):
                     undefined.append(0)
                     changed = True
     instances = {}  # instance -> whether it is first an instance of a fact
-    for rule in kept:
-        plan = BodyPlan(rule)
+    for rule, plan in zip(kept, plans):
         for slots, _ in iter_matches(plan, index, undefined, len(rule.body)):
             inst = instance_of(plan.render(slots), index)
             if inst is not None:
@@ -584,14 +587,30 @@ def reference_grounding(program, include_deferred):
 
 
 def assert_grounds_as_reference(program):
+    """The grounding has the reference's atoms, facts and rules with heads,
+    in order.  Its constraints are some of the reference's, as the planner
+    joins a symmetric pair once (`grounder._symmetric_pairs`), and with the
+    same nogoods: the solver's store, which the search reads, is the one
+    it builds from the reference, in order, watches included.  Returns the
+    number of rules of each, deferred constraints kept."""
     for include_deferred in (False, True):
         gp = ground_program(program, include_deferred=include_deferred)
         atoms, facts, rules, derived = reference_grounding(program, include_deferred)
         assert list(gp.atoms) == atoms
-        assert gp.rules == rules
+        assert [r for r in gp.rules if r[0]] == [r for r in rules if r[0]]
+        constraints = {body for head, body in gp.rules if not head}
+        reference = {body for head, body in rules if not head}
+        assert constraints <= reference
+        assert {canonical(body) for body in constraints} == {
+            canonical(body) for body in reference
+        }
         assert set(gp.facts) == set(facts)
         if not derived:
             assert gp.facts == facts
+        # Derived facts may come in another order; the rules are compared.
+        same = GroundProgram(AtomIndex(atoms), gp.facts if derived else facts, rules)
+        assert store_of(Solver(gp)) == store_of(Solver(same))
+    return len(gp.rules), len(rules)
 
 
 FOLD_CASES = {
@@ -743,6 +762,31 @@ def test_every_producer_gives_distinct_complement_free_bodies():
     assert produced >= 1000
 
 
+@pytest.mark.parametrize(
+    "case",
+    [*GOLDEN_INSTANCES]
+    + [f"{w}-seed{seed}" for w in ("deferred-ground", "deferred-propagate") for seed in (1, 7)],
+)
+def test_golden_and_workload_groundings_store_as_their_reference(case):
+    """The benchmark families' symmetric constraints are joined once per
+    pair: the golden instances and the two deferred workloads' instances
+    ground to the reference's store with fewer constraints."""
+    if case in GOLDEN_INSTANCES:
+        programs = [GOLDEN_INSTANCES[case]()]
+    else:
+        workload, seed = case.rsplit("-seed", 1)
+        programs = [
+            parse_program(inst.text)
+            for inst in load_workloads().WORKLOADS[workload].instances(int(seed))
+        ]
+    grounded = referenced = 0
+    for program in programs:
+        rules, reference = assert_grounds_as_reference(program)
+        grounded += rules
+        referenced += reference
+    assert (grounded < referenced) == (case != "3sat-v20")
+
+
 def test_folded_grounding_matches_reference_on_benchmark_families():
     for program in (
         benchgen.gen_3sat(20, 4.26, 1),
@@ -750,3 +794,111 @@ def test_folded_grounding_matches_reference_on_benchmark_families():
         benchgen.gen_packing(4, 3, (2, 2)),
     ):
         assert_grounds_as_reference(program)
+
+
+def _choices(predicates):
+    """Choice rules over `d(1..3)` for each (predicate, arity)."""
+    lines = ["d(1). d(2). d(3)."]
+    for pred, arity in predicates:
+        args = ",".join(f"V{k}" for k in range(arity))
+        domain = ", ".join(f"d(V{k})" for k in range(arity))
+        lines.append(f"{pred}({args}) :- {domain}, not n{pred}({args}).")
+        lines.append(f"n{pred}({args}) :- {domain}, not {pred}({args}).")
+    return "\n".join(lines) + "\n"
+
+
+SWAP_CHOICES = _choices(
+    [("a", 1), ("b", 1), ("c", 1), ("q", 2), ("p", 2), ("match", 2), ("pos", 3)]
+)
+
+
+def _constraints(program):
+    return [rule for rule in program.rules if rule.head is None]
+
+
+# Constraints whose two positive literals on one predicate swap onto each
+# other and map the body onto itself.
+SYMMETRIC = {
+    "marriage, one woman per man": ":- match(M,W1), match(M,W2), W1 != W2.",
+    "marriage, one man per woman": ":- match(M1,W), match(M2,W), M1 != M2.",
+    "packing, one column per square": ":- pos(I,X,Y), pos(I,X1,Y1), X1 != X.",
+    "packing, one row per square": ":- pos(I,X,Y), pos(I,X1,Y1), Y1 != Y.",
+    "a binary pair": ":- q(X,Y), q(Y,X).",
+    "a unary pair": ":- a(X), a(Y).",
+    "negative literals that swap too": ":- a(X), a(Y), not b(X), not b(Y).",
+}
+
+# Constraints, and a rule, with no such pair.
+ASYMMETRIC = {
+    "transitivity": ":- q(X,Y), q(Y,Z), not q(X,Z).",
+    "an ordered comparison": ":- a(X), a(Y), X < Y.",
+    "a double swap": ":- a(X), a(Y), b(X), b(Y).",
+    "a constant against a variable": ":- p(1,X), p(Y,2).",
+    "a rule with a head": "c(1) :- a(X), a(Y).",
+}
+
+
+def test_the_benchmark_constraints_named_are_the_generated_ones():
+    """The marriage and packing cases above are the generators' own, and
+    packing's overlap constraints are the two with sums."""
+    texts = {str(r) + "." for r in _constraints(benchgen.gen_marriage(3, 30, 1))}
+    texts |= {str(r) + "." for r in _constraints(benchgen.gen_packing(4, 3, (2, 2)))}
+    for name, text in SYMMETRIC.items():
+        assert (text in texts) == (name.startswith(("marriage", "packing"))), name
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_a_symmetric_pair_is_joined_once(name):
+    program = parse_program(SWAP_CHOICES + SYMMETRIC[name] + "\n")
+    assert grounder._symmetric_pairs(program.rules[-1]) == [(0, 1)]
+    rules, reference = assert_grounds_as_reference(program)
+    assert rules < reference
+
+
+@pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+def test_a_body_without_a_symmetric_pair_is_joined_in_full(name):
+    program = parse_program(SWAP_CHOICES + ASYMMETRIC[name] + "\n")
+    assert grounder._symmetric_pairs(program.rules[-1]) == []
+    rules, reference = assert_grounds_as_reference(program)
+    assert rules == reference
+
+
+def test_a_symmetric_body_with_an_ordered_comparison_is_joined_in_full():
+    """The swap maps this body onto itself, but only the match that the
+    pair would skip reaches `T < 3` with T a symbol: joining it in full
+    keeps the error."""
+    program = parse_program(
+        "a(1,foo). a(9,0).\n:- a(X,S), a(Y,T), T < 3, Y > 4, X > 4, S < 3.\n"
+    )
+    assert grounder._symmetric_pairs(program.rules[-1]) == []
+    with pytest.raises(GroundingError, match="non-integer constant 'foo'"):
+        ground_program(program)
+
+
+def test_packing_overlap_constraints_have_no_symmetric_pair():
+    """Swapping their `pos` literals would swap their `square` literals
+    too, and they compare sums."""
+    overlaps = [
+        rule
+        for rule in _constraints(benchgen.gen_packing(4, 3, (2, 2)))
+        if "square(I1,D1)" in str(rule)
+    ]
+    assert len(overlaps) == 2
+    assert [grounder._symmetric_pairs(rule) for rule in overlaps] == [[], []]
+
+
+def test_a_symmetric_pair_in_two_generated_parts_is_joined_once():
+    """A pair that the nesting limit puts in different generated functions:
+    the later one reads the earlier loop's variable as a parameter."""
+    n = grounder._NESTED
+    facts = " ".join(f"e({k})." for k in range(1, n + 1))
+    middle = ", ".join(f"e({k})" for k in range(1, n + 1))
+    program = parse_program(
+        SWAP_CHOICES + f"{facts}\n:- a(X), {middle}, a(Y), not b(X), not b(Y).\n"
+    )
+    assert grounder._symmetric_pairs(program.rules[-1]) == [(0, n + 1)]
+    source = program.plans[-1]._source[grounder._INSTANCES]
+    part = source.index(f"def part{n}(")
+    assert source.index(f"if v{n + 2} < v1: continue") > part
+    rules, reference = assert_grounds_as_reference(program)
+    assert rules < reference

@@ -18,6 +18,7 @@ import pytest
 from microasp.grounder import (
     BodyPlan,
     _instances,
+    _symmetric_pairs,
     herbrand_universe,
     ground_program,
     ground_rule,
@@ -28,7 +29,8 @@ from microasp.model import Atom, Comparison, GroundRule, Literal, Var
 from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models
 from microasp.parser import parse_program
 from microasp.strategies import solve
-from support import instance_of, random_join_program_text
+from support import JOIN_CONSTS, JOIN_PREDS, instance_of, random_join_program_text
+from test_grounder import assert_grounds_as_reference
 
 OPS = {
     "=": operator.eq,
@@ -248,3 +250,106 @@ def test_strategies_find_the_oracle_models(chunk):
         with_models += len(want) > 1
     assert programs >= 60
     assert with_models >= 10
+
+
+def symmetric_constraints_text(seed: int) -> str:
+    """One to three constraints over the fuzz predicates, each with two
+    positive literals on one predicate whose swap maps the body onto
+    itself, with choice rules for that predicate.
+
+    Each argument position of the pair holds the literal's own variable
+    (`X0` against `Y0`), a shared variable `Z` or a constant, or, for a
+    binary predicate, the two own variables crossed.  Around the pair go a
+    `!=` between own variables, negative literals that swap with each
+    other, and a literal and a comparison on `Z` alone, in shuffled order.
+    Some are deferred.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        pred = rng.choice(list(JOIN_PREDS))
+        arity = JOIN_PREDS[pred]
+        if arity == 2 and rng.random() < 0.25:
+            first, second = ["X0", "Y0"], ["Y0", "X0"]
+        else:
+            first, second = [], []
+            for k in range(arity):
+                kind = rng.choice(["own", "own", "shared", "constant"])
+                if kind == "own":
+                    first.append(f"X{k}")
+                    second.append(f"Y{k}")
+                else:
+                    term = "Z" if kind == "shared" else str(rng.choice(JOIN_CONSTS))
+                    first.append(term)
+                    second.append(term)
+        elems = [f"{pred}({','.join(first)})", f"{pred}({','.join(second)})"]
+        own = [(x, y) for x, y in zip(first, second) if x != y]
+        if own and rng.random() < 0.6:
+            x, y = rng.choice(own)
+            elems.append(f"{x} != {y}" if rng.random() < 0.5 else f"{y} != {x}")
+        if own and rng.random() < 0.5:
+            x, y = rng.choice(own)
+            neg = rng.choice(["a", "b", "c"])
+            elems += [f"not {neg}({x})", f"not {neg}({y})"]
+        if own and rng.random() < 0.3:
+            x, y = rng.choice(own)
+            elems += [f"not e({x},{y})", f"not e({y},{x})"]
+        if "Z" in first:
+            if rng.random() < 0.5:
+                elems.append(f"{rng.choice(['d', 'a'])}(Z)")
+            if rng.random() < 0.3:
+                elems.append("Z != 2")
+        rng.shuffle(elems)
+        args = ",".join(f"V{k}" for k in range(arity))
+        domain = ", ".join(f"d(V{k})" for k in range(arity))
+        lines.append(f"{pred}({args}) :- {domain}, not n{pred}({args}).")
+        lines.append(f"n{pred}({args}) :- {domain}, not {pred}({args}).")
+        if rng.random() < 0.4:
+            lines.append("%@deferred")
+        lines.append(":- " + ", ".join(elems) + ".")
+    return "\n".join(lines) + "\n"
+
+
+def symmetric_programs(seeds):
+    """(seed, program) of each fuzz program with symmetric constraints added."""
+    for seed in seeds:
+        text = random_join_program_text(seed) + symmetric_constraints_text(seed)
+        yield seed, parse_program(text)
+
+
+def test_symmetric_constraints_store_as_their_reference():
+    """Every constraint the generator writes has a pair, and the grounding
+    of each program stores what its reference grounding stores."""
+    fewer = 0
+    for seed, program in symmetric_programs(range(120)):
+        added = parse_program(symmetric_constraints_text(seed)).rules
+        assert all(_symmetric_pairs(rule) for rule in added if rule.head is None), seed
+        rules, reference = assert_grounds_as_reference(program)
+        fewer += rules < reference
+    assert fewer >= 60
+
+
+def test_symmetric_instances_are_the_brute_force_ones_less_the_swapped():
+    """A constraint's instance form yields the brute-force instance of each
+    match in match order, but for the matches whose positive literal b has
+    a lower variable than a, for each pair (a, b) of `_symmetric_pairs`."""
+    dropped = 0
+    for seed, program in symmetric_programs(range(60)):
+        index = ground_program(program).atoms
+        constants = sorted(herbrand_universe(program))
+        for rule in program.rules:
+            pairs = _symmetric_pairs(rule)
+            if not pairs:
+                continue
+            plan = BodyPlan(rule)
+            want = []
+            for subst, _ in candidate_substitutions(rule, index, constants):
+                key = [index.id_of(ground(lit.atom, subst)) for lit in plan.positives]
+                if any(key[b] < key[a] for a, b in pairs):
+                    dropped += 1
+                    continue
+                want.append((key, instance_of(render(rule, subst), index)))
+            want.sort(key=lambda m: m[0])
+            kept = [inst for _, inst in want if inst is not None]
+            assert list(_instances(plan, index, ())) == kept, seed
+    assert dropped >= 100
