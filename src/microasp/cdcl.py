@@ -449,10 +449,6 @@ class Solver:
     def has_nogood(self, lits: Iterable[int]) -> bool:
         return canonical(lits) in self._by_lits
 
-    def add_nogood(self, lits: Iterable[int]) -> Optional[StoredNogood]:
-        """Add a nogood mid-search; returns the conflict if it is falsified."""
-        return self._install(lits)
-
     def _install(self, lits: Iterable[int]) -> Optional[StoredNogood]:
         """Store a nogood under its canonical tuple, watch it and infer from
         it; returns it when it is falsified.  A tautology or a nogood

@@ -28,7 +28,7 @@ from .cdcl import EXIT_MODEL, EXIT_TIMEOUT, EXIT_UNSAT, SAT, TIMEOUT, UNSAT
 from .cdcl import Budget, SolveResult
 from .grounder import GroundingError, ground_program
 from .model import Program
-from .oracle import enumerate_stable_models
+from .oracle import MAX_FREE_ATOMS, enumerate_stable_models
 from .parser import ParseError, parse_program
 from .strategies import StrategyKind, solve
 
@@ -160,6 +160,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_free < 0:
+        raise ValueError(f"--max-free must be at least 0, got {args.max_free}")
     program = _read_program(args.input)
     gp = ground_program(program, include_deferred=True)
     models = enumerate_stable_models(gp, max_free=args.max_free)
@@ -179,7 +181,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             benchgen.make_3sat(args.vars, args.ratio, args.seed)
         )
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",") if s]
+        except ValueError:
+            raise ValueError(f"--sizes expects integers, got '{args.sizes}'") from None
         text = benchgen.packing_program_text(
             benchgen.make_packing(args.width, args.height, sizes)
         )
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="enumerate all stable models")
     p_oracle.set_defaults(run=cmd_oracle)
     p_oracle.add_argument("input")
-    p_oracle.add_argument("--max-free", type=int, default=24)
+    p_oracle.add_argument("--max-free", type=int, default=MAX_FREE_ATOMS)
 
     p_sweep = sub.add_parser("sweep3sat", help="phase-transition sweep")
     p_sweep.set_defaults(run=cmd_sweep_3sat)

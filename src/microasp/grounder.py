@@ -45,7 +45,7 @@ is added.  Facts are folded in as the instance is built: the literals of
 extensional predicates (those with facts and no other defining rule) are
 not even read, an instance with a fact head or a negative literal on a fact
 is dropped, and other fact literals leave its body.  `AtomIndex.render`
-turns an instance back into atoms for text.
+turns an instance back into a ground `Rule` for text.
 
 Each match of a plan in written order comes in lexicographic order of the
 variables of its positive literals; a seeded plan's `written` permutation
@@ -70,7 +70,6 @@ from .model import (
     Atom,
     BodyElement,
     Comparison,
-    GroundRule,
     Literal,
     Program,
     Rule,
@@ -148,10 +147,10 @@ class AtomIndex:
     def atom(self, idx: int) -> Atom:
         return self._atoms[idx]
 
-    def render(self, rule: Instance) -> GroundRule:
-        """An instance over this index as atoms and literals."""
+    def render(self, rule: Instance) -> Rule:
+        """An instance over this index as a rule of atoms and literals."""
         head, body = rule
-        return GroundRule(
+        return Rule(
             self._atoms[head - 1] if head else None,
             tuple(Literal(self._atoms[abs(l) - 1], l > 0) for l in body),
         )
@@ -612,11 +611,13 @@ class BodyPlan:
         literals = [e for e in rule.body if isinstance(e, Literal)]
         # The instance form reads the j-th body literal into `l{j}`, 0 where
         # it leaves the body, and the body is the tuple of those not 0.  Two
-        # literals can only be on one atom if they share a predicate, so only
-        # such pairs are compared: a repeat leaves the body, and a literal
-        # with its complement drops the instance, as a fact head or a
-        # negative literal on a fact does.  A seeded plan only ever runs the
-        # truth form, so it builds none of this.
+        # literals can only be on one atom if they share a predicate and
+        # agree at each position where both hold a constant, and only such
+        # pairs, found through `held` without a scan of every pair, are
+        # compared: a repeat leaves the body, and a literal with its
+        # complement drops the instance, as a fact head or a negative literal
+        # on a fact does.  A seeded plan only ever runs the truth form, so it
+        # builds none of this.
         if seed is None:
 
             def instance(text: str) -> None:
@@ -627,16 +628,26 @@ class BodyPlan:
                 f"v{next(loops) + 1}" if e.positive else f"x{j}"
                 for j, e in enumerate(literals)
             ]
+            # The literals by (predicate, sign), and by (predicate, sign,
+            # position, constant, None for a variable) those holding it there.
+            held: dict[tuple, set[int]] = {}
+            for k, e in enumerate(literals):
+                group = (e.atom.predicate, e.positive)
+                held.setdefault(group, set()).add(k)
+                for pos, t in enumerate(e.atom.args):
+                    at = (*group, pos, None if isinstance(t, Var) else t)
+                    held.setdefault(at, set()).add(k)
 
             def same(j: int, positive: bool, upto: int) -> list[str]:
                 """` == ` tests of the j-th literal's atom against those of the
-                literals of the given sign on its predicate before `upto`."""
-                predicate = literals[j].atom.predicate
-                return [
-                    f"{atoms[j]} == {atoms[k]}"
-                    for k, e in enumerate(literals[:upto])
-                    if e.positive == positive and e.atom.predicate == predicate
-                ]
+                literals of a sign before `upto` that could be on that atom."""
+                group = (literals[j].atom.predicate, positive)
+                could = held.get(group, set())
+                for pos, t in enumerate(literals[j].atom.args):
+                    if not isinstance(t, Var):
+                        at = held.get((*group, pos, None), set())
+                        could = could & (at | held.get((*group, pos, t), set()))
+                return [f"{atoms[j]} == {atoms[k]}" for k in sorted(could) if k < upto]
 
             head = "0"
             if rule.head is not None:
@@ -737,14 +748,14 @@ class BodyPlan:
                 return None
         return slots
 
-    def render(self, slots: list) -> GroundRule:
-        """The rule under a match's slots as atoms: every body literal in
+    def render(self, slots: list) -> Rule:
+        """The ground rule under a match's slots: every body literal in
         written order, those on atoms outside the index included."""
         head = None
         if self.rule.head is not None:
             predicate, at = self._head
             head = Atom(predicate, tuple([slots[s] for s in at]))
-        return GroundRule(
+        return Rule(
             head,
             tuple(
                 Literal(Atom(predicate, tuple([slots[s] for s in at])), positive)

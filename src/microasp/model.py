@@ -7,6 +7,8 @@ one test that tells them apart.  An `Atom` is a named tuple (predicate,
 args), so it is built, hashed and compared in C, and a ground atom is a
 tuple of plain values.  Rules have at most one head atom; a rule without a
 head is a constraint and a rule with a ground head and empty body is a fact.
+A ground rule read back from the solver's literals (`AtomIndex.render`,
+`BodyPlan.render`) is a `Rule` too, with ground literals only in its body.
 Where a body's comparisons and negative literals are evaluated, and so
 which rules are safe, is decided by the join planner, `grounder.BodyPlan`;
 a `Program` plans each of its rules once and keeps the plans.
@@ -141,9 +143,6 @@ class Program:
     rules: tuple[Rule, ...] = ()
     deferred: frozenset[int] = frozenset()
 
-    def deferred_rules(self) -> list[Rule]:
-        return [self.rules[i] for i in sorted(self.deferred)]
-
     def deferred_plans(self) -> list[Optional[BodyPlan]]:
         return [self.plans[i] for i in sorted(self.deferred)]
 
@@ -171,20 +170,3 @@ class Program:
             for rule in self.rules
         )
 
-
-@dataclass(frozen=True)
-class GroundRule:
-    """A variable-free rule as atoms, comparisons evaluated away: how a
-    ground program's (head variable, body literals) instance reads as text
-    or as a set of literals."""
-
-    head: Optional[Atom]
-    body: tuple[Literal, ...] = ()
-
-    def __str__(self) -> str:
-        body = ", ".join(str(lit) for lit in self.body)
-        if self.head is None:
-            return f":- {body}"
-        if not self.body:
-            return str(self.head)
-        return f"{self.head} :- {body}"

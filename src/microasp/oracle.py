@@ -4,8 +4,9 @@ Stability is checked by the reduct construction: a total interpretation is
 stable iff it is a model of the program and its positive atoms equal the
 least model of the reduct's definite rules.  The program is read in its
 tuple form (head variable or 0, body literals); interpretations and models
-are sets of atoms.  The literal-set predicates at the end (nogoods,
-violation, support) state the same semantics one `GroundRule` at a time.
+are sets of atoms.  The tests check the grounder and the four strategies
+against these functions; rule semantics are stated here once, in
+`is_model`.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import itertools
 from typing import Iterable
 
 from .grounder import GroundProgram
-from .model import Atom, GroundRule, Literal
+from .model import Atom
 
 #: Enumeration guard: assignments are enumerated over atoms that are neither
 #: facts nor underivable, capped at this many free atoms.
@@ -49,15 +50,15 @@ def least_model(gp: GroundProgram) -> frozenset[Atom]:
     while changed:
         changed = False
         for head, body in gp.rules:
-            if not head or head in derived:
-                continue
-            if all(l in derived for l in body):
+            if head and head not in derived and all(l in derived for l in body):
                 derived.add(head)
                 changed = True
     return frozenset(gp.atoms.atom(v - 1) for v in derived)
 
 
 def is_model(gp: GroundProgram, true_atoms: frozenset[Atom]) -> bool:
+    """True iff every fact is true and no rule has a true body and a head
+    that is not true (a constraint's head, 0, never is)."""
     truths = _vars(gp, true_atoms)
     for head, body in gp.rules:
         if all((abs(l) in truths) == (l > 0) for l in body) and head not in truths:
@@ -68,9 +69,7 @@ def is_model(gp: GroundProgram, true_atoms: frozenset[Atom]) -> bool:
 def is_stable_model(gp: GroundProgram, true_atoms: Iterable[Atom]) -> bool:
     """True iff the total interpretation given by its true atoms is stable."""
     truths = frozenset(true_atoms)
-    if not is_model(gp, truths):
-        return False
-    return least_model(reduct(gp, truths)) == truths
+    return is_model(gp, truths) and least_model(reduct(gp, truths)) == truths
 
 
 def enumerate_stable_models(
@@ -96,50 +95,3 @@ def enumerate_stable_models(
     models.sort(key=lambda m: sorted(str(a) for a in m))
     return models
 
-
-def nogood_of(rule: GroundRule) -> frozenset[Literal]:
-    """Map a ground rule to the set of literals whose joint truth violates it.
-
-    The head contributes its complement, body literals are kept as written;
-    a constraint contributes its body alone.
-    """
-    lits = set(rule.body)
-    if rule.head is not None:
-        lits.add(Literal(rule.head, False))
-    return frozenset(lits)
-
-
-def nogood_falsified(nogood: Iterable[Literal], interp: set) -> bool:
-    """True iff every literal of the nogood is true w.r.t. the interpretation."""
-    return all(lit in interp for lit in nogood)
-
-
-def is_violated(constraint: GroundRule, interp: set) -> bool:
-    """A constraint is violated when every literal of its body is true."""
-    return all(lit in interp for lit in constraint.body)
-
-
-def is_supported(atom: Atom, model: set, program: GroundProgram) -> bool:
-    """True iff some rule of the program derives `atom` with a fully true body.
-
-    Facts support their own atom unconditionally.
-    """
-    var = program.atoms.id_of(atom)
-    if var is None:
-        return False
-    if var + 1 in program.facts:
-        return True
-    return any(
-        all(lit in model for lit in program.atoms.render(rule).body)
-        for rule in program.rules
-        if rule[0] == var + 1
-    )
-
-
-def total_interpretation(true_atoms: Iterable[Atom], universe: Iterable[Atom]) -> set:
-    """Build the literal set assigning `true_atoms` true and the rest false."""
-    truths = set(true_atoms)
-    interp = set()
-    for atom in universe:
-        interp.add(Literal(atom, atom in truths))
-    return interp

@@ -143,11 +143,7 @@ class _Parser:
     def _expect(self, text: str) -> _Token:
         tok = self._next()
         if tok.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            raise _unexpected(tok, repr(text))
         return tok
 
     def parse(self) -> Program:
@@ -254,9 +250,7 @@ class _Parser:
     def _atom(self) -> Atom:
         tok = self._next()
         if tok.kind != "ident":
-            raise ParseError(
-                f"expected a predicate name, found {tok.text!r}", tok.line, tok.column
-            )
+            raise _unexpected(tok, "a predicate name")
         args: tuple[Term, ...] = ()
         if self._peek().text == "(":
             self._next()
@@ -295,7 +289,14 @@ class _Parser:
             if tok.text == "not":
                 raise ParseError("'not' is reserved", tok.line, tok.column)
             return tok.text
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+        raise _unexpected(tok, "a term")
+
+
+def _unexpected(tok: _Token, expected: str) -> ParseError:
+    """The error at a token other than the one expected; the end of input
+    has no text, so the message names it."""
+    found = tok.text or "end of input"
+    return ParseError(f"expected {expected}, found {found!r}", tok.line, tok.column)
 
 
 def parse_program(text: str) -> Program:

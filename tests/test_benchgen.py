@@ -38,7 +38,7 @@ class TestSatGenerator:
     def test_program_parses_with_one_deferred_constraint(self):
         program = bg.gen_3sat(6, 2.0, 1)
         assert len(program.deferred) == 1
-        constraint = program.deferred_rules()[0]
+        constraint = program.deferred_plans()[0].rule
         assert constraint.is_constraint
 
     def test_solver_agrees_with_brute_force(self):

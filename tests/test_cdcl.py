@@ -143,7 +143,7 @@ class TestAnalyzeConflict:
         gp = ground_program(parse_program("p(1).\n"))
         solver = Solver(gp)
         var = gp.atoms.id_of(ga("p", 1)) + 1
-        solver.add_nogood((var,))
+        solver._install((var,))
         result = solver.solve()
         assert result.status == "UNSAT"
 
@@ -177,8 +177,8 @@ class TestComputeStableModel:
     def test_contradictory_nogoods(self, pi1_gp):
         solver = Solver(pi1_gp)
         var = 1
-        solver.add_nogood((var,))
-        solver.add_nogood((-var,))
+        solver._install((var,))
+        solver._install((-var,))
         assert solver.solve().status == "UNSAT"
 
     def test_empty_program(self):
@@ -408,7 +408,7 @@ def test_time_budget_holds_through_grounding(monkeypatch):
 class TestNogoodStore:
     def test_has_nogood_canonicalizes(self, pi1_gp):
         solver = Solver(pi1_gp)
-        solver.add_nogood([3, -1])
+        solver._install([3, -1])
         assert solver._by_lits[(-1, 3)].lits == (-1, 3)
         assert solver.has_nogood([3, -1, 3, -1])
         assert solver.has_nogood((-1, 3))
@@ -417,8 +417,8 @@ class TestNogoodStore:
     def test_tautology_is_never_stored(self, pi1_gp):
         solver = Solver(pi1_gp)
         stored = dict(solver._by_lits)
-        assert solver.add_nogood([2, -2, 3]) is None
-        assert solver.add_nogood([-4, 4]) is None
+        assert solver._install([2, -2, 3]) is None
+        assert solver._install([-4, 4]) is None
         assert solver._by_lits == stored
         assert not solver.has_nogood([2, -2, 3])
 
@@ -727,7 +727,7 @@ def test_build_stores_what_installing_each_nogood_stores(monkeypatch, mode):
 def test_a_nogood_added_before_the_search_watches_its_first_two_literals(pi1_gp):
     solver = Solver(pi1_gp)
     stored = len(solver._by_lits)
-    assert solver.add_nogood([4, -3, 1]) is None
+    assert solver._install([4, -3, 1]) is None
     ng = solver._by_lits[(1, -3, 4)]
     assert (ng.w0, ng.w1) == (1, -3)
     assert ng in solver._watches[1] and ng in solver._watches[-3]

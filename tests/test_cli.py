@@ -189,6 +189,13 @@ class TestGenCommand:
         assert main(["gen", "packing", "--width", "2", "--height", "2", "--sizes", "1,1"]) == 0
         assert "square(1,1)." in capsys.readouterr().out
 
+    def test_packing_sizes_not_integers_exit_one(self, capsys):
+        code = main(["gen", "packing", "--width", "2", "--height", "2", "--sizes", "1,x"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --sizes expects integers, got '1,x'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("ratio", ["inf", "nan"])
     def test_3sat_ratio_not_finite_exits_one(self, capsys, ratio):
         assert main(["gen", "3sat", "--vars", "8", "--ratio", ratio]) == 1
@@ -200,6 +207,12 @@ class TestGenCommand:
 
 
 class TestOracleCommand:
+    def test_a_negative_max_free_exits_one(self, pi1_file, capsys):
+        assert main(["oracle", pi1_file, "--max-free", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-free must be at least 0, got -1\n"
+        assert captured.out == ""
+
     def test_lists_models_sorted(self, pi1_file, capsys):
         assert main(["oracle", pi1_file]) == 0
         out = capsys.readouterr().out.splitlines()

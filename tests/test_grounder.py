@@ -17,13 +17,8 @@ from microasp.grounder import (
     iter_matches,
     naive_ground_program,
 )
-from microasp.model import Atom, Comparison, GroundRule, Literal, Rule, Var
-from microasp.oracle import (
-    enumerate_stable_models,
-    is_violated,
-    reduct,
-    total_interpretation,
-)
+from microasp.model import Atom, Comparison, Literal, Rule, Var
+from microasp.oracle import enumerate_stable_models, reduct
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex, solve
 from support import (
@@ -70,13 +65,13 @@ class TestGroundRule:
         rule = parse_program(":- a(X), b(X).\n").rules[0]
         domains = {"a": [(1,)], "b": [(1,)]}
         assert grounded(rule, index_of(domains)) == [
-            GroundRule(None, (Literal(ga("a", 1)), Literal(ga("b", 1))))
+            Rule(None, (Literal(ga("a", 1)), Literal(ga("b", 1))))
         ]
 
     def test_variable_free_rule_is_itself(self):
         rule = parse_program("a(1) :- not b(1).\n").rules[0]
         out = grounded(rule, AtomIndex([ga("a", 1), ga("b", 1)]))
-        assert out == [GroundRule(ga("a", 1), (Literal(ga("b", 1), False),))]
+        assert out == [Rule(ga("a", 1), (Literal(ga("b", 1), False),))]
 
     def test_contradictory_comparison_yields_nothing(self):
         rule = parse_program(":- p(X), X != X.\n").rules[0]
@@ -93,7 +88,7 @@ class TestGroundRule:
         rule = parse_program(":- p(X), W = X+1, q(W).\n").rules[0]
         domains = {"p": [(1,)], "q": [(2,)]}
         out = grounded(rule, index_of(domains))
-        assert out == [GroundRule(None, (Literal(ga("p", 1)), Literal(ga("q", 2))))]
+        assert out == [Rule(None, (Literal(ga("p", 1)), Literal(ga("q", 2))))]
 
     def test_arithmetic_on_symbol_errors(self):
         rule = parse_program("q(Y) :- p(X), Y = X+1.\n").rules[0]
@@ -438,7 +433,7 @@ def violations(constraints, universe, truths):
 class TestGroundDeferredViolations:
     @pytest.fixture
     def deferred(self):
-        return parse_program(PI1_DEFERRED_TEXT).deferred_rules()
+        return [plan.rule for plan in parse_program(PI1_DEFERRED_TEXT).deferred_plans()]
 
     @pytest.fixture
     def universe(self):
@@ -469,7 +464,7 @@ class TestGroundDeferredViolations:
                 program = parse_program(random_program_text(seed))
             except ParseError:
                 continue
-            deferred = program.deferred_rules()
+            deferred = [plan.rule for plan in program.deferred_plans()]
             if not deferred:
                 continue
             naive = naive_ground_program(program)
@@ -478,7 +473,7 @@ class TestGroundDeferredViolations:
                 continue
             for bits in itertools.product([False, True], repeat=len(universe)):
                 truths = {a for a, b in zip(universe, bits) if b}
-                interp = total_interpretation(truths, universe)
+                interp = {Literal(a, a in truths) for a in universe}
                 got = set()
                 for inst, nogood in violations(deferred, universe, truths):
                     assert nogood == frozenset(inst.body)
@@ -486,7 +481,7 @@ class TestGroundDeferredViolations:
                 want = set()
                 for rule in deferred:
                     for inst in grounded(rule, index_of(_full_domains(program))):
-                        if is_violated(inst, interp):
+                        if frozenset(inst.body) <= interp:
                             want.add((inst.head, frozenset(inst.body)))
                 assert got == want
             checked += 1
@@ -641,6 +636,13 @@ r(X,Y) :- p(X), p(Y), p(X), d(Y), not q(Y), not q(X), not q(Y).
 d(1). d(2). p(X) :- d(X), not q(X). q(X) :- d(X), not p(X).
 s(X,Y) :- p(X), d(Y), not p(Y). t(X,Y) :- d(Y), not p(Y), p(X).
 """,
+    # At X = Y the two literals on q with a 1 in one position repeat, as do
+    # the two with a 2; at Y = 1 not q(1,X) repeats not q(Y,2), and at X = 1
+    # q(X,1) meets its complement not q(1,X).
+    "repeat under a constant": """\
+d(1). d(2). q(X,Y) :- d(X), d(Y), not w(X,Y). w(X,Y) :- d(X), d(Y), not q(X,Y).
+r(X,Y) :- d(X), d(Y), q(X,1), q(Y,1), not q(X,2), not q(Y,2), not q(1,X).
+""",
     "head in its own body": """\
 d(1). d(2). p(X) :- d(X), not q(X). q(X) :- d(X), not p(X). p(X) :- p(X), d(X).
 """,
@@ -702,6 +704,11 @@ def test_folded_grounding_hand_cases_fold():
         "t(2,1) :- not p(1), p(2)",
         "t(1,2) :- not p(2), p(1)",
     ]
+    _, rules = texts["repeat under a constant"]
+    assert rules[8:] == [
+        "r(2,1) :- q(2,1), q(1,1), not q(2,2), not q(1,2)",
+        "r(2,2) :- q(2,1), not q(2,2), not q(1,2)",
+    ]
     _, rules = texts["head in its own body"]
     assert rules[4:] == ["p(1) :- p(1)", "p(2) :- p(2)"]
     assert texts["negative literal on a derived fact"] == (
@@ -711,6 +718,23 @@ def test_folded_grounding_hand_cases_fold():
     _, rules = texts["deep body"]
     kept = ", ".join(f"e({k},{k + 1})" for k in range(0, 48, 3))
     assert rules[-1] == f"reach(0) :- {kept}, not g(0,1)"
+
+
+def test_a_long_body_on_one_predicate_plans_in_linear_source():
+    """4,000 negative literals on one predicate, each with its own constant:
+    no two can be on one atom, so the instance form compares none of them,
+    and its source stays within a fixed multiple of the truth form's."""
+    text = (
+        "a(1). a(2). c(3). c(5).\n"
+        "b(X,Y) :- a(X), c(Y), not e(X,Y). e(X,Y) :- a(X), c(Y), not b(X,Y).\n"
+        f"q(X) :- a(X), {', '.join(f'not b(X,{i})' for i in range(4000))}.\n"
+    )
+    program = parse_program(text)
+    source = program.plans[-1]._source
+    assert len(source[grounder._INSTANCES]) < 2 * len(source[grounder._TRUTH])
+    assert_grounds_as_reference(program)
+    gp = ground_program(program)
+    assert "q(1) :- not b(1,3), not b(1,5)" in rule_texts(gp)
 
 
 def test_folded_grounding_matches_reference_on_random_programs():

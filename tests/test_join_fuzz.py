@@ -25,7 +25,7 @@ from microasp.grounder import (
     iter_matches,
     naive_ground_program,
 )
-from microasp.model import Atom, Comparison, GroundRule, Literal, Var
+from microasp.model import Atom, Comparison, Literal, Rule, Var
 from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models
 from microasp.parser import parse_program
 from microasp.strategies import solve
@@ -56,7 +56,7 @@ def ground(atom, subst):
 
 def render(rule, subst):
     """The rule under a substitution, every body literal in written order."""
-    return GroundRule(
+    return Rule(
         ground(rule.head, subst) if rule.head is not None else None,
         tuple(
             Literal(ground(e.atom, subst), e.positive)

@@ -1,17 +1,9 @@
-import itertools
-
 import pytest
-from hypothesis import given, strategies as st
 
-from microasp.model import Atom, GroundRule, Literal, Var
-from microasp.grounder import AtomIndex, ground_program
-from microasp.oracle import (
-    is_supported,
-    is_violated,
-    nogood_of,
-    nogood_falsified,
-    total_interpretation,
-)
+from microasp.cdcl import Solver
+from microasp.grounder import AtomIndex, GroundProgram, ground_program
+from microasp.model import Atom, Var
+from microasp.oracle import is_model, least_model, reduct
 from microasp.parser import parse_program
 from support import PI1_TEXT
 
@@ -20,7 +12,7 @@ def ga(pred, *args):
     return Atom(pred, args)
 
 
-A1, B1, C1, D1 = ga("a", 1), ga("b", 1), ga("c", 1), ga("d", 1)
+A1, B1, C1 = ga("a", 1), ga("b", 1), ga("c", 1)
 
 
 class TestAtom:
@@ -54,82 +46,60 @@ class TestAtom:
         assert ga("p", 2) not in index and index.id_of(ga("p", 2)) is None
 
 
+def stored_nogoods(facts=(), rules=()):
+    """The nogoods the solver stores for a ground program over a(1), b(1)
+    and c(1), whose variables are 1, 2 and 3."""
+    return set(Solver(GroundProgram(AtomIndex([A1, B1, C1]), facts, rules))._by_lits)
+
+
 class TestNogoodOf:
+    """The nogood of a ground rule, as the solver stores it."""
+
     def test_constraint_keeps_body(self):
-        g3 = GroundRule(None, (Literal(A1), Literal(B1)))
-        assert nogood_of(g3) == frozenset({Literal(A1), Literal(B1)})
+        # :- a(1), b(1).
+        assert (1, 2) in stored_nogoods(rules=((0, (1, 2)),))
 
     def test_rule_adds_complemented_head(self):
-        g1 = GroundRule(A1, (Literal(B1, False),))
-        assert nogood_of(g1) == frozenset({Literal(A1, False), Literal(B1, False)})
+        # a(1) :- not b(1).
+        assert (-1, -2) in stored_nogoods(rules=((1, (-2,)),))
 
     def test_fact(self):
-        fact = GroundRule(C1, ())
-        assert nogood_of(fact) == frozenset({Literal(C1, False)})
+        assert (-3,) in stored_nogoods(facts=(3,))
 
 
 class TestIsViolated:
-    def test_violated_when_all_body_true(self):
-        g6 = GroundRule(None, (Literal(A1), Literal(B1, False)))
-        interp = {Literal(A1), Literal(B1, False)}
-        assert is_violated(g6, interp)
+    """A constraint whose body literals are all true is violated: the
+    interpretation is no model."""
 
-    def test_not_violated(self):
-        g6 = GroundRule(None, (Literal(A1), Literal(B1, False)))
-        interp = {Literal(A1, False), Literal(B1)}
-        assert not is_violated(g6, interp)
+    @pytest.fixture
+    def gp(self):
+        # :- a(1), not b(1).
+        return GroundProgram(AtomIndex([A1, B1]), (), ((0, (1, -2)),))
+
+    def test_violated_when_all_body_true(self, gp):
+        assert not is_model(gp, frozenset({A1}))
+
+    def test_not_violated(self, gp):
+        assert is_model(gp, frozenset({B1}))
 
     def test_empty_body_always_violated(self):
-        assert is_violated(GroundRule(None, ()), set())
+        gp = GroundProgram(AtomIndex([A1]), (), ((0, ()),))
+        assert not is_model(gp, frozenset()) and not is_model(gp, frozenset({A1}))
 
 
 class TestIsSupported:
+    """A true atom is supported when the least model of the reduct derives it."""
+
     @pytest.fixture
     def pi1_gp(self):
         return ground_program(parse_program(PI1_TEXT), include_deferred=True)
 
     def test_supported_via_rule(self, pi1_gp):
-        model = total_interpretation([B1, C1], [A1, B1, C1, D1])
-        assert is_supported(B1, model, pi1_gp)
+        assert B1 in least_model(reduct(pi1_gp, [B1, C1]))
 
     def test_never_supported_alongside_blocker(self, pi1_gp):
-        model = total_interpretation([A1, B1, C1], [A1, B1, C1, D1])
-        assert not is_supported(A1, model, pi1_gp)
+        assert A1 not in least_model(reduct(pi1_gp, [A1, B1, C1]))
 
     def test_fact_supports_itself(self):
         gp = ground_program(parse_program("c(1).\n"))
-        model = total_interpretation([C1], [C1])
-        assert is_supported(C1, model, gp)
-
-
-ATOM_POOL = [ga(p, 1) for p in "pqrst"]
-
-
-@st.composite
-def ground_rules(draw):
-    body_atoms = draw(st.lists(st.sampled_from(ATOM_POOL), max_size=4, unique=True))
-    body = tuple(Literal(a, draw(st.booleans())) for a in body_atoms)
-    head = draw(st.sampled_from(ATOM_POOL + [None]))
-    return GroundRule(head, body)
-
-
-@given(ground_rules())
-def test_nogood_falsified_iff_rule_unsatisfied(rule):
-    """Exhaustive over all assignments of the 5-atom pool: the nogood of a
-    rule is falsified exactly when the rule is unsatisfied."""
-    nogood = nogood_of(rule)
-    for bits in itertools.product([False, True], repeat=len(ATOM_POOL)):
-        truths = {a for a, b in zip(ATOM_POOL, bits) if b}
-        interp = total_interpretation(truths, ATOM_POOL)
-        body_true = all(lit in interp for lit in rule.body)
-        satisfied = (not body_true) or (rule.head is not None and rule.head in truths)
-        assert nogood_falsified(nogood, interp) == (not satisfied)
-
-
-@given(ground_rules())
-def test_violation_is_nogood_containment(rule):
-    constraint = GroundRule(None, rule.body)
-    for bits in itertools.product([False, True], repeat=len(ATOM_POOL)):
-        truths = {a for a, b in zip(ATOM_POOL, bits) if b}
-        interp = total_interpretation(truths, ATOM_POOL)
-        assert is_violated(constraint, interp) == (nogood_of(constraint) <= interp)
+        assert C1 in least_model(reduct(gp, [C1]))

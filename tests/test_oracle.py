@@ -1,8 +1,17 @@
-import pytest
+import itertools
 
-from microasp.grounder import ground_program, naive_ground_program
-from microasp.model import Atom, GroundRule, Literal
-from microasp.oracle import enumerate_stable_models, is_stable_model, least_model, reduct
+import pytest
+from hypothesis import given, strategies as st
+
+from microasp.grounder import AtomIndex, GroundProgram, ground_program, naive_ground_program
+from microasp.model import Atom
+from microasp.oracle import (
+    enumerate_stable_models,
+    is_model,
+    is_stable_model,
+    least_model,
+    reduct,
+)
 from microasp.parser import ParseError, parse_program
 from support import PI1_TEXT, fact_texts, random_program_text, rule_texts
 
@@ -113,3 +122,33 @@ class TestEnumerate:
 def test_least_model_ignores_constraints():
     gp = ground_program(parse_program("p(1). q(1) :- p(1).\n"))
     assert least_model(gp) == {ga("p", 1), ga("q", 1)}
+
+
+ATOM_POOL = [ga(p, 1) for p in "pqrst"]
+
+
+@st.composite
+def pool_programs(draw):
+    """A ground program in tuple form over the 5-atom pool, whose variables
+    are 1..5: a few facts, and rules of a head variable or 0 and a body of
+    distinct variables, each of either sign."""
+    variables = st.integers(1, len(ATOM_POOL))
+    body = st.lists(variables, max_size=4, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    facts = draw(st.lists(variables, max_size=2, unique=True))
+    rules = draw(st.lists(st.tuples(st.integers(0, len(ATOM_POOL)), body), max_size=4))
+    return GroundProgram(AtomIndex(ATOM_POOL), tuple(facts), tuple(rules))
+
+
+@given(pool_programs())
+def test_is_model_iff_every_fact_is_true_and_no_nogood_holds(gp):
+    """Exhaustive over all assignments of the pool.  A rule's nogood is its
+    body literals and the complement of its head; a constraint's is its
+    body alone."""
+    nogoods = [{*body, -head} if head else set(body) for head, body in gp.rules]
+    for bits in itertools.product((False, True), repeat=len(ATOM_POOL)):
+        truths = {v for v, bit in enumerate(bits, 1) if bit}
+        true_lits = {v if v in truths else -v for v in range(1, len(ATOM_POOL) + 1)}
+        want = truths.issuperset(gp.facts) and not any(ng <= true_lits for ng in nogoods)
+        assert is_model(gp, frozenset(ATOM_POOL[v - 1] for v in truths)) == want

@@ -140,6 +140,8 @@ def test_round_trip_random(seed):
         ("p(a,not).", "'not' is reserved at 1:5"),
         ("%@deferred\np(1).", "%@deferred must precede a constraint at 1:1"),
         ("p(1)", "expected '.', found 'end of input' at 1:5"),
+        ("p(1).\n%@deferred\n", "expected a predicate name, found 'end of input' at 3:1"),
+        ("p(", "expected a term, found 'end of input' at 1:3"),
     ],
 )
 def test_fact_statement_errors(text, message):

@@ -64,7 +64,7 @@ def trigger_joins(index, lit, values, budget):
 
 class TestSeededPlan:
     def test_positive_seed_first_then_outward(self):
-        rule = benchgen.gen_3sat(3, 1.0, 1).deferred_rules()[0]
+        rule = benchgen.gen_3sat(3, 1.0, 1).deferred_plans()[0].rule
         plan = BodyPlan(rule, seed=4)  # val(V2,F2)
         assert [str(lit) for lit in plan.positives] == [
             "val(V2,F2)",

@@ -19,8 +19,8 @@ from microasp.grounder import (
     ground_rule,
     naive_ground_program,
 )
-from microasp.model import Atom, GroundRule, Literal, Program
-from microasp.oracle import enumerate_stable_models, nogood_of
+from microasp.model import Atom, Literal, Program
+from microasp.oracle import enumerate_stable_models
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import (
     ConstraintIndex,
@@ -124,7 +124,7 @@ class TestEagerPropagator:
         again = index.eager_nogoods(solver, lit)
         assert first == again
         for ng in first:
-            assert solver.add_nogood(ng) is None or True
+            solver._install(ng)
         assert index.eager_nogoods(solver, lit) == []  # store-level dedup
 
     def test_a_fact_alone_makes_an_instance_unit_at_level_0(self):
@@ -166,17 +166,19 @@ class TestEagerPropagator:
         assert not {predicate for predicate, _ in index._triggers} & program.extensional
 
     def test_emitted_nogoods_are_ground_instances(self, pi1, monkeypatch):
-        """Everything eager emits is the nogood of some instance of Grd(C)."""
+        """Everything eager emits is the nogood of some instance of Grd(C):
+        a constraint's nogood is the set of its body literals."""
         naive = naive_ground_program(parse_program(PI1_DEFERRED_TEXT))
-        legal = set()
-        for rule in pi1.deferred_rules():
-            for inst in ground_rule(rule, naive.atoms):
-                legal.add(frozenset(nogood_of(naive.atoms.render(inst))))
+        legal = {
+            frozenset(naive.atoms.render(inst).body)
+            for rule in (plan.rule for plan in pi1.deferred_plans())
+            for inst in ground_rule(rule, naive.atoms)
+        }
         spy = JoinSpy(monkeypatch)
         solve(pi1, "eager", forced_decisions=[1])
         assert spy.nogoods("eager")
         for nogood in spy.nogoods("eager"):
-            assert nogood_of(spy.atoms.render((0, nogood))) in legal
+            assert frozenset(spy.atoms.render((0, nogood)).body) in legal
 
 
 class TestPostPropagator:
@@ -499,15 +501,14 @@ class TestSolverNogoodConversion:
     def test_out_of_table_negative_dropped(self, pi1):
         gp = ground_program(pi1)
         ghost = ga("zzz", 9)
-        constraint = GroundRule(None, (Literal(ga("a", 1)), Literal(ghost, False)))
-        lits = solver_nogood(gp, constraint.body)
+        body = (Literal(ga("a", 1)), Literal(ghost, False))
+        lits = solver_nogood(gp, body)
         assert lits == (gp.atoms.id_of(ga("a", 1)) + 1,)
 
     def test_out_of_table_positive_skips_nogood(self, pi1):
         gp = ground_program(pi1)
         ghost = ga("zzz", 9)
-        constraint = GroundRule(None, (Literal(ghost),))
-        assert solver_nogood(gp, constraint.body) is None
+        assert solver_nogood(gp, (Literal(ghost),)) is None
 
 
 class TestStrategyEquivalenceFuzz:
