@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from microasp.cdcl import Solver
+import pytest
+from hypothesis import given, strategies as st
+
+from microasp.cdcl import Solver, canonical
 from microasp.grounder import AtomIndex, GroundProgram, ground_program
 from microasp.model import Atom, Var
 from microasp.oracle import is_model, least_model, reduct
@@ -103,3 +106,57 @@ class TestIsSupported:
     def test_fact_supports_itself(self):
         gp = ground_program(parse_program("c(1).\n"))
         assert C1 in least_model(reduct(gp, [C1]))
+
+
+ATOM_POOL = [ga(p, 1) for p in "pqrst"]
+
+
+@st.composite
+def ground_rules(draw):
+    """A ground rule in tuple form over the 5-atom pool, whose variables
+    are 1..5: a head variable or 0, and a body of distinct variables, each
+    of either sign."""
+    body_vars = draw(st.lists(st.integers(1, len(ATOM_POOL)), max_size=4, unique=True))
+    body = tuple(v if draw(st.booleans()) else -v for v in body_vars)
+    return draw(st.integers(0, len(ATOM_POOL))), body
+
+
+def assignments():
+    """Each total assignment of the pool: its true variables and its true
+    literals."""
+    for bits in itertools.product((False, True), repeat=len(ATOM_POOL)):
+        truths = {v for v, bit in enumerate(bits, 1) if bit}
+        yield truths, {v if v in truths else -v for v in range(1, len(ATOM_POOL) + 1)}
+
+
+def one_rule_program(head, body):
+    return GroundProgram(AtomIndex(ATOM_POOL), (), ((head, body),))
+
+
+@given(ground_rules())
+def test_nogood_falsified_iff_rule_unsatisfied(rule):
+    """Exhaustive over all assignments of the pool: the nogood of a rule,
+    its body and its head's complement, holds exactly when the rule is
+    unsatisfied; the solver stores it unless it is a tautology."""
+    head, body = rule
+    nogood = set(body) | {-head} if head else set(body)
+    tautology = head in body
+    if nogood and not tautology:
+        assert canonical(nogood) in set(Solver(one_rule_program(head, body))._by_lits)
+    gp = one_rule_program(head, body)
+    for truths, true_lits in assignments():
+        holds = not tautology and nogood <= true_lits
+        assert holds == (not is_model(gp, frozenset(ATOM_POOL[v - 1] for v in truths)))
+
+
+@given(ground_rules())
+def test_violation_is_nogood_containment(rule):
+    """A constraint is violated exactly when its nogood, its body, is
+    contained in the true literals."""
+    _, body = rule
+    gp = one_rule_program(0, body)
+    if body:
+        assert canonical(body) in set(Solver(gp)._by_lits)
+    for truths, true_lits in assignments():
+        violated = not is_model(gp, frozenset(ATOM_POOL[v - 1] for v in truths))
+        assert violated == (set(body) <= true_lits)
