@@ -247,8 +247,15 @@ def sweep_3sat(
 
 
 def cmd_sweep_3sat(args: argparse.Namespace) -> int:
-    ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
+    try:
+        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
+    except ValueError:
+        raise ValueError(f"--ratios expects numbers, got '{args.ratios}'") from None
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not set(strategies) <= set(ALL_STRATEGIES):
+        raise ValueError(
+            f"--strategies expects {', '.join(ALL_STRATEGIES)}, got '{args.strategies}'"
+        )
     rows = sweep_3sat(args.vars, ratios, args.seeds, strategies, args.conflicts)
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0]))

@@ -11,9 +11,13 @@ assignment, each as soon as its variables are bound; a negative literal is
 a probe of its all-positions table.  The source names slots, tables and
 operators only, so the constants come in through the slots list, and
 plans of one shape share one compiled function (`_compiled`).  A program
-plans each of its rules once (`Program.plans`, made when it is parsed), and
-every solve of it grounds and checks through those plans, the propagators'
-seeded plans included, made at the first solve that reads them.
+has a plan for each of its rules (`Program.plans`, made when it is parsed),
+and every solve of it grounds and checks through those plans, the
+propagators' seeded plans included, made at the first solve that reads
+them.  What a plan plans is the same for every program of one encoding,
+so it is planned once per process and shared through a bounded table
+(`_PLANS`, see `BodyPlan`): a program of an encoding met before pays only
+a lookup per plan.
 
 A join has two forms.  `iter_matches` runs the truth form: it reads each
 atom's truth from a list indexed by solver variable, lets at most `budget`
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
@@ -248,6 +253,15 @@ _int_digits: Callable[[], int] = getattr(sys, "get_int_max_str_digits", lambda: 
 #: the plan shapes met.
 _COMPILED: dict[tuple[str, int], Callable] = {}
 
+#: The planned fields of every `BodyPlan` (`BodyPlan._plan`), by the rule's
+#: value, the seed and the rule's body predicates that are extensional,
+#: shared by the plans of every program of one encoding.  The table holds
+#: rules and what was planned for them only, never an index or anything
+#: else of a solve, and it is cleared once it holds `_MAX_PLANS` entries.
+_PLANS: dict[tuple[Rule, Optional[int], frozenset[str]], dict[str, object]] = {}
+_MAX_PLANS = 512
+_PLANS_LOCK = threading.Lock()  # held to clear and fill the table
+
 
 def _compiled(source: str) -> Callable:
     """The generator function `join` that a join's source defines, its sums
@@ -409,6 +423,18 @@ class BodyPlan:
     literals on predicates that are not `extensional`, made at its first
     read and kept.
 
+    A rule is planned once per process (`_plan`): the planned fields come
+    from the table `_PLANS`, keyed by the rule's value (which leaves out its
+    line and column), the seed and the rule's body predicates that are
+    extensional, and cleared once it holds `_MAX_PLANS` entries.  The plans
+    of every program of one encoding share those fields, which no one
+    writes: `_initial` is passed to joins as their slots and copied by
+    `start`.  Each plan keeps its own `rule`, so a `GroundingError` and
+    `render` read the program's own rule, and its own `extensional`,
+    `_bound` and `seeded`; the table holds no index, no `get` and no plan.
+    An unsafe rule fails in `_plan` at each program's own rule, as a plan
+    that fails is not kept.
+
     A plan serves any solve of its program, also two at once (a solve
     started from a hook of another, or solves on threads): `_join` keeps
     no state of one solve that another could pair with its own, and two
@@ -421,8 +447,37 @@ class BodyPlan:
         seed: Optional[int] = None,
         extensional: Container[str] = frozenset(),
     ):
+        # All that planning reads of `extensional`.
+        extensional_body = frozenset(
+            e.atom.predicate
+            for e in rule.body
+            if isinstance(e, Literal) and e.atom.predicate in extensional
+        )
+        key = (rule, seed, extensional_body)
+        planned = _PLANS.get(key)
+        if planned is None:
+            planned = self._plan(rule, seed, extensional)
+            with _PLANS_LOCK:
+                if len(_PLANS) >= _MAX_PLANS:
+                    _PLANS.clear()
+                _PLANS[key] = planned
+        self.__dict__.update(planned)
         self.rule = rule
         self.seed = seed
+        self.extensional = extensional
+        # The index last joined over with the `get`s of its tables, which
+        # `add` keeps current, as one pair.
+        self._bound: tuple[Optional[AtomIndex], list[Callable]] = (None, [])
+
+    @staticmethod
+    def _plan(
+        rule: Rule, seed: Optional[int], extensional: Container[str]
+    ) -> dict[str, object]:
+        """The planned fields of `BodyPlan(rule, seed, extensional)`: its
+        permutation, literals and stages, and the sources of its forms, with
+        the slots their constants start in and the tables they read.  What is
+        planned here depends on the rule's value, the seed and which of the
+        body's predicates are extensional, never on the rule's location."""
         at = [
             i for i, e in enumerate(rule.body) if isinstance(e, Literal) and e.positive
         ]
@@ -437,8 +492,8 @@ class BodyPlan:
                 order.append(k)
                 left.remove(k)
                 reached |= shared[k]
-        self.written = tuple(order.index(k) for k in range(len(at)))
-        self.positives = [rule.body[at[k]] for k in order]
+        written = tuple(order.index(k) for k in range(len(at)))
+        positives = [rule.body[at[k]] for k in order]
 
         slot: dict[Term, int] = {}
         for term in _rule_terms(rule):
@@ -542,7 +597,7 @@ class BodyPlan:
             return True
 
         rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
-        self.stages: list[list[BodyElement]] = []
+        stages: list[list[BodyElement]] = []
 
         def place() -> None:
             """Emit the elements left that can run now: the next stage."""
@@ -555,18 +610,19 @@ class BodyPlan:
                         stage.append(elem)
                 if len(stage) == before:
                     break
-            self.stages.append(stage)
+            stages.append(stage)
 
+        seed_binds, seed_checks = [], []
         if seed is not None:
             args = rule.body[seed].atom.args
-            known, self._seed_binds, repeats = match(args)
-            self._seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
+            known, seed_binds, repeats = match(args)
+            seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
         # Loop a's number by loop b's, for each symmetric pair (a, b).
         swapped = {} if seed is not None else {
             b + 1: a + 1 for a, b in _symmetric_pairs(rule)
         }
         place()
-        for i, lit in enumerate(self.positives, 1):
+        for i, lit in enumerate(positives, 1):
             if i % _NESTED == 0:
                 for form, own in (
                     (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits)]),
@@ -623,7 +679,7 @@ class BodyPlan:
             def instance(text: str) -> None:
                 emit(text, (_INSTANCES,))
 
-            loops = iter(self.written)
+            loops = iter(written)
             atoms = [
                 f"v{next(loops) + 1}" if e.positive else f"x{j}"
                 for j, e in enumerate(literals)
@@ -686,12 +742,13 @@ class BodyPlan:
                 instance("if 0 in body: body = tuple(filter(None, body))")
             instance(f"yield {head}, body")
 
-        self._literals = [
+        literal_slots = [
             (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
             for e in literals
         ]
+        head_slots = None
         if rule.head is not None:
-            self._head = (rule.head.predicate, [slot[t] for t in rule.head.args])
+            head_slots = (rule.head.predicate, [slot[t] for t in rule.head.args])
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
         lines[:0] = [
             (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
@@ -699,7 +756,7 @@ class BodyPlan:
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
         ]
-        self._source = {
+        source = {
             form: "".join(
                 f"{'    ' * depth}{text or gets}\n"
                 for depth, forms, text in lines
@@ -707,12 +764,18 @@ class BodyPlan:
             )
             for form in (_FORMS if seed is None else (_TRUTH,))
         }
-        self.extensional = extensional
-        self._accesses = list(accesses)
-        self._initial = initial
-        # The index last joined over with the `get`s of its tables, which
-        # `add` keeps current, as one pair.
-        self._bound: tuple[Optional[AtomIndex], list[Callable]] = (None, [])
+        return dict(
+            written=written,
+            positives=tuple(positives),
+            stages=tuple(map(tuple, stages)),
+            _source=source,
+            _accesses=tuple(accesses),
+            _initial=initial,
+            _literals=literal_slots,
+            _head=head_slots,
+            _seed_binds=seed_binds,
+            _seed_checks=seed_checks,
+        )
 
     @cached_property
     def seeded(self) -> list[tuple[tuple[str, bool], BodyPlan]]:

@@ -11,7 +11,7 @@ A ground rule read back from the solver's literals (`AtomIndex.render`,
 `BodyPlan.render`) is a `Rule` too, with ground literals only in its body.
 Where a body's comparisons and negative literals are evaluated, and so
 which rules are safe, is decided by the join planner, `grounder.BodyPlan`;
-a `Program` plans each of its rules once and keeps the plans.
+a `Program` makes a plan for each of its rules once and keeps the plans.
 """
 from __future__ import annotations
 
@@ -132,12 +132,16 @@ class Rule:
 class Program:
     """Parsed program plus the indices of constraints marked for deferral.
 
-    A program is planned once: `extensional` and `plans` are computed at
-    their first read and kept with the program (a `cached_property` writes
-    the instance `__dict__`, which a frozen dataclass allows).  The parser
-    reads `plans` for its safety check, and every solve of the program
-    grounds and joins through them, the seeded ones of `BodyPlan.seeded`
-    included, so a plan holds no state of one solve.
+    A program's plans are made once: `extensional` and `plans` are
+    computed at their first read and kept with the program (a
+    `cached_property` writes the instance `__dict__`, which a frozen
+    dataclass allows).  The parser reads `plans` for its safety check, and
+    every solve of the program grounds and joins through them, the seeded
+    ones of `BodyPlan.seeded` included, so a plan holds no state of one
+    solve.  The plans are the program's own objects, holding its own rules,
+    but what they plan is planned once per encoding per process: the plans
+    of every program with equal rules over equal extensional predicates
+    share it (see `grounder.BodyPlan`).
     """
 
     rules: tuple[Rule, ...] = ()

@@ -6,24 +6,32 @@ a line comment.  A `%@deferred` comment line immediately before a constraint
 marks it for deferred treatment.
 
 Most statements of a generated instance are ground facts, so the tokenizer
-takes a plain fact whole.  At the start of a statement (the start of the
-input, or after a `.` token with only whitespace, comments and `%@deferred`
-marks in between) it first tries `_FACT_RE`: `name(c1,...,cn).` with no
-blanks inside, each `ci` an integer or a symbol other than `not`.  A match
-is one `fact` token holding the statement's text, which the parser turns
-into its rule directly, with the arity check.  Anything else, including a
-fact with blanks inside or with no arguments, goes through the general
-tokenizer and parser, so errors and their locations do not depend on the
-fast path.
+takes a run of plain facts whole.  At the start of a statement (the start of
+the input, or after a `.` token with only whitespace, comments and
+`%@deferred` marks in between) it first tries `_FACT_RE`: `name(c1,...,cn).`
+with no blanks inside, each `ci` an integer or a symbol other than `not`,
+and an optional newline.  It builds the `Rule` of each match in one loop
+for as long as the next match starts where the last one ended, and the run
+becomes one `facts` token holding those rules; a blank line, a comment or a
+mark ends a run.  The parser checks each rule's arity in text order, at the
+rule's line and column.  A fact whose integer is too long for `int` ends its
+run as a `fact` token of its own, which the parser reports as the general
+parser would.  Anything else, including a fact with blanks inside or with
+no arguments, goes through the general tokenizer and parser, so errors and
+their locations do not depend on the fast path: the tokenizer finishes
+before the parser raises any error.
 
 The safety check is the program's plans: `parse` plans every rule that is
 not a fact (`Program.plans`), and the planner's `GroundingError` for the
 first unsafe rule becomes a `SafetyError` at that rule.  The plans are kept
-with the program, so its solves plan no rule again.
+with the program, so its solves plan no rule again, and a rule planned for
+an earlier program of the encoding is not planned again at all (see
+`grounder.BodyPlan`).
 """
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .grounder import GroundingError
 from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
@@ -55,11 +63,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A whole ground fact, and the newline right after it, if there is one.
+# A whole ground fact: its predicate, its arguments, and the newline right
+# after it, if there is one.
 _FACT_RE = re.compile(
-    r"""( [a-z][A-Za-z0-9_]*
-        \( (?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*)
-          (?:,(?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*))* \)\. )
+    r"""( [a-z][A-Za-z0-9_]* )
+        \( ( (?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*)
+             (?:,(?:\d+|(?!not[,)])[a-z][A-Za-z0-9_]*))* ) \)\.
       (\n?)
     """,
     re.VERBOSE,
@@ -69,13 +78,18 @@ _DEFERRED_MARK = "%@deferred"
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    """A token; a `facts` token is a run of facts, and holds their rules."""
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
+    __slots__ = ("kind", "text", "line", "column", "rules")
+
+    def __init__(
+        self, kind: str, text: str, line: int, column: int, rules: Sequence[Rule] = ()
+    ):
         self.kind = kind
         self.text = text
         self.line = line
         self.column = column
+        self.rules = rules
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -85,13 +99,35 @@ def _tokenize(text: str) -> list[_Token]:
     at_statement = True
     while pos < len(text):
         if at_statement:
-            m = _FACT_RE.match(text, pos)
+            fact = _FACT_RE.match
+            m = fact(text, pos)
             if m is not None:
-                tokens.append(_Token("fact", m[1], line, pos - line_start + 1))
-                pos = m.end()
-                if m[2]:
-                    line += 1
-                    line_start = pos
+                run: list[Rule] = []
+                while m is not None:
+                    name, args, newline = m.groups()
+                    try:
+                        terms = tuple(
+                            [int(t) if t[0].isdigit() else t for t in args.split(",")]
+                        )
+                    except ValueError:
+                        break
+                    rule = _new_rule(Rule)
+                    _set(rule, "head", _new_atom(Atom, (name, terms)))
+                    _set(rule, "body", ())
+                    _set(rule, "line", line)
+                    _set(rule, "column", pos - line_start + 1)
+                    run.append(rule)
+                    pos = m.end()
+                    if newline:
+                        line += 1
+                        line_start = pos
+                    m = fact(text, pos)
+                if run:
+                    tokens.append(_Token("facts", "", run[0].line, run[0].column, run))
+                if m is not None:  # an integer too long: `_Parser._fact` reports it
+                    end, column = m.end(2) + 2, pos - line_start + 1
+                    tokens.append(_Token("fact", text[pos:end], line, column))
+                    pos = end
                 continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -153,17 +189,23 @@ class _Parser:
             mark = None
             if self._peek().kind == "deferred":
                 mark = self._next()
-            if self._peek().kind == "fact":
+            tok = self._peek()
+            if tok.kind == "facts":
+                self._next()
+                for rule in tok.rules:
+                    head = rule.head
+                    self._check_arity(head.predicate, len(head.args), rule)
+                    if mark is not None:
+                        raise _misplaced(mark)
+                rules += tok.rules
+                continue
+            if tok.kind == "fact":
                 rule = self._fact(self._next())
             else:
                 rule = self._statement()
             if mark is not None:
                 if not rule.is_constraint:
-                    raise ParseError(
-                        f"{_DEFERRED_MARK} must precede a constraint",
-                        mark.line,
-                        mark.column,
-                    )
+                    raise _misplaced(mark)
                 deferred.add(len(rules))
             rules.append(rule)
         program = Program(tuple(rules), frozenset(deferred))
@@ -174,10 +216,9 @@ class _Parser:
         return program
 
     def _fact(self, tok: _Token) -> Rule:
-        """The rule of a fact token, whose text is `name(c1,...,cn).`.  Most
-        rules of an instance are facts, so its atom and rule are built
-        without their Python-level constructors, `Rule`'s being a frozen
-        dataclass's that sets each field through `object.__setattr__`."""
+        """The rule of a fact token, whose text is `name(c1,...,cn).`, built
+        as `_tokenize` builds a run's; the token is a fact that ended a run
+        by an integer too long, which this reports where it starts."""
         name, args = tok.text[:-2].split("(")
         try:
             terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
@@ -263,7 +304,7 @@ class _Parser:
         self._check_arity(tok.text, len(args), tok)
         return Atom(tok.text, args)
 
-    def _check_arity(self, predicate: str, arity: int, tok: _Token) -> None:
+    def _check_arity(self, predicate: str, arity: int, tok: _Token | Rule) -> None:
         known = self._arity.setdefault(predicate, arity)
         if known != arity:
             raise ParseError(
@@ -290,6 +331,12 @@ class _Parser:
                 raise ParseError("'not' is reserved", tok.line, tok.column)
             return tok.text
         raise _unexpected(tok, "a term")
+
+
+def _misplaced(mark: _Token) -> ParseError:
+    """The error at a `%@deferred` mark before a statement that is not a
+    constraint."""
+    return ParseError(f"{_DEFERRED_MARK} must precede a constraint", mark.line, mark.column)
 
 
 def _unexpected(tok: _Token, expected: str) -> ParseError:

@@ -280,6 +280,31 @@ class TestSweep:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--ratios", "x", "--ratios expects numbers, got 'x'"),
+            ("--ratios", "3.0,x", "--ratios expects numbers, got '3.0,x'"),
+            (
+                "--strategies",
+                "full,bogus",
+                "--strategies expects full, lazy, eager, post, got 'full,bogus'",
+            ),
+        ],
+        ids=["ratio", "second-ratio", "strategy"],
+    )
+    def test_a_value_not_of_its_flag_exits_one_naming_the_flag(
+        self, tmp_path, capsys, option, value, message
+    ):
+        """No solve runs and no file is written."""
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep3sat", "--vars", "5", "--ratios", "3.0", "--seeds", "1"]
+        code = main(argv + ["--strategies", "full", option, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_single_point(self):
         rows = sweep_3sat(8, [4.0], 3, ["lazy"], conflicts=10000)
         assert len(rows) == 1

@@ -2,7 +2,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microasp import benchgen, parser
 from microasp.model import Atom, Comparison, Literal, Program, Rule, Var
@@ -158,8 +158,10 @@ def test_fact_statement_errors(text, message):
     [
         ("q(1).\nab(x,{big},2).\n", 2, "2:6"),
         ("q(X) :- p(X), X = {big}.\np(1).\n", 1, "1:19"),
+        ("q(1).\nq(2).ab(x,{big},2).\nq(3).\nab(1,2,3).\n", 5, "2:11"),
+        ("q(1).\nab(x,{big},2).\nq(1,2).\n", 3, "2:6"),
     ],
-    ids=["fact", "term"],
+    ids=["fact", "term", "fact-in-a-run", "before-an-arity-error"],
 )
 def test_an_overlong_integer_is_a_parse_error_at_its_token(text, facts, where):
     big = "9" * (sys.get_int_max_str_digits() + 1)
@@ -174,10 +176,30 @@ def test_an_overlong_integer_is_a_parse_error_at_its_token(text, facts, where):
 def test_fact_statement_locations_and_values():
     program = parse_program("p(1).q(1,2).")
     assert [(r.line, r.column) for r in program.rules] == [(1, 1), (1, 6)]
+    assert _runs("p(1).q(1,2).") == [2]
     program = parse_program("p(1). not(2).")
     assert program.rules[1].head == Atom("not", (2,))
     assert (program.rules[1].line, program.rules[1].column) == (1, 7)
     assert parse_program("q(007).").rules[0].head == Atom("q", (7,))
+    # A run ends at a comment line, a blank line and a `%@deferred` line.
+    text = "p(1).\nq(a).\n% c\nr(1).\n\np(2).p(3).\n%@deferred\n:- p(1).\ns(b).\n"
+    program = parse_program(text)
+    assert [(r.line, r.column) for r in program.rules] == [
+        (1, 1), (2, 1), (4, 1), (6, 1), (6, 6), (8, 1), (9, 1)
+    ]
+    assert program.deferred == {5}
+    assert _runs(text) == [2, 1, 2, 1]
+    # An error inside a run is at its own fact; one at the tokenizer wins.
+    for text, message in [
+        ("%@deferred\np(1).q(1).\n", "%@deferred must precede a constraint at 1:1"),
+        ("p(1).\n%@deferred\np(1,2).\n", "predicate p/2 previously used with arity 1 at 3:1"),
+        ("p(1).\np(2).p(1,2).\np(3).\n", "predicate p/2 previously used with arity 1 at 2:6"),
+        ("p(1).\np(1,2).\np(3).$\n", "unexpected character '$' at 3:6"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == message
+        assert _parsed(text) == _general_parsed(text)
 
 
 # The parser with the whole-fact token switched off: every statement goes
@@ -200,8 +222,18 @@ def _general_parsed(text: str):
         return _parsed(text)
 
 
+def _runs(text: str) -> list[int]:
+    """The number of facts in each run the tokenizer takes whole."""
+    return [len(tok.rules) for tok in parser._tokenize(text) if tok.kind == "facts"]
+
+
 def _fact_tokens(text: str) -> int:
-    return sum(tok.kind == "fact" for tok in parser._tokenize(text))
+    """The facts the tokenizer takes whole: those of its runs, and those
+    that end a run by an integer too long."""
+    return sum(
+        len(tok.rules) if tok.kind == "facts" else tok.kind == "fact"
+        for tok in parser._tokenize(text)
+    )
 
 
 @pytest.mark.parametrize(
@@ -264,7 +296,16 @@ def _fact_heavy_text(draw):
     return "".join(out)
 
 
+_BIG = "9" * (getattr(sys, "get_int_max_str_digits", int)() + 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fact_heavy_text())
+@example("p(1).\nq(a,b).\n% c\np(2).\n\np(3).p(4).\n%@deferred\n:- p(1).\np(5).\n")
+@example("p(1).\n%@deferred\np(2).q(1,2).\n")
+@example("p(1).p(2).\np(1,2).p(3).\n")
+@example("p(1).p(2).\np(1,2).p(3).\n:- p(X), $.\n")
+@example(f"p(1).\np({_BIG}).p(1,2).\np(2).\n")
+@example(f"p(1).p(1,2).\np({_BIG}).\n")
 def test_fact_token_matches_general_parser_on_blanks(text):
     assert _parsed(text) == _general_parsed(text)

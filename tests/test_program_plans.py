@@ -1,19 +1,28 @@
 """A program is planned once: `Program.plans` serve the parser's safety
 check, the grounder and the propagators of every solve of the program,
-which must solve as a fresh parse of its text does."""
+which must solve as a fresh parse of its text does.  What the plans plan is
+shared by every program of one encoding through the table `grounder._PLANS`,
+and a program that reuses it must solve as it would in a fresh process."""
 import dataclasses
+import gc
+import json
+import os
+import subprocess
 import sys
 import threading
+import weakref
 
 import pytest
 
+import microasp
 from microasp import benchgen, grounder, strategies
 from microasp.cdcl import Solver
-from microasp.grounder import BodyPlan, ground_program
+from microasp.grounder import BodyPlan, GroundingError, ground_program
 from microasp.model import Atom, Literal, Program, Rule, Var
 from microasp.parser import parse_program
 from microasp.strategies import ConstraintIndex, solve
 from support import PI1_DEFERRED_TEXT
+from test_grounder import assert_grounds_as_reference
 
 KINDS = ["full", "lazy", "eager", "post"]
 
@@ -193,10 +202,148 @@ class TestModel:
         assert len({x: 0, "X": 1, Var("Y"): 2}) == 3
 
     def test_a_fact_token_builds_the_rule_its_constructor_would(self):
-        (rule,) = parse_program("\n  p(1,a).\n").rules
-        built = Rule(Atom("p", (1, "a")), line=2, column=3)
-        assert rule == built and hash(rule) == hash(built)
-        assert type(rule.head) is Atom and rule.head == built.head
-        assert vars(rule) == vars(built)
-        # Set field by field, the rule's dict shares its class's keys.
-        assert sys.getsizeof(vars(rule)) == sys.getsizeof(vars(built))
+        """Alone, and in the middle of a run of facts."""
+        for text, at, line, column in [
+            ("\n  p(1,a).\n", 0, 2, 3),
+            ("q(7).\np(1,a).q(2).\n", 1, 2, 1),
+        ]:
+            rule = parse_program(text).rules[at]
+            built = Rule(Atom("p", (1, "a")), line=line, column=column)
+            assert rule == built and hash(rule) == hash(built)
+            assert type(rule.head) is Atom and rule.head == built.head
+            assert vars(rule) == vars(built)
+            # Set field by field, the rule's dict shares its class's keys.
+            assert sys.getsizeof(vars(rule)) == sys.getsizeof(vars(built))
+
+
+_FRESH = """
+import dataclasses, json, sys
+from microasp.parser import parse_program
+from microasp.strategies import solve
+text = sys.stdin.read()
+out = {}
+for kind in sys.argv[1:]:
+    result = solve(parse_program(text), kind, seed=1)
+    model = sorted(map(str, result.model or ()))
+    out[kind] = [result.status, dataclasses.asdict(result.stats), model]
+print(json.dumps(out))
+"""
+
+
+def fresh_process(text):
+    """Each strategy's outcome on the text, solved in a new interpreter, as
+    JSON values."""
+    src = os.path.dirname(os.path.dirname(microasp.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH, *KINDS],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+        timeout=120,
+    )
+    return json.loads(done.stdout)
+
+
+def as_json(result):
+    """A strategy's outcome as `fresh_process` reads it."""
+    model = sorted(map(str, result.model or ()))
+    outcome = [result.status, dataclasses.asdict(result.stats), model]
+    return json.loads(json.dumps(outcome))
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The keys of every rule planned, in order, the table emptied first."""
+    monkeypatch.setattr(grounder, "_PLANS", {})
+    keys = []
+    original = BodyPlan._plan
+
+    def spy(rule, seed, extensional):
+        keys.append((str(rule), seed))
+        return original(rule, seed, extensional)
+
+    monkeypatch.setattr(BodyPlan, "_plan", staticmethod(spy))
+    return keys
+
+
+class TestPlanTable:
+    def test_a_program_of_a_known_encoding_plans_nothing(self, plans):
+        """Another instance, with other facts and its rules on other lines,
+        reuses every plan, seeded ones included, and solves as in a fresh
+        process."""
+        first = parse_program(TEXTS["3sat"])
+        for kind in KINDS:
+            solve(first, kind, seed=1)
+        assert len(plans) > sum(plan is not None for plan in first.plans)
+        del plans[:]
+        text = benchgen.sat_program_text(benchgen.make_3sat(22, 4.26, 5))
+        program = parse_program(text)
+        lines = [(r.line, r.column) for r in program.rules if not r.is_fact]
+        assert lines != [(r.line, r.column) for r in first.rules if not r.is_fact]
+        got = {kind: as_json(solve(program, kind, seed=1)) for kind in KINDS}
+        assert plans == []
+        assert all(
+            plan.rule is rule for plan, rule in zip(program.plans, program.rules) if plan
+        )
+        assert got == fresh_process(text)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("d(a).\np(X) :- d(Y), X = Y+1.\n", "2:1"),
+            ("d(b).\nd(c).\n\np(X) :- d(Y), X = Y+1.\n", "4:1"),
+            ("d(a).\ne(1).\n%@deferred\n:- d(Y), Z = Y+1, e(Z).\n", "4:1"),
+            ("e(1).\n\nd(a).\n%@deferred\n  :- d(Y), Z = Y+1, e(Z).\n", "5:3"),
+        ],
+        ids=["rule", "rule-moved", "deferred", "deferred-moved"],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_error_names_its_own_programs_location(self, text, where, kind):
+        """Each program's error is at its own rule, whichever program of the
+        encoding planned the rule first."""
+        parse_program("d(z).\n\n\np(X) :- d(Y), X = Y+1.\n")
+        parse_program("e(0).\nd(z).\n\n:- d(Y), Z = Y+1, e(Z).\n")
+        with pytest.raises(GroundingError) as err:
+            solve(parse_program(text), kind, seed=1)
+        assert str(err.value).endswith(f" at {where}")
+
+    @pytest.mark.parametrize("derived_first", [False, True])
+    def test_the_key_holds_which_body_predicates_are_extensional(
+        self, plans, derived_first
+    ):
+        facts_only = "q(1).\nq(2).\np(X) :- q(X).\n"
+        derived = "r(1).\nr(3).\nq(X) :- r(X).\np(X) :- q(X).\n"
+        texts = [derived, facts_only] if derived_first else [facts_only, derived]
+        for text in texts:
+            program = parse_program(text)
+            assert_grounds_as_reference(program)
+        # Once over facts-only `q`, once over derived `q`.
+        assert plans.count(("p(X) :- q(X)", None)) == 2
+
+    def test_the_table_is_bounded(self, plans):
+        for i in range(grounder._MAX_PLANS + 10):
+            BodyPlan(parse_program(f"p(X) :- q(X), X != {i}.\n").rules[0])
+            assert 0 < len(grounder._PLANS) <= grounder._MAX_PLANS
+        assert len(plans) == grounder._MAX_PLANS + 10
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_table_holds_nothing_of_a_solve(self, plans, monkeypatch, kind):
+        """The atom index of a solve dies with its program, whose plans are
+        the first of their keys."""
+        indexes = []
+        original = strategies.ground_program
+
+        def spy(*args, **kwargs):
+            gp = original(*args, **kwargs)
+            indexes.append(weakref.ref(gp.atoms))
+            return gp
+
+        monkeypatch.setattr(strategies, "ground_program", spy)
+        program = parse_program(TEXTS["marriage"])
+        solve(program, kind, seed=1)
+        assert indexes and all(ref() is not None for ref in indexes)
+        del program
+        gc.collect()
+        assert indexes and all(ref() is None for ref in indexes)
