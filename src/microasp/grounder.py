@@ -69,6 +69,7 @@ import sys
 import threading
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -427,11 +428,12 @@ class BodyPlan:
     from the table `_PLANS`, keyed by the rule's value (which leaves out its
     line and column), the seed and the rule's body predicates that are
     extensional, and cleared once it holds `_MAX_PLANS` entries.  The plans
-    of every program of one encoding share those fields, which no one
-    writes: `_initial` is passed to joins as their slots and copied by
-    `start`.  Each plan keeps its own `rule`, so a `GroundingError` and
-    `render` read the program's own rule, and its own `extensional`,
-    `_bound` and `seeded`; the table holds no index, no `get` and no plan.
+    of every program of one encoding share those fields, so each is a
+    tuple or a read-only mapping: `_initial` is passed to joins as their
+    slots, and `start` copies it into a list of its own.  Each plan keeps
+    its own `rule`, so a `GroundingError` and `render` read the program's
+    own rule, and its own `extensional`, `_bound` and `seeded`; the table
+    holds no index, no `get` and no plan.
     An unsafe rule fails in `_plan` at each program's own rule, as a plan
     that fails is not kept.
 
@@ -742,13 +744,13 @@ class BodyPlan:
                 instance("if 0 in body: body = tuple(filter(None, body))")
             instance(f"yield {head}, body")
 
-        literal_slots = [
-            (e.atom.predicate, [slot[t] for t in e.atom.args], e.positive)
+        literal_slots = tuple(
+            (e.atom.predicate, tuple([slot[t] for t in e.atom.args]), e.positive)
             for e in literals
-        ]
+        )
         head_slots = None
         if rule.head is not None:
-            head_slots = (rule.head.predicate, [slot[t] for t in rule.head.args])
+            head_slots = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
         lines[:0] = [
             (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
@@ -756,25 +758,25 @@ class BodyPlan:
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
         ]
-        source = {
+        source = MappingProxyType({
             form: "".join(
                 f"{'    ' * depth}{text or gets}\n"
                 for depth, forms, text in lines
                 if form in forms
             )
             for form in (_FORMS if seed is None else (_TRUTH,))
-        }
+        })
         return dict(
             written=written,
             positives=tuple(positives),
             stages=tuple(map(tuple, stages)),
             _source=source,
             _accesses=tuple(accesses),
-            _initial=initial,
+            _initial=tuple(initial),
             _literals=literal_slots,
             _head=head_slots,
-            _seed_binds=seed_binds,
-            _seed_checks=seed_checks,
+            _seed_binds=tuple(seed_binds),
+            _seed_checks=tuple(seed_checks),
         )
 
     @cached_property
@@ -803,7 +805,7 @@ class BodyPlan:
     def start(self, args: tuple[Term, ...]) -> Optional[list]:
         """Slots binding the seed literal's variables to the arguments of a
         ground atom, or None when the atom does not match the seed."""
-        slots = self._initial[:]
+        slots = list(self._initial)
         for pos, s in self._seed_binds:
             slots[s] = args[pos]
         for pos, s in self._seed_checks:

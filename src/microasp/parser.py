@@ -15,11 +15,11 @@ for as long as the next match starts where the last one ended, and the run
 becomes one `facts` token holding those rules; a blank line, a comment or a
 mark ends a run.  The parser checks each rule's arity in text order, at the
 rule's line and column.  A fact whose integer is too long for `int` ends its
-run as a `fact` token of its own, which the parser reports as the general
-parser would.  Anything else, including a fact with blanks inside or with
-no arguments, goes through the general tokenizer and parser, so errors and
-their locations do not depend on the fast path: the tokenizer finishes
-before the parser raises any error.
+run as a `fact` token of its own, which the parser reports at that integer,
+as the general parser would.  Anything else, including a fact with blanks
+inside or with no arguments, goes through the general tokenizer and
+parser, so errors and their locations do not depend on the fast path: the
+tokenizer finishes before the parser raises any error.
 
 The safety check is the program's plans: `parse` plans every rule that is
 not a fact (`Program.plans`), and the planner's `GroundingError` for the
@@ -31,7 +31,7 @@ an earlier program of the encoding is not planned again at all (see
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .grounder import GroundingError
 from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
@@ -124,7 +124,7 @@ def _tokenize(text: str) -> list[_Token]:
                     m = fact(text, pos)
                 if run:
                     tokens.append(_Token("facts", "", run[0].line, run[0].column, run))
-                if m is not None:  # an integer too long: `_Parser._fact` reports it
+                if m is not None:  # an integer too long: `_overlong` reports it
                     end, column = m.end(2) + 2, pos - line_start + 1
                     tokens.append(_Token("fact", text[pos:end], line, column))
                     pos = end
@@ -200,9 +200,8 @@ class _Parser:
                 rules += tok.rules
                 continue
             if tok.kind == "fact":
-                rule = self._fact(self._next())
-            else:
-                rule = self._statement()
+                _overlong(tok)
+            rule = self._statement()
             if mark is not None:
                 if not rule.is_constraint:
                     raise _misplaced(mark)
@@ -214,28 +213,6 @@ class _Parser:
         except GroundingError as exc:
             raise SafetyError(exc.message, exc.rule.line, exc.rule.column) from None
         return program
-
-    def _fact(self, tok: _Token) -> Rule:
-        """The rule of a fact token, whose text is `name(c1,...,cn).`, built
-        as `_tokenize` builds a run's; the token is a fact that ended a run
-        by an integer too long, which this reports where it starts."""
-        name, args = tok.text[:-2].split("(")
-        try:
-            terms = tuple([int(t) if t[0].isdigit() else t for t in args.split(",")])
-        except ValueError:  # an integer too long: report it where it starts
-            column = tok.column + len(name) + 1
-            for t in args.split(","):
-                if t[0].isdigit():
-                    _integer(t, tok.line, column)
-                column += len(t) + 1
-            raise
-        self._check_arity(name, len(terms), tok)
-        rule = _new_rule(Rule)
-        _set(rule, "head", _new_atom(Atom, (name, terms)))
-        _set(rule, "body", ())
-        _set(rule, "line", tok.line)
-        _set(rule, "column", tok.column)
-        return rule
 
     def _statement(self) -> Rule:
         start = self._peek()
@@ -331,6 +308,17 @@ class _Parser:
                 raise ParseError("'not' is reserved", tok.line, tok.column)
             return tok.text
         raise _unexpected(tok, "a term")
+
+
+def _overlong(tok: _Token) -> NoReturn:
+    """Raise the error at a fact token, a fact that ended its run by an
+    integer too long for `int`: the error of that integer, where it starts."""
+    name, args = tok.text[:-2].split("(")
+    column = tok.column + len(name) + 1
+    for t in args.split(","):
+        if t[0].isdigit():
+            _integer(t, tok.line, column)
+        column += len(t) + 1
 
 
 def _misplaced(mark: _Token) -> ParseError:

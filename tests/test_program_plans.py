@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from types import MappingProxyType
 
 import pytest
 
@@ -321,6 +322,22 @@ class TestPlanTable:
             assert_grounds_as_reference(program)
         # Once over facts-only `q`, once over derived `q`.
         assert plans.count(("p(X) :- q(X)", None)) == 2
+
+    def test_the_shared_fields_cannot_be_written(self, plans):
+        """What the table holds is shared by every program of an encoding,
+        so it is made of tuples and read-only mappings only: hashing finds
+        any list or dict inside."""
+        for text in TEXTS.values():
+            program = parse_program(text)
+            for kind in KINDS:
+                solve(program, kind, seed=1)
+        assert len(grounder._PLANS) == len(plans)
+        for planned in grounder._PLANS.values():
+            for name, value in planned.items():
+                if name == "_source":
+                    assert isinstance(value, MappingProxyType)
+                    value = tuple(value.items())
+                hash(value)
 
     def test_the_table_is_bounded(self, plans):
         for i in range(grounder._MAX_PLANS + 10):
