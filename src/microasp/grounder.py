@@ -19,20 +19,25 @@ so it is planned once per process and shared through a bounded table
 (`_PLANS`, see `BodyPlan`): a program of an encoding met before pays only
 a lookup per plan.
 
-A join has two forms.  `iter_matches` runs the truth form: it reads each
-atom's truth from a list indexed by solver variable, lets at most `budget`
-body literals be undefined and returns each match's slots and literals.
-Its callers join over a `GroundProgram` of the plan's program, where the
-plan's extensional predicates hold facts only, so a positive literal on one
-is taken as true without a read.  They are:
+A join has three forms.  `iter_matches` runs the truth form: it reads
+each atom's truth from a list indexed by solver variable, lets at most
+`budget` body literals be undefined and returns each match's slots and
+literals.  A plan seeded at a body literal has one form, its trigger
+(`Trigger`): one call joins the body from the seed literal on an atom
+under truth and budget as the truth form does, and stores each match's
+literals in the caller's dict under its key.  Their callers join over a
+`GroundProgram` of the plan's program, where the plan's extensional
+predicates hold facts only, so a positive literal on one is taken as true
+without a read.  They are:
 
-* the lazy check: the solver assignment with budget 0 on a total candidate;
-* the eager propagator: the solver assignment with budget 1, in full at its
-  first call, when every fact is true, then through the plan seeded at each
-  body literal the assigned literal matches;
-* the post propagator: the solver assignment with budget 0, in full at its
-  first call, then through the seeded plans of each literal assigned since
-  its last call.
+* the lazy check: the truth form over the solver assignment with budget 0
+  on a total candidate;
+* the eager propagator: the solver assignment with budget 1, the truth form
+  at its first call, when every fact is true, then the trigger of each body
+  literal the assigned literal matches;
+* the post propagator: the solver assignment with budget 0, the truth form
+  at its first call, then the triggers of each literal assigned since its
+  last call.
 
 Both propagators seed plans only at literals on predicates that are not
 extensional: a fact is true before their first call and never changes.
@@ -52,8 +57,9 @@ is dropped, and other fact literals leave its body.  `AtomIndex.render`
 turns an instance back into a ground `Rule` for text.
 
 Each match of a plan in written order comes in lexicographic order of the
-variables of its positive literals; a seeded plan's `written` permutation
-recovers that key from a match's literals.  The instance form of a
+variables of its positive literals; a trigger keys each match by (the
+constraint's position, those variables), which it reads in written order
+through its plan's `written` permutation.  The instance form of a
 constraint uses that order to join a symmetric pair once: where swapping
 two positive literals a < b on one predicate maps the body onto itself
 (`_symmetric_pairs`), such as `:- match(M,W1), match(M,W2), W1 != W2.`, it
@@ -88,6 +94,18 @@ Row = tuple[int, tuple]
 
 #: A ground rule as solver literals: (head variable or 0, body literals).
 Instance = tuple[int, tuple[int, ...]]
+
+#: A seeded plan's trigger bound to the tables of one index, for one
+#: constraint position: (join, slots, gets, rule, ci).  The call
+#: `join(slots, gets, rule, values, budget, args, found, ci)` binds the seed
+#: literal's variables from the arguments `args` of an atom and joins the
+#: rest of the body under the truth `values` with at most `budget`
+#: undefined body literals, as `iter_matches` does.  It stores the literals
+#: of each match in `found` under its key, (ci, the variables of its
+#: positive literals in written order).  An atom with a constant other than
+#: the seed's, or with two values where the seed repeats a variable, stores
+#: nothing.
+Trigger = tuple[Callable, tuple, list, Rule, int]
 
 
 class GroundingError(Exception):
@@ -242,8 +260,9 @@ _FAILS = {"=": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _NESTED = 16
 
 #: The forms of a join: the truth form that `iter_matches` runs, and the
-#: instance form that grounding runs.
-_TRUTH, _INSTANCES = "truth", "instances"
+#: instance form that grounding runs.  A seeded plan has one form of its
+#: own, its trigger (`BodyPlan.trigger`).
+_TRUTH, _INSTANCES, _TRIGGER = "truth", "instances", "trigger"
 _FORMS = (_TRUTH, _INSTANCES)
 
 #: The limit on the digits of an integer's text, 0 for none.
@@ -383,11 +402,12 @@ class BodyPlan:
     """One rule body planned once and emitted as the source of its join.
 
     Positive literals are matched in written order.  A plan seeded at body
-    element `seed` joins outward from a start that binds the seed's
-    variables (`start`): a positive seed is matched first, then each next
-    positive literal is the first left in written order that shares a bound
-    variable, or failing that the first left.  `written[k]` is the plan
-    position of the k-th positive literal in written order.
+    element `seed` joins outward from the seed literal, whose variables its
+    trigger binds from the arguments it is called on: a positive seed is
+    matched first, then each next positive literal is the first left in
+    written order that shares a bound variable, or failing that the first
+    left.  `written[k]` is the plan position of the k-th positive literal in
+    written order.
 
     Each constant and variable gets a slot, the variables in the order the
     plan binds them; a variable has a slot once it is bound.  Each positive
@@ -416,13 +436,17 @@ class BodyPlan:
     fact variables in, and for each pair (a, b) of `_symmetric_pairs`, a
     constraint's only, skips a match right after loop b when b's variable
     is lower than a's: of two matches that the swap exchanges it keeps the
-    first.  `_source` holds the source of each form the plan
-    runs: both, or the truth form only for a seeded plan.  A form is
-    compiled at its first join (`_compiled`), never here: a program's plans
-    are made when it is parsed, for its safety check, and a solve may run
-    only some of their forms.  `seeded` holds the plans seeded at the body
-    literals on predicates that are not `extensional`, made at its first
-    read and kept.
+    first.  `_source` holds the source of each form the plan runs: both
+    for an unseeded plan.  A seeded plan's one form is its trigger (see
+    `Trigger`): the truth form's lines, with the seed's bindings and checks
+    first and a store of each match under its key in place of `yield`, in
+    its `part{i}` functions too.  Two seeded plans can share all but the
+    key, as the two of `:- e(X,Y), e(Y,X).` do, so the key is in the source
+    that `_compiled` is keyed by.  A form is compiled at its first join
+    (`_compiled`), never here: a program's plans are made when it is
+    parsed, for its safety check, and a solve may run only some of their
+    forms.  `seeded` holds the plans seeded at the body literals on
+    predicates that are not `extensional`, made at its first read and kept.
 
     A rule is planned once per process (`_plan`): the planned fields come
     from the table `_PLANS`, keyed by the rule's value (which leaves out its
@@ -430,7 +454,7 @@ class BodyPlan:
     extensional, and cleared once it holds `_MAX_PLANS` entries.  The plans
     of every program of one encoding share those fields, so each is a
     tuple or a read-only mapping: `_initial` is passed to joins as their
-    slots, and `start` copies it into a list of its own.  Each plan keeps
+    slots, which are the constants only for a trigger.  Each plan keeps
     its own `rule`, so a `GroundingError` and `render` read the program's
     own rule, and its own `extensional`, `_bound` and `seeded`; the table
     holds no index, no `get` and no plan.
@@ -439,8 +463,9 @@ class BodyPlan:
 
     A plan serves any solve of its program, also two at once (a solve
     started from a hook of another, or solves on threads): `_join` keeps
-    no state of one solve that another could pair with its own, and two
-    reads of `seeded` that race make equal lists.
+    no state of one solve that another could pair with its own, `trigger`
+    keeps none at all, and two reads of `seeded` that race make equal
+    lists.
     """
 
     def __init__(
@@ -614,11 +639,21 @@ class BodyPlan:
                     break
             stages.append(stage)
 
-        seed_binds, seed_checks = [], []
+        constants = len(initial)
         if seed is not None:
+            # The trigger binds the seed's variables from the arguments of
+            # the atom it is called on, and checks its constants and the
+            # variables repeated within it.
             args = rule.body[seed].atom.args
-            known, seed_binds, repeats = match(args)
-            seed_checks = [(pos, slot[args[pos]]) for pos in known] + repeats
+            known, binds, repeats = match(args)
+            checks = [(pos, slot[args[pos]]) for pos in known] + repeats
+            row = [f"r{pos}" for pos in range(len(args))]
+            for pos, s in binds:
+                row[pos] = f"s{s}"
+            if row:
+                emit(f"{', '.join(row)}, = args")
+            if checks:
+                emit(f"if {' or '.join(f'r{pos} != s{s}' for pos, s in checks)}: return")
         # Loop a's number by loop b's, for each symmetric pair (a, b).
         swapped = {} if seed is not None else {
             b + 1: a + 1 for a, b in _symmetric_pairs(rule)
@@ -626,12 +661,15 @@ class BodyPlan:
         place()
         for i, lit in enumerate(positives, 1):
             if i % _NESTED == 0:
+                # A trigger's part stores its matches as the trigger does.
+                stores = [] if seed is None else ["found", "ci"]
                 for form, own in (
-                    (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits)]),
+                    (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits), *stores]),
                     (_INSTANCES, ["facts", "add", *(f"v{k}" for k in range(1, i))]),
                 ):
                     params = ", ".join(["rule", "gets", *own, *names(slot)])
-                    emit(f"yield from part{i}({params})", (form,))
+                    call = "" if stores and form == _TRUTH else "yield from "
+                    emit(f"{call}part{i}({params})", (form,))
                     lines.append((0, (form,), f"def part{i}({params}):"))
                 lines.append((1, _FORMS, ""))  # unpacks `gets`: filled in last
                 depth = 1
@@ -663,8 +701,16 @@ class BodyPlan:
         unsafe = sorted(name for name in rule.variables() if Var(name) not in slot)
         if unsafe:
             raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
+        if seed is not None:
+            # A match's key: the variables of its positive literals in
+            # written order.  A trigger binds its variables itself, so its
+            # slots are the constants.
+            key = "".join(f"v{w + 1}, " for w in written)
+            emit(f"found[ci, ({key})] = [{', '.join(lits)}]", (_TRUTH,))
+            del initial[constants:]
         every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
-        emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
+        if seed is None:
+            emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
 
         literals = [e for e in rule.body if isinstance(e, Literal)]
         # The instance form reads the j-th body literal into `l{j}`, 0 where
@@ -752,20 +798,27 @@ class BodyPlan:
         if rule.head is not None:
             head_slots = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
+        called = "" if seed is None else ", args, found, ci"
         lines[:0] = [
-            (0, (_TRUTH,), "def join(slots, gets, rule, values, b0):"),
+            (0, (_TRUTH,), f"def join(slots, gets, rule, values, b0{called}):"),
             (0, (_INSTANCES,), "def join(slots, gets, rule, facts, add):"),
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
         ]
-        source = MappingProxyType({
-            form: "".join(
+
+        def source_of(form: str) -> str:
+            return "".join(
                 f"{'    ' * depth}{text or gets}\n"
                 for depth, forms, text in lines
                 if form in forms
             )
-            for form in (_FORMS if seed is None else (_TRUTH,))
-        })
+
+        # A seeded plan's lines of the truth form are its trigger.
+        source = MappingProxyType(
+            {form: source_of(form) for form in _FORMS}
+            if seed is None
+            else {_TRIGGER: source_of(_TRUTH)}
+        )
         return dict(
             written=written,
             positives=tuple(positives),
@@ -775,8 +828,6 @@ class BodyPlan:
             _initial=tuple(initial),
             _literals=literal_slots,
             _head=head_slots,
-            _seed_binds=tuple(seed_binds),
-            _seed_checks=tuple(seed_checks),
         )
 
     @cached_property
@@ -802,16 +853,11 @@ class BodyPlan:
             bound = self._bound = (index, gets)
         return _compiled(self._source[form])(slots, bound[1], self.rule, *args)
 
-    def start(self, args: tuple[Term, ...]) -> Optional[list]:
-        """Slots binding the seed literal's variables to the arguments of a
-        ground atom, or None when the atom does not match the seed."""
-        slots = list(self._initial)
-        for pos, s in self._seed_binds:
-            slots[s] = args[pos]
-        for pos, s in self._seed_checks:
-            if args[pos] != slots[s]:
-                return None
-        return slots
+    def trigger(self, index: AtomIndex, ci: int) -> Trigger:
+        """The seeded plan's trigger bound to the index's tables, for the
+        constraint at position `ci`: see `Trigger`."""
+        gets = [index.table(p, positions).get for p, positions in self._accesses]
+        return _compiled(self._source[_TRIGGER]), self._initial, gets, self.rule, ci
 
     def render(self, slots: list) -> Rule:
         """The ground rule under a match's slots: every body literal in
@@ -830,15 +876,10 @@ class BodyPlan:
 
 
 def iter_matches(
-    plan: BodyPlan,
-    index: AtomIndex,
-    values: Sequence[int],
-    budget: int,
-    start: Optional[list] = None,
+    plan: BodyPlan, index: AtomIndex, values: Sequence[int], budget: int
 ) -> Iterator[tuple[list, list[int]]]:
-    """Matches of the body over the atoms of the index, from the slots
-    `start` made by `plan.start` or else from none bound: the plan's truth
-    form, compiled at its first join.
+    """Matches of the body of an unseeded plan over the atoms of the index:
+    the plan's truth form, compiled at its first join.
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
@@ -848,11 +889,11 @@ def iter_matches(
     the index is false, so a positive literal on one fails and a negative
     one holds.  Each match comes as its slots and the body literals on
     index atoms as signed variables, both lists the caller owns;
-    `plan.render` reads a match's ground rule.  The module docstring lists
-    the truth and budget each caller joins under.
+    `plan.render` reads a match's ground rule.  A seeded plan joins through
+    its trigger instead (`Trigger`).  The module docstring lists the truth
+    and budget each caller joins under.
     """
-    slots = plan._initial if start is None else start
-    return plan._join(index, _TRUTH, slots, values, budget)
+    return plan._join(index, _TRUTH, plan._initial, values, budget)
 
 
 def _instances(

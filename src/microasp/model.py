@@ -151,14 +151,20 @@ class Program:
         return [self.plans[i] for i in sorted(self.deferred)]
 
     @cached_property
+    def _facts(self) -> tuple[bool, ...]:
+        """Whether each rule is a fact, decided once per rule for both
+        `extensional` and `plans`."""
+        return tuple([rule.is_fact for rule in self.rules])
+
+    @cached_property
     def extensional(self) -> frozenset[str]:
         """The predicates with facts and no other defining rule.  Deferred
         constraints define nothing, so a solve that leaves them out of its
         ground program has the same set."""
         fact, other = set(), set()
-        for rule in self.rules:
+        for rule, is_fact in zip(self.rules, self._facts):
             if rule.head is not None:
-                (fact if rule.is_fact else other).add(rule.head.predicate)
+                (fact if is_fact else other).add(rule.head.predicate)
         return frozenset(fact - other)
 
     @cached_property
@@ -170,7 +176,7 @@ class Program:
 
         extensional = self.extensional
         return tuple(
-            None if rule.is_fact else BodyPlan(rule, None, extensional)
-            for rule in self.rules
+            None if is_fact else BodyPlan(rule, None, extensional)
+            for rule, is_fact in zip(self.rules, self._facts)
         )
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cdcl import TIMEOUT, Budget, BudgetSpent, Solver, SolveResult
 from .cdcl import SolveStats, canonical as _canonical
 from .grounder import (
     BodyPlan,
     GroundProgram,
+    Trigger,
     ground_deferred_violations,
     ground_program,
     iter_matches,
@@ -54,8 +55,9 @@ def solver_nogood(gp: GroundProgram, body: Iterable[Literal]) -> Optional[tuple[
     return _canonical(lits)
 
 
-#: Matches of a seeded join by key: (constraint position, the variables of
-#: its positive literals in written order) -> the match's signed variables.
+#: The matches that triggers store, by key: (constraint position, the
+#: variables of its positive literals in written order) -> the match's signed
+#: variables.
 Matches = dict[tuple[int, tuple[int, ...]], list[int]]
 
 
@@ -69,23 +71,26 @@ class ConstraintIndex:
     check is the full join of each constraint on a total candidate, over
     them.  The propagators, `eager_nogoods` and `post_nogoods`, are the
     solver's hooks and return nogoods.  They join outward from a trail
-    literal, through the plan seeded at each body literal it matches
-    (`_triggers`, the constraints' `BodyPlan.seeded`, made once per
-    program): eager from each assigned literal, allowing one undefined body
-    literal (the one its nogood infers), and post from each literal
-    assigned since its last call, allowing none.  `_fired` holds those
-    triggers by literal, indexed like `Solver._assign`, so a literal with
-    none starts no join.  Body literals on the program's extensional
-    predicates get no seeded plan, so a fact starts no join; each
-    propagator's first call joins every body in full instead (`_joined`),
-    which covers what the facts alone violate or make unit.  An index
-    serves one solve: eager's first call is the solve's first.
+    literal, through the trigger of each body literal it matches (the
+    constraints' `BodyPlan.seeded` plans, made once per program): eager
+    from each assigned literal, allowing one undefined body literal (the
+    one its nogood infers), and post from each literal assigned since its
+    last call, allowing none.  `_fired` holds those triggers by literal,
+    indexed like `Solver._assign`, each bound once per solve, at the first
+    propagator call, to its compiled join and the `get`s of its tables
+    (`BodyPlan.trigger`), so a propagator calls them in a plain loop and a
+    literal with none starts no join.  Body literals on the program's
+    extensional predicates get no seeded plan, so a fact starts no join;
+    each propagator's first call joins every body in full instead
+    (`_joined`), which covers what the facts alone violate or make unit.
+    An index serves one solve: eager's first call is the solve's first.
 
     A constraint's full join yields its matches in lexicographic order of
-    the variables of its positive literals in written order.  A seeded
-    match is keyed by (constraint position, those variables), so sorting by
-    the key restores that order: eager emits each trigger's matches in it,
-    and post emits the new matches in the full join's order.
+    the variables of its positive literals in written order.  A trigger
+    stores each match under (constraint position, those variables), so
+    sorting by the key restores that order: eager emits each trigger's
+    matches in it, and post emits the new matches in the full join's order.
+    A call that matches nothing returns without building a nogood.
     """
 
     def __init__(self, plans: Sequence[Optional[BodyPlan]], gp: GroundProgram):
@@ -101,40 +106,20 @@ class ConstraintIndex:
         self._unjoined = True
 
     @cached_property
-    def _triggers(self) -> dict[tuple[str, bool], list[tuple[int, BodyPlan]]]:
-        """(constraint position, seeded plan) for each of the constraints'
-        seeded plans, by the (predicate, sign) of its seed literal."""
-        triggers: dict[tuple[str, bool], list[tuple[int, BodyPlan]]] = {}
+    def _fired(self) -> list[Sequence[Trigger]]:
+        """The triggers of each literal, indexed like `Solver._assign`, bound
+        to the atom index: a literal's are those of the constraints' seeded
+        plans whose seed literal has its predicate and sign, in plan order,
+        () for none."""
+        triggers: dict[tuple[str, bool], list[Trigger]] = {}
         for ci, plan in enumerate(self.plans):
             for key, seeded in plan.seeded:
-                triggers.setdefault(key, []).append((ci, seeded))
-        return triggers
-
-    @cached_property
-    def _fired(self) -> list[Sequence[tuple[int, BodyPlan]]]:
-        """The triggers of each literal, indexed like `Solver._assign`: a
-        literal's are those of its predicate and sign, () for none."""
+                triggers.setdefault(key, []).append(seeded.trigger(self.gp.atoms, ci))
         fired: list = [()] * (2 * len(self.gp.atoms) + 1)
-        for (predicate, positive), triggers in self._triggers.items():
+        for (predicate, positive), bound in triggers.items():
             for var, _ in self.gp.atoms.table(predicate, ())[()]:
-                fired[var if positive else -var] = triggers
+                fired[var if positive else -var] = bound
         return fired
-
-    def _seeded(
-        self, lit: int, values: Sequence[int], budget: int
-    ) -> Iterator[Matches]:
-        """For each of the true literal `lit`'s triggers, in order, the
-        matches of the join seeded at its body literal, by key."""
-        atom = self.gp.atoms.atom(abs(lit) - 1)
-        for ci, plan in self._fired[lit]:
-            start = plan.start(atom.args)
-            if start is None:
-                continue
-            found: Matches = {}
-            for _, lits in iter_matches(plan, self.gp.atoms, values, budget, start):
-                pos = [l for l in lits if l > 0]
-                found[ci, tuple(pos[k] for k in plan.written)] = lits
-            yield found
 
     def _joined(self, values: Sequence[int], budget: int) -> list[list[int]]:
         """The literals of each match of every body joined in full, in plan
@@ -159,15 +144,23 @@ class ConstraintIndex:
         whose trigger finds it.  After the first call, a literal with no
         trigger returns at once.
         """
-        if not (self._fired[lit] or self._unjoined):
+        triggers = self._fired[lit]
+        if not (triggers or self._unjoined):
             return []
+        values = solver._assign
         matches: list[list[int]] = []
         if self._unjoined:
             self._unjoined = False
-            matches = self._joined(solver._assign, 1)
-        for found in self._seeded(lit, solver._assign, 1):
-            matches += (found[key] for key in sorted(found))
-        return _new_nogoods(solver, matches)
+            matches = self._joined(values, 1)
+        if triggers:
+            args = self.gp.atoms.atom(abs(lit) - 1).args
+            found: Matches = {}
+            for join, slots, gets, rule, ci in triggers:
+                join(slots, gets, rule, values, 1, args, found, ci)
+                if found:
+                    matches += [found[key] for key in sorted(found)]
+                    found.clear()
+        return _new_nogoods(solver, matches) if matches else []
 
     def post_nogoods(self, solver: Solver) -> list[tuple[int, ...]]:
         """Instances whose body is fully true under the current trail.
@@ -180,15 +173,20 @@ class ConstraintIndex:
         """
         trail = solver._trail
         mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
+        values = solver._assign
         if mark == 0:
-            matches = self._joined(solver._assign, 0)
+            matches = self._joined(values, 0)
         else:
             found: Matches = {}
-            fired = self._fired
+            fired, atom = self._fired, self.gp.atoms.atom
             for lit in trail[mark:]:
-                if fired[lit]:
-                    for more in self._seeded(lit, solver._assign, 0):
-                        found.update(more)
+                triggers = fired[lit]
+                if triggers:
+                    args = atom(abs(lit) - 1).args
+                    for join, slots, gets, rule, ci in triggers:
+                        join(slots, gets, rule, values, 0, args, found, ci)
+            if not found:
+                return []
             matches = [found[key] for key in sorted(found)]
         return _new_nogoods(solver, matches)
 

@@ -156,19 +156,20 @@ class TestCompiledJoin:
         assert first._source[grounder._TRUTH] != first._source[grounder._INSTANCES]
 
     def test_a_seeded_plan_reads_no_truth_of_an_extensional_literal(self):
-        """Marriage's scores are facts: the truth form seeded at `match`
+        """Marriage's scores are facts: the trigger seeded at `match`
         reads the truth of the `match` loops only, and a seeded plan
-        builds no instance form."""
+        builds no other form."""
         program = benchgen.gen_marriage(4, 30, 1)
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_plans(), gp)
-        _, plan = index._triggers["match", True][0]
+        plan = next(s for key, s in index.plans[0].seeded if key == ("match", True))
         values = [0] * (len(gp.atoms) + 1)
         for var in gp.facts:
             values[var] = 1
-        start = plan.start(next(a for a in gp.atoms if a.predicate == "match").args)
-        list(iter_matches(plan, gp.atoms, values, 1, start))
-        source = plan._source[grounder._TRUTH]
+        args = next(a for a in gp.atoms if a.predicate == "match").args
+        join, slots, gets, rule, ci = plan.trigger(gp.atoms, 0)
+        join(slots, gets, rule, values, 1, args, {}, ci)
+        source = plan._source[grounder._TRIGGER]
         loops = {lit.atom.predicate: [] for lit in plan.positives}
         for i, lit in enumerate(plan.positives, 1):
             loops[lit.atom.predicate].append(f"values[v{i}]" in source)
@@ -177,7 +178,7 @@ class TestCompiledJoin:
             "manAssignsScore": [False, False],
             "womanAssignsScore": [False, False],
         }
-        assert list(plan._source) == [grounder._TRUTH]
+        assert list(plan._source) == [grounder._TRIGGER]
 
     def test_plans_that_differ_by_an_operator_do_not_share_code(self):
         facts = "alpha(1,kilo). beta(1,2,33).\n"

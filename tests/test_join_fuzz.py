@@ -118,10 +118,29 @@ def brute_matches(plan, candidates, index, values, budget, seed_atom=None):
     return [(subst, signed) for _, subst, signed in out]
 
 
-def joined(plan, index, values, budget, start=None):
+def joined(plan, index, values, budget):
     return [
         (plan.render(slots), sorted(set(lits)))
-        for slots, lits in iter_matches(plan, index, values, budget, start)
+        for slots, lits in iter_matches(plan, index, values, budget)
+    ]
+
+
+def triggered(plan, index, values, budget, args):
+    """What the plan's trigger stores when called on the arguments, as
+    (key, sorted signed variables) in the order stored."""
+    join, slots, gets, rule, ci = plan.trigger(index, 0)
+    found = {}
+    join(slots, gets, rule, values, budget, args, found, ci)
+    return [(key, sorted(set(lits))) for key, lits in found.items()]
+
+
+def keyed(plan, index, matches):
+    """Each match as the key its trigger stores it under: (0, the variables
+    of the positive literals in written order)."""
+    positives = [e.atom for e in plan.rule.body if isinstance(e, Literal) and e.positive]
+    return [
+        ((0, tuple(index.id_of(ground(atom, subst)) + 1 for atom in positives)), signed)
+        for subst, signed in matches
     ]
 
 
@@ -175,13 +194,9 @@ def test_plans_match_brute_force_instantiation(chunk):
                         want = brute_matches(
                             plan, candidates, index, vals, budget, atom
                         )
-                        start = plan.start(atom.args)
-                        if start is None:
-                            assert want == [], seed
-                            continue
-                        assert joined(plan, index, vals, budget, start) == rendered(
-                            rule, want
-                        ), seed
+                        assert triggered(
+                            plan, index, vals, budget, atom.args
+                        ) == keyed(plan, index, want), seed
                         checked += len(want)
         programs += 1
     assert programs >= 60

@@ -172,8 +172,16 @@ class TestTriggersByLiteral:
         assert len(index._fired) == 2 * len(gp.atoms) + 1
         for var, atom in enumerate(gp.atoms, 1):
             for lit in (var, -var):
-                want = index._triggers.get((atom.predicate, lit > 0), [])
-                assert list(index._fired[lit]) == want
+                want = [
+                    (ci, grounder._compiled(seeded._source[grounder._TRIGGER]))
+                    for ci, plan in enumerate(index.plans)
+                    for key, seeded in plan.seeded
+                    if key == (atom.predicate, lit > 0)
+                ]
+                fired = index._fired[lit]
+                assert [(ci, join) for join, _, _, _, ci in fired] == want
+                for join, slots, gets, rule, ci in fired:
+                    assert rule is index.plans[ci].rule
 
     def test_eager_joins_nothing_for_a_literal_with_no_trigger(self, monkeypatch):
         joins = []
@@ -215,6 +223,30 @@ class TestModel:
             assert vars(rule) == vars(built)
             # Set field by field, the rule's dict shares its class's keys.
             assert sys.getsizeof(vars(rule)) == sys.getsizeof(vars(built))
+
+    def test_parsing_decides_once_whether_a_rule_is_a_fact(self, monkeypatch):
+        """`extensional` and `plans` share one decision per rule."""
+        calls = []
+        is_fact = Rule.is_fact
+
+        def counted(rule):
+            calls.append(rule)
+            return is_fact.fget(rule)
+
+        monkeypatch.setattr(Rule, "is_fact", property(counted))
+        for text in TEXTS.values():
+            del calls[:]
+            program = parse_program(text)
+            assert len(calls) == len(program.rules)
+            facts = [rule.is_fact for rule in program.rules]
+            assert [plan is None for plan in program.plans] == facts
+            assert program.extensional == frozenset(
+                rule.head.predicate for rule, fact in zip(program.rules, facts) if fact
+            ) - {
+                rule.head.predicate
+                for rule, fact in zip(program.rules, facts)
+                if rule.head is not None and not fact
+            }
 
 
 _FRESH = """

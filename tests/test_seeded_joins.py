@@ -12,12 +12,13 @@ import pytest
 from microasp import benchgen
 from microasp.cdcl import Solver
 from microasp.grounder import (
+    AtomIndex,
     BodyPlan,
     ground_deferred_violations,
     ground_program,
     iter_matches,
 )
-from microasp.model import Atom, Literal
+from microasp.model import Atom, Literal, Var
 from microasp.parser import ParseError, parse_program
 from microasp.strategies import ConstraintIndex, _canonical, _new_nogoods, solve
 from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
@@ -47,19 +48,50 @@ def written_from(index, ci, seed, atom, values, budget):
     return out
 
 
+def seeds(index, lit):
+    """(constraint position, seeded plan) of each trigger of `lit`, in the
+    order of `index._fired[lit]`."""
+    atom = index.gp.atoms.atom(abs(lit) - 1)
+    return [
+        (ci, seeded)
+        for ci, plan in enumerate(index.plans)
+        for key, seeded in plan.seeded
+        if key == (atom.predicate, lit > 0)
+    ]
+
+
+def seed_matches(plan, atom):
+    """Whether the ground atom is an instance of the seed literal's atom:
+    equal constants, and each variable at one value."""
+    bound = {}
+    pattern = plan.rule.body[plan.seed].atom
+    return atom.predicate == pattern.predicate and all(
+        bound.setdefault(t, a) == a if isinstance(t, Var) else t == a
+        for t, a in zip(pattern.args, atom.args, strict=True)
+    )
+
+
 def trigger_joins(index, lit, values, budget):
     """For each trigger of `lit`, in trigger order: its constraint position,
-    whether its seeded plan's start binds the atom of `lit`, and the
+    whether the atom of `lit` is an instance of its seed literal, and the
     written-order join from that seed."""
     atom = index.gp.atoms.atom(abs(lit) - 1)
     return [
         (
             ci,
-            plan.start(atom.args) is not None,
+            seed_matches(plan, atom),
             written_from(index, ci, plan.seed, atom, values, budget),
         )
-        for ci, plan in index._triggers.get((atom.predicate, lit > 0), ())
+        for ci, plan in seeds(index, lit)
     ]
+
+
+def fire(trigger, args, values, budget):
+    """What the bound trigger stores when called on an atom's arguments."""
+    join, slots, gets, rule, ci = trigger
+    found = {}
+    join(slots, gets, rule, values, budget, args, found, ci)
+    return found
 
 
 class TestSeededPlan:
@@ -91,34 +123,43 @@ class TestSeededPlan:
         assert plan.written == (0, 1)
 
     def test_start_checks_constants_and_repeated_variables(self):
+        """The trigger stores the match of an atom that is an instance of
+        the seed, and nothing for a wrong constant or a repeated variable
+        at two values."""
         rule = parse_program(":- p(X,1,X,Y), q(Y).").rules[0]
         plan = BodyPlan(rule, seed=0)
-        assert str(plan.render(plan.start((2, 1, 2, 3)))) == ":- p(2,1,2,3), q(3)"
-        assert plan.start((2, 0, 2, 3)) is None
-        assert plan.start((2, 1, 3, 3)) is None
+        atoms = [(2, 1, 2, 3), (2, 0, 2, 3), (2, 1, 3, 3)]
+        index = AtomIndex([Atom("p", args) for args in atoms] + [Atom("q", (3,))])
+        trigger = plan.trigger(index, 7)
+        true = [1] * (len(index) + 1)
+        assert fire(trigger, atoms[0], true, 0) == {(7, (1, 4)): [1, 4]}
+        assert fire(trigger, atoms[1], true, 0) == {}
+        assert fire(trigger, atoms[2], true, 0) == {}
 
 
 def assert_seeded_matches_written(index, values, budget):
     """With each literal made true in turn, every trigger's seeded matches,
     in key order, are the written-order join's from the same start, key for
     key; returns how many.  The positive literals of a match fix all its
-    slots, so equal keys are equal matches."""
+    slots, so equal keys are equal matches.  A trigger called on an atom
+    that is not an instance of its seed literal stores nothing."""
     checked = 0
     for var in range(1, len(index.gp.atoms) + 1):
         for lit in (var, -var):
             vals = list(values)
             vals[var] = 1 if lit > 0 else -1
             joins = trigger_joins(index, lit, vals, budget)
-            seeded = iter(index._seeded(lit, vals, budget))
-            for ci, started, want in joins:
+            triggers = index._fired[lit]
+            assert len(triggers) == len(joins)
+            args = index.gp.atoms.atom(var - 1).args
+            for trigger, (ci, started, want) in zip(triggers, joins):
+                found = fire(trigger, args, vals, budget)
                 if not started:
-                    assert want == []
+                    assert want == [] and found == {}
                     continue
-                found = next(seeded)
                 got = [(key, _canonical(found[key])) for key in sorted(found)]
                 assert got == [(key, _canonical(lits)) for key, lits in want]
                 checked += len(want)
-            assert next(seeded, None) is None
     return checked
 
 
@@ -143,12 +184,15 @@ class TestSeededJoinDifferential:
             lambda: benchgen.gen_3sat(8, 4.26, 3),
             lambda: benchgen.gen_marriage(4, 30, 1),
             lambda: benchgen.gen_packing(3, 3, (2, 1)),
+            lambda: parse_program(SYMMETRIC_TEXT),
         ],
-        ids=["3sat", "marriage", "packing"],
+        ids=["3sat", "marriage", "packing", "symmetric"],
     )
     def test_benchmark_families(self, make):
         """Multi-literal bodies, where the seeded order differs from the
-        written one; facts true, the rest at random."""
+        written one; facts true, the rest at random.  The two seeded plans
+        of the symmetric body join in one text, but each keys its matches
+        in written order."""
         program = make()
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_plans(), gp)
@@ -159,6 +203,18 @@ class TestSeededJoinDifferential:
             for v in range(1, len(gp.atoms) + 1)
         ]
         assert assert_seeded_matches_written(index, values, 1) > 0
+
+
+# Both seeded plans of the deferred body join `e` twice, keyed by the
+# arguments in the same order, but the plan seeded at `e(Y,X)` meets its
+# positive literals in the reverse of written order.
+SYMMETRIC_TEXT = """\
+n(1). n(2). n(3).
+e(X,Y) :- n(X), n(Y), not ne(X,Y).
+ne(X,Y) :- n(X), n(Y), not e(X,Y).
+%@deferred
+:- e(X,Y), e(Y,X).
+"""
 
 
 SPY_PROGRAMS = {
@@ -211,7 +267,8 @@ class TestEagerOrder:
     def test_matches_come_in_written_join_order(self):
         index, solver, s5 = reordered_at_s()
         atoms = index.gp.atoms
-        (found,) = list(index._seeded(s5, solver._assign, 1))
+        (trigger,) = index._fired[s5]
+        found = fire(trigger, atoms.atom(s5 - 1).args, solver._assign, 1)
         assert x_values(atoms, found.values()) == [2, 1]
         assert x_values(atoms, index.eager_nogoods(solver, s5)) == [1, 2]
 

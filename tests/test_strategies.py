@@ -162,8 +162,14 @@ class TestEagerPropagator:
         program = make()
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_plans(), gp)
-        assert set(index._triggers) == want
-        assert not {predicate for predicate, _ in index._triggers} & program.extensional
+        fired = {
+            (atom.predicate, lit > 0)
+            for var, atom in enumerate(gp.atoms, 1)
+            for lit in (var, -var)
+            if index._fired[lit]
+        }
+        assert fired == want
+        assert not {predicate for predicate, _ in fired} & program.extensional
 
     def test_emitted_nogoods_are_ground_instances(self, pi1, monkeypatch):
         """Everything eager emits is the nogood of some instance of Grd(C):
