@@ -57,7 +57,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, nlargest
 from operator import neg
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -161,8 +161,11 @@ class Solver:
     The hooks extend the search; they may only return nogoods to add and
     never touch the trail.  `on_literal_true(solver, lit)` runs for each
     trail literal in trail order, after that literal's unit and support
-    propagation.  `on_propagation_fixpoint(solver)` runs once unit and
-    support propagation rest.  `on_total_candidate(solver)` may veto a
+    propagation.  `on_propagation_fixpoint(solver, since)` runs once unit
+    and support propagation rest; `since` is the trail's length at its
+    previous call (0 at the first), cut back by each backjump to the
+    trail's new length, so the literals assigned since that call are
+    `solver._trail[since:]`.  `on_total_candidate(solver)` may veto a
     total assignment, read off `solver._assign`, by returning nogoods; an
     empty return accepts it.  Each hook returns a list of nogoods, each a
     tuple of solver literals, that the solver takes as given: it neither
@@ -202,8 +205,7 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._prop_head = 0
-        # Trail length at the start of the last fixpoint hook call: the post
-        # propagator joins only the literals assigned since.
+        # Trail length at the last fixpoint hook call, passed to the next.
         self._fixpoint_mark = 0
 
         self._watches: list[list[StoredNogood]] = [[] for _ in range(2 * n + 1)]
@@ -473,11 +475,13 @@ class Solver:
         if len(not_true) >= 2:
             ng.w0, ng.w1 = not_true[0], not_true[1]
         else:
-            latest = sorted(
-                (l for l in key if assign[l] == 1),
-                key=lambda l: -self._pos[abs(l)],
-            )
-            ng.w0, ng.w1 = (not_true + latest)[:2]
+            # Trail positions are distinct, so the latest are unique.
+            pos = self._pos
+            latest = [(pos[abs(l)], l) for l in key if assign[l] == 1]
+            if not_true:
+                ng.w0, ng.w1 = not_true[0], max(latest)[1]
+            else:
+                (_, ng.w0), (_, ng.w1) = nlargest(2, latest)
         self._watches[ng.w0].append(ng)
         self._watches[ng.w1].append(ng)
         if len(not_true) < 2:
@@ -524,7 +528,8 @@ class Solver:
                 continue
             if cb_fix is not None:
                 self.stats.propagator_calls += 1
-                emitted = cb_fix(self)
+                since, self._fixpoint_mark = self._fixpoint_mark, len(self._trail)
+                emitted = cb_fix(self, since)
                 if emitted:
                     self.stats.propagator_nogoods += len(emitted)
                     conflict, progressed = self._apply_emitted(emitted)

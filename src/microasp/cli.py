@@ -321,6 +321,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.folds < 2:
+        raise ValueError(f"--folds expects at least 2, got {args.folds}")
     examples, _ = portfolio.read_dataset(args.data)
     report = portfolio.cross_validate(examples, folds=args.folds, seed=args.seed)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -3,7 +3,7 @@ grounder and all three deferred-constraint strategies run.
 
 The join is compiled to Python.  `BodyPlan` plans a rule body once over a
 list of slots, the rule's constants and then its variables in the order the
-plan binds them, and emits the source of a generator: a nested `for` per
+plan binds them, and emits the source of its join: a nested `for` per
 positive literal over the bucket of its predicate's `AtomIndex` table keyed
 by the positions bound when it is reached, unpacking the free positions
 into slot locals.  Comparisons become Python operators and a binding `=` an
@@ -19,25 +19,25 @@ so it is planned once per process and shared through a bounded table
 (`_PLANS`, see `BodyPlan`): a program of an encoding met before pays only
 a lookup per plan.
 
-A join has three forms.  `iter_matches` runs the truth form: it reads
-each atom's truth from a list indexed by solver variable, lets at most
-`budget` body literals be undefined and returns each match's slots and
-literals.  A plan seeded at a body literal has one form, its trigger
-(`Trigger`): one call joins the body from the seed literal on an atom
-under truth and budget as the truth form does, and stores each match's
-literals in the caller's dict under its key.  Their callers join over a
-`GroundProgram` of the plan's program, where the plan's extensional
-predicates hold facts only, so a positive literal on one is taken as true
-without a read.  They are:
+A join has two forms.  The truth form reads each atom's truth from a
+list indexed by solver variable, lets at most `budget` body literals be
+undefined and stores each match's slots and literals in the caller's dict
+under its key (`Matches`).  A plan seeded at a body literal first binds
+the seed literal's variables from the arguments of the atom it is called
+on.  `BodyPlan.trigger` binds any plan's truth form to an index
+(`Trigger`), and `iter_matches` runs unseeded plans in full.  Their
+callers join over a `GroundProgram` of the plan's program, where the
+plan's extensional predicates hold facts only, so a positive literal on
+one is taken as true without a read.  They are:
 
-* the lazy check: the truth form over the solver assignment with budget 0
-  on a total candidate;
-* the eager propagator: the solver assignment with budget 1, the truth form
-  at its first call, when every fact is true, then the trigger of each body
-  literal the assigned literal matches;
-* the post propagator: the solver assignment with budget 0, the truth form
-  at its first call, then the triggers of each literal assigned since its
-  last call.
+* the lazy check: every body in full over the solver assignment with
+  budget 0 on a total candidate;
+* the eager propagator: the solver assignment with budget 1, every body in
+  full at its first call, when every fact is true, then the trigger of
+  each body literal the assigned literal matches;
+* the post propagator: the solver assignment with budget 0, every body in
+  full at its first call, then the triggers of each literal assigned since
+  its last call.
 
 Both propagators seed plans only at literals on predicates that are not
 extensional: a fact is true before their first call and never changes.
@@ -57,9 +57,9 @@ is dropped, and other fact literals leave its body.  `AtomIndex.render`
 turns an instance back into a ground `Rule` for text.
 
 Each match of a plan in written order comes in lexicographic order of the
-variables of its positive literals; a trigger keys each match by (the
-constraint's position, those variables), which it reads in written order
-through its plan's `written` permutation.  The instance form of a
+variables of its positive literals; the truth form keys each match by (the
+constraint's position, those variables), which a seeded plan reads in
+written order through its `written` permutation.  The instance form of a
 constraint uses that order to join a symmetric pair once: where swapping
 two positive literals a < b on one predicate maps the body onto itself
 (`_symmetric_pairs`), such as `:- match(M,W1), match(M,W2), W1 != W2.`, it
@@ -95,17 +95,20 @@ Row = tuple[int, tuple]
 #: A ground rule as solver literals: (head variable or 0, body literals).
 Instance = tuple[int, tuple[int, ...]]
 
-#: A seeded plan's trigger bound to the tables of one index, for one
-#: constraint position: (join, slots, gets, rule, ci).  The call
-#: `join(slots, gets, rule, values, budget, args, found, ci)` binds the seed
-#: literal's variables from the arguments `args` of an atom and joins the
-#: rest of the body under the truth `values` with at most `budget`
-#: undefined body literals, as `iter_matches` does.  It stores the literals
-#: of each match in `found` under its key, (ci, the variables of its
-#: positive literals in written order).  An atom with a constant other than
-#: the seed's, or with two values where the seed repeats a variable, stores
-#: nothing.
+#: A plan's truth form bound to the tables of one index, for one constraint
+#: position: (join, slots, gets, rule, ci).  The call
+#: `join(slots, gets, rule, values, budget, args, found, ci)` joins the body
+#: under the truth `values` with at most `budget` undefined body literals
+#: (see `iter_matches`) and stores each match in `found` (`Matches`).  A
+#: seeded plan first binds the seed literal's variables from the arguments
+#: `args` of an atom: one with a constant other than the seed's, or with two
+#: values where the seed repeats a variable, stores nothing.  An unseeded
+#: plan reads no `args`.
 Trigger = tuple[Callable, tuple, list, Rule, int]
+
+#: The matches of truth joins, by key: (constraint position, the variables of
+#: its positive literals in written order) -> (slots, signed variables).
+Matches = dict[tuple[int, tuple[int, ...]], tuple[list, list[int]]]
 
 
 class GroundingError(Exception):
@@ -256,13 +259,12 @@ _FAILS = {"=": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 #: Nested loops per generated function: CPython compiles at most 20 nested
 #: blocks and 100 levels of indentation, so each further run of loops goes
-#: into a sibling generator, which takes the names bound so far.
+#: into a sibling function, which takes the names bound so far.
 _NESTED = 16
 
-#: The forms of a join: the truth form that `iter_matches` runs, and the
-#: instance form that grounding runs.  A seeded plan has one form of its
-#: own, its trigger (`BodyPlan.trigger`).
-_TRUTH, _INSTANCES, _TRIGGER = "truth", "instances", "trigger"
+#: The forms of a join: the truth form that `BodyPlan.trigger` binds, and
+#: the instance form that grounding runs.
+_TRUTH, _INSTANCES = "truth", "instances"
 _FORMS = (_TRUTH, _INSTANCES)
 
 #: The limit on the digits of an integer's text, 0 for none.
@@ -284,7 +286,7 @@ _PLANS_LOCK = threading.Lock()  # held to clear and fill the table
 
 
 def _compiled(source: str) -> Callable:
-    """The generator function `join` that a join's source defines, its sums
+    """The function `join` that a join's source defines, its sums
     bound by `=` held to the present digit limit, compiled at its first
     use under that limit."""
     digits = _int_digits()
@@ -437,15 +439,14 @@ class BodyPlan:
     constraint's only, skips a match right after loop b when b's variable
     is lower than a's: of two matches that the swap exchanges it keeps the
     first.  `_source` holds the source of each form the plan runs: both
-    for an unseeded plan.  A seeded plan's one form is its trigger (see
-    `Trigger`): the truth form's lines, with the seed's bindings and checks
-    first and a store of each match under its key in place of `yield`, in
-    its `part{i}` functions too.  Two seeded plans can share all but the
-    key, as the two of `:- e(X,Y), e(Y,X).` do, so the key is in the source
-    that `_compiled` is keyed by.  A form is compiled at its first join
-    (`_compiled`), never here: a program's plans are made when it is
-    parsed, for its safety check, and a solve may run only some of their
-    forms.  `seeded` holds the plans seeded at the body literals on
+    for an unseeded plan, the truth form for a seeded one, whose source
+    binds and checks the seed first (see `Trigger`).  The truth form stores
+    each match under its key, in its `part{i}` functions too.  Two seeded
+    plans can share all but the key, as the two of `:- e(X,Y), e(Y,X).` do,
+    so the key is in the source that `_compiled` is keyed by.  A form is
+    compiled at its first join (`_compiled`), never here: a program's plans
+    are made when it is parsed, for its safety check, and a solve may run
+    only some of their forms.  `seeded` holds the plans seeded at the body literals on
     predicates that are not `extensional`, made at its first read and kept.
 
     A rule is planned once per process (`_plan`): the planned fields come
@@ -454,18 +455,17 @@ class BodyPlan:
     extensional, and cleared once it holds `_MAX_PLANS` entries.  The plans
     of every program of one encoding share those fields, so each is a
     tuple or a read-only mapping: `_initial` is passed to joins as their
-    slots, which are the constants only for a trigger.  Each plan keeps
-    its own `rule`, so a `GroundingError` and `render` read the program's
-    own rule, and its own `extensional`, `_bound` and `seeded`; the table
+    slots, which are the constants only for a seeded plan.  Each plan
+    keeps its own `rule`, so a `GroundingError` and `render` read the
+    program's own rule, and its own `extensional` and `seeded`; the table
     holds no index, no `get` and no plan.
     An unsafe rule fails in `_plan` at each program's own rule, as a plan
     that fails is not kept.
 
     A plan serves any solve of its program, also two at once (a solve
-    started from a hook of another, or solves on threads): `_join` keeps
-    no state of one solve that another could pair with its own, `trigger`
-    keeps none at all, and two reads of `seeded` that race make equal
-    lists.
+    started from a hook of another, or solves on threads): it keeps no
+    state of a solve, as a join binds the index's tables at each call, and
+    two reads of `seeded` that race make equal lists.
     """
 
     def __init__(
@@ -492,9 +492,6 @@ class BodyPlan:
         self.rule = rule
         self.seed = seed
         self.extensional = extensional
-        # The index last joined over with the `get`s of its tables, which
-        # `add` keeps current, as one pair.
-        self._bound: tuple[Optional[AtomIndex], list[Callable]] = (None, [])
 
     @staticmethod
     def _plan(
@@ -641,7 +638,7 @@ class BodyPlan:
 
         constants = len(initial)
         if seed is not None:
-            # The trigger binds the seed's variables from the arguments of
+            # The truth form binds the seed's variables from the arguments of
             # the atom it is called on, and checks its constants and the
             # variables repeated within it.
             args = rule.body[seed].atom.args
@@ -661,14 +658,12 @@ class BodyPlan:
         place()
         for i, lit in enumerate(positives, 1):
             if i % _NESTED == 0:
-                # A trigger's part stores its matches as the trigger does.
-                stores = [] if seed is None else ["found", "ci"]
                 for form, own in (
-                    (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits), *stores]),
+                    (_TRUTH, ["values", budget, *(l.lstrip("*") for l in lits), "found", "ci"]),
                     (_INSTANCES, ["facts", "add", *(f"v{k}" for k in range(1, i))]),
                 ):
                     params = ", ".join(["rule", "gets", *own, *names(slot)])
-                    call = "" if stores and form == _TRUTH else "yield from "
+                    call = "yield from " if form == _INSTANCES else ""
                     emit(f"{call}part{i}({params})", (form,))
                     lines.append((0, (form,), f"def part{i}({params}):"))
                 lines.append((1, _FORMS, ""))  # unpacks `gets`: filled in last
@@ -701,16 +696,16 @@ class BodyPlan:
         unsafe = sorted(name for name in rule.variables() if Var(name) not in slot)
         if unsafe:
             raise GroundingError(f"unsafe variable {unsafe[0]} in rule '{rule}.'", rule)
-        if seed is not None:
-            # A match's key: the variables of its positive literals in
-            # written order.  A trigger binds its variables itself, so its
-            # slots are the constants.
-            key = "".join(f"v{w + 1}, " for w in written)
-            emit(f"found[ci, ({key})] = [{', '.join(lits)}]", (_TRUTH,))
-            del initial[constants:]
+        # A match is stored as all its slots and its literals, under its key:
+        # the variables of its positive literals in written order.
         every = f"[{', '.join(f's{k}' for k in range(len(initial)))}]"
-        if seed is None:
-            emit(f"yield {every}, [{', '.join(lits)}]", (_TRUTH,))
+        stored = "".join(f"v{w + 1}, " for w in written)
+        emit(f"found[ci, ({stored})] = {every}, [{', '.join(lits)}]", (_TRUTH,))
+        if seed is not None:
+            # A seeded plan binds its variables itself, so its slots are the
+            # constants.
+            del initial[constants:]
+            every = f"[{', '.join(f's{k}' for k in range(constants))}]"
 
         literals = [e for e in rule.body if isinstance(e, Literal)]
         # The instance form reads the j-th body literal into `l{j}`, 0 where
@@ -798,9 +793,8 @@ class BodyPlan:
         if rule.head is not None:
             head_slots = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
-        called = "" if seed is None else ", args, found, ci"
         lines[:0] = [
-            (0, (_TRUTH,), f"def join(slots, gets, rule, values, b0{called}):"),
+            (0, (_TRUTH,), "def join(slots, gets, rule, values, b0, args, found, ci):"),
             (0, (_INSTANCES,), "def join(slots, gets, rule, facts, add):"),
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
@@ -813,12 +807,8 @@ class BodyPlan:
                 if form in forms
             )
 
-        # A seeded plan's lines of the truth form are its trigger.
-        source = MappingProxyType(
-            {form: source_of(form) for form in _FORMS}
-            if seed is None
-            else {_TRIGGER: source_of(_TRUTH)}
-        )
+        forms = _FORMS if seed is None else (_TRUTH,)
+        source = MappingProxyType({form: source_of(form) for form in forms})
         return dict(
             written=written,
             positives=tuple(positives),
@@ -841,23 +831,15 @@ class BodyPlan:
             if isinstance(elem, Literal) and elem.atom.predicate not in extensional
         ]
 
-    def _join(self, index: AtomIndex, form: str, slots: list, *args) -> Iterator:
-        """Run one form of the join over the index from the slots: the truth
-        form takes the truth values and the budget, the instance form the
-        fact variables and the index's `add`.  The index and its `get`s are
-        read and bound as one pair, so a join never runs over the tables of
-        another solve's index."""
-        bound = self._bound
-        if bound[0] is not index:
-            gets = [index.table(p, positions).get for p, positions in self._accesses]
-            bound = self._bound = (index, gets)
-        return _compiled(self._source[form])(slots, bound[1], self.rule, *args)
+    def _gets(self, index: AtomIndex) -> list[Callable]:
+        """The `get`s of the index's tables that the plan's joins read."""
+        return [index.table(p, positions).get for p, positions in self._accesses]
 
     def trigger(self, index: AtomIndex, ci: int) -> Trigger:
-        """The seeded plan's trigger bound to the index's tables, for the
+        """The plan's truth form bound to the index's tables, for the
         constraint at position `ci`: see `Trigger`."""
-        gets = [index.table(p, positions).get for p, positions in self._accesses]
-        return _compiled(self._source[_TRIGGER]), self._initial, gets, self.rule, ci
+        join = _compiled(self._source[_TRUTH])
+        return join, self._initial, self._gets(index), self.rule, ci
 
     def render(self, slots: list) -> Rule:
         """The ground rule under a match's slots: every body literal in
@@ -876,24 +858,30 @@ class BodyPlan:
 
 
 def iter_matches(
-    plan: BodyPlan, index: AtomIndex, values: Sequence[int], budget: int
-) -> Iterator[tuple[list, list[int]]]:
-    """Matches of the body of an unseeded plan over the atoms of the index:
-    the plan's truth form, compiled at its first join.
+    plans: Sequence[BodyPlan], index: AtomIndex, values: Sequence[int], budget: int
+) -> Matches:
+    """The matches of the bodies of unseeded plans over the atoms of the
+    index, each plan's keyed by its position in `plans`: their truth forms,
+    compiled at their first join, run into one dict.
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
-    `budget` undefined ones.  A positive literal on a predicate the plan
-    was given as extensional is taken as true, whatever `values` says: the
+    `budget` undefined ones.  A positive literal on a predicate a plan was
+    given as extensional is taken as true, whatever `values` says: the
     index must hold only facts of it, true in `values`.  An atom outside
     the index is false, so a positive literal on one fails and a negative
-    one holds.  Each match comes as its slots and the body literals on
+    one holds.  Each match is stored as its slots and the body literals on
     index atoms as signed variables, both lists the caller owns;
-    `plan.render` reads a match's ground rule.  A seeded plan joins through
-    its trigger instead (`Trigger`).  The module docstring lists the truth
-    and budget each caller joins under.
+    `plan.render` reads a match's ground rule.  An unseeded plan joins in
+    written order, so its matches come in the order of their keys, and the
+    dict holds them plan by plan in that order.  The module docstring lists
+    the truth and budget each caller joins under.
     """
-    return plan._join(index, _TRUTH, plan._initial, values, budget)
+    found: Matches = {}
+    for ci, plan in enumerate(plans):
+        join, slots, gets, rule, _ = plan.trigger(index, ci)
+        join(slots, gets, rule, values, budget, (), found, ci)
+    return found
 
 
 def _instances(
@@ -903,7 +891,8 @@ def _instances(
     atoms, with the fact variables `facts` folded in (see `BodyPlan`); a
     match whose instance is dropped yields nothing.  A head not yet in the
     index is added to it, and the rest of the join sees it."""
-    return plan._join(index, _INSTANCES, plan._initial, facts, index.add)
+    join = _compiled(plan._source[_INSTANCES])
+    return join(plan._initial, plan._gets(index), plan.rule, facts, index.add)
 
 
 def ground_rule(rule: Rule, index: AtomIndex) -> list[Instance]:
@@ -1057,6 +1046,5 @@ def ground_deferred_violations(
     """
     return [
         (ci, slots, lits)
-        for ci, plan in enumerate(plans)
-        for slots, lits in iter_matches(plan, index, values, 0)
+        for (ci, _), (slots, lits) in iter_matches(plans, index, values, 0).items()
     ]

@@ -301,10 +301,11 @@ def cross_validate(
 
     The gain is the percentage difference between the summed runtime of the
     cross-validated predictions and of the single best method; it is omitted
-    when the examples carry no runtimes.
+    when the examples carry no runtimes.  At least two folds, each dealt at
+    least one example, leave every fold training data.
     """
-    if folds < 1 or len(examples) < folds:
-        raise ValueError("need at least as many examples as folds")
+    if folds < 2 or len(examples) < folds:
+        raise ValueError("need at least two folds and as many examples as folds")
     assignment = _stratified_folds(examples, folds, seed)
     pairs: list[tuple[str, str]] = []
     predicted: list[Optional[str]] = [None] * len(examples)
@@ -315,8 +316,6 @@ def cross_validate(
             for i, ex in enumerate(examples)
             if i not in test
         ]
-        if not training:
-            raise ValueError("a fold left no training data")
         tree = train(training)
         for idx in fold:
             predicted[idx] = predict(tree, examples[idx].features)

@@ -22,6 +22,7 @@ from .cdcl import SolveStats, canonical as _canonical
 from .grounder import (
     BodyPlan,
     GroundProgram,
+    Matches,
     Trigger,
     ground_deferred_violations,
     ground_program,
@@ -55,12 +56,6 @@ def solver_nogood(gp: GroundProgram, body: Iterable[Literal]) -> Optional[tuple[
     return _canonical(lits)
 
 
-#: The matches that triggers store, by key: (constraint position, the
-#: variables of its positive literals in written order) -> the match's signed
-#: variables.
-Matches = dict[tuple[int, tuple[int, ...]], list[int]]
-
-
 class ConstraintIndex:
     """Joins deferred constraint bodies against the solver assignment.
 
@@ -82,15 +77,16 @@ class ConstraintIndex:
     literal with none starts no join.  Body literals on the program's
     extensional predicates get no seeded plan, so a fact starts no join;
     each propagator's first call joins every body in full instead
-    (`_joined`), which covers what the facts alone violate or make unit.
-    An index serves one solve: eager's first call is the solve's first.
+    (`iter_matches`), which covers what the facts alone violate or make
+    unit.  An index serves one solve: eager's first call is the solve's
+    first.
 
-    A constraint's full join yields its matches in lexicographic order of
-    the variables of its positive literals in written order.  A trigger
-    stores each match under (constraint position, those variables), so
-    sorting by the key restores that order: eager emits each trigger's
-    matches in it, and post emits the new matches in the full join's order.
-    A call that matches nothing returns without building a nogood.
+    Every match is stored under (constraint position, the variables of its
+    positive literals in written order), and a full join stores them in the
+    order of that key.  So sorting a trigger's matches by key restores it:
+    eager emits each trigger's matches in it, and post emits the new
+    matches in the full join's order.  A call that matches nothing returns
+    without building a nogood.
     """
 
     def __init__(self, plans: Sequence[Optional[BodyPlan]], gp: GroundProgram):
@@ -121,15 +117,6 @@ class ConstraintIndex:
                 fired[var if positive else -var] = bound
         return fired
 
-    def _joined(self, values: Sequence[int], budget: int) -> list[list[int]]:
-        """The literals of each match of every body joined in full, in plan
-        order, each plan's in the order of its full join."""
-        return [
-            lits
-            for plan in self.plans
-            for _, lits in iter_matches(plan, self.gp.atoms, values, budget)
-        ]
-
     def eager_nogoods(self, solver: Solver, lit: int) -> list[tuple[int, ...]]:
         """Instances made unit or falsified by `lit` having turned true.
 
@@ -151,44 +138,43 @@ class ConstraintIndex:
         matches: list[list[int]] = []
         if self._unjoined:
             self._unjoined = False
-            matches = self._joined(values, 1)
+            full = iter_matches(self.plans, self.gp.atoms, values, 1)
+            matches = [lits for _, lits in full.values()]
         if triggers:
             args = self.gp.atoms.atom(abs(lit) - 1).args
             found: Matches = {}
             for join, slots, gets, rule, ci in triggers:
                 join(slots, gets, rule, values, 1, args, found, ci)
                 if found:
-                    matches += [found[key] for key in sorted(found)]
+                    matches += [found[key][1] for key in sorted(found)]
                     found.clear()
         return _new_nogoods(solver, matches) if matches else []
 
-    def post_nogoods(self, solver: Solver) -> list[tuple[int, ...]]:
+    def post_nogoods(self, solver: Solver, since: int) -> list[tuple[int, ...]]:
         """Instances whose body is fully true under the current trail.
 
         An instance true at the previous call was emitted then or is stored,
         so only those holding a literal assigned since can be new: the join
-        is seeded from each of them.  With no earlier trail (the first call,
-        or after a backjump to an empty trail) the body is joined in full,
-        which also finds instances with no literal on the trail.
+        is seeded from each literal from trail position `since` on.  With no
+        earlier trail (`since` 0: the first call, or after a backjump to an
+        empty trail) the body is joined in full, which also finds instances
+        with no literal on the trail.
         """
-        trail = solver._trail
-        mark, solver._fixpoint_mark = solver._fixpoint_mark, len(trail)
         values = solver._assign
-        if mark == 0:
-            matches = self._joined(values, 0)
-        else:
-            found: Matches = {}
-            fired, atom = self._fired, self.gp.atoms.atom
-            for lit in trail[mark:]:
-                triggers = fired[lit]
-                if triggers:
-                    args = atom(abs(lit) - 1).args
-                    for join, slots, gets, rule, ci in triggers:
-                        join(slots, gets, rule, values, 0, args, found, ci)
-            if not found:
-                return []
-            matches = [found[key] for key in sorted(found)]
-        return _new_nogoods(solver, matches)
+        if not since:
+            full = iter_matches(self.plans, self.gp.atoms, values, 0)
+            return _new_nogoods(solver, [lits for _, lits in full.values()])
+        found: Matches = {}
+        fired, atom = self._fired, self.gp.atoms.atom
+        for lit in solver._trail[since:]:
+            triggers = fired[lit]
+            if triggers:
+                args = atom(abs(lit) - 1).args
+                for join, slots, gets, rule, ci in triggers:
+                    join(slots, gets, rule, values, 0, args, found, ci)
+        if not found:
+            return []
+        return _new_nogoods(solver, [found[key][1] for key in sorted(found)])
 
 
 def _new_nogoods(solver: Solver, matches: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

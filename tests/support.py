@@ -90,9 +90,12 @@ JOIN_LOOPS = [
 ]
 
 
-def random_join_program_text(seed: int, max_deferred: int = 3) -> str:
+def random_join_program_text(
+    seed: int, max_deferred: int = 3, consts: list[int] = JOIN_CONSTS
+) -> str:
     """A random normal program over unary and binary predicates and the
-    constants 1 and 2, with the domain facts `d(1). d(2).`
+    constants `consts`, 1 and 2 by default, with a domain fact `d(c).` for
+    each constant c.
 
     Bodies join up to three positive literals on shared variables, repeat
     variables (`e(X,X)`) and put constants in argument positions.  They
@@ -104,14 +107,14 @@ def random_join_program_text(seed: int, max_deferred: int = 3) -> str:
     subset of constraints.
     """
     rng = random.Random(seed)
-    lines = [f"d({c})." for c in JOIN_CONSTS]
+    lines = [f"d({c})." for c in consts]
     deferred_at: list[int] = []
 
     def args_of(pred: str, pool: list[str]) -> list[str]:
         return [
             rng.choice(pool)
             if pool and rng.random() < 0.75
-            else str(rng.choice(JOIN_CONSTS))
+            else str(rng.choice(consts))
             for _ in range(JOIN_PREDS[pred])
         ]
 
@@ -135,7 +138,7 @@ def random_join_program_text(seed: int, max_deferred: int = 3) -> str:
                     if var not in bound:
                         bound.append(var)
                 else:
-                    args.append(str(rng.choice(JOIN_CONSTS)))
+                    args.append(str(rng.choice(consts)))
             elems.append(atom(pred, args))
         pool = list(bound)
         for _ in range(rng.randint(0, 3)):
@@ -279,8 +282,8 @@ class JoinSpy:
         def spy_eager(index, solver, lit):
             return keep("eager", eager, index, solver, lit)
 
-        def spy_post(index, solver):
-            return keep("post", post, index, solver)
+        def spy_post(index, solver, since):
+            return keep("post", post, index, solver, since)
 
         def spy_check(plans, atoms, values):
             found = check(plans, atoms, values)

@@ -742,7 +742,7 @@ def test_a_fixpoint_hook_that_only_stores_a_nogood_runs_again(pi1_gp):
     nothing is assigned: the solver calls the hook again."""
     calls = []
 
-    def hook(solver):
+    def hook(solver, since):
         calls.append(len(solver._trail))
         return [(1, 3)] if len(calls) == 1 else []
 
@@ -808,3 +808,20 @@ def test_learned_nogoods_preserve_model_set():
         if check_program(gp, Solver(gp, seed=seed % 3), random.Random(seed)):
             checked += 1
     assert checked >= 1
+
+
+def test_a_nogood_with_fewer_than_two_non_true_literals_watches_the_latest_true():
+    """Its watches are its non-true literal, if it has one, and then the true
+    literals latest on the trail."""
+    text = "".join(f"a({i}) :- not b({i}).\nb({i}) :- not a({i}).\n" for i in range(4))
+    solver = Solver(ground_program(parse_program(text)))
+    a = [lit_of(solver, ga("a", i)) for i in range(4)]
+    assert solver.propagate() is None
+    for lit in a[:3]:
+        solver.decide(lit)
+        assert solver.propagate() is None
+    assert solver._install([a[1], a[3], a[0]]) is None
+    ng = solver._by_lits[cdcl.canonical([a[1], a[3], a[0]])]
+    assert (ng.w0, ng.w1) == (a[3], a[1])
+    falsified = solver._install([a[1], a[2], a[0]])
+    assert (falsified.w0, falsified.w1) == (a[2], a[1])

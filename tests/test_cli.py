@@ -455,6 +455,18 @@ class TestPortfolioCommands:
         path.write_text('{"label": "lazy", "counts": {"lazy": 1}}')
         return str(path)
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_eval_with_fewer_than_two_folds_names_the_flag(self, tmp_path, capsys, folds):
+        from microasp.portfolio import Example, write_dataset
+
+        examples = [Example(f"i{i}", {"x": float(i)}, "lazy", {}) for i in range(4)]
+        data = tmp_path / "d.csv"
+        write_dataset(str(data), examples, ["x"])
+        code = main(["portfolio", "eval", "--data", str(data), "--folds", str(folds)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --folds expects at least 2, got {folds}\n"
+
     def test_train_without_out_writes_the_tree_to_stdout(self, tmp_path, capsys):
         from microasp.portfolio import Example, write_dataset
 

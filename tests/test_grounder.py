@@ -127,7 +127,7 @@ def joined(text):
     index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
     budget = len(plan.rule.body)
     undefined = [0] * (len(index) + 1)
-    found = [slots for slots, _ in iter_matches(plan, index, undefined, budget)]
+    found = [slots for slots, _ in iter_matches([plan], index, undefined, budget).values()]
     assert list(grounder._instances(plan, index, ())) == [
         instance_of(plan.render(slots), index) for slots in found
     ]
@@ -169,7 +169,7 @@ class TestCompiledJoin:
         args = next(a for a in gp.atoms if a.predicate == "match").args
         join, slots, gets, rule, ci = plan.trigger(gp.atoms, 0)
         join(slots, gets, rule, values, 1, args, {}, ci)
-        source = plan._source[grounder._TRIGGER]
+        source = plan._source[grounder._TRUTH]
         loops = {lit.atom.predicate: [] for lit in plan.positives}
         for i, lit in enumerate(plan.positives, 1):
             loops[lit.atom.predicate].append(f"values[v{i}]" in source)
@@ -178,7 +178,7 @@ class TestCompiledJoin:
             "manAssignsScore": [False, False],
             "womanAssignsScore": [False, False],
         }
-        assert list(plan._source) == [grounder._TRIGGER]
+        assert list(plan._source) == [grounder._TRUTH]
 
     def test_plans_that_differ_by_an_operator_do_not_share_code(self):
         facts = "alpha(1,kilo). beta(1,2,33).\n"
@@ -192,9 +192,9 @@ class TestCompiledJoin:
         index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
         plans = [BodyPlan(rule) for rule in program.rules[2:]]
         undefined = [0] * (len(index) + 1)
-        assert len(list(iter_matches(plans[0], index, undefined, 2))) == 1
+        assert len(iter_matches(plans[:1], index, undefined, 2)) == 1
         with pytest.raises(GroundingError) as err:
-            list(iter_matches(plans[1], index, undefined, 2))
+            iter_matches(plans[1:], index, undefined, 2)
         assert plans[0]._source[grounder._TRUTH] == plans[1]._source[grounder._TRUTH]
         message = (
             "arithmetic on non-integer constant 'a' in rule"
@@ -249,7 +249,7 @@ class TestCompiledJoin:
         plan = BodyPlan(program.rules[-1])
         index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
         values = [0] + [1] * len(index)
-        found = list(iter_matches(plan, index, values, 0))
+        found = list(iter_matches([plan], index, values, 0).values())
         assert [(slots[1], slots[-1], len(lits)) for slots, lits in found] == [(0, n, n)]
 
     @pytest.mark.parametrize("n", [3000, 50_000])
@@ -544,15 +544,15 @@ def reference_grounding(program, include_deferred):
         for rule, plan in zip(kept, plans):
             if rule.head is None:
                 continue
-            matches = iter_matches(plan, index, undefined, len(rule.body))
-            for head in (plan.render(slots).head for slots, _ in matches):
+            matches = iter_matches([plan], index, undefined, len(rule.body))
+            for head in (plan.render(slots).head for slots, _ in matches.values()):
                 if head not in index:
                     index.add(head)
                     undefined.append(0)
                     changed = True
     instances = {}  # instance -> whether it is first an instance of a fact
     for rule, plan in zip(kept, plans):
-        for slots, _ in iter_matches(plan, index, undefined, len(rule.body)):
+        for slots, _ in iter_matches([plan], index, undefined, len(rule.body)).values():
             inst = instance_of(plan.render(slots), index)
             if inst is not None:
                 instances.setdefault(inst, rule.is_fact)

@@ -26,7 +26,7 @@ from microasp.grounder import (
     naive_ground_program,
 )
 from microasp.model import Atom, Comparison, Literal, Rule, Var
-from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models
+from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models, is_stable_model
 from microasp.parser import parse_program
 from microasp.strategies import solve
 from support import JOIN_CONSTS, JOIN_PREDS, instance_of, random_join_program_text
@@ -118,34 +118,41 @@ def brute_matches(plan, candidates, index, values, budget, seed_atom=None):
     return [(subst, signed) for _, subst, signed in out]
 
 
-def joined(plan, index, values, budget):
+def stored(plan, found):
+    """The matches a plan's truth form stored, as (key, ground rule, sorted
+    signed variables) in the order stored."""
     return [
-        (plan.render(slots), sorted(set(lits)))
-        for slots, lits in iter_matches(plan, index, values, budget)
+        (key, plan.render(slots), sorted(set(lits)))
+        for key, (slots, lits) in found.items()
     ]
+
+
+def joined(plan, index, values, budget):
+    """What the unseeded plan's full join stores."""
+    return stored(plan, iter_matches([plan], index, values, budget))
 
 
 def triggered(plan, index, values, budget, args):
-    """What the plan's trigger stores when called on the arguments, as
-    (key, sorted signed variables) in the order stored."""
+    """What the plan's trigger stores when called on the arguments."""
     join, slots, gets, rule, ci = plan.trigger(index, 0)
     found = {}
     join(slots, gets, rule, values, budget, args, found, ci)
-    return [(key, sorted(set(lits))) for key, lits in found.items()]
+    return stored(plan, found)
 
 
 def keyed(plan, index, matches):
-    """Each match as the key its trigger stores it under: (0, the variables
-    of the positive literals in written order)."""
+    """Each match as its truth form stores it: its key, (0, the variables
+    of the positive literals in written order), its ground rule and its
+    signed variables."""
     positives = [e.atom for e in plan.rule.body if isinstance(e, Literal) and e.positive]
     return [
-        ((0, tuple(index.id_of(ground(atom, subst)) + 1 for atom in positives)), signed)
+        (
+            (0, tuple(index.id_of(ground(atom, subst)) + 1 for atom in positives)),
+            render(plan.rule, subst),
+            signed,
+        )
         for subst, signed in matches
     ]
-
-
-def rendered(rule, matches):
-    return [(render(rule, subst), signed) for subst, signed in matches]
 
 
 def fuzz_programs(seeds):
@@ -180,8 +187,8 @@ def test_plans_match_brute_force_instantiation(chunk):
                 for budget, plan in itertools.product((0, 1), plans):
                     if plan.seed is None:
                         want = brute_matches(plan, candidates, index, values, budget)
-                        assert joined(plan, index, values, budget) == rendered(
-                            rule, want
+                        assert joined(plan, index, values, budget) == keyed(
+                            plan, index, want
                         ), seed
                         checked += len(want)
                         continue
@@ -235,18 +242,22 @@ def test_instances_match_brute_force(chunk):
     assert dropped >= 10
 
 
-def model_set(program, kind, atoms):
-    """Every model the strategy enumerates, each blocked in turn."""
+def model_set(program, kind, atoms, cap=None):
+    """Every model the strategy enumerates, each blocked in turn, or the
+    first `cap` of them."""
     found = set()
 
     def block(model):
         found.add(frozenset(model))
+        if len(found) == cap:
+            return None
         return [
             [Literal(a) for a in model]
             + [Literal(a, False) for a in atoms if a not in model]
         ]
 
-    assert solve(program, kind, seed=1, on_model=block).status == "UNSAT"
+    status = solve(program, kind, seed=1, on_model=block).status
+    assert status == ("SAT" if len(found) == cap else "UNSAT")
     return found
 
 
@@ -265,6 +276,43 @@ def test_strategies_find_the_oracle_models(chunk):
         with_models += len(want) > 1
     assert programs >= 60
     assert with_models >= 10
+
+
+#: The agreement test's constants, wider than `JOIN_CONSTS`, and the models
+#: it enumerates per strategy at most.
+WIDE_CONSTS = [1, 2, 3, 4, 5]
+MODEL_CAP = 30
+
+
+def test_strategies_agree_beyond_the_oracle():
+    """Over five constants many programs have more free atoms than the
+    oracle enumerates, but stability is cheap to check: every strategy's
+    models are stable models of the whole program, the four statuses
+    agree, and so do the model sets found by blocking, unless each reaches
+    the cap.  Eager and post leave the total-candidate check nothing to
+    add, as each violated instance is theirs to find."""
+    beyond = 0
+    for seed in range(200):
+        program = parse_program(random_join_program_text(seed, consts=WIDE_CONSTS))
+        ground = ground_program(program, include_deferred=True)
+        atoms = list(ground.atoms)
+        statuses, model_sets = set(), []
+        for kind in ("full", "lazy", "eager", "post"):
+            result = solve(program, kind, seed=1)
+            statuses.add(result.status)
+            if kind in ("eager", "post"):
+                assert result.stats.lazy_added == 0, (seed, kind)
+            models = model_set(program, kind, atoms, MODEL_CAP)
+            if result.model is not None:
+                models.add(result.model)
+            assert all(is_stable_model(ground, m) for m in models), (seed, kind)
+            model_sets.append(models)
+        assert len(statuses) == 1, seed
+        if any(len(models) < MODEL_CAP for models in model_sets):
+            assert all(models == model_sets[0] for models in model_sets), seed
+        free = {head for head, _ in ground.rules if head} - set(ground.facts)
+        beyond += bool(program.deferred) and len(free) > MAX_FREE_ATOMS
+    assert beyond >= 25
 
 
 def symmetric_constraints_text(seed: int) -> str:

@@ -173,7 +173,7 @@ class TestTriggersByLiteral:
         for var, atom in enumerate(gp.atoms, 1):
             for lit in (var, -var):
                 want = [
-                    (ci, grounder._compiled(seeded._source[grounder._TRIGGER]))
+                    (ci, grounder._compiled(seeded._source[grounder._TRUTH]))
                     for ci, plan in enumerate(index.plans)
                     for key, seeded in plan.seeded
                     if key == (atom.predicate, lit > 0)
@@ -379,8 +379,8 @@ class TestPlanTable:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_the_table_holds_nothing_of_a_solve(self, plans, monkeypatch, kind):
-        """The atom index of a solve dies with its program, whose plans are
-        the first of their keys."""
+        """The atom index of a solve dies with the solve, while its program
+        and plans, the first of their keys, live on: no plan holds it."""
         indexes = []
         original = strategies.ground_program
 
@@ -392,7 +392,6 @@ class TestPlanTable:
         monkeypatch.setattr(strategies, "ground_program", spy)
         program = parse_program(TEXTS["marriage"])
         solve(program, kind, seed=1)
-        assert indexes and all(ref() is not None for ref in indexes)
-        del program
         gc.collect()
         assert indexes and all(ref() is None for ref in indexes)
+        assert program.plans

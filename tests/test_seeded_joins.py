@@ -42,7 +42,7 @@ def written_from(index, ci, seed, atom, values, budget):
     plan = index.plans[ci]
     at = sum(isinstance(e, Literal) for e in plan.rule.body[:seed])
     out = []
-    for slots, lits in iter_matches(plan, index.gp.atoms, values, budget):
+    for slots, lits in iter_matches([plan], index.gp.atoms, values, budget).values():
         if plan.render(slots).body[at].atom == atom:
             out.append(((ci, tuple(l for l in lits if l > 0)), lits))
     return out
@@ -132,7 +132,7 @@ class TestSeededPlan:
         index = AtomIndex([Atom("p", args) for args in atoms] + [Atom("q", (3,))])
         trigger = plan.trigger(index, 7)
         true = [1] * (len(index) + 1)
-        assert fire(trigger, atoms[0], true, 0) == {(7, (1, 4)): [1, 4]}
+        assert fire(trigger, atoms[0], true, 0) == {(7, (1, 4)): ([1, 2, 3], [1, 4])}
         assert fire(trigger, atoms[1], true, 0) == {}
         assert fire(trigger, atoms[2], true, 0) == {}
 
@@ -157,7 +157,7 @@ def assert_seeded_matches_written(index, values, budget):
                 if not started:
                     assert want == [] and found == {}
                     continue
-                got = [(key, _canonical(found[key])) for key in sorted(found)]
+                got = [(key, _canonical(found[key][1])) for key in sorted(found)]
                 assert got == [(key, _canonical(lits)) for key, lits in want]
                 checked += len(want)
     return checked
@@ -240,17 +240,19 @@ ns(5) :- not s(5).
 
 
 def reordered_at_s():
-    """A solver with the facts propagated and s(5) decided, and the index."""
+    """A solver with the facts propagated and s(5) decided, the index, and
+    the trail's length before the decision."""
     program = parse_program(REORDERED_TEXT)
     gp = ground_program(program)
     index = ConstraintIndex(program.deferred_plans(), gp)
     solver = Solver(gp)
     assert solver.propagate() is None
-    assert index.post_nogoods(solver) == []  # the full join; sets the mark
+    assert index.post_nogoods(solver, 0) == []  # the full join
+    since = len(solver._trail)
     s5 = lit_of(solver, Atom("s", (5,)))
     solver.decide(s5)
     assert solver.propagate() is None
-    return index, solver, s5
+    return index, solver, s5, since
 
 
 def x_values(atoms, matches):
@@ -265,11 +267,11 @@ def x_values(atoms, matches):
 
 class TestEagerOrder:
     def test_matches_come_in_written_join_order(self):
-        index, solver, s5 = reordered_at_s()
+        index, solver, s5, _ = reordered_at_s()
         atoms = index.gp.atoms
         (trigger,) = index._fired[s5]
         found = fire(trigger, atoms.atom(s5 - 1).args, solver._assign, 1)
-        assert x_values(atoms, found.values()) == [2, 1]
+        assert x_values(atoms, [lits for _, lits in found.values()]) == [2, 1]
         assert x_values(atoms, index.eager_nogoods(solver, s5)) == [1, 2]
 
     @pytest.mark.parametrize("name", ["3sat-v20", "marriage-n5", "packing-3x3"])
@@ -305,8 +307,7 @@ class PostSpy(JoinSpy):
         self._last_len = 0
         super().__init__(monkeypatch, around=self.compare)
 
-    def compare(self, run, index, solver):
-        mark = solver._fixpoint_mark
+    def compare(self, run, index, solver, since):
         full = _new_nogoods(
             solver,
             [
@@ -318,8 +319,8 @@ class PostSpy(JoinSpy):
         )
         got = run()
         assert got == full
-        self.delta_calls += mark > 0
-        self.clamped += mark < self._last_len
+        self.delta_calls += since > 0
+        self.clamped += since < self._last_len
         self._last_len = len(solver._trail)
         return got
 
@@ -332,9 +333,9 @@ class TestPostDelta:
         assert spy.delta_calls >= 1
 
     def test_delta_emits_in_full_join_order(self):
-        index, solver, _ = reordered_at_s()
-        assert solver._fixpoint_mark > 0
-        assert x_values(index.gp.atoms, index.post_nogoods(solver)) == [1, 2]
+        index, solver, _, since = reordered_at_s()
+        assert since > 0
+        assert x_values(index.gp.atoms, index.post_nogoods(solver, since)) == [1, 2]
 
     def test_delta_through_conflicts_and_backjumps(self, monkeypatch):
         spy = PostSpy(monkeypatch)
@@ -344,15 +345,25 @@ class TestPostDelta:
         assert spy.clamped >= 1  # a backjump pulled the mark below the trail
 
     def test_backjump_clamps_the_mark(self):
+        """Each fixpoint call gets the trail's length at the one before,
+        cut back to the trail by a backjump in between."""
         program = benchgen.gen_3sat(24, 4.26, 62)
         gp = ground_program(program)
-        solver = Solver(gp, seed=1)
+        calls = []
+
+        def hook(solver, since):
+            calls.append((since, len(solver._trail)))
+            return []
+
+        solver = Solver(gp, seed=1, on_propagation_fixpoint=hook)
         assert solver.propagate() is None
         solver.decide(solver.choose_literal())
         assert solver.propagate() is None
-        solver._fixpoint_mark = len(solver._trail)
         solver._backjump(0)
-        assert solver._fixpoint_mark == len(solver._trail)
+        assert solver.propagate() is None
+        root, decided = calls[0][1], calls[1][1]
+        assert decided > root
+        assert calls == [(0, root), (root, decided), (root, root)]
 
 
 def model_set(program, kind):

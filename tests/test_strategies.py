@@ -195,7 +195,7 @@ class TestPostPropagator:
         solver.propagate()
         solver.decide(lit_of(solver, ga("a", 1)))
         assert solver.propagate() is None  # a true, b false by completion
-        found = index.post_nogoods(solver)
+        found = index.post_nogoods(solver, 0)
         a, b = lit_of(solver, ga("a", 1)), lit_of(solver, ga("b", 1))
         assert found == [tuple(sorted((a, -b), key=abs))]
 
@@ -206,7 +206,7 @@ class TestPostPropagator:
         solver.propagate()
         solver.decide(-lit_of(solver, ga("a", 1)))
         solver.propagate()
-        assert index.post_nogoods(solver) == []
+        assert index.post_nogoods(solver, 0) == []
 
     def test_second_violation_queued_then_applied(self):
         text = (
@@ -223,8 +223,8 @@ class TestPostPropagator:
         p_var = gp.atoms.id_of(ga("p", 1)) + 1
         installed = []
 
-        def spy_fixpoint(solver):
-            out = index.post_nogoods(solver)
+        def spy_fixpoint(solver, since):
+            out = index.post_nogoods(solver, since)
             installed.extend(out)
             return out
 
