@@ -40,8 +40,8 @@ still open.
 
 A nogood is stored once, under its canonical tuple (`canonical`): its
 distinct literals ordered by variable, which is also its `lits`.  A
-tautology is never stored, `has_nogood` looks its argument up in the same
-form, and learned nogoods are not keyed.
+tautology is never stored, a hook that holds a canonical tuple looks it up
+in `_by_lits` itself, and learned nogoods are not keyed.
 
 Every undefined variable has exactly one heap entry at its current
 activity; `_heap_act[v]` is the activity of v's entry, or -1.0 when it has
@@ -447,9 +447,6 @@ class Solver:
         ng.w0, ng.w1 = w0, w1
 
     # ----------------------------------------------------------------- install
-
-    def has_nogood(self, lits: Iterable[int]) -> bool:
-        return canonical(lits) in self._by_lits
 
     def _install(self, lits: Iterable[int]) -> Optional[StoredNogood]:
         """Store a nogood under its canonical tuple, watch it and infer from

@@ -25,13 +25,14 @@ undefined and stores each match's slots and literals in the caller's dict
 under its key (`Matches`).  A plan seeded at a body literal first binds
 the seed literal's variables from the arguments of the atom it is called
 on.  `BodyPlan.trigger` binds any plan's truth form to an index
-(`Trigger`), and `iter_matches` runs unseeded plans in full.  Their
-callers join over a `GroundProgram` of the plan's program, where the
-plan's extensional predicates hold facts only, so a positive literal on
-one is taken as true without a read.  They are:
+(`Trigger`) and `iter_matches` runs bound unseeded plans in full; a solve
+binds each truth join once (`strategies.ConstraintIndex`).  The callers
+join over a `GroundProgram` of the plan's program, where the plan's
+extensional predicates hold facts only, so a positive literal on one is
+taken as true without a read.  They are:
 
 * the lazy check: every body in full over the solver assignment with
-  budget 0 on a total candidate;
+  budget 0 on a total candidate, its stored literals the nogoods;
 * the eager propagator: the solver assignment with budget 1, every body in
   full at its first call, when every fact is true, then the trigger of
   each body literal the assigned literal matches;
@@ -96,7 +97,7 @@ Row = tuple[int, tuple]
 Instance = tuple[int, tuple[int, ...]]
 
 #: A plan's truth form bound to the tables of one index, for one constraint
-#: position: (join, slots, gets, rule, ci).  The call
+#: position: (join, slots, gets, rule, ci), bound once per solve.  The call
 #: `join(slots, gets, rule, values, budget, args, found, ci)` joins the body
 #: under the truth `values` with at most `budget` undefined body literals
 #: (see `iter_matches`) and stores each match in `found` (`Matches`).  A
@@ -464,8 +465,8 @@ class BodyPlan:
 
     A plan serves any solve of its program, also two at once (a solve
     started from a hook of another, or solves on threads): it keeps no
-    state of a solve, as a join binds the index's tables at each call, and
-    two reads of `seeded` that race make equal lists.
+    state of a solve, as its caller holds each join bound to an index's
+    tables, and two reads of `seeded` that race make equal lists.
     """
 
     def __init__(
@@ -837,7 +838,7 @@ class BodyPlan:
 
     def trigger(self, index: AtomIndex, ci: int) -> Trigger:
         """The plan's truth form bound to the index's tables, for the
-        constraint at position `ci`: see `Trigger`."""
+        constraint at position `ci` (see `Trigger`): once per solve."""
         join = _compiled(self._source[_TRUTH])
         return join, self._initial, self._gets(index), self.rule, ci
 
@@ -858,11 +859,11 @@ class BodyPlan:
 
 
 def iter_matches(
-    plans: Sequence[BodyPlan], index: AtomIndex, values: Sequence[int], budget: int
+    joins: Iterable[Trigger], values: Sequence[int], budget: int
 ) -> Matches:
-    """The matches of the bodies of unseeded plans over the atoms of the
-    index, each plan's keyed by its position in `plans`: their truth forms,
-    compiled at their first join, run into one dict.
+    """The matches of unseeded plans' truth forms, bound to one index's
+    tables (`BodyPlan.trigger`), run in turn into one dict: the full join
+    of the lazy check and of both propagators' first calls.
 
     `values[var]` is the truth of the atom with that variable: 1 true, -1
     false, 0 undefined.  A match holds no false body literal and at most
@@ -878,8 +879,7 @@ def iter_matches(
     the truth and budget each caller joins under.
     """
     found: Matches = {}
-    for ci, plan in enumerate(plans):
-        join, slots, gets, rule, _ = plan.trigger(index, ci)
+    for join, slots, gets, rule, ci in joins:
         join(slots, gets, rule, values, budget, (), found, ci)
     return found
 
@@ -1033,18 +1033,3 @@ def naive_ground_program(program: Program) -> GroundProgram:
                 rules[head, body] = None
     return GroundProgram(table, tuple(facts), tuple(rules))
 
-
-def ground_deferred_violations(
-    plans: Sequence[BodyPlan], index: AtomIndex, values: Sequence[int]
-) -> list[tuple[int, list, list[int]]]:
-    """Matches of the constraint bodies with every literal true under `values`.
-
-    On a total assignment each match is a violated instance and its literals
-    are the nogood.  Matches come constraint by constraint in plan order,
-    each constraint's in index order, as (plan position, slots, signed
-    variables).
-    """
-    return [
-        (ci, slots, lits)
-        for (ci, _), (slots, lits) in iter_matches(plans, index, values, 0).items()
-    ]

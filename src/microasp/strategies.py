@@ -24,7 +24,6 @@ from .grounder import (
     GroundProgram,
     Matches,
     Trigger,
-    ground_deferred_violations,
     ground_program,
     iter_matches,
 )
@@ -62,24 +61,26 @@ class ConstraintIndex:
     The joins run over the program's atom index (`gp.atoms`) and read truth
     off `solver._assign` at query time, so no per-assignment bookkeeping is
     needed.  `plans` are the deferred constraints' plans, the program's own
-    (`Program.deferred_plans`), which its every solve shares.  The lazy
-    check is the full join of each constraint on a total candidate, over
-    them.  The propagators, `eager_nogoods` and `post_nogoods`, are the
-    solver's hooks and return nogoods.  They join outward from a trail
-    literal, through the trigger of each body literal it matches (the
-    constraints' `BodyPlan.seeded` plans, made once per program): eager
-    from each assigned literal, allowing one undefined body literal (the
-    one its nogood infers), and post from each literal assigned since its
-    last call, allowing none.  `_fired` holds those triggers by literal,
-    indexed like `Solver._assign`, each bound once per solve, at the first
-    propagator call, to its compiled join and the `get`s of its tables
+    (`Program.deferred_plans`), which its every solve shares.  `_full` holds
+    their truth joins bound once to the atom index, which `iter_matches`
+    runs in full: the lazy check on each total candidate
+    (`ground_deferred_violations`) and each propagator's first call.  The
+    propagators, `eager_nogoods` and `post_nogoods`, are the solver's hooks
+    and return nogoods.  They join outward from a trail literal, through the
+    trigger of each body literal it matches (the constraints'
+    `BodyPlan.seeded` plans, made once per program): eager from each
+    assigned literal, allowing one undefined body literal (the one its
+    nogood infers), and post from each literal assigned since its last call,
+    allowing none.  `_fired` holds those triggers by literal, indexed like
+    `Solver._assign`, each bound once per solve, at its first read, to its
+    compiled join and the `get`s of its tables
     (`BodyPlan.trigger`), so a propagator calls them in a plain loop and a
     literal with none starts no join.  Body literals on the program's
     extensional predicates get no seeded plan, so a fact starts no join;
-    each propagator's first call joins every body in full instead
-    (`iter_matches`), which covers what the facts alone violate or make
-    unit.  An index serves one solve: eager's first call is the solve's
-    first.
+    each propagator's first call joins every body in full instead (`_full`),
+    which covers what the facts alone violate or make unit.  No plan is
+    bound twice in a solve.  An index serves one solve: eager's first call
+    is the solve's first.
 
     Every match is stored under (constraint position, the variables of its
     positive literals in written order), and a full join stores them in the
@@ -100,6 +101,11 @@ class ConstraintIndex:
         # Whether eager's first call, which also joins every body in full,
         # is still to come.
         self._unjoined = True
+
+    @cached_property
+    def _full(self) -> list[Trigger]:
+        """The constraints' truth joins bound to the atom index, in plan order."""
+        return [plan.trigger(self.gp.atoms, ci) for ci, plan in enumerate(self.plans)]
 
     @cached_property
     def _fired(self) -> list[Sequence[Trigger]]:
@@ -138,7 +144,7 @@ class ConstraintIndex:
         matches: list[list[int]] = []
         if self._unjoined:
             self._unjoined = False
-            full = iter_matches(self.plans, self.gp.atoms, values, 1)
+            full = iter_matches(self._full, values, 1)
             matches = [lits for _, lits in full.values()]
         if triggers:
             args = self.gp.atoms.atom(abs(lit) - 1).args
@@ -162,7 +168,7 @@ class ConstraintIndex:
         """
         values = solver._assign
         if not since:
-            full = iter_matches(self.plans, self.gp.atoms, values, 0)
+            full = iter_matches(self._full, values, 0)
             return _new_nogoods(solver, [lits for _, lits in full.values()])
         found: Matches = {}
         fired, atom = self._fired, self.gp.atoms.atom
@@ -177,14 +183,24 @@ class ConstraintIndex:
         return _new_nogoods(solver, [found[key][1] for key in sorted(found)])
 
 
+def ground_deferred_violations(index: ConstraintIndex, values: Sequence[int]) -> Matches:
+    """The lazy check: the matches of the constraint bodies with every
+    literal true under `values`, constraint by constraint in the order of
+    their keys (`Matches`).  On a total assignment each is a violated
+    instance, and its literals are the nogood."""
+    return iter_matches(index._full, values, 0)
+
+
 def _new_nogoods(solver: Solver, matches: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """The nogoods of the matches, in order, that are neither in the store
-    nor a repeat."""
+    nor a repeat, each sorted once into the canonical tuple it is stored
+    and looked up under."""
     out: list[tuple[int, ...]] = []
     emitted: set[tuple[int, ...]] = set()
+    stored = solver._by_lits
     for lits in matches:
         nogood = _canonical(lits)
-        if nogood in emitted or solver.has_nogood(nogood):
+        if nogood in emitted or nogood in stored:
             continue
         emitted.add(nogood)
         out.append(nogood)
@@ -281,9 +297,10 @@ def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResu
     on_total = None
     if deferred or on_model is not None:
         def on_total(solver: Solver) -> list[tuple[int, ...]]:
-            violations = ground_deferred_violations(deferred, gp.atoms, solver._assign)
+            # Through the module's name, which a tracer may wrap.
+            violations = index and ground_deferred_violations(index, solver._assign)
             if violations:
-                nogoods = _new_nogoods(solver, (lits for _, _, lits in violations))
+                nogoods = _new_nogoods(solver, (lits for _, lits in violations.values()))
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)
                 return nogoods

@@ -1,6 +1,7 @@
 """Shared fixtures: the running two-loop example, the random-program
 generators used by the equivalence fuzz, a spy on what the
-deferred-constraint joins return and a dict that counts its reads."""
+deferred-constraint joins return, a dict that counts its reads and the
+full join of a list of plans."""
 from __future__ import annotations
 
 import random
@@ -252,7 +253,7 @@ class JoinSpy:
     `returns["eager"]` and `returns["post"]` hold, call by call, the lists
     of nogoods that `ConstraintIndex.eager_nogoods` and `post_nogoods`
     return.  `checks` holds each violation that
-    `strategies.ground_deferred_violations` returns, as (plan, slots,
+    `strategies.ground_deferred_violations` stores, as (plan, slots,
     signed variables): `plan.render(slots)` is its instance and `plan.rule`
     its constraint.  `atoms` is the atom index the last propagator read.
     When given, `around(run, index, solver, *args)` stands in for each
@@ -285,9 +286,12 @@ class JoinSpy:
         def spy_post(index, solver, since):
             return keep("post", post, index, solver, since)
 
-        def spy_check(plans, atoms, values):
-            found = check(plans, atoms, values)
-            self.checks += [(plans[ci], slots, lits) for ci, slots, lits in found]
+        def spy_check(index, values):
+            found = check(index, values)
+            self.checks += [
+                (index.plans[ci], slots, lits)
+                for (ci, _), (slots, lits) in found.items()
+            ]
             return found
 
         monkeypatch.setattr(cls, "eager_nogoods", spy_eager)
@@ -301,3 +305,13 @@ class JoinSpy:
     def texts(self, origin: str) -> list[str]:
         """Those nogoods as constraints, their literals in variable order."""
         return [str(self.atoms.render((0, nogood))) for nogood in self.nogoods(origin)]
+
+
+def join_in_full(plans, index, values, budget):
+    """`grounder.iter_matches` over the unseeded plans, each bound to the
+    index's tables for its position in `plans`."""
+    from microasp.grounder import iter_matches
+
+    return iter_matches(
+        [plan.trigger(index, ci) for ci, plan in enumerate(plans)], values, budget
+    )

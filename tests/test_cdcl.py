@@ -410,9 +410,9 @@ class TestNogoodStore:
         solver = Solver(pi1_gp)
         solver._install([3, -1])
         assert solver._by_lits[(-1, 3)].lits == (-1, 3)
-        assert solver.has_nogood([3, -1, 3, -1])
-        assert solver.has_nogood((-1, 3))
-        assert not solver.has_nogood([3, 1])
+        assert cdcl.canonical([3, -1, 3, -1]) in solver._by_lits
+        assert cdcl.canonical((-1, 3)) in solver._by_lits
+        assert cdcl.canonical([3, 1]) not in solver._by_lits
 
     def test_tautology_is_never_stored(self, pi1_gp):
         solver = Solver(pi1_gp)
@@ -420,7 +420,7 @@ class TestNogoodStore:
         assert solver._install([2, -2, 3]) is None
         assert solver._install([-4, 4]) is None
         assert solver._by_lits == stored
-        assert not solver.has_nogood([2, -2, 3])
+        assert cdcl.canonical([2, -2, 3]) not in solver._by_lits
 
     def test_learned_nogoods_are_not_keyed(self):
         gp = ground_program(benchgen.gen_3sat(60, 4.26, 1), include_deferred=True)

@@ -10,22 +10,21 @@ from microasp.grounder import (
     BodyPlan,
     GroundProgram,
     GroundingError,
-    ground_deferred_violations,
     ground_program,
     ground_rule,
     herbrand_universe,
-    iter_matches,
     naive_ground_program,
 )
 from microasp.model import Atom, Comparison, Literal, Rule, Var
 from microasp.oracle import enumerate_stable_models, reduct
 from microasp.parser import ParseError, parse_program
-from microasp.strategies import ConstraintIndex, solve
+from microasp.strategies import ConstraintIndex, ground_deferred_violations, solve
 from support import (
     PI1_DEFERRED_TEXT,
     PI1_TEXT,
     fact_texts,
     instance_of,
+    join_in_full,
     random_join_program_text,
     random_program_text,
     rule_texts,
@@ -127,7 +126,7 @@ def joined(text):
     index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
     budget = len(plan.rule.body)
     undefined = [0] * (len(index) + 1)
-    found = [slots for slots, _ in iter_matches([plan], index, undefined, budget).values()]
+    found = [slots for slots, _ in join_in_full([plan], index, undefined, budget).values()]
     assert list(grounder._instances(plan, index, ())) == [
         instance_of(plan.render(slots), index) for slots in found
     ]
@@ -192,9 +191,9 @@ class TestCompiledJoin:
         index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
         plans = [BodyPlan(rule) for rule in program.rules[2:]]
         undefined = [0] * (len(index) + 1)
-        assert len(iter_matches(plans[:1], index, undefined, 2)) == 1
+        assert len(join_in_full(plans[:1], index, undefined, 2)) == 1
         with pytest.raises(GroundingError) as err:
-            iter_matches(plans[1:], index, undefined, 2)
+            join_in_full(plans[1:], index, undefined, 2)
         assert plans[0]._source[grounder._TRUTH] == plans[1]._source[grounder._TRUTH]
         message = (
             "arithmetic on non-integer constant 'a' in rule"
@@ -249,7 +248,7 @@ class TestCompiledJoin:
         plan = BodyPlan(program.rules[-1])
         index = AtomIndex(rule.head for rule in program.rules if rule.is_fact)
         values = [0] + [1] * len(index)
-        found = list(iter_matches([plan], index, values, 0).values())
+        found = list(join_in_full([plan], index, values, 0).values())
         assert [(slots[1], slots[-1], len(lits)) for slots, lits in found] == [(0, n, n)]
 
     @pytest.mark.parametrize("n", [3000, 50_000])
@@ -419,15 +418,15 @@ class TestGroundProgram:
 def violations(constraints, universe, truths):
     """Ground instances of the constraints violated when exactly `truths`
     hold among the atoms of `universe`, each with its nogood as literals."""
-    index = AtomIndex(universe)
-    values = [0] + [1 if atom in truths else -1 for atom in index]
-    plans = [BodyPlan(c) for c in constraints]
+    atoms = AtomIndex(universe)
+    values = [0] + [1 if atom in truths else -1 for atom in atoms]
+    index = ConstraintIndex([BodyPlan(c) for c in constraints], GroundProgram(atoms, (), ()))
     return [
         (
-            plans[ci].render(slots),
-            frozenset(Literal(index.atom(abs(l) - 1), l > 0) for l in lits),
+            index.plans[ci].render(slots),
+            frozenset(Literal(atoms.atom(abs(l) - 1), l > 0) for l in lits),
         )
-        for ci, slots, lits in ground_deferred_violations(plans, index, values)
+        for (ci, _), (slots, lits) in ground_deferred_violations(index, values).items()
     ]
 
 
@@ -544,7 +543,7 @@ def reference_grounding(program, include_deferred):
         for rule, plan in zip(kept, plans):
             if rule.head is None:
                 continue
-            matches = iter_matches([plan], index, undefined, len(rule.body))
+            matches = join_in_full([plan], index, undefined, len(rule.body))
             for head in (plan.render(slots).head for slots, _ in matches.values()):
                 if head not in index:
                     index.add(head)
@@ -552,7 +551,7 @@ def reference_grounding(program, include_deferred):
                     changed = True
     instances = {}  # instance -> whether it is first an instance of a fact
     for rule, plan in zip(kept, plans):
-        for slots, _ in iter_matches([plan], index, undefined, len(rule.body)).values():
+        for slots, _ in join_in_full([plan], index, undefined, len(rule.body)).values():
             inst = instance_of(plan.render(slots), index)
             if inst is not None:
                 instances.setdefault(inst, rule.is_fact)

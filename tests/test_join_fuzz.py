@@ -22,14 +22,19 @@ from microasp.grounder import (
     herbrand_universe,
     ground_program,
     ground_rule,
-    iter_matches,
     naive_ground_program,
 )
 from microasp.model import Atom, Comparison, Literal, Rule, Var
 from microasp.oracle import MAX_FREE_ATOMS, enumerate_stable_models, is_stable_model
 from microasp.parser import parse_program
 from microasp.strategies import solve
-from support import JOIN_CONSTS, JOIN_PREDS, instance_of, random_join_program_text
+from support import (
+    JOIN_CONSTS,
+    JOIN_PREDS,
+    instance_of,
+    join_in_full,
+    random_join_program_text,
+)
 from test_grounder import assert_grounds_as_reference
 
 OPS = {
@@ -129,7 +134,7 @@ def stored(plan, found):
 
 def joined(plan, index, values, budget):
     """What the unseeded plan's full join stores."""
-    return stored(plan, iter_matches([plan], index, values, budget))
+    return stored(plan, join_in_full([plan], index, values, budget))
 
 
 def triggered(plan, index, values, budget, args):
@@ -278,22 +283,30 @@ def test_strategies_find_the_oracle_models(chunk):
     assert with_models >= 10
 
 
-#: The agreement test's constants, wider than `JOIN_CONSTS`, and the models
-#: it enumerates per strategy at most.
-WIDE_CONSTS = [1, 2, 3, 4, 5]
+#: The agreement test's inputs: constants wider than `JOIN_CONSTS`, the
+#: generator seeds, and how many programs with a deferred constraint must
+#: have more free atoms than the oracle enumerates.  Over nine constants a
+#: program grounds to up to about 340 free atoms.
+WIDE = {
+    "consts1-5": ([1, 2, 3, 4, 5], range(200), 25),
+    "consts1-9": (list(range(1, 10)), range(80), 15),
+}
+#: The models the agreement test enumerates per strategy at most.
 MODEL_CAP = 30
 
 
-def test_strategies_agree_beyond_the_oracle():
-    """Over five constants many programs have more free atoms than the
+@pytest.mark.parametrize("wide", sorted(WIDE))
+def test_strategies_agree_beyond_the_oracle(wide):
+    """Over wider constants many programs have more free atoms than the
     oracle enumerates, but stability is cheap to check: every strategy's
     models are stable models of the whole program, the four statuses
     agree, and so do the model sets found by blocking, unless each reaches
     the cap.  Eager and post leave the total-candidate check nothing to
     add, as each violated instance is theirs to find."""
+    consts, seeds, at_least = WIDE[wide]
     beyond = 0
-    for seed in range(200):
-        program = parse_program(random_join_program_text(seed, consts=WIDE_CONSTS))
+    for seed in seeds:
+        program = parse_program(random_join_program_text(seed, consts=consts))
         ground = ground_program(program, include_deferred=True)
         atoms = list(ground.atoms)
         statuses, model_sets = set(), []
@@ -312,7 +325,7 @@ def test_strategies_agree_beyond_the_oracle():
             assert all(models == model_sets[0] for models in model_sets), seed
         free = {head for head, _ in ground.rules if head} - set(ground.facts)
         beyond += bool(program.deferred) and len(free) > MAX_FREE_ATOMS
-    assert beyond >= 25
+    assert beyond >= at_least
 
 
 def symmetric_constraints_text(seed: int) -> str:

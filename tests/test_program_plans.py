@@ -199,7 +199,7 @@ class TestTriggersByLiteral:
         solver.propagate()
         quiet = next(v for v in range(1, len(gp.atoms) + 1) if not index._fired[v])
         index.eager_nogoods(solver, quiet)  # the first call joins in full
-        assert joins
+        assert len(joins) == 1 and joins[0][0] is index._full
         del joins[:]
         assert index.eager_nogoods(solver, quiet) == [] and joins == []
 

@@ -11,17 +11,17 @@ import pytest
 
 from microasp import benchgen
 from microasp.cdcl import Solver
-from microasp.grounder import (
-    AtomIndex,
-    BodyPlan,
-    ground_deferred_violations,
-    ground_program,
-    iter_matches,
-)
+from microasp.grounder import AtomIndex, BodyPlan, ground_program
 from microasp.model import Atom, Literal, Var
 from microasp.parser import ParseError, parse_program
-from microasp.strategies import ConstraintIndex, _canonical, _new_nogoods, solve
-from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
+from microasp.strategies import (
+    ConstraintIndex,
+    _canonical,
+    _new_nogoods,
+    ground_deferred_violations,
+    solve,
+)
+from support import PI1_DEFERRED_TEXT, JoinSpy, join_in_full, lit_of, random_program_text
 
 
 def fuzz_programs(n):
@@ -42,7 +42,7 @@ def written_from(index, ci, seed, atom, values, budget):
     plan = index.plans[ci]
     at = sum(isinstance(e, Literal) for e in plan.rule.body[:seed])
     out = []
-    for slots, lits in iter_matches([plan], index.gp.atoms, values, budget).values():
+    for slots, lits in join_in_full([plan], index.gp.atoms, values, budget).values():
         if plan.render(slots).body[at].atom == atom:
             out.append(((ci, tuple(l for l in lits if l > 0)), lits))
     return out
@@ -308,15 +308,8 @@ class PostSpy(JoinSpy):
         super().__init__(monkeypatch, around=self.compare)
 
     def compare(self, run, index, solver, since):
-        full = _new_nogoods(
-            solver,
-            [
-                lits
-                for _, _, lits in ground_deferred_violations(
-                    index.plans, index.gp.atoms, solver._assign
-                )
-            ],
-        )
+        violations = ground_deferred_violations(index, solver._assign)
+        full = _new_nogoods(solver, [lits for _, lits in violations.values()])
         got = run()
         assert got == full
         self.delta_calls += since > 0

@@ -9,12 +9,11 @@ from collections import Counter
 
 import pytest
 
-from microasp import benchgen
-from microasp.cdcl import Budget, Solver, SolveStats
+from microasp import benchgen, strategies
+from microasp.cdcl import Budget, Solver, SolveStats, canonical
 from microasp.grounder import (
     BodyPlan,
     GroundingError,
-    ground_deferred_violations,
     ground_program,
     ground_rule,
     naive_ground_program,
@@ -26,10 +25,11 @@ from microasp.strategies import (
     ConstraintIndex,
     StrategyKind,
     _spent,
+    ground_deferred_violations,
     solve,
     solver_nogood,
 )
-from support import PI1_DEFERRED_TEXT, JoinSpy, lit_of, random_program_text
+from support import PI1_DEFERRED_TEXT, PI1_TEXT, JoinSpy, lit_of, random_program_text
 
 ALL_KINDS = ["full", "lazy", "eager", "post"]
 
@@ -239,7 +239,7 @@ class TestPostPropagator:
         assert ga("np", 1) in result.model
         assert len(installed) == 2  # both violations were detected together
         for ng in installed:
-            assert solver.has_nogood(ng)  # queue conservation
+            assert canonical(ng) in solver._by_lits  # queue conservation
         assert not solver.nogood_queue
 
     def test_post_with_no_deferred_is_bit_identical_to_full(self):
@@ -266,7 +266,7 @@ class TestCheckTotalCandidate:
         values = [0] + [1 if atom in true_atoms else -1 for atom in gp.atoms]
         return gp, [
             (str(index.plans[ci].rule), lits)
-            for ci, _, lits in ground_deferred_violations(index.plans, gp.atoms, values)
+            for (ci, _), (_, lits) in ground_deferred_violations(index, values).items()
         ]
 
     def test_accepts_clean_model(self, pi1):
@@ -277,10 +277,21 @@ class TestCheckTotalCandidate:
         nogood = solver_nogood(gp, (Literal(ga("a", 1)), Literal(ga("b", 1), False)))
         assert [(c, tuple(lits)) for c, lits in out] == [(":- a(X), not b(X)", nogood)]
 
-    def test_empty_deferred_always_accepts(self, pi1):
-        gp = ground_program(pi1)
-        values = [0] + [1] * len(gp.atoms)
-        assert ground_deferred_violations([], gp.atoms, values) == []
+    def test_empty_deferred_always_accepts(self, monkeypatch):
+        """A solve with no deferred constraint runs no check, also when a
+        model hook needs each total candidate."""
+        checks = []
+
+        def spy(*args):
+            checks.append(args)
+            return {}
+
+        monkeypatch.setattr(strategies, "ground_deferred_violations", spy)
+        for kind in ALL_KINDS:
+            models = []
+            result = solve(parse_program(PI1_TEXT), kind, seed=1, on_model=models.append)
+            assert result.status == "SAT" and models == [result.model]
+        assert checks == []
 
 
 class TestHooks:
@@ -303,6 +314,29 @@ class TestHooks:
         assert seeds and set(seeds) == {None}
         solve(program, "eager", seed=1)  # the spy sees a seeded plan
         assert set(seeds) > {None}
+
+    @pytest.mark.parametrize("kind", ["lazy", "eager", "post"])
+    def test_each_truth_join_is_bound_once_per_solve(self, kind, monkeypatch):
+        """The lazy check binds each deferred plan once, not at each total
+        candidate, and a propagator binds each seeded plan once too."""
+        program = benchgen.gen_packing(4, 3, (2, 2))  # four deferred
+        plans = program.deferred_plans()
+        want = list(plans)
+        if kind != "lazy":
+            want += [seeded for plan in plans for _, seeded in plan.seeded]
+        bound = []
+        trigger = BodyPlan.trigger
+
+        def spy(plan, index, ci):
+            bound.append((str(plan.rule), plan.seed))
+            return trigger(plan, index, ci)
+
+        monkeypatch.setattr(BodyPlan, "trigger", spy)
+        result = solve(program, kind, seed=3)
+        assert result.status == "SAT"
+        if kind == "lazy":
+            assert result.stats.invalidations >= 2
+        assert Counter(bound) == Counter((str(p.rule), p.seed) for p in want)
 
     @pytest.mark.parametrize("kind", ["eager", "post"])
     def test_each_propagator_call_is_one_hook_call(self, kind, monkeypatch):
