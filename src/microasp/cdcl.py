@@ -7,11 +7,13 @@ otherwise-true nogood.  Support is enforced through completion nogoods for
 atoms with few defining rules and through a support propagator above that;
 non-tight programs get an unfounded-set check on total candidates.  The
 ground program's rules are already in these literals, (head variable or 0,
-body), and the build stores the whole program in one loop
-(`_build_static`): facts, rules, then completion, each nogood ordered by
-variable, a pair by one comparison, and made without a call to its
-class.  Nogoods added later go through `_install`, which also infers from
-them.
+body), and the build (`_build_static`) stores each fact's unit in a loop of
+its own, then rules and completion in one loop, each nogood ordered by
+variable, a pair by one comparison, and made without a call to its class.
+Most atoms of a generated instance are facts, and most of the others have
+one body of one literal, whose completion is one pair made directly
+(`_completion`).  Nogoods added later go through `_install`, which also
+infers from them.
 
 The search state is indexed by literal.  `_assign` has 2n+1 entries:
 `_assign[v]` is the truth of atom v (1 true, -1 false, 0 undefined) and
@@ -23,13 +25,17 @@ reason, trail position and phase stay indexed by variable.
 A stored nogood of two or more literals watches two of them, `w0` and `w1`,
 an unordered pair: it sits once in the list of each and in no other, and
 nothing reads which of the two is `w0`.  No list holds a deleted nogood:
-the deletion takes its victims out of their watches' lists.
+the deletion takes its victims out of their watches' lists.  A nogood's
+`rest` is what a watch move scans: its literals, or () for a pair, which
+has no literal besides its watches.
 
 Unit propagation runs the pending trail in order (`_propagate_trail`): for
 each literal it visits the watchers, moves each watch to the first non-true
 literal of the nogood or infers the complement of the other watch, then
-runs the support propagator and the per-literal hook.  Levels never
-decrease along the trail, so a backjump cuts it at the level's start.
+runs the support propagator and the per-literal hook.  `propagate` first
+assigns the root units at level 0, in place, as an inference is assigned.
+Levels never decrease along the trail, so a backjump cuts it at the
+level's start.
 
 The support propagator covers heads with too many rules for completion
 nogoods (`_support_check`).  A body is open while none of its literals is
@@ -134,10 +140,15 @@ class SolveResult:
 
 
 class StoredNogood:
-    __slots__ = ("lits", "w0", "w1", "learned", "deleted", "activity", "lbd")
+    """A stored nogood: its literals `lits` and its two watches.  `rest` is
+    what the watch loop scans for a new watch: `lits` for three literals or
+    more, () for fewer, which hold no literal besides their watches."""
+
+    __slots__ = ("lits", "rest", "w0", "w1", "learned", "deleted", "activity", "lbd")
 
     def __init__(self, lits: tuple[int, ...], learned: bool = False):
         self.lits = lits
+        self.rest = lits if len(lits) > 2 else ()
         self.w0 = lits[0] if lits else 0
         self.w1 = lits[1] if len(lits) > 1 else self.w0
         self.learned = learned
@@ -253,15 +264,16 @@ class Solver:
     # ------------------------------------------------------------------ setup
 
     def _build_static(self) -> None:
-        """Store the ground program's nogoods under their canonical tuples
-        in one loop, tautologies left out: each fact's unit, then each
-        rule's nogood, recording each head's bodies in `_defs`, then each
-        atom's completion (`_completion`).  Nothing is assigned yet, so a
-        nogood watches its first two literals and infers nothing, a unit
-        waits in `_root_units` for the first `propagate`, and an empty one
-        is the root conflict.
+        """Store the ground program's nogoods under their canonical tuples,
+        tautologies left out: each fact's unit in a loop of its own, then in
+        one loop each rule's nogood, recording each head's bodies in
+        `_defs`, then each atom's completion (`_completion`).  Nothing is
+        assigned yet, so a nogood watches its first two literals and infers
+        nothing, a unit waits in `_root_units` for the first `propagate`,
+        and an empty one is the root conflict.
 
-        A rule's body holds distinct literals and no complement (see
+        The facts are distinct and come first, so each unit is new.  A
+        rule's body holds distinct literals and no complement (see
         `GroundProgram`), and its variables are distinct, so its nogood is
         tautological only if the head is in the body, repeats a literal
         only if the head's complement is, and is canonical once ordered by
@@ -273,10 +285,19 @@ class Solver:
         units = self._root_units
         defs = self._defs
         new = object.__new__
-        facts = [(0, (-var,)) for var in self.gp.facts]
+        for var in self.gp.facts:
+            ng = new(StoredNogood)
+            ng.lits = unit = (-var,)
+            ng.rest = ()
+            ng.w0 = ng.w1 = -var
+            ng.learned = ng.deleted = False
+            ng.activity = 0.0
+            ng.lbd = 0
+            by_lits[unit] = ng
+            units.append(ng)
         # The completion reads `_defs` only once the rules are all stored:
         # `chain` starts a generator at its turn.
-        for head, body in itertools.chain(facts, self.gp.rules, self._completion()):
+        for head, body in itertools.chain(self.gp.rules, self._completion()):
             if head:
                 defs.setdefault(head, []).append(body)
                 if head in body:
@@ -301,6 +322,7 @@ class Solver:
                 continue
             ng = by_lits[body] = new(StoredNogood)
             ng.lits = body
+            ng.rest = body if size > 2 else ()
             ng.w0 = w0
             ng.w1 = w1
             ng.learned = ng.deleted = False
@@ -316,15 +338,26 @@ class Solver:
         """Each atom's completion nogoods as constraints (0, literals): the
         unit of an atom without a rule, and for a head with few enough
         bodies, one nogood per choice of a literal from each, tautologies
-        left out.  A head with more gets the support propagator instead,
-        recorded with the variables that wake it."""
+        left out.  A head whose only body is one literal l gets its nogood
+        (head, -l) directly, within the same caps: none if l is the head,
+        the unit (head,) if l is its complement.  A head with too many
+        bodies gets the support propagator instead, recorded with the
+        variables that wake it."""
         defs = self._defs
+        fact_vars = self._fact_vars
+        # Whether the caps admit a head whose only body is one literal.
+        single = COMPLETION_MAX_RULES >= 1 and COMPLETION_MAX_PRODUCT >= 1
         for var in range(1, self._nvars + 1):
-            if var in self._fact_vars:
+            if var in fact_vars:
                 continue
             bodies = defs.get(var)
             if not bodies:
                 yield 0, (var,)
+                continue
+            if single and len(bodies) == 1 and len(bodies[0]) == 1:
+                lit = bodies[0][0]
+                if lit != var:
+                    yield 0, (var,) if lit == -var else (var, -lit)
                 continue
             if (
                 len(bodies) <= COMPLETION_MAX_RULES
@@ -495,7 +528,10 @@ class Solver:
     def propagate(self) -> Optional[StoredNogood]:
         """Run unit, support, and hook propagation to fixpoint.
 
-        Returns the first falsified nogood, or None at fixpoint.
+        Root units come first, at level 0 after a backjump to it: each
+        infers the complement of its literal, assigned in place as
+        `_propagate_trail` assigns an inference, or is falsified.  Returns
+        the first falsified nogood, or None at fixpoint.
         """
         cb_fix = self.on_propagation_fixpoint
         while True:
@@ -505,13 +541,30 @@ class Solver:
                 if self.level > 0:
                     self._backjump(0)
                 units, self._root_units = self._root_units, []
+                # Each unit infers the complement of its literal at level 0,
+                # assigned as `_propagate_trail` assigns an inference.
+                assign, trail = self._assign, self._trail
+                level_arr, pos, reasons, phase = (
+                    self._level_arr, self._pos, self._reason, self._phase
+                )
+                inferred = 0
                 for ng in units:
                     lit = ng.lits[0]
-                    val = self._assign[lit]
+                    val = assign[lit]
                     if val == 1:
+                        self.stats.propagations += inferred
                         return ng
                     if val == 0:
-                        self._assign_lit(-lit, ng)
+                        assign[lit] = -1
+                        assign[-lit] = 1
+                        var = lit if lit > 0 else -lit
+                        phase[var] = lit < 0
+                        level_arr[var] = 0
+                        pos[var] = len(trail)
+                        reasons[var] = ng
+                        trail.append(-lit)
+                        inferred += 1
+                self.stats.propagations += inferred
                 continue
             if self.nogood_queue:
                 conflict = self._install(self.nogood_queue.popleft())
@@ -556,9 +609,11 @@ class Solver:
 
         Each literal's watchers are visited in list order.  A watcher whose
         other watch is false stays; otherwise its watch moves to the first
-        non-true literal of the nogood outside both watches, or, with none,
-        it infers the complement of the other watch, or is falsified if
-        that one is true too.  The list is compacted in place as it is
+        non-true literal of its `rest` other than the other watch (the
+        visited literal is true, so the truth test skips it), or, with
+        none, it infers the complement of the other watch, or is falsified
+        if that one is true too.  A pair's `rest` is empty, so a pair is
+        never scanned.  The list is compacted in place as it is
         visited, so the watchers that stay keep their order.  Only the
         support propagator and the per-literal hook can leave root units,
         queued nogoods or a root conflict, so a solve with neither runs
@@ -593,8 +648,8 @@ class Solver:
                     watchers[j] = ng
                     j += 1
                     continue
-                for l in ng.lits:
-                    if l != lit and l != other and assign[l] != 1:
+                for l in ng.rest:
+                    if assign[l] != 1 and l != other:
                         ng.w0, ng.w1 = other, l
                         watches[l].append(ng)
                         moved += 1

@@ -22,9 +22,10 @@ a lookup per plan.
 A join has two forms.  The truth form reads each atom's truth from a
 list indexed by solver variable, lets at most `budget` body literals be
 undefined and stores each match's slots and literals in the caller's dict
-under its key (`Matches`).  A plan seeded at a body literal first binds
-the seed literal's variables from the arguments of the atom it is called
-on.  `BodyPlan.trigger` binds any plan's truth form to an index
+under its key (`Matches`).  A plan seeded at a body literal is called on a
+trail literal: it first binds the seed literal's variables from the
+arguments of that literal's atom, and takes the literal itself as the
+seed's.  `BodyPlan.trigger` binds any plan's truth form to an index
 (`Trigger`) and `iter_matches` runs bound unseeded plans in full; a solve
 binds each truth join once (`strategies.ConstraintIndex`).  The callers
 join over a `GroundProgram` of the plan's program, where the plan's
@@ -98,13 +99,15 @@ Instance = tuple[int, tuple[int, ...]]
 
 #: A plan's truth form bound to the tables of one index, for one constraint
 #: position: (join, slots, gets, rule, ci), bound once per solve.  The call
-#: `join(slots, gets, rule, values, budget, args, found, ci)` joins the body
-#: under the truth `values` with at most `budget` undefined body literals
-#: (see `iter_matches`) and stores each match in `found` (`Matches`).  A
-#: seeded plan first binds the seed literal's variables from the arguments
-#: `args` of an atom: one with a constant other than the seed's, or with two
-#: values where the seed repeats a variable, stores nothing.  An unseeded
-#: plan reads no `args`.
+#: `join(slots, gets, rule, values, budget, lit, args, found, ci)` joins the
+#: body under the truth `values` with at most `budget` undefined body
+#: literals (see `iter_matches`) and stores each match in `found`
+#: (`Matches`).  A seeded plan is called on a trail literal `lit`, true in
+#: `values`, and the arguments `args` of its atom.  It first binds the seed
+#: literal's variables from `args`: an atom with a constant other than the
+#: seed's, or with two values where the seed repeats a variable, stores
+#: nothing.  The seed literal of a match is then `lit` itself, never looked
+#: up or read.  An unseeded plan reads neither `lit` nor `args`.
 Trigger = tuple[Callable, tuple, list, Rule, int]
 
 #: The matches of truth joins, by key: (constraint position, the variables of
@@ -409,8 +412,10 @@ class BodyPlan:
     trigger binds from the arguments it is called on: a positive seed is
     matched first, then each next positive literal is the first left in
     written order that shares a bound variable, or failing that the first
-    left.  `written[k]` is the plan position of the k-th positive literal in
-    written order.
+    left.  The seed literal itself is the trail literal the trigger is
+    called on, true: a positive seed's loop is an assignment of it, and a
+    negative seed's probe is replaced by it.  `written[k]` is the plan
+    position of the k-th positive literal in written order.
 
     Each constant and variable gets a slot, the variables in the order the
     plan binds them; a variable has a slot once it is bound.  Each positive
@@ -425,10 +430,13 @@ class BodyPlan:
     unbound variable on the other an assignment to that variable.  Each
     distinct term of a sum of several, and each single-term side of an
     ordered comparison, is first checked to be an integer, as Python would
-    concatenate two symbols or order them; a sum bound by `=` must have no
-    more digits than `str` prints.  `positives` lists the positive literals
-    in plan order and `stages[i]` the elements placed after the first i of
-    them.  A rule variable that gets no slot is unsafe, a `GroundingError`.
+    concatenate two symbols or order them, unless its slot is known to hold
+    one: an integer constant, a slot an earlier or enclosing line checked,
+    or one bound to a sum.  The check still names every term or side, so a
+    failing one raises what checking them all would.  A sum bound by `=`
+    must have no more digits than `str` prints.  `positives` lists the
+    positive literals in plan order and `stages[i]` the elements placed
+    after the first i of them.  A rule variable that gets no slot is unsafe, a `GroundingError`.
 
     Each line of the source belongs to one or both forms (`_FORMS`), which
     share the loops and comparisons.  Both leave out what a positive literal
@@ -519,6 +527,8 @@ class BodyPlan:
                 reached |= shared[k]
         written = tuple(order.index(k) for k in range(len(at)))
         positives = [rule.body[at[k]] for k in order]
+        # The seed literal, which a trigger gets as the trail literal `lit`.
+        seed_lit = None if seed is None else rule.body[seed]
 
         slot: dict[Term, int] = {}
         for term in _rule_terms(rule):
@@ -526,6 +536,10 @@ class BodyPlan:
                 slot.setdefault(term, len(slot))
         initial: list = list(slot)
         accesses: dict[tuple[str, tuple[int, ...]], int] = {}
+        # The slots known to hold an integer from here on: the integer
+        # constants', and each one an earlier or enclosing line checked or
+        # bound to a sum.
+        ints = {f"s{k}" for k, term in enumerate(initial) if type(term) is int}
 
         def access(predicate: str, positions: tuple[int, ...]) -> int:
             return accesses.setdefault((predicate, positions), len(accesses))
@@ -579,7 +593,10 @@ class BodyPlan:
             summed = names(terms)
             if len(summed) > 1:
                 distinct = list(dict.fromkeys(summed))
-                emit(f"if {_not_ints(distinct)}: _arith(rule, {', '.join(distinct)})")
+                unchecked = [n for n in distinct if n not in ints]
+                if unchecked:
+                    emit(f"if {_not_ints(unchecked)}: _arith(rule, {', '.join(distinct)})")
+                    ints.update(unchecked)
             return f"sum(({', '.join(summed)}))" if len(summed) > 2 else " + ".join(summed)
 
         def placed(elem: BodyElement) -> bool:
@@ -587,6 +604,10 @@ class BodyPlan:
             if isinstance(elem, Literal):
                 if not all(t in slot for t in elem.atom.args):
                     return False
+                if elem is seed_lit and "lit" not in lits:
+                    # The seed literal, placed once: the trail literal, true.
+                    lits.append("lit")
+                    return True
                 n = f"n{len(lits)}"
                 lits.append(f"*{n}")
                 for text in (
@@ -605,9 +626,14 @@ class BodyPlan:
             right = all(t in slot for t in rhs)
             if left and right:
                 a, b = total(lhs), total(rhs)
-                sides = [side for side, terms in ((a, lhs), (b, rhs)) if len(terms) == 1]
+                sides = [
+                    side
+                    for side, terms in ((a, lhs), (b, rhs))
+                    if len(terms) == 1 and side not in ints
+                ]
                 if elem.op not in ("=", "!=") and sides:
                     emit(f"if {_not_ints(sides)}: _ordered(rule, {a}, {b})")
+                    ints.update(sides)
                 emit(f"if {a} {_FAILS[elem.op]} {b}: {skip}")
                 return True
             if elem.op != "=" or not (left or right):
@@ -619,6 +645,7 @@ class BodyPlan:
             emit(f"{bound} = {value}")
             if len(terms) > 1:
                 emit(f"if abs({bound}) >= _long: _too_long(rule)")
+                ints.add(bound)
             return True
 
         rest = [e for e in rule.body if not (isinstance(e, Literal) and e.positive)]
@@ -669,6 +696,13 @@ class BodyPlan:
                     lines.append((0, (form,), f"def part{i}({params}):"))
                 lines.append((1, _FORMS, ""))  # unpacks `gets`: filled in last
                 depth = 1
+            if i == 1 and lit is seed_lit:
+                # The first loop's one row would be the trail literal's
+                # atom, bound already and true.
+                emit("v1 = lit", (_TRUTH,))
+                lits.append("v1")
+                place()
+                continue
             args = lit.atom.args
             known, binds, repeats = match(args)
             row = ["_"] * len(args)
@@ -795,7 +829,7 @@ class BodyPlan:
             head_slots = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
         gets = f"[{', '.join(f'g{k}' for k in range(len(accesses)))}] = gets"
         lines[:0] = [
-            (0, (_TRUTH,), "def join(slots, gets, rule, values, b0, args, found, ci):"),
+            (0, (_TRUTH,), "def join(slots, gets, rule, values, b0, lit, args, found, ci):"),
             (0, (_INSTANCES,), "def join(slots, gets, rule, facts, add):"),
             (1, _FORMS, f"{every} = slots"),
             (1, _FORMS, gets),
@@ -880,7 +914,7 @@ def iter_matches(
     """
     found: Matches = {}
     for join, slots, gets, rule, ci in joins:
-        join(slots, gets, rule, values, budget, (), found, ci)
+        join(slots, gets, rule, values, budget, 0, (), found, ci)
     return found
 
 
@@ -920,41 +954,45 @@ def ground_program(program: Program, include_deferred: bool = False) -> GroundPr
     which deferred constraints, defining nothing, leave the same.
 
     The fixpoint runs in rounds.  The first adds each fact's head at its
-    turn.  In every round each rule with a head runs its instance form,
-    which adds the heads it derives.  A round that adds atoms is dropped, as
-    a negative literal on an atom derived later in it has left a body; the
-    round that adds none is the instantiation.  Constraints add no atoms and
-    are joined once, after it, in their places in rule order.  An instance
-    whose body empties is a derived fact, which reaches the instances built
-    before it through `_fold_derived`.
+    turn, and no later round visits a fact.  In every round each rule with
+    a head runs its instance form, which adds the heads it derives.  A
+    round that adds atoms is dropped, as a negative literal on an atom
+    derived later in it has left a body; the round that adds none is the
+    instantiation.  Constraints add no atoms and are joined once, after it,
+    in their places in rule order.  An instance whose body empties is a
+    derived fact, which reaches the instances built before it through
+    `_fold_derived`.
     """
     kept = [
         (rule, plan)
         for i, (rule, plan) in enumerate(zip(program.rules, program.plans))
         if include_deferred or i not in program.deferred
     ]
+    planned = [(rule, plan) for rule, plan in kept if plan is not None]
     index = AtomIndex()
     given: dict[int, None] = {}  # the fact rules' variables
+    visited = kept  # the first round's rules: the facts too
     size = -1
     while size != len(index):
         size = len(index)
-        # Each rule's instances in this round, None for a constraint.
+        # Each planned rule's instances in this round, None for a constraint.
         facts, joined = dict(given), []
-        for rule, plan in kept:
+        for rule, plan in visited:
+            if plan is None:
+                given[index.add(rule.head)] = None
+                continue
             own = None if rule.head is None else []
             joined.append(own)
-            if plan is None:
-                if not size:
-                    given[index.add(rule.head)] = None
-            elif own is not None:
+            if own is not None:
                 for inst in _instances(plan, index, facts):
                     if inst[1]:
                         own.append(inst)
                     else:
                         facts[inst[0]] = None
+        visited = planned
     instances = dict.fromkeys(itertools.chain.from_iterable(
         _instances(plan, index, facts) if own is None else own
-        for (_, plan), own in zip(kept, joined)
+        for (_, plan), own in zip(planned, joined)
     ))
     found = list(facts)[len(given):]
     rules = _fold_derived(list(instances), facts, found) if found else tuple(instances)

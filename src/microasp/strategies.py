@@ -68,10 +68,10 @@ class ConstraintIndex:
     propagators, `eager_nogoods` and `post_nogoods`, are the solver's hooks
     and return nogoods.  They join outward from a trail literal, through the
     trigger of each body literal it matches (the constraints'
-    `BodyPlan.seeded` plans, made once per program): eager from each
-    assigned literal, allowing one undefined body literal (the one its
-    nogood infers), and post from each literal assigned since its last call,
-    allowing none.  `_fired` holds those triggers by literal, indexed like
+    `BodyPlan.seeded` plans, made once per program), called on the literal
+    and its atom's arguments (`Trigger`): eager from each assigned literal,
+    allowing one undefined body literal (the one its nogood infers), and
+    post from each literal assigned since its last call, allowing none.  `_fired` holds those triggers by literal, indexed like
     `Solver._assign`, each bound once per solve, at its first read, to its
     compiled join and the `get`s of its tables
     (`BodyPlan.trigger`), so a propagator calls them in a plain loop and a
@@ -150,7 +150,7 @@ class ConstraintIndex:
             args = self.gp.atoms.atom(abs(lit) - 1).args
             found: Matches = {}
             for join, slots, gets, rule, ci in triggers:
-                join(slots, gets, rule, values, 1, args, found, ci)
+                join(slots, gets, rule, values, 1, lit, args, found, ci)
                 if found:
                     matches += [found[key][1] for key in sorted(found)]
                     found.clear()
@@ -177,7 +177,7 @@ class ConstraintIndex:
             if triggers:
                 args = atom(abs(lit) - 1).args
                 for join, slots, gets, rule, ci in triggers:
-                    join(slots, gets, rule, values, 0, args, found, ci)
+                    join(slots, gets, rule, values, 0, lit, args, found, ci)
         if not found:
             return []
         return _new_nogoods(solver, [found[key][1] for key in sorted(found)])

@@ -92,7 +92,10 @@ JOIN_LOOPS = [
 
 
 def random_join_program_text(
-    seed: int, max_deferred: int = 3, consts: list[int] = JOIN_CONSTS
+    seed: int,
+    max_deferred: int = 3,
+    consts: list[int] = JOIN_CONSTS,
+    double_swap: bool = False,
 ) -> str:
     """A random normal program over unary and binary predicates and the
     constants `consts`, 1 and 2 by default, with a domain fact `d(c).` for
@@ -106,6 +109,19 @@ def random_join_program_text(
     loops come from `JOIN_LOOPS`.  Heads use only variables that a positive
     literal binds, so grounding stays finite.  Deferred marks go on a random
     subset of constraints.
+
+    With `double_swap`, a block follows whose deferred constraint holds a
+    double swap, two pairs of positive literals on one predicate each that
+    a swap of X and Y exchanges: `:- q(X), q(Y), s(X), s(Y), X != Y.` in a
+    random order.  `s` holds three of `consts` (so it needs three), and `q`
+    is guessed over them.  The constraint is the only one on `q`, so its
+    nogoods decide which choices of `q` are models: at most one of the
+    three.  The atoms of `q` come in the order of `d`, and the facts of `s`
+    in one that keeps some pairs of constants and reverses others, so
+    whichever way the body orders each pair's variables, a grounder that
+    joined both pairs once would drop both matches of some two constants.
+    The block's draws come after the rest, so the rest of the program is
+    the one drawn without it.
     """
     rng = random.Random(seed)
     lines = [f"d({c})." for c in consts]
@@ -190,6 +206,15 @@ def random_join_program_text(
                 elems.append("not n" + head)
                 lines.append(f"n{head} :- {', '.join(elems[:-1] + ['not ' + head])}.")
             lines.append(f"{head} :- {', '.join(elems)}.")
+    if double_swap:
+        low, middle, high = sorted(rng.sample(consts, 3))
+        lines += [f"s({c})." for c in (middle, high, low)]
+        lines.append("q(X) :- d(X), s(X), not nq(X).")
+        lines.append("nq(X) :- d(X), s(X), not q(X).")
+        elems = ["q(X)", "q(Y)", "s(X)", "s(Y)", "X != Y"]
+        rng.shuffle(elems)
+        deferred_at.append(len(lines))
+        lines.append(":- " + ", ".join(elems) + ".")
     out: list[str] = []
     for i, line in enumerate(lines):
         if i in deferred_at:

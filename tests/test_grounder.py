@@ -156,8 +156,8 @@ class TestCompiledJoin:
 
     def test_a_seeded_plan_reads_no_truth_of_an_extensional_literal(self):
         """Marriage's scores are facts: the trigger seeded at `match`
-        reads the truth of the `match` loops only, and a seeded plan
-        builds no other form."""
+        reads the truth of its other `match` loop only, as the seed is the
+        trail literal, true, and a seeded plan builds no other form."""
         program = benchgen.gen_marriage(4, 30, 1)
         gp = ground_program(program)
         index = ConstraintIndex(program.deferred_plans(), gp)
@@ -165,15 +165,17 @@ class TestCompiledJoin:
         values = [0] * (len(gp.atoms) + 1)
         for var in gp.facts:
             values[var] = 1
-        args = next(a for a in gp.atoms if a.predicate == "match").args
+        atom = next(a for a in gp.atoms if a.predicate == "match")
+        lit = gp.atoms.id_of(atom) + 1
+        values[lit] = 1
         join, slots, gets, rule, ci = plan.trigger(gp.atoms, 0)
-        join(slots, gets, rule, values, 1, args, {}, ci)
+        join(slots, gets, rule, values, 1, lit, atom.args, {}, ci)
         source = plan._source[grounder._TRUTH]
         loops = {lit.atom.predicate: [] for lit in plan.positives}
         for i, lit in enumerate(plan.positives, 1):
             loops[lit.atom.predicate].append(f"values[v{i}]" in source)
         assert loops == {
-            "match": [True, True],
+            "match": [False, True],
             "manAssignsScore": [False, False],
             "womanAssignsScore": [False, False],
         }
@@ -362,6 +364,30 @@ class TestBodyPlanOrder:
         assert str(err.value) == (
             "ordered comparison on non-integer constant 'a'"
             " in rule ':- p(X), X < 3, X != a.' at 3:1"
+        )
+
+
+    @pytest.mark.parametrize(
+        "facts, body, checks",
+        [
+            ("p(1). q(1). q(a).", "p(X), X < 3, q(Y), X < Y", 2),
+            ("p(a).", "p(X), Y = X, Y < 3", 1),
+            ("p(a).", "p(X), X != 1, X < 3", 1),
+        ],
+        ids=["checked-in-an-enclosing-loop", "bound-by-equality", "compared-by-inequality"],
+    )
+    def test_a_slot_is_checked_to_be_an_integer_once(self, facts, body, checks):
+        """`X < 3` checks X in the loop over p, so `X < Y` in the loop over
+        q checks Y alone, and the symbol there raises what checking both
+        sides raises.  A slot bound by `=` to a single term, or compared by
+        `!=`, is not known to hold an integer."""
+        program = parse_program(f"{facts}\n:- {body}.\n")
+        source = program.plans[-1]._source[grounder._INSTANCES]
+        assert source.count("type(") == checks
+        with pytest.raises(GroundingError) as err:
+            ground_program(program)
+        assert str(err.value) == (
+            f"ordered comparison on non-integer constant 'a' in rule ':- {body}.' at 2:1"
         )
 
 

@@ -137,11 +137,12 @@ def joined(plan, index, values, budget):
     return stored(plan, join_in_full([plan], index, values, budget))
 
 
-def triggered(plan, index, values, budget, args):
-    """What the plan's trigger stores when called on the arguments."""
+def triggered(plan, index, values, budget, lit, args):
+    """What the plan's trigger stores when called on a trail literal and
+    the arguments of its atom."""
     join, slots, gets, rule, ci = plan.trigger(index, 0)
     found = {}
-    join(slots, gets, rule, values, budget, args, found, ci)
+    join(slots, gets, rule, values, budget, lit, args, found, ci)
     return stored(plan, found)
 
 
@@ -203,11 +204,12 @@ def test_plans_match_brute_force_instantiation(chunk):
                             continue
                         vals = list(values)
                         vals[var] = 1 if seed_lit.positive else -1
+                        lit = var if seed_lit.positive else -var
                         want = brute_matches(
                             plan, candidates, index, vals, budget, atom
                         )
                         assert triggered(
-                            plan, index, vals, budget, atom.args
+                            plan, index, vals, budget, lit, atom.args
                         ) == keyed(plan, index, want), seed
                         checked += len(want)
         programs += 1
@@ -284,12 +286,16 @@ def test_strategies_find_the_oracle_models(chunk):
 
 
 #: The agreement test's inputs: constants wider than `JOIN_CONSTS`, the
-#: generator seeds, and how many programs with a deferred constraint must
-#: have more free atoms than the oracle enumerates.  Over nine constants a
-#: program grounds to up to about 340 free atoms.
+#: generator seeds, how many programs with a deferred constraint must have
+#: more free atoms than the oracle enumerates, and whether each program
+#: ends in the generator's double-swap block.  Over nine constants a
+#: program grounds to up to about 340 free atoms.  The block's constraint
+#: is deferred, so `full` grounds it and the others join it in full, and
+#: a pair that the grounder joins once but must not changes `full`'s models.
 WIDE = {
-    "consts1-5": ([1, 2, 3, 4, 5], range(200), 25),
-    "consts1-9": (list(range(1, 10)), range(80), 15),
+    "consts1-5": ([1, 2, 3, 4, 5], range(200), 25, False),
+    "consts1-9": (list(range(1, 10)), range(80), 15, False),
+    "double-swap": ([1, 2, 3, 4, 5], range(40), 10, True),
 }
 #: The models the agreement test enumerates per strategy at most.
 MODEL_CAP = 30
@@ -303,10 +309,11 @@ def test_strategies_agree_beyond_the_oracle(wide):
     agree, and so do the model sets found by blocking, unless each reaches
     the cap.  Eager and post leave the total-candidate check nothing to
     add, as each violated instance is theirs to find."""
-    consts, seeds, at_least = WIDE[wide]
+    consts, seeds, at_least, double_swap = WIDE[wide]
     beyond = 0
     for seed in seeds:
-        program = parse_program(random_join_program_text(seed, consts=consts))
+        text = random_join_program_text(seed, consts=consts, double_swap=double_swap)
+        program = parse_program(text)
         ground = ground_program(program, include_deferred=True)
         atoms = list(ground.atoms)
         statuses, model_sets = set(), []

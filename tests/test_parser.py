@@ -202,6 +202,44 @@ def test_fact_statement_locations_and_values():
         assert _parsed(text) == _general_parsed(text)
 
 
+@pytest.mark.parametrize(
+    "text,runs,message",
+    [
+        (
+            "p(1).\nq(1).\n\np(2).\nq(1,2).\n",
+            [2, 2],
+            "predicate q/2 previously used with arity 1 at 5:1",
+        ),
+        (
+            "p(1).\n% a comment\np(2).p(3).p(4,5).\n",
+            [1, 3],
+            "predicate p/2 previously used with arity 1 at 3:11",
+        ),
+        (
+            "q(X) :- p(X,Y).\np(1,2).\nr(1).\np(3).\n",
+            [3],
+            "predicate p/1 previously used with arity 2 at 4:1",
+        ),
+        (
+            "p(1).\n%@deferred\np(2).\nq(1).\n",
+            [1, 2],
+            "%@deferred must precede a constraint at 2:1",
+        ),
+    ],
+    ids=["runs-split-by-a-blank", "runs-split-by-a-comment", "an-earlier-rule", "a-mark"],
+)
+def test_a_run_of_facts_raises_at_its_first_fact_at_fault(text, runs, message):
+    """A run's arities are checked against those used before it, so an
+    error is the first in text order, at its own fact, as the general
+    parser raises it; a mark before a run is misplaced even where its
+    arities agree."""
+    assert _runs(text) == runs
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+    assert _parsed(text) == _general_parsed(text)
+
+
 # The parser with the whole-fact token switched off: every statement goes
 # through the general tokenizer and parser.
 _NO_FACT = re.compile(r"(?!)")

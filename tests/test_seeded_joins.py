@@ -86,11 +86,12 @@ def trigger_joins(index, lit, values, budget):
     ]
 
 
-def fire(trigger, args, values, budget):
-    """What the bound trigger stores when called on an atom's arguments."""
+def fire(trigger, lit, args, values, budget):
+    """What the bound trigger stores when called on a trail literal and the
+    arguments of its atom."""
     join, slots, gets, rule, ci = trigger
     found = {}
-    join(slots, gets, rule, values, budget, args, found, ci)
+    join(slots, gets, rule, values, budget, lit, args, found, ci)
     return found
 
 
@@ -132,9 +133,9 @@ class TestSeededPlan:
         index = AtomIndex([Atom("p", args) for args in atoms] + [Atom("q", (3,))])
         trigger = plan.trigger(index, 7)
         true = [1] * (len(index) + 1)
-        assert fire(trigger, atoms[0], true, 0) == {(7, (1, 4)): ([1, 2, 3], [1, 4])}
-        assert fire(trigger, atoms[1], true, 0) == {}
-        assert fire(trigger, atoms[2], true, 0) == {}
+        assert fire(trigger, 1, atoms[0], true, 0) == {(7, (1, 4)): ([1, 2, 3], [1, 4])}
+        assert fire(trigger, 2, atoms[1], true, 0) == {}
+        assert fire(trigger, 3, atoms[2], true, 0) == {}
 
 
 def assert_seeded_matches_written(index, values, budget):
@@ -153,7 +154,7 @@ def assert_seeded_matches_written(index, values, budget):
             assert len(triggers) == len(joins)
             args = index.gp.atoms.atom(var - 1).args
             for trigger, (ci, started, want) in zip(triggers, joins):
-                found = fire(trigger, args, vals, budget)
+                found = fire(trigger, lit, args, vals, budget)
                 if not started:
                     assert want == [] and found == {}
                     continue
@@ -270,7 +271,7 @@ class TestEagerOrder:
         index, solver, s5, _ = reordered_at_s()
         atoms = index.gp.atoms
         (trigger,) = index._fired[s5]
-        found = fire(trigger, atoms.atom(s5 - 1).args, solver._assign, 1)
+        found = fire(trigger, s5, atoms.atom(s5 - 1).args, solver._assign, 1)
         assert x_values(atoms, [lits for _, lits in found.values()]) == [2, 1]
         assert x_values(atoms, index.eager_nogoods(solver, s5)) == [1, 2]
 
