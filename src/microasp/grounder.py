@@ -436,7 +436,8 @@ class BodyPlan:
     failing one raises what checking them all would.  A sum bound by `=`
     must have no more digits than `str` prints.  `positives` lists the
     positive literals in plan order and `stages[i]` the elements placed
-    after the first i of them.  A rule variable that gets no slot is unsafe, a `GroundingError`.
+    after the first i of them.  A rule variable that gets no slot is
+    unsafe, a `GroundingError`.
 
     Each line of the source belongs to one or both forms (`_FORMS`), which
     share the loops and comparisons.  Both leave out what a positive literal
@@ -455,8 +456,9 @@ class BodyPlan:
     so the key is in the source that `_compiled` is keyed by.  A form is
     compiled at its first join (`_compiled`), never here: a program's plans
     are made when it is parsed, for its safety check, and a solve may run
-    only some of their forms.  `seeded` holds the plans seeded at the body literals on
-    predicates that are not `extensional`, made at its first read and kept.
+    only some of their forms.  `seeded` holds the plans seeded at the body
+    literals on predicates that are not `extensional`, made at its first
+    read and kept.
 
     A rule is planned once per process (`_plan`): the planned fields come
     from the table `_PLANS`, keyed by the rule's value (which leaves out its

@@ -12,12 +12,9 @@ the input, or after a `.` token with only whitespace, comments and
 with no blanks inside, each `ci` an integer or a symbol other than `not`,
 and an optional newline.  It builds the `Rule` of each match in one loop
 for as long as the next match starts where the last one ended, and the run
-becomes one `facts` token holding those rules and the (predicate, arity)
-pairs of their heads; a blank line, a comment or a mark ends a run.  The
-parser checks a run's arities once per pair, against those used before and
-each other.  Only on a clash, or after a `%@deferred` mark, does it check
-each rule in text order, so the error and its line and column are those of
-the first fact at fault.  A fact whose integer is too long for `int` ends its
+becomes one `facts` token holding those rules; a blank line, a comment or a
+mark ends a run.  The parser checks each rule's arity in text order, at the
+rule's line and column.  A fact whose integer is too long for `int` ends its
 run as a `fact` token of its own, which the parser reports at that integer,
 as the general parser would.  Anything else, including a fact with blanks
 inside or with no arguments, goes through the general tokenizer and
@@ -34,7 +31,7 @@ an earlier program of the encoding is not planned again at all (see
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from .grounder import GroundingError
 from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
@@ -81,26 +78,18 @@ _DEFERRED_MARK = "%@deferred"
 
 
 class _Token:
-    """A token; a `facts` token is a run of facts, and holds their rules and
-    the (predicate, arity) pairs of their heads."""
+    """A token; a `facts` token is a run of facts, and holds their rules."""
 
-    __slots__ = ("kind", "text", "line", "column", "rules", "arities")
+    __slots__ = ("kind", "text", "line", "column", "rules")
 
     def __init__(
-        self,
-        kind: str,
-        text: str,
-        line: int,
-        column: int,
-        rules: Sequence[Rule] = (),
-        arities: AbstractSet[tuple[str, int]] = frozenset(),
+        self, kind: str, text: str, line: int, column: int, rules: Sequence[Rule] = ()
     ):
         self.kind = kind
         self.text = text
         self.line = line
         self.column = column
         self.rules = rules
-        self.arities = arities
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -114,7 +103,6 @@ def _tokenize(text: str) -> list[_Token]:
             m = fact(text, pos)
             if m is not None:
                 run: list[Rule] = []
-                arities: set[tuple[str, int]] = set()
                 while m is not None:
                     name, args, newline = m.groups()
                     try:
@@ -129,15 +117,13 @@ def _tokenize(text: str) -> list[_Token]:
                     _set(rule, "line", line)
                     _set(rule, "column", pos - line_start + 1)
                     run.append(rule)
-                    arities.add((name, len(terms)))
                     pos = m.end()
                     if newline:
                         line += 1
                         line_start = pos
                     m = fact(text, pos)
                 if run:
-                    first = run[0]
-                    tokens.append(_Token("facts", "", first.line, first.column, run, arities))
+                    tokens.append(_Token("facts", "", run[0].line, run[0].column, run))
                 if m is not None:  # an integer too long: `_overlong` reports it
                     end, column = m.end(2) + 2, pos - line_start + 1
                     tokens.append(_Token("fact", text[pos:end], line, column))
@@ -206,13 +192,11 @@ class _Parser:
             tok = self._peek()
             if tok.kind == "facts":
                 self._next()
-                if mark is not None or not self._arities_agree(tok.arities):
-                    # Raise the first error in text order, at its fact.
-                    for rule in tok.rules:
-                        head = rule.head
-                        self._check_arity(head.predicate, len(head.args), rule)
-                        if mark is not None:
-                            raise _misplaced(mark)
+                for rule in tok.rules:
+                    head = rule.head
+                    self._check_arity(head.predicate, len(head.args), rule)
+                    if mark is not None:
+                        raise _misplaced(mark)
                 rules += tok.rules
                 continue
             if tok.kind == "fact":
@@ -296,19 +280,6 @@ class _Parser:
             args = tuple(parts)
         self._check_arity(tok.text, len(args), tok)
         return Atom(tok.text, args)
-
-    def _arities_agree(self, arities: AbstractSet[tuple[str, int]]) -> bool:
-        """Whether a run's (predicate, arity) pairs agree with the arities
-        used before it and with each other; if so, they are now used."""
-        known = self._arity
-        run: dict[str, int] = {}
-        for predicate, arity in arities:
-            if known.get(predicate, arity) != arity:
-                return False
-            if run.setdefault(predicate, arity) != arity:
-                return False
-        known.update(run)
-        return True
 
     def _check_arity(self, predicate: str, arity: int, tok: _Token | Rule) -> None:
         known = self._arity.setdefault(predicate, arity)

@@ -71,7 +71,8 @@ class ConstraintIndex:
     `BodyPlan.seeded` plans, made once per program), called on the literal
     and its atom's arguments (`Trigger`): eager from each assigned literal,
     allowing one undefined body literal (the one its nogood infers), and
-    post from each literal assigned since its last call, allowing none.  `_fired` holds those triggers by literal, indexed like
+    post from each literal assigned since its last call, allowing none.
+    `_fired` holds those triggers by literal, indexed like
     `Solver._assign`, each bound once per solve, at its first read, to its
     compiled join and the `get`s of its tables
     (`BodyPlan.trigger`), so a propagator calls them in a plain loop and a
