@@ -45,9 +45,10 @@ bodies of its last scan and scans again only once too few of them are
 still open.
 
 A nogood is stored once, under its canonical tuple (`canonical`): its
-distinct literals ordered by variable, which is also its `lits`.  A
-tautology is never stored, a hook that holds a canonical tuple looks it up
-in `_by_lits` itself, and learned nogoods are not keyed.
+distinct literals ordered by variable, which is also its `lits`.  Every
+nogood added after the build comes as that tuple, made once by whatever
+built it, and only the solver decides whether it is new (`_install`).  A
+tautology is never stored, and learned nogoods are not keyed.
 
 Every undefined variable has exactly one heap entry at its current
 activity; `_heap_act[v]` is the activity of v's entry, or -1.0 when it has
@@ -178,9 +179,11 @@ class Solver:
     trail's new length, so the literals assigned since that call are
     `solver._trail[since:]`.  `on_total_candidate(solver)` may veto a
     total assignment, read off `solver._assign`, by returning nogoods; an
-    empty return accepts it.  Each hook returns a list of nogoods, each a
-    tuple of solver literals, that the solver takes as given: it neither
-    copies nor keeps the list.
+    empty return accepts it.  Each hook returns a list of nogoods, each the
+    canonical tuple of its solver literals (`canonical`) and each once,
+    that the solver takes as given: it neither copies nor keeps the list.
+    The solver leaves out the nogoods its store holds and counts the rest,
+    a propagator's in `propagator_nogoods` (`_apply_emitted`).
 
     A decision heap entry is `(-activity, rank, var)`: the least entry is
     the most active variable, ties broken by the seed's permutation `rank`,
@@ -481,19 +484,22 @@ class Solver:
 
     # ----------------------------------------------------------------- install
 
-    def _install(self, lits: Iterable[int]) -> Optional[StoredNogood]:
-        """Store a nogood under its canonical tuple, watch it and infer from
-        it; returns it when it is falsified.  A tautology or a nogood
-        already stored is dropped.  Its watches are two literals that are
-        not true, or else the latest true ones."""
-        distinct = set(lits)
-        if not distinct.isdisjoint(map(neg, distinct)):
-            return None  # tautological, never falsifiable
-        if not distinct:
+    def _install(self, key: tuple[int, ...]) -> Optional[StoredNogood]:
+        """Store a nogood given as its canonical tuple (`canonical`), watch
+        it and infer from it; returns it when it is falsified, which only a
+        new nogood can be.  A tautology is dropped: a literal and its
+        complement share a variable, so they sit side by side.  So is a
+        nogood the store holds, found by one lookup.  Its watches are two
+        literals that are not true, or else the latest true ones."""
+        if not key:
             ng = StoredNogood(())
             self._root_conflict = ng
             return ng
-        key = canonical(distinct)
+        prev = 0
+        for lit in key:
+            if lit == -prev:
+                return None  # tautological, never falsifiable
+            prev = lit
         if key in self._by_lits:
             return None
         ng = self._by_lits[key] = StoredNogood(key)
@@ -581,26 +587,33 @@ class Solver:
                 since, self._fixpoint_mark = self._fixpoint_mark, len(self._trail)
                 emitted = cb_fix(self, since)
                 if emitted:
-                    self.stats.propagator_nogoods += len(emitted)
-                    conflict, progressed = self._apply_emitted(emitted)
+                    conflict, new = self._apply_emitted(emitted)
+                    self.stats.propagator_nogoods += new
                     if conflict is not None:
                         return conflict
-                    if progressed:
+                    if new:
                         continue
             return None
 
     def _apply_emitted(
         self, nogoods: list[tuple[int, ...]]
-    ) -> tuple[Optional[StoredNogood], bool]:
-        """Install hook-produced nogoods; on conflict the rest join the queue.
-        Progress is a longer trail or a larger store; a unit is stored too."""
-        before = (len(self._trail), len(self._by_lits))
-        for i, lits in enumerate(nogoods):
-            conflict = self._install(lits)
+    ) -> tuple[Optional[StoredNogood], int]:
+        """Install the canonical nogoods a hook or the unfounded-set check
+        returned, in order, and count the new ones: `_install` leaves out
+        those the store holds.  A conflict returns at once, and the new
+        nogoods after it join the queue, counted too.  Only a new nogood can
+        be falsified or make progress, so the count is the progress test."""
+        stored = self._by_lits
+        new = 0
+        for i, key in enumerate(nogoods):
+            size = len(stored)
+            conflict = self._install(key)
             if conflict is not None:
-                self.nogood_queue.extend(nogoods[i + 1 :])
-                return conflict, True
-        return None, (len(self._trail), len(self._by_lits)) != before
+                rest = [ng for ng in nogoods[i + 1 :] if ng not in stored]
+                self.nogood_queue.extend(rest)
+                return conflict, new + 1 + len(rest)
+            new += len(stored) != size
+        return None, new
 
     def _propagate_trail(self) -> Optional[StoredNogood]:
         """Propagate the pending trail literals in order; returns the first
@@ -690,8 +703,8 @@ class Solver:
                     self.stats.propagator_calls += 1
                     emitted = cb_lit(self, lit)
                     if emitted:
-                        self.stats.propagator_nogoods += len(emitted)
-                        conflict, _ = self._apply_emitted(emitted)
+                        conflict, new = self._apply_emitted(emitted)
+                        self.stats.propagator_nogoods += new
                         if conflict is not None:
                             break
                 if self._root_units or self.nogood_queue or self._root_conflict is not None:
@@ -749,10 +762,10 @@ class Solver:
         if len(opened) > val:
             return None
         if not opened:
-            return self._install((head, *witnesses))
+            return self._install(canonical((head, *witnesses)))
         for l in opened[0]:
             if assign[l] == 0:
-                self._install((head, -l, *witnesses))
+                self._install(canonical((head, -l, *witnesses)))
         return None
 
     # -------------------------------------------------------------- conflicts
@@ -997,8 +1010,7 @@ class Solver:
                 if not false_lit:
                     raise RuntimeError("external body of an unfounded set is true")
                 witnesses.append(-false_lit)
-        base = tuple(dict.fromkeys(witnesses))
-        return [(v, *base) for v in unfounded]
+        return [canonical((v, *witnesses)) for v in unfounded]
 
     def _total_checks(self) -> list[tuple[int, ...]]:
         if not self._tight:
@@ -1020,9 +1032,9 @@ class Solver:
                     vetoes = self._total_checks()
                     if not vetoes:
                         return SolveResult(SAT, self.model_atoms(), self.stats)
-                    conflict, progressed = self._apply_emitted(vetoes)
+                    conflict, new = self._apply_emitted(vetoes)
                     if conflict is None:
-                        if not progressed:
+                        if not new:
                             raise RuntimeError("total-candidate veto made no progress")
                         continue
                 if conflict is not None:

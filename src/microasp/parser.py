@@ -14,12 +14,11 @@ and an optional newline.  It builds the `Rule` of each match in one loop
 for as long as the next match starts where the last one ended, and the run
 becomes one `facts` token holding those rules; a blank line, a comment or a
 mark ends a run.  The parser checks each rule's arity in text order, at the
-rule's line and column.  A fact whose integer is too long for `int` ends its
-run as a `fact` token of its own, which the parser reports at that integer,
-as the general parser would.  Anything else, including a fact with blanks
-inside or with no arguments, goes through the general tokenizer and
-parser, so errors and their locations do not depend on the fast path: the
-tokenizer finishes before the parser raises any error.
+rule's line and column.  Anything else, including a fact with blanks inside
+or with no arguments and one whose integer is too long for `int`, goes
+through the general tokenizer and parser, so errors and their locations do
+not depend on the fast path: the tokenizer finishes before the parser
+raises any error.
 
 The safety check is the program's plans: `parse` plans every rule that is
 not a fact (`Program.plans`), and the planner's `GroundingError` for the
@@ -31,7 +30,7 @@ an earlier program of the encoding is not planned again at all (see
 from __future__ import annotations
 
 import re
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .grounder import GroundingError
 from .model import Atom, Comparison, Literal, Program, Rule, Term, Var
@@ -110,7 +109,7 @@ def _tokenize(text: str) -> list[_Token]:
                             [int(t) if t[0].isdigit() else t for t in args.split(",")]
                         )
                     except ValueError:
-                        break
+                        break  # an integer too long: left to the general tokenizer
                     rule = _new_rule(Rule)
                     _set(rule, "head", _new_atom(Atom, (name, terms)))
                     _set(rule, "body", ())
@@ -124,11 +123,8 @@ def _tokenize(text: str) -> list[_Token]:
                     m = fact(text, pos)
                 if run:
                     tokens.append(_Token("facts", "", run[0].line, run[0].column, run))
-                if m is not None:  # an integer too long: `_overlong` reports it
-                    end, column = m.end(2) + 2, pos - line_start + 1
-                    tokens.append(_Token("fact", text[pos:end], line, column))
-                    pos = end
-                continue
+                if m is None:
+                    continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(
@@ -199,8 +195,6 @@ class _Parser:
                         raise _misplaced(mark)
                 rules += tok.rules
                 continue
-            if tok.kind == "fact":
-                _overlong(tok)
             rule = self._statement()
             if mark is not None:
                 if not rule.is_constraint:
@@ -308,17 +302,6 @@ class _Parser:
                 raise ParseError("'not' is reserved", tok.line, tok.column)
             return tok.text
         raise _unexpected(tok, "a term")
-
-
-def _overlong(tok: _Token) -> NoReturn:
-    """Raise the error at a fact token, a fact that ended its run by an
-    integer too long for `int`: the error of that integer, where it starts."""
-    name, args = tok.text[:-2].split("(")
-    column = tok.column + len(name) + 1
-    for t in args.split(","):
-        if t[0].isdigit():
-            _integer(t, tok.line, column)
-        column += len(t) + 1
 
 
 def _misplaced(mark: _Token) -> ParseError:

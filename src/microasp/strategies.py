@@ -5,7 +5,9 @@ and adds the ground instances violated by each stable-model candidate.
 EAGER simulates their unit propagation per assigned literal; POST checks for
 fully violated instances at each propagation fixpoint.  Eager and post keep
 the exhaustive check on total candidates as a safety net, so all four agree
-on the returned models.  Each realization gives the solver only nogoods.
+on the returned models.  Each realization gives the solver only nogoods,
+each the canonical tuple of a match made once (`_new_nogoods`), and the
+solver alone decides which of them are new.
 None of them does work for a literal on an extensional predicate (facts and
 no other defining rule, `Program.extensional`): it is true from level 0 on,
 so no join tests it and no propagator is triggered by it.
@@ -87,8 +89,9 @@ class ConstraintIndex:
     positive literals in written order), and a full join stores them in the
     order of that key.  So sorting a trigger's matches by key restores it:
     eager emits each trigger's matches in it, and post emits the new
-    matches in the full join's order.  A call that matches nothing returns
-    without building a nogood.
+    matches in the full join's order.  A call returns each match's
+    canonical tuple once, without reading the solver's store, and one that
+    matches nothing returns without building a nogood.
     """
 
     def __init__(self, plans: Sequence[Optional[BodyPlan]], gp: GroundProgram):
@@ -155,7 +158,7 @@ class ConstraintIndex:
                 if found:
                     matches += [found[key][1] for key in sorted(found)]
                     found.clear()
-        return _new_nogoods(solver, matches) if matches else []
+        return _new_nogoods(matches) if matches else []
 
     def post_nogoods(self, solver: Solver, since: int) -> list[tuple[int, ...]]:
         """Instances whose body is fully true under the current trail.
@@ -170,7 +173,7 @@ class ConstraintIndex:
         values = solver._assign
         if not since:
             full = iter_matches(self._full, values, 0)
-            return _new_nogoods(solver, [lits for _, lits in full.values()])
+            return _new_nogoods([lits for _, lits in full.values()])
         found: Matches = {}
         fired, atom = self._fired, self.gp.atoms.atom
         for lit in solver._trail[since:]:
@@ -181,7 +184,7 @@ class ConstraintIndex:
                     join(slots, gets, rule, values, 0, lit, args, found, ci)
         if not found:
             return []
-        return _new_nogoods(solver, [found[key][1] for key in sorted(found)])
+        return _new_nogoods([found[key][1] for key in sorted(found)])
 
 
 def ground_deferred_violations(index: ConstraintIndex, values: Sequence[int]) -> Matches:
@@ -192,20 +195,11 @@ def ground_deferred_violations(index: ConstraintIndex, values: Sequence[int]) ->
     return iter_matches(index._full, values, 0)
 
 
-def _new_nogoods(solver: Solver, matches: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The nogoods of the matches, in order, that are neither in the store
-    nor a repeat, each sorted once into the canonical tuple it is stored
-    and looked up under."""
-    out: list[tuple[int, ...]] = []
-    emitted: set[tuple[int, ...]] = set()
-    stored = solver._by_lits
-    for lits in matches:
-        nogood = _canonical(lits)
-        if nogood in emitted or nogood in stored:
-            continue
-        emitted.add(nogood)
-        out.append(nogood)
-    return out
+def _new_nogoods(matches: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The nogoods of the matches, in order, each once: the canonical tuple
+    it is stored and looked up under, sorted here and nowhere else.  The
+    solver leaves out those its store holds (`Solver._apply_emitted`)."""
+    return list(dict.fromkeys(map(_canonical, matches)))
 
 
 def _spent(signum, frame) -> None:
@@ -301,7 +295,9 @@ def _solve(program, kind, seed, budget, forced_decisions, on_model) -> SolveResu
             # Through the module's name, which a tracer may wrap.
             violations = index and ground_deferred_violations(index, solver._assign)
             if violations:
-                nogoods = _new_nogoods(solver, (lits for _, lits in violations.values()))
+                # None is stored, as a stored nogood whose literals are all
+                # true is a conflict before any total candidate.
+                nogoods = _new_nogoods(lits for _, lits in violations.values())
                 solver.stats.invalidations += 1
                 solver.stats.lazy_added += len(nogoods)
                 return nogoods

@@ -96,6 +96,7 @@ def random_join_program_text(
     max_deferred: int = 3,
     consts: list[int] = JOIN_CONSTS,
     double_swap: bool = False,
+    guess_constraints: bool = False,
 ) -> str:
     """A random normal program over unary and binary predicates and the
     constants `consts`, 1 and 2 by default, with a domain fact `d(c).` for
@@ -120,7 +121,18 @@ def random_join_program_text(
     in one that keeps some pairs of constants and reverses others, so
     whichever way the body orders each pair's variables, a grounder that
     joined both pairs once would drop both matches of some two constants.
-    The block's draws come after the rest, so the rest of the program is
+
+    With `guess_constraints`, a block follows: `g` and `h` guessed over
+    three of `consts` (the facts of `t`), and three deferred constraints,
+    the only ones on them, each of two or three literals on `g` or `h` of
+    either sign, over X, Y or one of the three constants, and at random
+    `X != Y` or `X < Y`.  Their six atoms give at most 64 models, and the
+    constraints decide which.  A literal with a constant is a seed that
+    must check it, and a literal of one constraint complements literals of
+    others, so a conflict's asserted literal can complete another
+    instance after the backjump.
+
+    Each block's draws come after the rest, so the rest of the program is
     the one drawn without it.
     """
     rng = random.Random(seed)
@@ -215,6 +227,26 @@ def random_join_program_text(
         rng.shuffle(elems)
         deferred_at.append(len(lines))
         lines.append(":- " + ", ".join(elems) + ".")
+    if guess_constraints:
+        picked = sorted(rng.sample(consts, 3))
+        lines += [f"t({c})." for c in picked]
+        for pred in ("g", "h"):
+            lines.append(f"{pred}(X) :- t(X), not n{pred}(X).")
+            lines.append(f"n{pred}(X) :- t(X), not {pred}(X).")
+        for _ in range(3):
+            elems, bound, negated = [], set(), set()
+            for _ in range(rng.randint(2, 3)):
+                arg = rng.choice(["X", "Y", str(rng.choice(picked))])
+                positive = rng.random() < 0.5
+                elems.append(("" if positive else "not ") + atom(rng.choice("gh"), [arg]))
+                if arg in ("X", "Y"):
+                    (bound if positive else negated).add(arg)
+            if len(bound | negated) == 2 and rng.random() < 0.7:
+                elems.append(rng.choice(["X != Y", "X < Y"]))
+            elems += [f"t({v})" for v in sorted(negated - bound)]
+            rng.shuffle(elems)
+            deferred_at.append(len(lines))
+            lines.append(":- " + ", ".join(elems) + ".")
     out: list[str] = []
     for i, line in enumerate(lines):
         if i in deferred_at:

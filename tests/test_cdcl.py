@@ -408,7 +408,7 @@ def test_time_budget_holds_through_grounding(monkeypatch):
 class TestNogoodStore:
     def test_has_nogood_canonicalizes(self, pi1_gp):
         solver = Solver(pi1_gp)
-        solver._install([3, -1])
+        solver._install(cdcl.canonical([3, -1]))
         assert solver._by_lits[(-1, 3)].lits == (-1, 3)
         assert cdcl.canonical([3, -1, 3, -1]) in solver._by_lits
         assert cdcl.canonical((-1, 3)) in solver._by_lits
@@ -417,8 +417,9 @@ class TestNogoodStore:
     def test_tautology_is_never_stored(self, pi1_gp):
         solver = Solver(pi1_gp)
         stored = dict(solver._by_lits)
-        assert solver._install([2, -2, 3]) is None
-        assert solver._install([-4, 4]) is None
+        assert solver._install(cdcl.canonical([2, -2, 3])) is None
+        assert solver._install(cdcl.canonical([-4, 4])) is None
+        assert solver._install((-2, 2, 3)) is None
         assert solver._by_lits == stored
         assert cdcl.canonical([2, -2, 3]) not in solver._by_lits
 
@@ -634,10 +635,10 @@ class InstallingSolver(Solver):
             self._install((-var,))
         for head, body in self.gp.rules:
             if head:
-                self._install((-head, *body))
+                self._install(cdcl.canonical((-head, *body)))
                 self._defs.setdefault(head, []).append(body)
             else:
-                self._install(body)
+                self._install(cdcl.canonical(body))
         for var in range(1, self._nvars + 1):
             if var in self._fact_vars:
                 continue
@@ -653,7 +654,7 @@ class InstallingSolver(Solver):
                 and product <= cdcl.COMPLETION_MAX_PRODUCT
             ):
                 for combo in itertools.product(*bodies):
-                    self._install((var, *(-l for l in combo)))
+                    self._install(cdcl.canonical((var, *(-l for l in combo))))
             else:
                 self._sup_open[var] = []
                 touched = {var}
@@ -727,7 +728,7 @@ def test_build_stores_what_installing_each_nogood_stores(monkeypatch, mode):
 def test_a_nogood_added_before_the_search_watches_its_first_two_literals(pi1_gp):
     solver = Solver(pi1_gp)
     stored = len(solver._by_lits)
-    assert solver._install([4, -3, 1]) is None
+    assert solver._install(cdcl.canonical([4, -3, 1])) is None
     ng = solver._by_lits[(1, -3, 4)]
     assert (ng.w0, ng.w1) == (1, -3)
     assert ng in solver._watches[1] and ng in solver._watches[-3]
@@ -750,6 +751,31 @@ def test_a_fixpoint_hook_that_only_stores_a_nogood_runs_again(pi1_gp):
     stored = len(solver._by_lits)
     assert solver.propagate() is None
     assert calls == [0, 0] and len(solver._by_lits) == stored + 1
+
+
+def test_a_fixpoint_hook_nogood_the_store_holds_is_left_out(pi1_gp):
+    """Of a stored nogood and a new one, both canonical, the solver stores
+    and counts only the new one, and the stored one keeps its watches.  The
+    second call returns both again, which adds nothing: no progress."""
+    solver = Solver(pi1_gp)
+    held = next(ng for ng in solver._by_lits.values() if len(ng.lits) > 1)
+    watches = (held.w0, held.w1)
+    new = (1, 3)
+    assert new not in solver._by_lits
+    stored = len(solver._by_lits)
+    calls = []
+
+    def hook(solver, since):
+        calls.append(since)
+        return [held.lits, new]
+
+    solver.on_propagation_fixpoint = hook
+    assert solver.propagate() is None
+    assert calls == [0, 0]
+    assert len(solver._by_lits) == stored + 1 and new in solver._by_lits
+    assert solver.stats.propagator_nogoods == 1
+    assert solver._by_lits[held.lits] is held and (held.w0, held.w1) == watches
+    assert [solver._watches[w].count(held) for w in watches] == [1, 1]
 
 
 class TestDeterminism:
@@ -820,8 +846,8 @@ def test_a_nogood_with_fewer_than_two_non_true_literals_watches_the_latest_true(
     for lit in a[:3]:
         solver.decide(lit)
         assert solver.propagate() is None
-    assert solver._install([a[1], a[3], a[0]]) is None
+    assert solver._install(cdcl.canonical([a[1], a[3], a[0]])) is None
     ng = solver._by_lits[cdcl.canonical([a[1], a[3], a[0]])]
     assert (ng.w0, ng.w1) == (a[3], a[1])
-    falsified = solver._install([a[1], a[2], a[0]])
+    falsified = solver._install(cdcl.canonical([a[1], a[2], a[0]]))
     assert (falsified.w0, falsified.w1) == (a[2], a[1])

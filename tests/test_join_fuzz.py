@@ -287,15 +287,19 @@ def test_strategies_find_the_oracle_models(chunk):
 
 #: The agreement test's inputs: constants wider than `JOIN_CONSTS`, the
 #: generator seeds, how many programs with a deferred constraint must have
-#: more free atoms than the oracle enumerates, and whether each program
-#: ends in the generator's double-swap block.  Over nine constants a
-#: program grounds to up to about 340 free atoms.  The block's constraint
-#: is deferred, so `full` grounds it and the others join it in full, and
-#: a pair that the grounder joins once but must not changes `full`'s models.
+#: more free atoms than the oracle enumerates, and the block, if any, that
+#: ends each program.  Over nine constants a program grounds to up to
+#: about 340 free atoms.  The double-swap block's constraint is deferred,
+#: so `full` grounds it and the others join it in full, and a pair that
+#: the grounder joins once but must not changes `full`'s models.  The
+#: guess-constraints block's constraints have seeds with constants, which
+#: a trigger that skipped its checks would match wrongly, and they make
+#: `post` backjump past instances that its mark must not skip.
 WIDE = {
-    "consts1-5": ([1, 2, 3, 4, 5], range(200), 25, False),
-    "consts1-9": (list(range(1, 10)), range(80), 15, False),
-    "double-swap": ([1, 2, 3, 4, 5], range(40), 10, True),
+    "consts1-5": ([1, 2, 3, 4, 5], range(200), 25, {}),
+    "consts1-9": (list(range(1, 10)), range(80), 15, {}),
+    "double-swap": ([1, 2, 3, 4, 5], range(40), 10, {"double_swap": True}),
+    "guess-constraints": ([1, 2, 3, 4, 5], range(40), 10, {"guess_constraints": True}),
 }
 #: The models the agreement test enumerates per strategy at most.
 MODEL_CAP = 30
@@ -309,10 +313,10 @@ def test_strategies_agree_beyond_the_oracle(wide):
     agree, and so do the model sets found by blocking, unless each reaches
     the cap.  Eager and post leave the total-candidate check nothing to
     add, as each violated instance is theirs to find."""
-    consts, seeds, at_least, double_swap = WIDE[wide]
+    consts, seeds, at_least, block = WIDE[wide]
     beyond = 0
     for seed in seeds:
-        text = random_join_program_text(seed, consts=consts, double_swap=double_swap)
+        text = random_join_program_text(seed, consts=consts, **block)
         program = parse_program(text)
         ground = ground_program(program, include_deferred=True)
         atoms = list(ground.atoms)

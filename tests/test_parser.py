@@ -156,10 +156,10 @@ def test_fact_statement_errors(text, message):
 @pytest.mark.parametrize(
     "text,facts,where",
     [
-        ("q(1).\nab(x,{big},2).\n", 2, "2:6"),
+        ("q(1).\nab(x,{big},2).\n", 1, "2:6"),
         ("q(X) :- p(X), X = {big}.\np(1).\n", 1, "1:19"),
-        ("q(1).\nq(2).ab(x,{big},2).\nq(3).\nab(1,2,3).\n", 5, "2:11"),
-        ("q(1).\nab(x,{big},2).\nq(1,2).\n", 3, "2:6"),
+        ("q(1).\nq(2).ab(x,{big},2).\nq(3).\nab(1,2,3).\n", 4, "2:11"),
+        ("q(1).\nab(x,{big},2).\nq(1,2).\n", 2, "2:6"),
     ],
     ids=["fact", "term", "fact-in-a-run", "before-an-arity-error"],
 )
@@ -266,12 +266,8 @@ def _runs(text: str) -> list[int]:
 
 
 def _fact_tokens(text: str) -> int:
-    """The facts the tokenizer takes whole: those of its runs, and those
-    that end a run by an integer too long."""
-    return sum(
-        len(tok.rules) if tok.kind == "facts" else tok.kind == "fact"
-        for tok in parser._tokenize(text)
-    )
+    """The facts the tokenizer takes whole, those of its runs."""
+    return sum(_runs(text))
 
 
 @pytest.mark.parametrize(

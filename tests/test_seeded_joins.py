@@ -282,7 +282,6 @@ class TestEagerOrder:
 
         def compare(run, index, solver, lit):
             want = _new_nogoods(
-                solver,
                 [
                     lits
                     for _, _, matches in trigger_joins(index, lit, solver._assign, 1)
@@ -310,7 +309,7 @@ class PostSpy(JoinSpy):
 
     def compare(self, run, index, solver, since):
         violations = ground_deferred_violations(index, solver._assign)
-        full = _new_nogoods(solver, [lits for _, lits in violations.values()])
+        full = _new_nogoods([lits for _, lits in violations.values()])
         got = run()
         assert got == full
         self.delta_calls += since > 0

@@ -121,11 +121,16 @@ class TestEagerPropagator:
         lit = lit_of(solver, ga("a", 1))
         solver.decide(lit)
         first = index.eager_nogoods(solver, lit)
+        assert first and index.eager_nogoods(solver, lit) == first
+        fresh = [ng for ng in first if ng not in solver._by_lits]
+        assert fresh and solver._apply_emitted(first) == (None, len(fresh))
+        stored, stats = dict(solver._by_lits), dataclasses.asdict(solver.stats)
+        # A replay emits only stored nogoods: the solver adds none of them,
+        # and counts none in `propagator_nogoods`.
         again = index.eager_nogoods(solver, lit)
-        assert first == again
-        for ng in first:
-            solver._install(ng)
-        assert index.eager_nogoods(solver, lit) == []  # store-level dedup
+        assert again and solver._apply_emitted(again) == (None, 0)
+        assert solver._by_lits == stored
+        assert dataclasses.asdict(solver.stats) == stats
 
     def test_a_fact_alone_makes_an_instance_unit_at_level_0(self):
         """No trigger runs from a fact: eager's first call joins the bodies
